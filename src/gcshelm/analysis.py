@@ -26,7 +26,6 @@ __all__ = [
     "dual_decay_fit",
     "quasi_orthogonality_probe",
     "planewave_coefficient_probe",
-    "decay_fit_csv",
 ]
 
 
@@ -211,7 +210,8 @@ def planewave_coefficient_probe(case, epsilon=0.25, x_pad=0.5, xi_max=2.5):
     """Micro-localization of the plane-wave source in the lattice frame.
 
     Computes |(f, Psi_mn)| by quadrature for every pair in a box around the
-    source support, with f = phi(x) * exp(1j*k*x) built from the C3 cutoff.
+    source support, one block of equal x_m at a time, with
+    f = phi(x) * exp(1j*k*x) built from the C3 cutoff.
     Returns (max outside band) / (max inside band) together with both maxima.
     """
     k = case.k
@@ -227,28 +227,14 @@ def planewave_coefficient_probe(case, epsilon=0.25, x_pad=0.5, xi_max=2.5):
     rule = quad.build_rule((support[0], support[1]), k, density)
     fw = cutoff_phi(rule.nodes, 0) * np.exp(1j * k * rule.nodes) * rule.weights
 
-    inside = 0.0
-    outside = 0.0
-    for m in range(-m_max, m_max + 1):
-        for n in range(-n_max, n_max + 1):
-            state = gs.CoherentState(spec.hbar, lattice_point(m, spec), lattice_point(n, spec))
-            val = abs(np.sum(fw * np.conj(gs.eval_state(state, rule.nodes))))
-            if (m, n) in band_set:
-                inside = max(inside, val)
-            else:
-                outside = max(outside, val)
+    m = np.repeat(np.arange(-m_max, m_max + 1), 2 * n_max + 1)
+    n = np.tile(np.arange(-n_max, n_max + 1), 2 * m_max + 1)
+    vals = np.zeros(m.size)
+    for rows, cols, block in gs.state_blocks(spec.hbar, m * h, n * h, rule.nodes):
+        vals[cols] = np.abs(fw[rows] @ np.conj(block))
+    in_band = np.array([pair in band_set for pair in zip(m.tolist(), n.tolist())])
+    inside = vals[in_band].max(initial=0.0)
+    outside = vals[~in_band].max(initial=0.0)
     if inside == 0.0:
         raise RuntimeError("plane-wave band produced no interior coefficients")
     return outside / inside, outside, inside
-
-
-def decay_fit_csv(distances, values, fitted, path=None):
-    """CSV report (distance, value, fitted) for decay plots."""
-    lines = ["distance,value,fitted"]
-    for d, v, f in zip(distances, values, fitted):
-        lines.append(f"{d:.6e},{v:.12e},{f:.12e}")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

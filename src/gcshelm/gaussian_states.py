@@ -14,6 +14,14 @@ polynomials q_a in the scaled displacement z = (x - x0 - 1j*xi0)/sqrt(hbar):
 Second-order operators P = hbar**2 a(x) d2 + 1j*hbar b(x) d1 + c(x) act as a
 multiplier g(x) = hbar*a*q_2(z) + 1j*sqrt(hbar)*b*q_1(z) + c times the state,
 so residual factors g - p(x0, xi0) never divide by Psi numerically.
+
+``state_blocks`` evaluates whole index sets, one block of equal x0 at a
+time, on the rows with |x - x0| <= 12*sqrt(hbar) that
+``quadrature.support_window`` assumes; beyond them a state is below exp(-72)
+of its peak and its tail would underflow into subnormal numbers, which slow
+dense factorizations several-fold, so those entries are exactly zero.  The
+per-state ``eval_state``, ``eval_derivative`` and ``apply_operator`` are the
+reference it is tested against.
 """
 
 import math
@@ -22,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial import Polynomial
+
+from .quadrature import DEFAULT_TAIL_TOL
 
 __all__ = [
     "CoherentState",
@@ -36,6 +46,7 @@ __all__ = [
     "polynomial_pair_inner",
     "operator_pair_inner",
     "apply_operator",
+    "state_blocks",
     "multiplier",
     "residual_factor",
     "residual_polynomial",
@@ -43,6 +54,8 @@ __all__ = [
 ]
 
 MAX_DERIVATIVE_ORDER = 4
+# half width of a state's window in units of sqrt(hbar), as in support_window
+WINDOW_SIGMAS = math.sqrt(2.0 * math.log(1.0 / DEFAULT_TAIL_TOL))
 
 
 def _q_polynomials(max_order):
@@ -224,6 +237,51 @@ def apply_operator(state, op, x):
     xv = np.asarray(x, dtype=float)
     psi = eval_state(state, xv)
     return multiplier(state, op, xv) * psi
+
+
+def state_blocks(hbar, x0, xi0, x, order=0, op=None):
+    """Columns of the states (hbar, x0[j], xi0[j]) on nondecreasing nodes x.
+
+    Yields ``(rows, cols, block)``, ``block`` holding d^order Psi_j, or P Psi_j
+    for an operator ``op`` (coefficients sampled once on x), at ``x[rows]``
+    for the run ``cols`` of equal x0 (index sets are sorted by position).
+    Rows farther than WINDOW_SIGMAS*sqrt(hbar) from x0 are left out: zero.
+    """
+    if not 0 <= order <= MAX_DERIVATIVE_ORDER:
+        raise ValueError(f"derivative order must lie in [0, {MAX_DERIVATIVE_ORDER}]")
+    if op is not None and order:
+        raise ValueError("state_blocks applies an operator or a derivative, not both")
+    x = np.asarray(x, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    xi0 = np.asarray(xi0, dtype=float)
+    if np.any(np.diff(x) < 0.0):
+        raise ValueError("state_blocks needs nondecreasing nodes")
+    root = math.sqrt(hbar)
+    amp = (math.pi * hbar) ** (-0.25)
+    if op is not None:
+        a, b, c = (np.asarray(f(x)) for f in (op.a, op.b, op.c))
+    starts = np.flatnonzero(np.diff(x0, prepend=np.nan) != 0.0)
+    for start, stop in zip(starts, np.append(starts[1:], x0.size)):
+        centre = x0[start]
+        lo = np.searchsorted(x, centre - WINDOW_SIGMAS * root, side="left")
+        hi = np.searchsorted(x, centre + WINDOW_SIGMAS * root, side="right")
+        if lo == hi:
+            continue
+        rows, cols = slice(lo, hi), slice(start, stop)
+        u = (x[rows] - centre)[:, None]
+        xi = xi0[cols][None, :]
+        block = amp * np.exp(-(u**2) / (2.0 * hbar) + 1j * xi * u / hbar)
+        if op is not None or order:
+            z = (u - 1j * xi) / root
+        if op is not None:
+            block *= (
+                hbar * a[rows, None] * npoly.polyval(z, _Q_POLYS[2])
+                + 1j * root * b[rows, None] * npoly.polyval(z, _Q_POLYS[1])
+                + c[rows, None]
+            )
+        elif order:
+            block *= hbar ** (-order / 2.0) * npoly.polyval(z, _Q_POLYS[order])
+        yield rows, cols, block
 
 
 def multiplier(state, op, x):

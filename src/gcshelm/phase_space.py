@@ -6,9 +6,8 @@ integer pairs, by thresholding the modulus of a symbol, or by the band of
 pairs adapted to plane-wave right-hand sides.
 """
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "build_symbol_set",
     "build_planewave_rhs_set",
     "search_bounds_from_symbol",
-    "index_set_to_csv",
 ]
 
 
@@ -53,14 +51,12 @@ class IndexSet:
     """Finite, lexicographically ordered collection of lattice index pairs.
 
     ``selection_rule`` records how the members were chosen (Ball, Symbol or
-    PlaneWaveRhs with their parameters).  ``symbol_modulus`` is populated by
-    the symbol rule and keeps |p| at each member for plotting.
+    PlaneWaveRhs with their parameters).
     """
 
     members: tuple
     selection_rule: str
     lattice: LatticeSpec
-    symbol_modulus: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(set(self.members)) != len(self.members):
@@ -147,9 +143,8 @@ def build_symbol_set(spec, symbol, delta, bounds=None, margin=None):
             )
     order = np.lexsort((n_sel, m_sel))
     pairs = tuple(IndexPair(int(m_sel[i]), int(n_sel[i])) for i in order)
-    modulus = tuple(float(mod[mi[i], ni[i]]) for i in order)
     rule = f"Symbol(delta={delta!r})"
-    return IndexSet(pairs, rule, spec, symbol_modulus=modulus)
+    return IndexSet(pairs, rule, spec)
 
 
 def build_planewave_rhs_set(spec, support, epsilon):
@@ -219,30 +214,3 @@ def search_bounds_from_symbol(
     raise RuntimeError(
         f"no clean shell after {max_doublings} doublings; symbol looks non-coercive"
     )
-
-
-def index_set_to_csv(index_set, symbol=None, path=None):
-    """Serialize an index set to CSV rows ``m,n,x,xi,|p|``.
-
-    The |p| column comes from stored symbol moduli when available, from the
-    ``symbol`` callable otherwise, and is empty when neither exists.
-    Returns the CSV text; writes it to ``path`` when given.
-    """
-    buf = io.StringIO()
-    buf.write("m,n,x,xi,|p|\n")
-    mod = index_set.symbol_modulus
-    for i, pair in enumerate(index_set.members):
-        x = pair.m * index_set.lattice.spacing
-        xi = pair.n * index_set.lattice.spacing
-        if mod is not None:
-            p = f"{mod[i]:.12e}"
-        elif symbol is not None:
-            p = f"{abs(complex(symbol(x, xi))):.12e}"
-        else:
-            p = ""
-        buf.write(f"{pair.m},{pair.n},{x:.12e},{xi:.12e},{p}\n")
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

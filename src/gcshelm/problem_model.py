@@ -10,7 +10,6 @@ solution phi(x)*exp(1j*k*x) built from a degree-7 C3 bridge; the
 heterogeneous case raises mu to 2 on [-0.7, 0.7] and has no closed form.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +104,6 @@ class CoefficientModel:
     """Smooth 1D coefficient exposing values and derivatives up to order 2."""
 
     fn: object
-    smoothness: str
 
     def value(self, x):
         return self.fn(x, 0)
@@ -114,9 +112,6 @@ class CoefficientModel:
         if not 0 <= order <= 2:
             raise ValueError("coefficient derivative order must lie in [0, 2]")
         return self.fn(x, order)
-
-    def __call__(self, x, order=0):
-        return self.derivative(x, order) if order else self.value(x)
 
     @staticmethod
     def constant(value):
@@ -127,18 +122,34 @@ class CoefficientModel:
             out = np.full_like(xv, val if order == 0 else 0.0, dtype=type(val))
             return out if out.ndim else out[()]
 
-        return CoefficientModel(fn, "C-inf")
+        return CoefficientModel(fn)
+
+
+def _cutoff_wave_source(x, k):
+    # P_k (phi e^{ikx}) for mu = alpha = 1, where the PML is inactive
+    return -(cutoff_phi(x, 2) + 2j * k * cutoff_phi(x, 1)) * np.exp(1j * k * x) / k**2
+
+
+def _contrast_wave_source(x, k):
+    return (np.asarray(mu_heterogeneous(x, 0)) - 1.0) * np.exp(1j * k * x)
 
 
 @dataclass(frozen=True)
 class ProblemCase:
-    """One model problem: coefficients, wavenumber, source and exact solution."""
+    """One model problem: coefficients, wavenumber, source and exact solution.
+
+    ``source(x, k)`` is the right-hand side.  ``plateau`` is the half width of
+    the interval around 0 on which every coefficient is constant, so that the
+    operator's Taylor data are exact there.
+    """
 
     name: str
     k: float
     mu: CoefficientModel
     alpha: CoefficientModel
     has_exact_solution: bool
+    source: object
+    plateau: float
 
     @staticmethod
     def homogeneous(k):
@@ -150,6 +161,8 @@ class ProblemCase:
             CoefficientModel.constant(1.0),
             CoefficientModel.constant(1.0),
             True,
+            _cutoff_wave_source,
+            1.0,
         )
 
     @staticmethod
@@ -159,9 +172,11 @@ class ProblemCase:
         return ProblemCase(
             "heterogeneous",
             float(k),
-            CoefficientModel(mu_heterogeneous, "C3-piecewise-poly"),
+            CoefficientModel(mu_heterogeneous),
             CoefficientModel.constant(1.0),
             False,
+            _contrast_wave_source,
+            0.7,
         )
 
     @staticmethod
@@ -223,12 +238,7 @@ class ProblemCase:
 
     def rhs(self, x):
         """Source term, normalized so that P_k u = rhs for the stated solution."""
-        xv = np.asarray(x, dtype=float)
-        wave = np.exp(1j * self.k * xv)
-        if self.name == "homogeneous":
-            val = -(cutoff_phi(xv, 2) + 2j * self.k * cutoff_phi(xv, 1)) * wave / self.k**2
-        else:
-            val = (np.asarray(mu_heterogeneous(xv, 0)) - 1.0) * wave
+        val = self.source(np.asarray(x, dtype=float), self.k)
         return val if val.ndim else complex(val)
 
     def exact_solution(self, x, order=0):
@@ -265,27 +275,15 @@ class ProblemCase:
 
         def taylor(x0, degree):
             # exact only where the coefficients are locally constant
-            if not abs(x0) < 1.0:
+            if not abs(x0) < self.plateau:
                 raise NotImplementedError(
-                    "polynomial coefficient data only available inside the physical region"
-                )
-            if self.name == "heterogeneous" and not abs(x0) < 0.7:
-                raise NotImplementedError(
-                    "polynomial coefficient data only available on the inner plateau"
+                    f"polynomial coefficient data only available on |x| < {self.plateau}"
                 )
             mu0 = complex(np.asarray(self.mu.value(x0), dtype=complex))
             al0 = complex(np.asarray(self.alpha.value(x0), dtype=complex))
             return (np.array([-al0]), np.array([0.0 + 0.0j]), np.array([-mu0]))
 
         return SecondOrderOperator(a=a, b=b, c=c, symbol=self.symbol, taylor=taylor)
-
-    def frozen_operator(self, x0=0.0):
-        """Constant-coefficient operator matching the physical region at x0."""
-        from .gaussian_states import constant_operator
-
-        mu0 = complex(np.asarray(self.mu.value(x0), dtype=complex))
-        al0 = complex(np.asarray(self.alpha.value(x0), dtype=complex))
-        return constant_operator(-al0, 0.0, -mu0)
 
     def rhs_support(self):
         return (-1.0, 1.0)

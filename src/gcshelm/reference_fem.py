@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-__all__ = ["FemMesh", "FemSolution", "fem_solve", "fem_eval", "nodal_csv", "DEFAULT_X_END"]
+__all__ = ["FemMesh", "FemSolution", "fem_solve", "fem_eval", "DEFAULT_X_END"]
 
 DEFAULT_X_END = 3.5
 _DEGREE = 4
@@ -155,15 +155,3 @@ def fem_eval(solution, x, derivative_order=0):
     if derivative_order == 1:
         out *= 2.0 / h_el
     return out if np.ndim(x) else complex(out[0])
-
-
-def nodal_csv(solution, path=None):
-    """Dump nodal values as CSV (x, re, im)."""
-    lines = ["x,re,im"]
-    for x, v in zip(solution.nodes, solution.values):
-        lines.append(f"{x:.12e},{v.real:.12e},{v.imag:.12e}")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

@@ -178,12 +178,26 @@ def test_planewave_probe_values():
     assert abs(val) < 1e-10
 
 
-def test_decay_fit_csv(tmp_path):
-    spec = LatticeSpec(1.0 / 20.0)
-    pairs, coeffs, _ = analysis.dual_frame_coefficients(spec, (0, 0), box_half_width=8)
-    rate, r2, (dist, vals, fitted) = analysis.dual_decay_fit(pairs, coeffs, (0, 0))
-    out = tmp_path / "decay.csv"
-    text = analysis.decay_fit_csv(dist, vals, fitted, path=out)
-    assert out.read_text() == text
-    assert text.splitlines()[0] == "distance,value,fitted"
-    assert len(text.splitlines()) == len(dist) + 1
+def test_planewave_probe_matches_per_state_loop():
+    # the same quantities from one eval_state call per lattice pair
+    from gcshelm import quadrature as quad
+    from gcshelm.phase_space import build_planewave_rhs_set
+    from gcshelm.problem_model import cutoff_phi
+
+    case = ProblemCase.homogeneous(50)
+    spec = LatticeSpec(1.0 / case.k)
+    band = {(p.m, p.n) for p in build_planewave_rhs_set(spec, (-0.75, 0.75), 0.25)}
+    rule = quad.build_rule((-0.75, 0.75), case.k, math.ceil(40 * 3.5))
+    fw = cutoff_phi(rule.nodes, 0) * np.exp(1j * case.k * rule.nodes) * rule.weights
+    inside = outside = 0.0
+    for m in range(-math.floor(1.25 / spec.spacing), math.floor(1.25 / spec.spacing) + 1):
+        for n in range(-math.floor(2.5 / spec.spacing), math.floor(2.5 / spec.spacing) + 1):
+            state = gs.CoherentState(spec.hbar, lattice_point(m, spec), lattice_point(n, spec))
+            val = abs(np.sum(fw * np.conj(gs.eval_state(state, rule.nodes))))
+            if (m, n) in band:
+                inside = max(inside, val)
+            else:
+                outside = max(outside, val)
+    got = analysis.planewave_coefficient_probe(case)
+    for g, want in zip(got, (outside / inside, outside, inside)):
+        assert abs(g - want) <= 1e-12 * want

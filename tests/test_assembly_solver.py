@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -189,10 +191,66 @@ def test_solve_validation():
         asm.solve(zero)
 
 
-def test_gram_modulus_csv():
-    system, _, _ = make_system(delta=0.5)
-    text = asm.gram_modulus_csv(system)
-    lines = text.strip().split("\n")
-    n = system.matrix.shape[1]
-    assert lines[0] == "row,col,modulus"
-    assert len(lines) == n * n + 1
+# -- the windowed state kernel against the per-state reference -----------------
+
+
+def cell_system(case, delta):
+    """The design system of one table cell, at the node density ``run_cell`` uses."""
+    iset = build_symbol_set(LatticeSpec(1.0 / case.k), case.symbol, delta)
+    density = math.ceil(40.0 * max(1.0, np.abs(iset.xi_array()).max()))
+    return make_system(case.k, delta, density, case)[0], iset
+
+
+@pytest.fixture(scope="module")
+def het_cell():
+    return cell_system(ProblemCase.heterogeneous(50.0), 2.0)
+
+
+def test_assemble_matches_per_state_columns(het_cell):
+    system, iset = het_cell
+    rule = system.rule
+    assert rule.window[0] < -1.0 and rule.window[1] > 1.0  # reaches into the PML
+    op = ProblemCase.heterogeneous(50.0).operator()
+    root_w = np.sqrt(rule.weights)
+    loop = np.stack(
+        [root_w * gs.apply_operator(s, op, rule.nodes) for s in asm.states_from_index_set(iset)],
+        axis=1,
+    )
+    scale = np.abs(loop).max()
+    assert np.abs(system.matrix - loop).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_reconstruct_matches_per_state_sum(order):
+    _, iset, _ = make_system()
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=len(iset)) + 1j * rng.normal(size=len(iset))
+    report = asm.SolveReport(c, len(iset), 1e-12, 0.0)
+    states = asm.states_from_index_set(iset)
+
+    def reference(x):
+        return sum(cj * gs.eval_derivative(s, order, x) for cj, s in zip(c, states))
+
+    for x in (0.37, rng.uniform(-1.5, 1.5, 40), rng.uniform(-1.5, 1.5, (5, 8))):
+        got = asm.reconstruct(report, iset, x, order)
+        want = reference(np.asarray(x))
+        assert np.shape(got) == np.shape(x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert isinstance(asm.reconstruct(report, iset, 0.37, order), complex)
+
+
+@pytest.mark.parametrize("cell", ["heterogeneous", "homogeneous"])
+def test_design_matrix_window_and_no_subnormals(cell, het_cell):
+    # Gaussian tails underflow to subnormal numbers, on which gelsd is several
+    # times slower; the kernel leaves them exactly zero outside 12 sqrt(hbar).
+    if cell == "heterogeneous":
+        system, iset = het_cell
+    else:
+        system, iset = cell_system(ProblemCase.homogeneous(400.0), 0.336)
+    a = system.matrix
+    tiny = np.finfo(float).tiny
+    for part in (a.real, a.imag):
+        assert not np.any((np.abs(part) > 0.0) & (np.abs(part) < tiny))
+    dist = np.abs(system.rule.nodes[:, None] - iset.x_array()[None, :])
+    far = dist > 12.0 * np.sqrt(iset.lattice.hbar)
+    assert np.any(far) and not np.any(a[far])

@@ -268,3 +268,20 @@ def test_operator_pair_inner_matches_quadrature():
         )
         cv = gs.operator_pair_inner(op, s1, s2)
         assert abs(qv - cv) < 1e-12
+
+
+def test_state_blocks_match_per_state_derivatives():
+    x0 = np.array([-0.3, -0.3, 0.0, 0.4, 0.4, 0.4])
+    xi0 = np.array([-1.0, 0.5, 0.0, -0.7, 0.2, 1.1])
+    x = np.linspace(-3.5, 3.5, 1401)
+    for order in (0, 2, 4):
+        dense = np.zeros((x.size, x0.size), dtype=complex)
+        for rows, cols, block in gs.state_blocks(HBAR, x0, xi0, x, order):
+            dense[rows, cols] = block
+        for j in range(x0.size):
+            ref = gs.eval_derivative(gs.CoherentState(HBAR, x0[j], xi0[j]), order, x)
+            near = np.abs(x - x0[j]) <= gs.WINDOW_SIGMAS * math.sqrt(HBAR)
+            assert np.max(np.abs(dense[near, j] - ref[near])) <= 1e-12 * np.max(np.abs(ref))
+            assert not np.any(dense[~near, j])
+    with pytest.raises(ValueError):
+        next(gs.state_blocks(HBAR, x0, xi0, x[::-1]))

@@ -185,21 +185,6 @@ def test_search_bounds_terminate_in_pml():
         ps.search_bounds_from_symbol(lambda x, xi: 0.0 * x * xi, 1.0, spec, max_doublings=3)
 
 
-def test_index_set_csv():
-    case = ProblemCase.homogeneous(20)
-    spec = ps.LatticeSpec(1.0 / 20.0)
-    iset = ps.build_symbol_set(spec, case.symbol, 0.5)
-    text = ps.index_set_to_csv(iset)
-    lines = text.strip().split("\n")
-    assert lines[0] == "m,n,x,xi,|p|"
-    assert len(lines) == len(iset) + 1
-    m, n, x, xi, p = lines[1].split(",")
-    pair = iset.members[0]
-    assert int(m) == pair.m and int(n) == pair.n
-    assert abs(float(p)) < 0.5
-    assert ps.index_set_to_csv(iset) == text
-
-
 def test_index_set_duplicate_and_order_validation():
     spec = ps.LatticeSpec(0.1)
     with pytest.raises(ValueError):

@@ -228,3 +228,14 @@ def test_case_validation():
         pm.ProblemCase.homogeneous(0.5)
     with pytest.raises(ValueError):
         pm.ProblemCase.from_name("unknown", 20)
+
+
+def test_rhs_bit_identical_to_closed_forms():
+    k = 50.0
+    x = np.linspace(-1.2, 1.2, 241)
+    wave = np.exp(1j * k * x)
+    hom = -(pm.cutoff_phi(x, 2) + 2j * k * pm.cutoff_phi(x, 1)) * wave / k**2
+    het = (np.asarray(pm.mu_heterogeneous(x, 0)) - 1.0) * wave
+    assert np.array_equal(pm.ProblemCase.homogeneous(k).rhs(x), hom)
+    assert np.array_equal(pm.ProblemCase.heterogeneous(k).rhs(x), het)
+    assert pm.ProblemCase.heterogeneous(k).rhs(x[135]) == het[135]

@@ -122,12 +122,7 @@ def test_fem_eval_out_of_domain():
         fem.fem_eval(sol, 0.0, 2)
 
 
-def test_fem_solve_validation_and_csv():
+def test_fem_solve_validation():
     case = ProblemCase.homogeneous(20)
     with pytest.raises(ValueError):
         fem.fem_solve(case, 0.5)
-    sol = fem.fem_solve(case, 3.5, h=aligned_h(112))
-    text = fem.nodal_csv(sol)
-    lines = text.strip().split("\n")
-    assert lines[0] == "x,re,im"
-    assert len(lines) == sol.mesh.dofs + 1
