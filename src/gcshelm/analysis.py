@@ -4,6 +4,11 @@ The weighted error norm is ||v||_H1k**2 = ||v||**2 + k**-2 ||v'||**2 on a
 bounded window.  Frame diagnostics work on a truncated lattice box whose
 Gram matrix is available in closed form; in lattice units it is exactly
 independent of hbar, which is what makes the frame bounds hbar-stable.
+The Gram is cut at the tail tolerance of the state kernel: entries below
+``quad.DEFAULT_TAIL_TOL`` = exp(-72), the tolerance of the 12-sigma window
+of ``gaussian_states.state_blocks`` (lattice distance beyond
+sqrt(288/pi) ~ 9.6 steps), are exactly 0, so it holds no subnormal
+numbers, and its phases are exact quarter turns.
 """
 
 import math
@@ -72,19 +77,27 @@ def _box_pairs(half_width):
     return [(m, n) for m in rng for n in rng]
 
 
+# 1j**j for j mod 4: lattice Gram phases are whole quarter turns
+_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+# lattice distances squared past which exp(-pi*d2/4) < quad.DEFAULT_TAIL_TOL
+_GRAM_TAIL_D2 = 4.0 * math.log(1.0 / quad.DEFAULT_TAIL_TOL) / math.pi
+
+
 def lattice_gram(pairs):
-    """Closed-form Gram matrix G[i, j] = (Psi_i, Psi_j) of lattice states.
+    """Closed-form Gram matrix G[i, j] = (Psi_i, Psi_j) = int Psi_i conj(Psi_j) dx.
 
     In lattice indices the entries are exp(-pi*d2/4) * 1j**((n1+n2)*(m2-m1))
-    with d2 = (m1-m2)**2 + (n1-n2)**2, independent of hbar.
+    with d2 = (m1-m2)**2 + (n1-n2)**2, independent of hbar.  The phase is
+    taken exactly from the quarter turns 1, 1j, -1, -1j.  Entries with
+    pi*d2/4 > log(1/quad.DEFAULT_TAIL_TOL), of modulus below exp(-72), are
+    exactly 0.
     """
     m = np.array([p[0] for p in pairs])
     n = np.array([p[1] for p in pairs])
-    dm = m[:, None] - m[None, :]
-    dn = n[:, None] - n[None, :]
-    mag = np.exp(-0.25 * math.pi * (dm.astype(float) ** 2 + dn.astype(float) ** 2))
-    phase = 0.5 * math.pi * ((n[:, None] + n[None, :]) * (-dm)).astype(float)
-    return mag * np.exp(1j * phase)
+    dm = m[None, :] - m[:, None]
+    d2 = dm**2 + (n[:, None] - n[None, :]) ** 2
+    mag = np.where(d2 <= _GRAM_TAIL_D2, np.exp(-0.25 * math.pi * d2), 0.0)
+    return mag * _QUARTER_TURNS[((n[:, None] + n[None, :]) * dm) % 4]
 
 
 def frame_bounds(spec, box_half_width=25, interior_margin=5):
@@ -102,8 +115,7 @@ def frame_bounds(spec, box_half_width=25, interior_margin=5):
         for i, (m, n) in enumerate(pairs)
         if max(abs(m), abs(n)) <= box_half_width - interior_margin
     ]
-    g2 = gram @ gram
-    a = g2[np.ix_(inner, inner)]
+    a = gram[inner] @ gram[:, inner]
     b = gram[np.ix_(inner, inner)]
     evals, evecs = np.linalg.eigh(b)
     keep = evals > 1e-10 * evals.max()

@@ -96,14 +96,19 @@ def _emit_records(records, config):
 
 
 def _run_diagnose(args):
+    if not args.hbar:
+        raise ValueError("diagnose needs at least one --hbar")
+    # The frame bounds and the dual frame read only the hbar-free lattice
+    # Gram, so they are computed once for every hbar.
+    spec = LatticeSpec(args.hbar[0])
+    fb = analysis.frame_bounds(spec, box_half_width=args.box)
+    pairs, coeffs, residual = analysis.dual_frame_coefficients(
+        spec, (0, 0), box_half_width=min(12, args.box)
+    )
+    rate, r2, _ = analysis.dual_decay_fit(pairs, coeffs, (0, 0))
     report = {}
     for hbar in args.hbar:
         spec = LatticeSpec(hbar)
-        fb = analysis.frame_bounds(spec, box_half_width=args.box)
-        pairs, coeffs, residual = analysis.dual_frame_coefficients(
-            spec, (0, 0), box_half_width=min(12, args.box)
-        )
-        rate, r2, _ = analysis.dual_decay_fit(pairs, coeffs, (0, 0))
         probe = analysis.quasi_orthogonality_probe(
             spec, constant_operator(-1.0, 0.0, -1.0)
         )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gcshelm import analysis, gaussian_states as gs
+from gcshelm import analysis, gaussian_states as gs, quadrature as quad
 from gcshelm.phase_space import LatticeSpec, lattice_point
 from gcshelm.problem_model import ProblemCase
 
@@ -77,10 +77,101 @@ def test_frame_bounds_single_state():
 
 def test_frame_bounds_ordering_and_hbar_stability():
     a = analysis.frame_bounds(LatticeSpec(1.0 / 20.0), box_half_width=12, interior_margin=5)
-    b = analysis.frame_bounds(LatticeSpec(1.0 / 100.0), box_half_width=12, interior_margin=5)
     assert 0.0 < a.alpha_est <= a.beta_est
-    ra, rb = a.beta_est / a.alpha_est, b.beta_est / b.alpha_est
-    assert abs(ra - rb) <= 0.2 * max(ra, rb)
+    # the hbar-free Gram behind the bounds is the Gram of the states placed
+    # on the lattice at each hbar
+    pairs = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
+    gram = analysis.lattice_gram(pairs)
+    for hbar in (1.0 / 20.0, 1.0 / 100.0):
+        spec = LatticeSpec(hbar)
+        states = [
+            gs.CoherentState(hbar, lattice_point(m, spec), lattice_point(n, spec))
+            for m, n in pairs
+        ]
+        exact = np.array([[gs.overlap(s1, s2) for s2 in states] for s1 in states])
+        assert np.abs(gram - exact).max() < 1e-14
+
+
+def _old_lattice_gram(pairs):
+    # the Gram before the tail cut and the quarter-turn phase table
+    m = np.array([p[0] for p in pairs])
+    n = np.array([p[1] for p in pairs])
+    dm = m[:, None] - m[None, :]
+    dn = n[:, None] - n[None, :]
+    mag = np.exp(-0.25 * math.pi * (dm.astype(float) ** 2 + dn.astype(float) ** 2))
+    phase = 0.5 * math.pi * ((n[:, None] + n[None, :]) * (-dm)).astype(float)
+    return mag * np.exp(1j * phase)
+
+
+def _old_frame_bounds(gram, inner):
+    # the full box product gram @ gram, cut to the inner block afterwards
+    a = (gram @ gram)[np.ix_(inner, inner)]
+    b = gram[np.ix_(inner, inner)]
+    evals, evecs = np.linalg.eigh(b)
+    keep = evals > 1e-10 * evals.max()
+    w = evecs[:, keep] / np.sqrt(evals[keep])
+    m = w.conj().T @ a @ w
+    rq = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    return rq.min(), rq.max()
+
+
+@pytest.mark.parametrize("box", [12, 16])
+def test_frame_bounds_match_unwindowed_full_product(box):
+    margin = 5
+    diag = analysis.frame_bounds(LatticeSpec(1.0 / 20.0), box, margin)
+    got = (diag.alpha_est, diag.beta_est)
+    pairs = [(m, n) for m in range(-box, box + 1) for n in range(-box, box + 1)]
+    inner = [i for i, (m, n) in enumerate(pairs) if max(abs(m), abs(n)) <= box - margin]
+    # The inner-block product alone reproduces the old product on one Gram.
+    for g, want in zip(got, _old_frame_bounds(analysis.lattice_gram(pairs), inner)):
+        assert abs(g - want) <= 1e-12 * want
+    # Against the old Gram the estimate is only as determined as its
+    # conditioning allows: the directions kept down to 1e-10 of the largest
+    # Gram eigenvalue turn the 2.7e-15 rounding of exp(1j*phase) into about
+    # 8e-10 of beta at box 12, as large as the old path's own change from one
+    # to two BLAS threads (7.9e-10); 1e-8 leaves room for other BLAS builds.
+    for g, want in zip(got, _old_frame_bounds(_old_lattice_gram(pairs), inner)):
+        assert abs(g - want) <= 1e-8 * want
+
+
+def test_lattice_gram_tail_is_exact_zero_and_no_subnormals():
+    box = 20
+    pairs = [(m, n) for m in range(-box, box + 1) for n in range(-box, box + 1)]
+    gram = analysis.lattice_gram(pairs)
+    tiny = np.finfo(float).tiny
+    for part in (gram.real, gram.imag):
+        assert not np.any((np.abs(part) > 0.0) & (np.abs(part) < tiny))
+    m, n = np.array(pairs).T
+    d2 = (m[:, None] - m[None, :]) ** 2 + (n[:, None] - n[None, :]) ** 2
+    past_tail = 0.25 * math.pi * d2 > -math.log(quad.DEFAULT_TAIL_TOL)
+    assert np.all(gram[past_tail] == 0.0)
+    closed_form = _old_lattice_gram(pairs)
+    assert np.abs(gram - closed_form)[~past_tail].max() <= 1e-14
+
+
+def _zak_frame_bounds():
+    # Exact bounds of the density-2 Gaussian lattice frame from the Zak
+    # transform at step 2 in lattice units (Groechenig, Foundations of
+    # Time-Frequency Analysis, ch. 8): the extrema over the unit cell of
+    # 2 (|Zg(x, w)|**2 + |Zg(x + 1, w)|**2), g(x) = exp(-pi x**2 / 2).
+    x = np.linspace(0.0, 2.0, 201)[:, None]
+    w = np.linspace(0.0, 1.0, 201)[None, :]
+
+    def zak(x):
+        return sum(np.exp(-0.5 * math.pi * (x + 2 * j) ** 2 - 2j * math.pi * j * w) for j in range(-8, 9))
+
+    bound = 2.0 * (np.abs(zak(x)) ** 2 + np.abs(zak(x + 1.0)) ** 2)
+    return bound.min(), bound.max()
+
+
+def test_box_frame_bounds_widen_toward_zak_bounds():
+    zak_alpha, zak_beta = _zak_frame_bounds()
+    assert abs(zak_alpha - 1.6693) < 1e-4 and abs(zak_beta - 2.3607) < 1e-4
+    diags = [analysis.frame_bounds(LatticeSpec(1.0 / 20.0), box, 5) for box in (12, 16, 20)]
+    alphas = [d.alpha_est for d in diags]
+    betas = [d.beta_est for d in diags]
+    assert zak_alpha <= alphas[2] < alphas[1] < alphas[0]
+    assert betas[0] < betas[1] < betas[2] <= zak_beta
 
 
 def test_frame_sandwich_random_bumps():

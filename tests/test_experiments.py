@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +139,11 @@ def test_cli_solve_requires_single_cell(capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+def test_cli_diagnose_requires_hbar(capsys):
+    assert cli.main(["diagnose", "--hbar", ",", "--box", "2"]) == 2
+    assert "at least one --hbar" in capsys.readouterr().err
+
+
 def test_cli_scaling_requires_target(capsys):
     code = cli.main(["scaling", "--case", "homogeneous", "--k", "20,50,100,200"])
     assert code == 2
@@ -189,3 +195,23 @@ def test_cli_diagnose_small_box(tmp_path):
     assert entry["beta_est"] >= entry["alpha_est"] > 0
     assert entry["dual_decay_rate"] > 0
     assert entry["quasi_orthogonality"]["2"] > entry["quasi_orthogonality"]["4"]
+
+
+def test_cli_diagnose_matches_saved_report(tmp_path):
+    # Saved from the version that rebuilt the hbar-free frame bounds and dual
+    # frame at every hbar and rounded the Gram phases through exp(1j*phase).
+    want = json.loads((Path(__file__).parent / "data" / "diagnose_hbar_0.05_0.01_box8.json").read_text())
+    out = tmp_path / "diag.json"
+    assert cli.main(["diagnose", "--hbar", "0.05,0.01", "--box", "8", "--out", str(out)]) == 0
+    text = out.read_text()
+    got = json.loads(text)
+    assert text == json.dumps(got, indent=2, sort_keys=True) + "\n"
+    assert got.keys() == want.keys()
+    for key, entry in want.items():
+        assert got[key].keys() == entry.keys()
+        # hbar-dependent: untouched arithmetic, equal bits
+        assert got[key]["quasi_orthogonality"] == entry["quasi_orthogonality"]
+        # hbar-free: the exact phases move the conditioning-limited frame
+        # estimate by 1.4e-10 here (see test_frame_bounds_match_unwindowed_full_product)
+        for name in ("alpha_est", "beta_est", "ratio", "dual_solve_residual", "dual_decay_rate", "dual_decay_r_squared"):
+            assert got[key][name] == pytest.approx(entry[name], rel=1e-8, abs=0.0)
