@@ -6,6 +6,7 @@ import pytest
 from gcshelm import assembly_solver as asm
 from gcshelm import gaussian_states as gs
 from gcshelm import quadrature as quad
+from gcshelm.experiments import ExperimentConfig, _ReferenceCache, run_cell
 from gcshelm.phase_space import IndexPair, IndexSet, LatticeSpec, build_symbol_set
 from gcshelm.problem_model import ProblemCase
 
@@ -17,6 +18,11 @@ def make_system(k=50.0, delta=0.5, density=64, case=None):
     lo, hi = quad.support_window(states)
     rule = quad.build_rule((min(lo, -1.0), max(hi, 1.0)), k, density)
     return asm.assemble(iset, case, rule), iset, case
+
+
+def coefficient_report(c):
+    """A report that carries only coefficients, as ``reconstruct`` reads it."""
+    return asm.SolveReport(c, 0, asm.DEFAULT_CUTOFF, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_exact_representability_single_column():
@@ -150,22 +156,22 @@ def test_near_bandedness_at_k100():
 def test_reconstruct_linearity_and_trivial_cases():
     system, iset, case = make_system()
     report = asm.solve(system)
-    zero = asm.SolveReport(np.zeros_like(report.coefficients), 0, 1e-12, 0.0)
+    zero = coefficient_report(np.zeros_like(report.coefficients))
     x = np.linspace(-0.9, 0.9, 20)
     assert np.max(np.abs(asm.reconstruct(zero, iset, x))) == 0.0
 
     unit = np.zeros_like(report.coefficients)
     unit[3] = 1.0
-    one = asm.SolveReport(unit, 1, 1e-12, 0.0)
+    one = coefficient_report(unit)
     state = asm.states_from_index_set(iset)[3]
     assert np.allclose(asm.reconstruct(one, iset, x, 1), gs.eval_derivative(state, 1, x))
 
     rng = np.random.default_rng(11)
     c1 = rng.normal(size=len(iset)) + 1j * rng.normal(size=len(iset))
     c2 = rng.normal(size=len(iset)) + 1j * rng.normal(size=len(iset))
-    r1 = asm.SolveReport(c1, 1, 1e-12, 0.0)
-    r2 = asm.SolveReport(c2, 1, 1e-12, 0.0)
-    r12 = asm.SolveReport(c1 + c2, 1, 1e-12, 0.0)
+    r1 = coefficient_report(c1)
+    r2 = coefficient_report(c2)
+    r12 = coefficient_report(c1 + c2)
     lhs = asm.reconstruct(r12, iset, x)
     rhs = asm.reconstruct(r1, iset, x) + asm.reconstruct(r2, iset, x)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(lhs))
@@ -206,6 +212,11 @@ def het_cell():
     return cell_system(ProblemCase.heterogeneous(50.0), 2.0)
 
 
+@pytest.fixture(scope="module")
+def hom_cell():
+    return cell_system(ProblemCase.homogeneous(400.0), 0.336)
+
+
 def test_assemble_matches_per_state_columns(het_cell):
     system, iset = het_cell
     rule = system.rule
@@ -225,7 +236,7 @@ def test_reconstruct_matches_per_state_sum(order):
     _, iset, _ = make_system()
     rng = np.random.default_rng(5)
     c = rng.normal(size=len(iset)) + 1j * rng.normal(size=len(iset))
-    report = asm.SolveReport(c, len(iset), 1e-12, 0.0)
+    report = coefficient_report(c)
     states = asm.states_from_index_set(iset)
 
     def reference(x):
@@ -240,13 +251,10 @@ def test_reconstruct_matches_per_state_sum(order):
 
 
 @pytest.mark.parametrize("cell", ["heterogeneous", "homogeneous"])
-def test_design_matrix_window_and_no_subnormals(cell, het_cell):
-    # Gaussian tails underflow to subnormal numbers, on which gelsd is several
+def test_design_matrix_window_and_no_subnormals(cell, het_cell, hom_cell):
+    # Gaussian tails underflow to subnormal numbers, on which gelsd ran several
     # times slower; the kernel leaves them exactly zero outside 12 sqrt(hbar).
-    if cell == "heterogeneous":
-        system, iset = het_cell
-    else:
-        system, iset = cell_system(ProblemCase.homogeneous(400.0), 0.336)
+    system, iset = het_cell if cell == "heterogeneous" else hom_cell
     a = system.matrix
     tiny = np.finfo(float).tiny
     for part in (a.real, a.imag):
@@ -254,3 +262,107 @@ def test_design_matrix_window_and_no_subnormals(cell, het_cell):
     dist = np.abs(system.rule.nodes[:, None] - iset.x_array()[None, :])
     far = dist > 12.0 * np.sqrt(iset.lattice.hbar)
     assert np.any(far) and not np.any(a[far])
+
+
+# -- the banded row-block QR solve against lstsq on the whole matrix -----------
+
+
+@pytest.fixture(scope="module")
+def het6_cell():
+    return cell_system(ProblemCase.heterogeneous(50.0), 6.0)
+
+
+def synthetic_system(a, b):
+    spec = LatticeSpec(0.05)
+    idx = IndexSet(tuple(IndexPair(0, n) for n in range(a.shape[1])), "synthetic", spec)
+    return asm.DesignSystem(a, b, idx, quad.build_rule((0.0, 1.0), 20, 20))
+
+
+def dense_system(padded):
+    # 2500 rows are three row blocks, and every row touches every column
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=(2500, 60)) + 1j * rng.normal(size=(2500, 60))
+    b = rng.normal(size=2500) + 1j * rng.normal(size=2500)
+    if padded:  # a zero column and a copy of column 0 after the last column
+        a = np.concatenate([a, np.zeros((2500, 1)), a[:, :1]], axis=1)
+    return synthetic_system(a, b)
+
+
+def lstsq_solve(system, cutoff_rel=asm.DEFAULT_CUTOFF):
+    """The solve before the banded QR: gelsd on the whole Q x N matrix."""
+    a, b = system.matrix, system.rhs
+    coeff, _, rank, sigma = np.linalg.lstsq(a, b, rcond=cutoff_rel)
+    dropped = float(sigma[rank]) if rank < sigma.size else 0.0
+    residual = float(np.linalg.norm(a @ coeff - b))
+    return asm.SolveReport(
+        coeff, int(rank), cutoff_rel, residual, sigma[0], sigma[rank - 1], dropped
+    )
+
+
+# (system, numerical rank of lstsq)
+EQUIVALENCE_CASES = {
+    "hom-400-0.336": (lambda r: r.getfixturevalue("hom_cell")[0], 364),
+    "het-50-6": (lambda r: r.getfixturevalue("het6_cell")[0], 474),
+    "dense": (lambda r: dense_system(False), 60),
+    "dense-zero-and-duplicate-column": (lambda r: dense_system(True), 60),
+    "shorter-than-one-block": (lambda r: make_system(20.0, 1.0, 20)[0], 78),
+}
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_CASES)
+def test_solve_matches_lstsq(name, request):
+    build, rank = EQUIVALENCE_CASES[name]
+    system = build(request)
+    before = system.matrix.copy()
+    report = asm.solve(system)
+    oracle = lstsq_solve(system)
+    assert np.array_equal(system.matrix, before)
+    assert report.numerical_rank == oracle.numerical_rank == rank
+    assert abs(report.residual_norm - oracle.residual_norm) <= 1e-6 * oracle.residual_norm
+    if rank == system.matrix.shape[1]:
+        diff = np.linalg.norm(report.coefficients - oracle.coefficients)
+        assert diff <= 1e-8 * np.linalg.norm(oracle.coefficients)
+
+
+def test_cell_error_matches_lstsq_solve(monkeypatch):
+    case = ProblemCase.heterogeneous(50.0)
+    config = ExperimentConfig()
+    cache = _ReferenceCache(config.fem_x_end)
+    banded, _, _ = run_cell(case, 6.0, config, cache)
+    monkeypatch.setattr(asm, "solve", lstsq_solve)
+    oracle, _, _ = run_cell(case, 6.0, config, cache)
+    assert banded.rank == oracle.rank == 474
+    assert abs(banded.rel_h1k_error - oracle.rel_h1k_error) <= 1e-3 * oracle.rel_h1k_error
+
+
+def test_singular_value_range_clear_of_cutoff(het6_cell, hom_cell):
+    # rank-deficient het (50, 6): the smallest kept and the largest dropped
+    # singular value sit 1.32 and 0.86 times the cutoff, which is why the
+    # rank of the triangle's SVD agrees with that of the whole matrix
+    system, _ = het6_cell
+    report = asm.solve(system)
+    oracle = lstsq_solve(system)
+    assert abs(report.sigma_max - oracle.sigma_max) <= 1e-12 * oracle.sigma_max
+    for got, want in ((report.sigma_kept_min, oracle.sigma_kept_min),
+                      (report.sigma_dropped_max, oracle.sigma_dropped_max)):
+        assert abs(got - want) <= 1e-3 * want
+    cut = report.truncation_cutoff * report.sigma_max
+    assert report.sigma_kept_min / cut > 1.0 + 1e-3
+    assert 0.0 < report.sigma_dropped_max / cut < 1.0 - 1e-3
+
+    full = asm.solve(hom_cell[0])
+    assert full.numerical_rank == 364 and full.sigma_dropped_max == 0.0
+    assert full.sigma_kept_min > full.truncation_cutoff * full.sigma_max
+
+
+def test_design_matrix_is_a_staircase_band(hom_cell):
+    # the solve streams rows over a column window; the window stays narrow
+    # only because index sets are sorted by position
+    system, iset = hom_cell
+    a = system.matrix
+    first = (a != 0).argmax(axis=0)
+    assert np.all(np.diff(iset.x_array()) >= 0.0)
+    assert np.all(np.diff(first) >= 0)
+    assert a.shape[1] == 364 and np.count_nonzero(a, axis=1).max() == 112
+    shuffled = np.random.default_rng(2).permutation(a.shape[1])
+    assert np.any(np.diff(first[shuffled]) < 0)
