@@ -6,7 +6,6 @@ from .phase_space import (
     IndexPair,
     IndexSet,
     lattice_point,
-    build_ball_set,
     build_symbol_set,
     build_planewave_rhs_set,
     search_bounds_from_symbol,
@@ -19,12 +18,10 @@ from .gaussian_states import (
     eval_derivative,
     overlap,
     apply_operator,
-    residual_factor,
     iterated_residual_norm,
 )
 from .problem_model import (
     ProblemCase,
-    CoefficientModel,
     bridge_eval,
     pml_sigma,
     cutoff_phi,

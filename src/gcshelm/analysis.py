@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gaussian_states as gs
 from . import quadrature as quad
-from .phase_space import LatticeSpec, IndexPair, build_planewave_rhs_set, lattice_point
+from .phase_space import LatticeSpec, build_planewave_rhs_set, lattice_point
 from .problem_model import cutoff_phi
 
 __all__ = [
@@ -38,16 +38,12 @@ __all__ = [
 class ErrorReport:
     absolute: float
     relative: float
-    window: tuple
-    nodes_per_wavelength: int
 
 
 @dataclass(frozen=True)
 class FrameDiagnostics:
     alpha_est: float
     beta_est: float
-    box_half_width: int
-    interior_margin: int
 
 
 def h1k_error(u_approx, u_ref, window, k, nodes_per_wavelength=40):
@@ -69,7 +65,7 @@ def h1k_error(u_approx, u_ref, window, k, nodes_per_wavelength=40):
     if ref_sq <= 0.0:
         raise ValueError("reference function has zero H1_k norm on the window")
     absolute = math.sqrt(float(abs_sq))
-    return ErrorReport(absolute, absolute / math.sqrt(float(ref_sq)), tuple(window), nodes_per_wavelength)
+    return ErrorReport(absolute, absolute / math.sqrt(float(ref_sq)))
 
 
 def _box_pairs(half_width):
@@ -122,14 +118,14 @@ def frame_bounds(spec, box_half_width=25, interior_margin=5):
     w = evecs[:, keep] / np.sqrt(evals[keep])
     m = w.conj().T @ a @ w
     rq = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    diag = FrameDiagnostics(float(rq.min()), float(rq.max()), box_half_width, interior_margin)
+    diag = FrameDiagnostics(float(rq.min()), float(rq.max()))
     if not 0.0 < diag.alpha_est <= diag.beta_est:
         raise RuntimeError("frame bound estimation produced an invalid ordering")
     return diag
 
 
 def dual_frame_coefficients(spec, target, box_half_width=12, gap_cut=0.3):
-    """Coefficients of the (truncated) dual state of ``target`` in the primal family.
+    """Coefficients of the (truncated) dual state at ``target`` = (m, n) in the primal family.
 
     The lattice is a redundant frame, so the box Gram G has an essential
     kernel (the synthesis null space) and G c = e_target is solvable only up
@@ -142,7 +138,7 @@ def dual_frame_coefficients(spec, target, box_half_width=12, gap_cut=0.3):
 
     Returns (pairs, coefficients, consistency_residual).
     """
-    tm, tn = (target.m, target.n) if isinstance(target, IndexPair) else target
+    tm, tn = target
     pairs = [
         (tm + dm, tn + dn)
         for dm in range(-box_half_width, box_half_width + 1)
@@ -168,7 +164,7 @@ def dual_decay_fit(pairs, coefficients, target, floor=1e-13):
     modulus per unit distance annulus.  Returns (rate, r_squared,
     (distances, values, fitted)).
     """
-    tm, tn = (target.m, target.n) if isinstance(target, IndexPair) else target
+    tm, tn = target
     annuli = {}
     for (m, n), c in zip(pairs, coefficients):
         d = math.hypot(m - tm, n - tn)

@@ -42,7 +42,6 @@ def _build_parser():
         p.add_argument("--delta", type=_float_list, help="comma-separated deltas")
         p.add_argument("--window", type=_float_list, help="error window 'a,b'")
         p.add_argument("--cutoff", type=float, help="relative singular value cutoff")
-        p.add_argument("--quad-density", type=int, help="base nodes per wavelength")
         p.add_argument("--fem-xend", type=float, help="FEM truncation point")
         p.add_argument("--out", help="output file path")
         p.add_argument("--format", choices=["csv", "json"], help="output format")
@@ -74,7 +73,6 @@ def _config_from(args, default_deltas=None):
         "deltas": args.delta,
         "error_window": args.window,
         "cutoff": args.cutoff,
-        "quad_density": args.quad_density,
         "fem_x_end": args.fem_xend,
         "output_path": args.out,
         "output_format": args.format,

@@ -10,7 +10,6 @@ import csv
 import io
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .problem_model import ProblemCase
 __all__ = [
     "ExperimentConfig",
     "ExperimentRecord",
+    "EmptyIndexSetError",
     "run_case",
     "run_cell",
     "scaling_study",
@@ -45,7 +45,6 @@ class ExperimentConfig:
     ks: tuple = (20.0,)
     deltas: tuple = (2.0,)
     target_accuracy: float = None
-    quad_density: int = quad.DEFAULT_NODES_PER_WAVELENGTH
     cutoff: float = assembly_solver.DEFAULT_CUTOFF
     error_window: tuple = (-1.0, 1.0)
     fem_x_end: float = reference_fem.DEFAULT_X_END
@@ -79,9 +78,11 @@ class ExperimentRecord:
     delta: float
     ndofs: int
     rel_h1k_error: float
-    assembly_s: float
-    solve_s: float
     rank: int
+
+
+class EmptyIndexSetError(RuntimeError):
+    """The symbol selects no lattice pair at this (k, delta)."""
 
 
 class _ReferenceCache:
@@ -105,34 +106,28 @@ class _ReferenceCache:
         return (lambda x: sol(x, 0), lambda x: sol(x, 1))
 
 
-def _density_for(index_set, base_density):
+def _density_for(index_set):
     """Scale node density so the fastest Gram oscillation keeps ~20 nodes."""
     xi = index_set.xi_array()
     xi_max = float(np.max(np.abs(xi))) if xi.size else 1.0
-    return max(int(base_density), math.ceil(40.0 * max(1.0, xi_max)))
+    return math.ceil(40.0 * max(1.0, xi_max))
 
 
 def run_cell(case, delta, config, cache=None):
     """Run a single (case, delta) cell and return (record, report, index_set)."""
     cache = cache or _ReferenceCache(config.fem_x_end)
     spec = LatticeSpec(1.0 / case.k)
-
-    t0 = time.perf_counter()
     bounds = search_bounds_from_symbol(case.symbol, delta, spec)
     index_set = build_symbol_set(spec, case.symbol, delta, bounds=bounds)
     if len(index_set) == 0:
-        raise RuntimeError(f"empty index set at k={case.k}, delta={delta}")
-    density = _density_for(index_set, config.quad_density)
+        raise EmptyIndexSetError(f"empty index set at k={case.k}, delta={delta}")
+    density = _density_for(index_set)
     states = assembly_solver.states_from_index_set(index_set)
     lo, hi = quad.support_window(states)
     flo, fhi = case.rhs_support()
     rule = quad.build_rule((min(lo, flo), max(hi, fhi)), case.k, density)
     system = assembly_solver.assemble(index_set, case, rule)
-    assembly_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     report = assembly_solver.solve(system, config.cutoff)
-    solve_s = time.perf_counter() - t0
 
     u_ref = cache.reference(case)
     u_approx = (
@@ -142,9 +137,7 @@ def run_cell(case, delta, config, cache=None):
     err = analysis.h1k_error(
         u_approx, u_ref, config.error_window, case.k, nodes_per_wavelength=density
     )
-    record = ExperimentRecord(
-        case.k, float(delta), len(index_set), err.relative, assembly_s, solve_s, report.numerical_rank
-    )
+    record = ExperimentRecord(case.k, float(delta), len(index_set), err.relative, report.numerical_rank)
     return record, report, index_set
 
 
@@ -190,7 +183,7 @@ def scaling_study(config):
         for delta in deltas:
             try:
                 record, _, _ = run_cell(case, delta, config, cache)
-            except RuntimeError:
+            except EmptyIndexSetError:
                 # sub-threshold deltas select nothing at small k
                 continue
             if record.rel_h1k_error <= config.target_accuracy:
@@ -215,14 +208,11 @@ def scaling_study(config):
     )
 
 
-CSV_HEADER = "k,delta,ndofs,rel_h1k_error,assembly_s,solve_s,rank"
+CSV_HEADER = "k,delta,ndofs,rel_h1k_error,rank"
 
 
 def _format_row(r):
-    return (
-        f"{r.k:g},{r.delta:g},{r.ndofs},{r.rel_h1k_error:.4e},"
-        f"{r.assembly_s:.3f},{r.solve_s:.3f},{r.rank}"
-    )
+    return f"{r.k:g},{r.delta:g},{r.ndofs},{r.rel_h1k_error:.4e},{r.rank}"
 
 
 def emit(records, fmt="csv", path=None):
@@ -238,8 +228,6 @@ def emit(records, fmt="csv", path=None):
                 "delta": r.delta,
                 "ndofs": r.ndofs,
                 "rel_h1k_error": float(f"{r.rel_h1k_error:.4e}"),
-                "assembly_s": round(r.assembly_s, 3),
-                "solve_s": round(r.solve_s, 3),
                 "rank": r.rank,
             }
             for r in records
@@ -264,8 +252,6 @@ def parse_records_csv(text):
                 float(row["delta"]),
                 int(row["ndofs"]),
                 float(row["rel_h1k_error"]),
-                float(row["assembly_s"]),
-                float(row["solve_s"]),
                 int(row["rank"]),
             )
         )

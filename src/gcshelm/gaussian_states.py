@@ -38,7 +38,6 @@ __all__ = [
     "SecondOrderOperator",
     "constant_operator",
     "MAX_DERIVATIVE_ORDER",
-    "derivative_polynomial",
     "eval_state",
     "eval_derivative",
     "overlap",
@@ -47,8 +46,6 @@ __all__ = [
     "operator_pair_inner",
     "apply_operator",
     "state_blocks",
-    "multiplier",
-    "residual_factor",
     "residual_polynomial",
     "iterated_residual_norm",
 ]
@@ -74,13 +71,6 @@ def _q_polynomials(max_order):
 
 
 _Q_POLYS = _q_polynomials(MAX_DERIVATIVE_ORDER)
-
-
-def derivative_polynomial(order):
-    """Coefficients of q_order, lowest degree first."""
-    if not 0 <= order <= MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"derivative order must lie in [0, {MAX_DERIVATIVE_ORDER}]")
-    return _Q_POLYS[order].copy()
 
 
 @dataclass(frozen=True)
@@ -233,10 +223,20 @@ def operator_pair_inner(op, s1, s2):
 
 
 def apply_operator(state, op, x):
-    """(P Psi)(x) = hbar**2 a(x) Psi'' + 1j*hbar b(x) Psi' + c(x) Psi."""
+    """(P Psi)(x) = hbar**2 a(x) Psi'' + 1j*hbar b(x) Psi' + c(x) Psi.
+
+    Evaluated as the multiplier g(x) with P Psi = g Psi, times Psi.
+    """
     xv = np.asarray(x, dtype=float)
     psi = eval_state(state, xv)
-    return multiplier(state, op, xv) * psi
+    z = _z(state, xv)
+    hbar = state.hbar
+    g = (
+        hbar * np.asarray(op.a(xv)) * npoly.polyval(z, _Q_POLYS[2])
+        + 1j * math.sqrt(hbar) * np.asarray(op.b(xv)) * npoly.polyval(z, _Q_POLYS[1])
+        + np.asarray(op.c(xv))
+    )
+    return g * psi
 
 
 def state_blocks(hbar, x0, xi0, x, order=0, op=None):
@@ -282,25 +282,6 @@ def state_blocks(hbar, x0, xi0, x, order=0, op=None):
         elif order:
             block *= hbar ** (-order / 2.0) * npoly.polyval(z, _Q_POLYS[order])
         yield rows, cols, block
-
-
-def multiplier(state, op, x):
-    """Multiplier g with (P Psi)(x) = g(x) Psi(x), evaluated symbolically."""
-    xv = np.asarray(x, dtype=float)
-    z = _z(state, xv)
-    hbar = state.hbar
-    g = (
-        hbar * np.asarray(op.a(xv)) * npoly.polyval(z, _Q_POLYS[2])
-        + 1j * math.sqrt(hbar) * np.asarray(op.b(xv)) * npoly.polyval(z, _Q_POLYS[1])
-        + np.asarray(op.c(xv))
-    )
-    return g
-
-
-def residual_factor(state, op, x):
-    """r(x) with (P - p(x0, xi0)) Psi = r Psi, evaluated without dividing by Psi."""
-    p0 = complex(op.symbol(state.x0, state.xi0))
-    return multiplier(state, op, x) - p0
 
 
 def _poly_from_taylor(coeffs):

@@ -1,9 +1,8 @@
 """Phase-space lattice and the finite index sets defining the trial space.
 
 The lattice places position and frequency points at integer multiples of
-sqrt(pi*hbar).  Index sets are selected either by a Euclidean ball on the
-integer pairs, by thresholding the modulus of a symbol, or by the band of
-pairs adapted to plane-wave right-hand sides.
+sqrt(pi*hbar).  Index sets are selected either by thresholding the modulus
+of a symbol or by the band of pairs adapted to plane-wave right-hand sides.
 """
 
 import math
@@ -16,7 +15,6 @@ __all__ = [
     "IndexPair",
     "IndexSet",
     "lattice_point",
-    "build_ball_set",
     "build_symbol_set",
     "build_planewave_rhs_set",
     "search_bounds_from_symbol",
@@ -48,14 +46,9 @@ class IndexPair:
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Finite, lexicographically ordered collection of lattice index pairs.
-
-    ``selection_rule`` records how the members were chosen (Ball, Symbol or
-    PlaneWaveRhs with their parameters).
-    """
+    """Finite, lexicographically ordered collection of lattice index pairs."""
 
     members: tuple
-    selection_rule: str
     lattice: LatticeSpec
 
     def __post_init__(self):
@@ -92,24 +85,6 @@ def _ordered(pairs):
     return tuple(sorted(IndexPair(int(m), int(n)) for m, n in pairs))
 
 
-def build_ball_set(spec, rho, exponent):
-    """All pairs with m**2 + n**2 <= rho * (1/hbar)**exponent."""
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    radius_sq = rho * (1.0 / spec.hbar) ** exponent
-    half = int(math.floor(math.sqrt(radius_sq)))
-    pairs = [
-        (m, n)
-        for m in range(-half, half + 1)
-        for n in range(-half, half + 1)
-        if m * m + n * n <= radius_sq
-    ]
-    rule = f"Ball(rho={rho!r}, exponent={exponent!r})"
-    return IndexSet(_ordered(pairs), rule, spec)
-
-
 def _symbol_modulus_grid(symbol, spec, m_max, n_max):
     ms = np.arange(-m_max, m_max + 1)
     ns = np.arange(-n_max, n_max + 1)
@@ -119,7 +94,7 @@ def _symbol_modulus_grid(symbol, spec, m_max, n_max):
     return ms, ns, np.abs(np.asarray(vals, dtype=complex))
 
 
-def build_symbol_set(spec, symbol, delta, bounds=None, margin=None):
+def build_symbol_set(spec, symbol, delta, bounds=None):
     """Pairs with |symbol(x_m, xi_n)| < delta, strictly.
 
     ``bounds`` is the (m_max, n_max) search box; when omitted it is found by
@@ -129,7 +104,7 @@ def build_symbol_set(spec, symbol, delta, bounds=None, margin=None):
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     if bounds is None:
-        bounds = search_bounds_from_symbol(symbol, delta, spec, margin=margin)
+        bounds = search_bounds_from_symbol(symbol, delta, spec)
     m_max, n_max = int(bounds[0]), int(bounds[1])
     ms, ns, mod = _symbol_modulus_grid(symbol, spec, m_max, n_max)
     sel = mod < delta
@@ -143,8 +118,7 @@ def build_symbol_set(spec, symbol, delta, bounds=None, margin=None):
             )
     order = np.lexsort((n_sel, m_sel))
     pairs = tuple(IndexPair(int(m_sel[i]), int(n_sel[i])) for i in order)
-    rule = f"Symbol(delta={delta!r})"
-    return IndexSet(pairs, rule, spec)
+    return IndexSet(pairs, spec)
 
 
 def build_planewave_rhs_set(spec, support, epsilon):
@@ -173,28 +147,22 @@ def build_planewave_rhs_set(spec, support, epsilon):
                 else:
                     pairs.append((m, n_abs))
                     pairs.append((m, -n_abs))
-    rule = f"PlaneWaveRhs(epsilon={epsilon!r}, support=({lo!r}, {hi!r}))"
-    return IndexSet(_ordered(pairs), rule, spec)
+    return IndexSet(_ordered(pairs), spec)
 
 
-def search_bounds_from_symbol(
-    symbol, delta, spec, margin=None, max_doublings=16, initial=None
-):
+def search_bounds_from_symbol(symbol, delta, spec, max_doublings=16):
     """Box half-widths enclosing the sublevel set {|p| < delta}.
 
     Doubles the box outward until every lattice point on the box shell has
-    |p| >= delta + margin.  Requires the symbol to be coercive in xi for each
+    |p| >= 1.1 * delta.  Requires the symbol to be coercive in xi for each
     x in a bounded window (true for PML Helmholtz symbols); the initial box
     is sized to straddle the order-one characteristic set so the doubling
     cannot settle inside a hole of the energy layer.
     """
-    if margin is None:
-        margin = 0.1 * delta
-    threshold = delta + margin
-    if initial is None:
-        scale = 1.5 * max(2.0, math.sqrt(1.0 + delta))
-        initial = max(8, math.ceil(scale / spec.spacing) + 2)
-    m_max = n_max = int(initial)
+    # not 1.1 * delta: the two differ in the last bit for about half of all deltas
+    threshold = delta + 0.1 * delta
+    scale = 1.5 * max(2.0, math.sqrt(1.0 + delta))
+    m_max = n_max = max(8, math.ceil(scale / spec.spacing) + 2)
     for _ in range(max_doublings):
         ms = np.arange(-m_max, m_max + 1)
         ns = np.arange(-n_max, n_max + 1)

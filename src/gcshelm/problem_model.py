@@ -2,12 +2,14 @@
 
 Both experiment cases share the semiclassical operator
 
-    P_k u = -mu*nu*u - k**(-2) * (alpha * nu**(-1) * u')',
+    P_k u = -mu*nu*u - k**(-2) * (nu**(-1) * u')',
 
 with nu = 1 + 1j*sigma and sigma a quartic stretching supported outside
-[-1, 1].  The homogeneous case (mu = alpha = 1) carries the closed-form
-solution phi(x)*exp(1j*k*x) built from a degree-7 C3 bridge; the
-heterogeneous case raises mu to 2 on [-0.7, 0.7] and has no closed form.
+[-1, 1].  The paper writes the operator with a second coefficient alpha in
+front of nu**(-1); both of its 1D experiments take alpha = 1, so it is left
+out here.  The homogeneous case (mu = 1) carries the closed-form solution
+phi(x)*exp(1j*k*x) built from a degree-7 C3 bridge; the heterogeneous case
+raises mu to 2 on [-0.7, 0.7] and has no closed form.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,6 @@ __all__ = [
     "pml_sigma",
     "cutoff_phi",
     "mu_heterogeneous",
-    "CoefficientModel",
     "ProblemCase",
     "PML_AMPLITUDE",
     "PML_EXPONENT",
@@ -99,34 +100,12 @@ def mu_heterogeneous(x, order=0):
     return out
 
 
-@dataclass(frozen=True)
-class CoefficientModel:
-    """Smooth 1D coefficient exposing values and derivatives up to order 2."""
-
-    fn: object
-
-    def value(self, x):
-        return self.fn(x, 0)
-
-    def derivative(self, x, order):
-        if not 0 <= order <= 2:
-            raise ValueError("coefficient derivative order must lie in [0, 2]")
-        return self.fn(x, order)
-
-    @staticmethod
-    def constant(value):
-        val = complex(value) if isinstance(value, complex) else float(value)
-
-        def fn(x, order):
-            xv = np.asarray(x, dtype=float)
-            out = np.full_like(xv, val if order == 0 else 0.0, dtype=type(val))
-            return out if out.ndim else out[()]
-
-        return CoefficientModel(fn)
+def _unit_mu(x):
+    return np.ones_like(np.asarray(x, dtype=float))
 
 
 def _cutoff_wave_source(x, k):
-    # P_k (phi e^{ikx}) for mu = alpha = 1, where the PML is inactive
+    # P_k (phi e^{ikx}) for mu = 1, where the PML is inactive
     return -(cutoff_phi(x, 2) + 2j * k * cutoff_phi(x, 1)) * np.exp(1j * k * x) / k**2
 
 
@@ -138,15 +117,15 @@ def _contrast_wave_source(x, k):
 class ProblemCase:
     """One model problem: coefficients, wavenumber, source and exact solution.
 
-    ``source(x, k)`` is the right-hand side.  ``plateau`` is the half width of
-    the interval around 0 on which every coefficient is constant, so that the
-    operator's Taylor data are exact there.
+    ``mu(x)`` is the coefficient mu and ``source(x, k)`` the right-hand side.
+    ``plateau`` is the half width of the interval around 0 on which every
+    coefficient is constant, so that the operator's Taylor data are exact
+    there.
     """
 
     name: str
     k: float
-    mu: CoefficientModel
-    alpha: CoefficientModel
+    mu: object
     has_exact_solution: bool
     source: object
     plateau: float
@@ -158,8 +137,7 @@ class ProblemCase:
         return ProblemCase(
             "homogeneous",
             float(k),
-            CoefficientModel.constant(1.0),
-            CoefficientModel.constant(1.0),
+            _unit_mu,
             True,
             _cutoff_wave_source,
             1.0,
@@ -172,8 +150,7 @@ class ProblemCase:
         return ProblemCase(
             "heterogeneous",
             float(k),
-            CoefficientModel(mu_heterogeneous),
-            CoefficientModel.constant(1.0),
+            mu_heterogeneous,
             False,
             _contrast_wave_source,
             0.7,
@@ -199,24 +176,19 @@ class ProblemCase:
             return 1.0 + 1j * np.asarray(s)
         return 1j * np.asarray(s)
 
-    def anu_inv(self, x, order=0):
-        """alpha * nu**(-1) and derivatives via the quotient rule."""
+    def nu_inv(self, x, order=0):
+        """nu**(-1) and its derivatives via the quotient rule."""
         if not 0 <= order <= 2:
-            raise ValueError("anu_inv derivative order must lie in [0, 2]")
-        a0 = np.asarray(self.alpha.value(x), dtype=complex)
+            raise ValueError("nu_inv derivative order must lie in [0, 2]")
         n0 = self.nu(x, 0)
         g0 = 1.0 / n0
         if order == 0:
-            return a0 * g0
-        a1 = np.asarray(self.alpha.derivative(x, 1), dtype=complex)
+            return g0
         n1 = self.nu(x, 1)
-        g1 = -n1 * g0**2
         if order == 1:
-            return a1 * g0 + a0 * g1
-        a2 = np.asarray(self.alpha.derivative(x, 2), dtype=complex)
+            return -n1 * g0**2
         n2 = self.nu(x, 2)
-        g2 = -n2 * g0**2 + 2.0 * n1**2 * g0**3
-        return a2 * g0 + 2.0 * a1 * g1 + a0 * g2
+        return -n2 * g0**2 + 2.0 * n1**2 * g0**3
 
     # -- operator, symbol, source, solution ---------------------------------
 
@@ -224,17 +196,17 @@ class ProblemCase:
         """P_k acting on function values (u, u', u'') at x."""
         k2 = self.k**2
         return (
-            -np.asarray(self.mu.value(x)) * self.nu(x, 0) * u
-            - (self.anu_inv(x, 1) * du + self.anu_inv(x, 0) * d2u) / k2
+            -np.asarray(self.mu(x)) * self.nu(x, 0) * u
+            - (self.nu_inv(x, 1) * du + self.nu_inv(x, 0) * d2u) / k2
         )
 
     def symbol(self, x, xi):
-        """Principal symbol alpha*nu**(-1)*xi**2 - mu*nu.
+        """Principal symbol nu**(-1)*xi**2 - mu*nu.
 
         The order-(1/k) first-derivative term of the operator is excluded.
         """
         xi = np.asarray(xi, dtype=float)
-        return self.anu_inv(x, 0) * xi**2 - np.asarray(self.mu.value(x)) * self.nu(x, 0)
+        return self.nu_inv(x, 0) * xi**2 - np.asarray(self.mu(x)) * self.nu(x, 0)
 
     def rhs(self, x):
         """Source term, normalized so that P_k u = rhs for the stated solution."""
@@ -258,20 +230,20 @@ class ProblemCase:
     def operator(self):
         """The coefficient triple form of P_k for the state calculus.
 
-        a = -alpha*nu**(-1), 1j*hbar*b = -hbar**2*(alpha*nu**(-1))', and
+        a = -nu**(-1), 1j*hbar*b = -hbar**2*(nu**(-1))', and
         c = -mu*nu, with hbar = 1/k.  The bundled symbol is the principal
         one, so the residual factor keeps its O(hbar) size.
         """
         hbar = 1.0 / self.k
 
         def a(x):
-            return -self.anu_inv(x, 0)
+            return -self.nu_inv(x, 0)
 
         def b(x):
-            return 1j * hbar * self.anu_inv(x, 1)
+            return 1j * hbar * self.nu_inv(x, 1)
 
         def c(x):
-            return -np.asarray(self.mu.value(x)) * self.nu(x, 0)
+            return -np.asarray(self.mu(x)) * self.nu(x, 0)
 
         def taylor(x0, degree):
             # exact only where the coefficients are locally constant
@@ -279,9 +251,8 @@ class ProblemCase:
                 raise NotImplementedError(
                     f"polynomial coefficient data only available on |x| < {self.plateau}"
                 )
-            mu0 = complex(np.asarray(self.mu.value(x0), dtype=complex))
-            al0 = complex(np.asarray(self.alpha.value(x0), dtype=complex))
-            return (np.array([-al0]), np.array([0.0 + 0.0j]), np.array([-mu0]))
+            mu0 = complex(np.asarray(self.mu(x0), dtype=complex))
+            return (-np.ones(1, dtype=complex), np.array([0.0 + 0.0j]), np.array([-mu0]))
 
         return SecondOrderOperator(a=a, b=b, c=c, symbol=self.symbol, taylor=taylor)
 

@@ -1,6 +1,8 @@
 """Composite Gauss-Legendre quadrature tuned to oscillatory Gaussian integrands.
 
-Single source of L2 inner products for assembly, error norms and oracles.
+Its nodes and weights discretize every L2 integral: the design system, whose
+columns come from ``gaussian_states.state_blocks``, the error norms, the
+plane-wave probe, and the ``inner_product`` and ``norm`` oracles of the tests.
 Panels are half a wavelength (2*pi/k) wide, so the requested node density per
 wavelength translates directly into nodes per panel.
 """

@@ -2,7 +2,7 @@
 
 Solves the sesquilinear weak form of the model operator,
 
-    int k**-2 alpha nu**-1 u' conj(v') - int mu nu u conj(v) = int f conj(v),
+    int k**-2 nu**-1 u' conj(v') - int mu nu u conj(v) = int f conj(v),
 
 with homogeneous Dirichlet ends at +-X_end.  The default mesh size
 0.02 * k**(-9/8) suppresses the pollution effect at the wavenumbers used in
@@ -101,8 +101,8 @@ def fem_solve(case, x_end=DEFAULT_X_END, h=None):
     xq = left[:, None] + jac * (gl_x[None, :] + 1.0)  # (E, Q)
 
     k2inv = 1.0 / case.k**2
-    stiff_coef = k2inv * np.asarray(case.anu_inv(xq, 0))
-    mass_coef = np.asarray(case.mu.value(xq)) * case.nu(xq, 0)
+    stiff_coef = k2inv * np.asarray(case.nu_inv(xq, 0))
+    mass_coef = np.asarray(case.mu(xq)) * case.nu(xq, 0)
     f_vals = case.rhs(xq)
 
     # element matrices: (E, 5, 5)

@@ -78,7 +78,7 @@ def best_h1k_error(case, index_set, u_ref):
     """
     k = case.k
     xi_max = float(np.max(np.abs(index_set.xi_array())))
-    density = max(CONFIG.quad_density, math.ceil(20 * 2 * max(1.0, xi_max)))
+    density = math.ceil(40 * max(1.0, xi_max))
     rule = quad.build_rule(CONFIG.error_window, k, density)
     states = assembly_solver.states_from_index_set(index_set)
     root_w = np.sqrt(rule.weights)

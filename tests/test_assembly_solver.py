@@ -28,7 +28,7 @@ def coefficient_report(c):
 def test_exact_representability_single_column():
     system, iset, case = make_system()
     target = system.matrix[:, :1]
-    single = IndexSet(iset.members[:1], "Symbol(test)", iset.lattice)
+    single = IndexSet(iset.members[:1], iset.lattice)
     sub = asm.DesignSystem(target, target[:, 0].copy(), single, system.rule)
     report = asm.solve(sub)
     assert abs(report.coefficients[0] - 1.0) < 1e-8
@@ -57,7 +57,7 @@ def test_duplicate_column_rank_and_residual():
     system, iset, _ = make_system()
     report = asm.solve(system)
     dup = np.concatenate([system.matrix, system.matrix[:, :1]], axis=1)
-    pad = IndexSet(iset.members, iset.selection_rule, iset.lattice)
+    pad = IndexSet(iset.members, iset.lattice)
     sub = asm.DesignSystem(dup, system.rhs, pad, system.rule)
     report2 = asm.solve(sub)
     assert report2.numerical_rank == report.numerical_rank
@@ -69,7 +69,7 @@ def test_orthonormal_columns_projection():
     q, _ = np.linalg.qr(rng.normal(size=(40, 6)) + 1j * rng.normal(size=(40, 6)))
     b = rng.normal(size=40) + 1j * rng.normal(size=40)
     spec = LatticeSpec(0.05)
-    idx = IndexSet(tuple(IndexPair(0, n) for n in range(6)), "synthetic", spec)
+    idx = IndexSet(tuple(IndexPair(0, n) for n in range(6)), spec)
     rule = quad.build_rule((0.0, 1.0), 20, 20)
     sub = asm.DesignSystem(q, b, idx, rule)
     report = asm.solve(sub)
@@ -84,7 +84,7 @@ def test_normal_equation_optimality():
     a = u @ np.diag(np.logspace(0, -3, 30)) @ v.conj().T
     b = rng.normal(size=200) + 1j * rng.normal(size=200)
     spec = LatticeSpec(0.05)
-    idx = IndexSet(tuple(IndexPair(0, n) for n in range(30)), "synthetic", spec)
+    idx = IndexSet(tuple(IndexPair(0, n) for n in range(30)), spec)
     rule = quad.build_rule((0.0, 1.0), 20, 20)
     report = asm.solve(asm.DesignSystem(a, b, idx, rule))
     lhs = np.linalg.norm(a.conj().T @ (a @ report.coefficients - b))
@@ -274,7 +274,7 @@ def het6_cell():
 
 def synthetic_system(a, b):
     spec = LatticeSpec(0.05)
-    idx = IndexSet(tuple(IndexPair(0, n) for n in range(a.shape[1])), "synthetic", spec)
+    idx = IndexSet(tuple(IndexPair(0, n) for n in range(a.shape[1])), spec)
     return asm.DesignSystem(a, b, idx, quad.build_rule((0.0, 1.0), 20, 20))
 
 

@@ -28,8 +28,10 @@ def test_config_validation():
 def test_run_case_deterministic():
     a = run_case(FAST)
     b = run_case(FAST)
-    strip = lambda r: (r.k, r.delta, r.ndofs, r.rel_h1k_error, r.rank)
-    assert [strip(r) for r in a] == [strip(r) for r in b]
+    assert a == b
+    for fmt in ("csv", "json"):
+        assert emit(a, fmt) == emit(b, fmt)
+    assert emit(a, "csv").split("\n")[0] == "k,delta,ndofs,rel_h1k_error,rank"
 
 
 def test_run_case_error_carries_cell_context():
@@ -48,14 +50,14 @@ def test_error_monotone_in_delta():
 
 def test_emit_csv_roundtrip(tmp_path):
     records = [
-        ExperimentRecord(20.0, 2.0, 177, 2.2356e-05, 1.25, 0.75, 170),
-        ExperimentRecord(50.0, 1.0, 229, 1.7831e-05, 2.5, 1.5, 210),
+        ExperimentRecord(20.0, 2.0, 177, 2.2356e-05, 170),
+        ExperimentRecord(50.0, 1.0, 229, 1.7831e-05, 210),
     ]
     path = tmp_path / "out.csv"
     text = emit(records, "csv", path)
     assert path.read_text() == text
     lines = text.strip().split("\n")
-    assert lines[0] == "k,delta,ndofs,rel_h1k_error,assembly_s,solve_s,rank"
+    assert lines[0] == "k,delta,ndofs,rel_h1k_error,rank"
     assert len(lines) == len(records) + 1
     # scientific notation with at least 4 significant digits
     assert "2.2356e-05" in lines[1]
@@ -68,7 +70,7 @@ def test_emit_csv_roundtrip(tmp_path):
 
 
 def test_emit_json_and_validation():
-    records = [ExperimentRecord(20.0, 2.0, 177, 2.2356e-05, 1.0, 0.5, 170)]
+    records = [ExperimentRecord(20.0, 2.0, 177, 2.2356e-05, 170)]
     data = json.loads(emit(records, "json"))
     assert data[0]["ndofs"] == 177
     assert data[0]["k"] == 20.0
@@ -85,6 +87,21 @@ def test_scaling_study_validation():
         scaling_study(ExperimentConfig(ks=(20.0,), target_accuracy=1e-4))
     with pytest.raises(ValueError):
         scaling_study(ExperimentConfig(ks=(20.0, 50.0, 100.0, 200.0)))
+
+
+def test_scaling_study_propagates_solver_errors(monkeypatch):
+    # only an empty index set may skip a delta; a failing solve must surface
+    from gcshelm import assembly_solver
+    from gcshelm.experiments import scaling_study
+
+    def failing_solve(system, cutoff_rel):
+        raise RuntimeError("solver failed")
+
+    monkeypatch.setattr(assembly_solver, "solve", failing_solve)
+    # delta 0.05 selects nothing at k = 20 and is skipped; delta 1.0 reaches the solve
+    cfg = ExperimentConfig(ks=(20.0, 50.0, 100.0, 200.0), deltas=(0.05, 1.0), target_accuracy=1e-3)
+    with pytest.raises(RuntimeError, match="solver failed"):
+        scaling_study(cfg)
 
 
 def test_cli_solve_to_csv(tmp_path, capsys):
@@ -116,7 +133,7 @@ def test_cli_table_stdout(capsys):
 
 
 def test_cli_config_file_with_override(tmp_path):
-    cfg = {"case": "homogeneous", "ks": [20.0], "deltas": [0.5], "quad_density": 20}
+    cfg = {"case": "homogeneous", "ks": [20.0], "deltas": [0.5]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "res.csv"

@@ -18,6 +18,11 @@ def state_rule(*states, density=80):
     return quad.build_rule(quad.support_window(states), k, density)
 
 
+def residual(s, op, x):
+    """(P - p(x0, xi0)) Psi at x, from the per-state reference."""
+    return gs.apply_operator(s, op, x) - complex(op.symbol(s.x0, s.xi0)) * gs.eval_state(s, x)
+
+
 def test_eval_state_center_value():
     s = gs.CoherentState(HBAR, 0.3, 1.2)
     v = gs.eval_state(s, 0.3)
@@ -39,15 +44,6 @@ def test_eval_state_unit_norm():
     rule = state_rule(s)
     val = quad.inner_product(lambda x: gs.eval_state(s, x), lambda x: gs.eval_state(s, x), rule)
     assert abs(val - 1.0) < 1e-12
-
-
-def test_derivative_polynomials():
-    assert list(gs.derivative_polynomial(0)) == [1.0]
-    for order in range(5):
-        coeffs = gs.derivative_polynomial(order)
-        assert len(coeffs) == order + 1  # degree <= order
-    with pytest.raises(ValueError):
-        gs.derivative_polynomial(5)
 
 
 def test_eval_derivative_order_zero_and_one():
@@ -165,7 +161,7 @@ def test_residual_factor_constant_coefficients():
     x = np.array([0.1, 0.18, -0.05])
     u = x - s.x0
     expected = -a * hbar - 1j * (2 * a * s.xi0 + b) * u + a * u**2
-    assert np.max(np.abs(gs.residual_factor(s, op, x) - expected)) < 1e-14
+    assert np.max(np.abs(residual(s, op, x) - expected * gs.eval_state(s, x))) < 1e-14
 
 
 def test_residual_factor_center_value_model_operator():
@@ -173,7 +169,7 @@ def test_residual_factor_center_value_model_operator():
     case = ProblemCase.homogeneous(100)
     op = case.operator()
     s = gs.CoherentState(1.0 / 100.0, 0.0, 1.0)
-    r0 = gs.residual_factor(s, op, 0.0)
+    r0 = residual(s, op, 0.0) / gs.eval_state(s, 0.0)
     assert abs(r0 - s.hbar) < 1e-12
 
 
@@ -186,7 +182,7 @@ def test_residual_norm_scaling_quadrature():
         op = case.operator()
         s = gs.CoherentState(hbar, 0.0, 1.0)
         rule = state_rule(s, density=60)
-        val = quad.norm(lambda x: gs.residual_factor(s, op, x) * gs.eval_state(s, x), rule)
+        val = quad.norm(lambda x: residual(s, op, x), rule)
         norms.append(val)
         hbars.append(hbar)
     slope = np.polyfit(np.log(hbars), np.log(norms), 1)[0]
@@ -209,7 +205,7 @@ def test_iterated_residual_norm_matches_quadrature():
     op = gs.constant_operator(-1.0, 0.0, -1.0)
     exact = gs.iterated_residual_norm(s, op, 1)
     rule = state_rule(s, density=60)
-    qval = quad.norm(lambda x: gs.residual_factor(s, op, x) * gs.eval_state(s, x), rule)
+    qval = quad.norm(lambda x: residual(s, op, x), rule)
     assert abs(exact - qval) < 1e-12
 
 

@@ -21,41 +21,6 @@ def test_lattice_spec_invariants():
         ps.LatticeSpec(0.0)
 
 
-def test_ball_set_small_radii():
-    spec = ps.LatticeSpec(1.0)
-    assert [(p.m, p.n) for p in ps.build_ball_set(spec, 0.5, 0)] == [(0, 0)]
-    five = ps.build_ball_set(spec, 1.0, 0)
-    assert {(p.m, p.n) for p in five} == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
-
-
-def test_ball_set_against_exhaustive_enumeration():
-    spec = ps.LatticeSpec(1.0 / 20.0)
-    got = ps.build_ball_set(spec, 2.0, 1)
-    radius_sq = 2.0 * 20.0
-    brute = {
-        (m, n)
-        for m in range(-7, 8)
-        for n in range(-7, 8)
-        if m * m + n * n <= radius_sq
-    }
-    assert {(p.m, p.n) for p in got} == brute
-
-
-def test_ball_set_symmetry_and_determinism():
-    spec = ps.LatticeSpec(1.0 / 30.0)
-    s1 = ps.build_ball_set(spec, 1.3, 1)
-    s2 = ps.build_ball_set(spec, 1.3, 1)
-    assert s1.members == s2.members
-    members = {(p.m, p.n) for p in s1}
-    for m, n in members:
-        assert (-m, -n) in members and (n, m) in members
-
-
-def test_ball_set_rejects_bad_rho():
-    with pytest.raises(ValueError):
-        ps.build_ball_set(ps.LatticeSpec(0.1), 0.0, 1)
-
-
 def test_symbol_set_figure_geometry_k400():
     # delta = 0.1 keeps exactly the two frequency lines xi = +-0.974849617998
     case = ProblemCase.homogeneous(400)
@@ -188,6 +153,6 @@ def test_search_bounds_terminate_in_pml():
 def test_index_set_duplicate_and_order_validation():
     spec = ps.LatticeSpec(0.1)
     with pytest.raises(ValueError):
-        ps.IndexSet((ps.IndexPair(0, 0), ps.IndexPair(0, 0)), "x", spec)
+        ps.IndexSet((ps.IndexPair(0, 0), ps.IndexPair(0, 0)), spec)
     with pytest.raises(ValueError):
-        ps.IndexSet((ps.IndexPair(1, 0), ps.IndexPair(0, 0)), "x", spec)
+        ps.IndexSet((ps.IndexPair(1, 0), ps.IndexPair(0, 0)), spec)
