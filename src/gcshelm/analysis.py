@@ -54,14 +54,13 @@ def h1k_error(u_approx, u_ref, window, k, nodes_per_wavelength=40):
     rule = quad.build_rule(window, k, nodes_per_wavelength)
     va, da = u_approx
     vr, dr = u_ref
-    dv = np.asarray(va(rule.nodes)) - np.asarray(vr(rule.nodes))
-    dd = np.asarray(da(rule.nodes)) - np.asarray(dr(rule.nodes))
+    ref_v = np.asarray(vr(rule.nodes))
+    ref_d = np.asarray(dr(rule.nodes))
+    dv = np.asarray(va(rule.nodes)) - ref_v
+    dd = np.asarray(da(rule.nodes)) - ref_d
     k2inv = 1.0 / float(k) ** 2
     abs_sq = np.sum(rule.weights * (np.abs(dv) ** 2 + k2inv * np.abs(dd) ** 2))
-    ref_sq = np.sum(
-        rule.weights
-        * (np.abs(vr(rule.nodes)) ** 2 + k2inv * np.abs(dr(rule.nodes)) ** 2)
-    )
+    ref_sq = np.sum(rule.weights * (np.abs(ref_v) ** 2 + k2inv * np.abs(ref_d) ** 2))
     if ref_sq <= 0.0:
         raise ValueError("reference function has zero H1_k norm on the window")
     absolute = math.sqrt(float(abs_sq))
@@ -231,8 +230,8 @@ def planewave_coefficient_probe(case, epsilon=0.25, x_pad=0.5, xi_max=2.5):
     m_max = math.floor((support[1] + x_pad) / h)
     n_max = math.floor(xi_max / h)
 
-    density = max(quad.DEFAULT_NODES_PER_WAVELENGTH, math.ceil(40 * (1.0 + xi_max)))
-    rule = quad.build_rule((support[0], support[1]), k, density)
+    # f conj(Psi_mn) oscillates at most at k * (1 + xi_max)
+    rule = quad.build_rule(support, k, quad.nodes_per_wavelength(1.0 + xi_max))
     fw = cutoff_phi(rule.nodes, 0) * np.exp(1j * k * rule.nodes) * rule.weights
 
     m = np.repeat(np.arange(-m_max, m_max + 1), 2 * n_max + 1)

@@ -9,7 +9,6 @@ relative H1_k norm on the error window.
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,13 +105,6 @@ class _ReferenceCache:
         return (lambda x: sol(x, 0), lambda x: sol(x, 1))
 
 
-def _density_for(index_set):
-    """Scale node density so the fastest Gram oscillation keeps ~20 nodes."""
-    xi = index_set.xi_array()
-    xi_max = float(np.max(np.abs(xi))) if xi.size else 1.0
-    return math.ceil(40.0 * max(1.0, xi_max))
-
-
 def run_cell(case, delta, config, cache=None):
     """Run a single (case, delta) cell and return (record, report, index_set)."""
     cache = cache or _ReferenceCache(config.fem_x_end)
@@ -121,7 +113,10 @@ def run_cell(case, delta, config, cache=None):
     index_set = build_symbol_set(spec, case.symbol, delta, bounds=bounds)
     if len(index_set) == 0:
         raise EmptyIndexSetError(f"empty index set at k={case.k}, delta={delta}")
-    density = _density_for(index_set)
+    # in units of k, products of two states oscillate at up to 2 * xi_max and
+    # a state times the k-periodic source at up to 1 + xi_max
+    xi_max = float(np.max(np.abs(index_set.xi_array())))
+    density = quad.nodes_per_wavelength(2.0 * max(1.0, xi_max))
     states = assembly_solver.states_from_index_set(index_set)
     lo, hi = quad.support_window(states)
     flo, fhi = case.rhs_support()

@@ -4,7 +4,11 @@ Its nodes and weights discretize every L2 integral: the design system, whose
 columns come from ``gaussian_states.state_blocks``, the error norms, the
 plane-wave probe, and the ``inner_product`` and ``norm`` oracles of the tests.
 Panels are half a wavelength (2*pi/k) wide, so the requested node density per
-wavelength translates directly into nodes per panel.
+wavelength translates directly into nodes per panel.  The table cells and the
+plane-wave probe size their rules with ``nodes_per_wavelength``: 10 nodes per
+period of the integrand's fastest oscillation.  Ten Gauss-Legendre nodes
+integrate exp(1j*w*x) over one period 2*pi/w to 5e-15 absolute; five leave
+3e-5.
 """
 
 import math
@@ -18,10 +22,12 @@ __all__ = [
     "inner_product",
     "norm",
     "support_window",
+    "nodes_per_wavelength",
     "DEFAULT_NODES_PER_WAVELENGTH",
     "DEFAULT_TAIL_TOL",
 ]
 
+NODES_PER_PERIOD = 10
 DEFAULT_NODES_PER_WAVELENGTH = 20
 # 12-sigma Gaussian tail: exp(-12**2/2)
 DEFAULT_TAIL_TOL = math.exp(-72.0)
@@ -55,6 +61,15 @@ class QuadratureRule:
         return self.nodes.size
 
 
+def nodes_per_wavelength(frequency):
+    """Node density that resolves oscillations up to ``frequency`` (in units of k).
+
+    ``NODES_PER_PERIOD`` nodes per period 2*pi/(frequency*k), i.e.
+    ceil(10 * frequency) nodes per base wavelength 2*pi/k.
+    """
+    return math.ceil(NODES_PER_PERIOD * float(frequency))
+
+
 def build_rule(window, k, nodes_per_wavelength=DEFAULT_NODES_PER_WAVELENGTH):
     """Build a composite rule resolving oscillations at wavenumber ``k``.
 
@@ -65,10 +80,10 @@ def build_rule(window, k, nodes_per_wavelength=DEFAULT_NODES_PER_WAVELENGTH):
     k : float
         Reference wavenumber; the base wavelength is 2*pi/k.
     nodes_per_wavelength : int
-        Node density per wavelength, at least 10.  Callers integrating
-        products of states with |xi| up to xi_max should scale this up
-        (roughly 20 nodes per period of the fastest oscillation, i.e.
-        density >= 20 * 2 * xi_max).
+        Node density per wavelength, at least 10.  Size it with
+        ``nodes_per_wavelength`` from the fastest oscillation of the
+        integrand: products of states with |xi| up to xi_max oscillate at
+        frequency 2 * max(1, xi_max).
 
     Returns
     -------

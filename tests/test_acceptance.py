@@ -19,10 +19,10 @@ section (lattice, selection rule, cutoff phi, PML):
 - homogeneous (20, 2.0) and (50, 1.0): the rule selects 131 and 198 states
   against the published 177 and 229 (229 is odd, which the rule's
   (m, n) -> (+-m, +-n) symmetry forbids at delta = 1, where (0, 0) is
-  excluded), and the floors, 2.2e-3 and 5.9e-4, lie above the published
+  excluded), and the floors, 2.1e-3 and 4.9e-4, lie above the published
   errors' x10 band, so no solver on this trial space passes;
 - heterogeneous (20, 12.0): 455 states against 569, and the least-squares
-  error is about 48x its floor of 2.3e-4, with most of the residual where
+  error is about 54x its floor of 2.1e-4, with most of the residual where
   mu and the source pass through their C3 bridge; the cause is open.
 
 Criterion 3 reads the abstract's "number of degrees of freedom scaling as
@@ -66,11 +66,12 @@ def best_h1k_error(case, index_set, u_ref):
 
     The norm is the one ``analysis.h1k_error`` measures, ||v||**2 +
     k**-2 ||v'||**2 on the error window, discretized on the rule it builds
-    for a cell: ``quad.build_rule`` at the node density ``build_rule``
-    documents for states up to |xi| = xi_max (20 nodes per period of the
-    fastest oscillation).  A least-squares projection on that rule bounds
-    the cell's error from below.  It uses lstsq's own rank cutoff rather
-    than the solver's, so the floor belongs to the trial space alone.
+    for a cell: ``quad.build_rule`` at ``quad.nodes_per_wavelength`` of the
+    fastest oscillation of states up to |xi| = xi_max, frequency
+    2 * max(1, xi_max), as ``run_cell`` sizes it (10 nodes per period).  A
+    least-squares projection on that rule bounds the cell's error from
+    below.  It uses lstsq's own rank cutoff rather than the solver's, so
+    the floor belongs to the trial space alone.
     Columns below 1e-16 of the largest (states centered far outside the
     window) lie under that cutoff and are dropped.  Returns the error and
     that cutoff, numpy's default rcond = eps * max(rows, columns), since the
@@ -78,7 +79,7 @@ def best_h1k_error(case, index_set, u_ref):
     """
     k = case.k
     xi_max = float(np.max(np.abs(index_set.xi_array())))
-    density = math.ceil(40 * max(1.0, xi_max))
+    density = quad.nodes_per_wavelength(2.0 * max(1.0, xi_max))
     rule = quad.build_rule(CONFIG.error_window, k, density)
     states = assembly_solver.states_from_index_set(index_set)
     root_w = np.sqrt(rule.weights)
@@ -262,15 +263,16 @@ def quadrature_gram_error(hbar, half_width=6, x_stretch=1.0):
     G_quad[i, j] = sum_q w_q Psi_i(x_q) conj(Psi_j(x_q)), the convention of
     ``analysis.lattice_gram``, samples the states at (x_stretch * m, n) times
     the lattice spacing sqrt(pi*hbar) through ``gs.state_blocks``, on a rule
-    holding every state's 12-sigma window at 40*max(1, max|xi|) nodes per
-    wavelength of k = 1/hbar.  The lattice Gram is hbar-free; this one is not.
+    holding every state's 12-sigma window, sized as ``run_cell`` sizes its
+    rule for k = 1/hbar.  The lattice Gram is hbar-free; this one is not.
     """
     spec = LatticeSpec(hbar)
     pairs = [(m, n) for m in range(-half_width, half_width + 1) for n in range(-half_width, half_width + 1)]
     m, n = np.array(pairs).T
     x0, xi0 = x_stretch * m * spec.spacing, n * spec.spacing
     reach = x0.max() + gs.WINDOW_SIGMAS * math.sqrt(hbar)
-    rule = quad.build_rule((-reach, reach), 1.0 / hbar, math.ceil(40 * max(1.0, xi0.max())))
+    density = quad.nodes_per_wavelength(2.0 * max(1.0, xi0.max()))
+    rule = quad.build_rule((-reach, reach), 1.0 / hbar, density)
     basis = np.zeros((rule.nodes.size, len(pairs)), dtype=complex)
     for rows, cols, block in gs.state_blocks(hbar, x0, xi0, rule.nodes):
         basis[rows, cols] = block

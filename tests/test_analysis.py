@@ -58,6 +58,41 @@ def test_h1k_error_zero_reference():
         analysis.h1k_error(zero, zero, (-1, 1), 20.0)
 
 
+def test_h1k_error_evaluates_each_callable_once():
+    # the reference may be a FEM solution; it is sampled once per node set,
+    # and the result equals the former expression that sampled it twice
+    k = 30.0
+    calls = {}
+
+    def counted(name, fn):
+        def wrapped(x):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(x)
+
+        return wrapped
+
+    funcs = {
+        "va": lambda x: np.exp(1j * k * x) * np.cos(x),
+        "da": lambda x: 1j * k * np.exp(1j * k * x) * np.cos(x) - np.exp(1j * k * x) * np.sin(x),
+        "vr": lambda x: np.exp(1j * k * x),
+        "dr": lambda x: 1j * k * np.exp(1j * k * x),
+    }
+    approx = (counted("va", funcs["va"]), counted("da", funcs["da"]))
+    ref = (counted("vr", funcs["vr"]), counted("dr", funcs["dr"]))
+    rep = analysis.h1k_error(approx, ref, (-1, 1), k)
+    assert calls == {"va": 1, "da": 1, "vr": 1, "dr": 1}
+
+    rule = quad.build_rule((-1, 1), k, 40)
+    x, w = rule.nodes, rule.weights
+    dv = funcs["va"](x) - funcs["vr"](x)
+    dd = funcs["da"](x) - funcs["dr"](x)
+    k2inv = 1.0 / k**2
+    abs_sq = np.sum(w * (np.abs(dv) ** 2 + k2inv * np.abs(dd) ** 2))
+    ref_sq = np.sum(w * (np.abs(funcs["vr"](x)) ** 2 + k2inv * np.abs(funcs["dr"](x)) ** 2))
+    assert rep.absolute == math.sqrt(abs_sq)
+    assert rep.relative == math.sqrt(abs_sq) / math.sqrt(ref_sq)
+
+
 def test_lattice_gram_matches_overlap():
     spec = LatticeSpec(1.0 / 20.0)
     pairs = [(0, 0), (1, 0), (0, 1), (2, -1), (-1, 2)]
@@ -269,6 +304,17 @@ def test_planewave_probe_values():
     assert abs(val) < 1e-10
 
 
+@pytest.mark.parametrize("k", [50.0, 200.0])
+def test_planewave_probe_matches_old_density_rule(k, monkeypatch):
+    # the probe's former rule, max(20, ceil(40 * (1 + xi_max))) nodes per
+    # wavelength, four times the density of the production rule
+    new = analysis.planewave_coefficient_probe(ProblemCase.homogeneous(k))
+    monkeypatch.setattr(quad, "nodes_per_wavelength", lambda f: max(20, math.ceil(40 * f)))
+    old = analysis.planewave_coefficient_probe(ProblemCase.homogeneous(k))
+    for got, want in zip(new, old):
+        assert abs(got - want) <= 1e-12 * want
+
+
 def test_planewave_probe_matches_per_state_loop():
     # the same quantities from one eval_state call per lattice pair
     from gcshelm import quadrature as quad
@@ -278,7 +324,7 @@ def test_planewave_probe_matches_per_state_loop():
     case = ProblemCase.homogeneous(50)
     spec = LatticeSpec(1.0 / case.k)
     band = {(p.m, p.n) for p in build_planewave_rhs_set(spec, (-0.75, 0.75), 0.25)}
-    rule = quad.build_rule((-0.75, 0.75), case.k, math.ceil(40 * 3.5))
+    rule = quad.build_rule((-0.75, 0.75), case.k, quad.nodes_per_wavelength(1.0 + 2.5))
     fw = cutoff_phi(rule.nodes, 0) * np.exp(1j * case.k * rule.nodes) * rule.weights
     inside = outside = 0.0
     for m in range(-math.floor(1.25 / spec.spacing), math.floor(1.25 / spec.spacing) + 1):
