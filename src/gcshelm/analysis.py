@@ -72,6 +72,16 @@ def _box_pairs(half_width):
     return [(m, n) for m in rng for n in rng]
 
 
+# dual frame: Gram eigen-directions kept above this fraction of the largest
+DUAL_GAP_CUT = 0.3
+# dual decay fit: coefficients below this modulus are left out
+DUAL_FLOOR = 1e-13
+# plane-wave probe: band exponent, position pad beyond the source support,
+# and the largest frequency of the probed box
+PLANEWAVE_EPSILON = 0.25
+PLANEWAVE_X_PAD = 0.5
+PLANEWAVE_XI_MAX = 2.5
+
 # 1j**j for j mod 4: lattice Gram phases are whole quarter turns
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
 # lattice distances squared past which exp(-pi*d2/4) < quad.DEFAULT_TAIL_TOL
@@ -123,13 +133,13 @@ def frame_bounds(spec, box_half_width=25, interior_margin=5):
     return diag
 
 
-def dual_frame_coefficients(spec, target, box_half_width=12, gap_cut=0.3):
+def dual_frame_coefficients(spec, target, box_half_width=12):
     """Coefficients of the (truncated) dual state at ``target`` = (m, n) in the primal family.
 
     The lattice is a redundant frame, so the box Gram G has an essential
     kernel (the synthesis null space) and G c = e_target is solvable only up
     to that kernel.  The well-posed realization inverts G on its frame band:
-    eigen-directions with eigenvalue above ``gap_cut`` times the largest are
+    eigen-directions with eigenvalue above ``DUAL_GAP_CUT`` times the largest are
     kept, the rest (kernel plus box-edge artifacts below the spectral gap)
     are discarded.  The returned residual is ||G (G c - e)||, which vanishes
     exactly when G c - e lies in the kernel, i.e. when the synthesized
@@ -147,7 +157,7 @@ def dual_frame_coefficients(spec, target, box_half_width=12, gap_cut=0.3):
     e = np.zeros(len(pairs), dtype=complex)
     e[pairs.index((tm, tn))] = 1.0
     evals, evecs = np.linalg.eigh(gram)
-    keep = evals > gap_cut * evals.max()
+    keep = evals > DUAL_GAP_CUT * evals.max()
     if not np.any(keep):
         raise RuntimeError("spectral cut removed every Gram eigen-direction")
     c = evecs[:, keep] @ ((evecs[:, keep].conj().T @ e) / evals[keep])
@@ -155,19 +165,19 @@ def dual_frame_coefficients(spec, target, box_half_width=12, gap_cut=0.3):
     return pairs, c, residual
 
 
-def dual_decay_fit(pairs, coefficients, target, floor=1e-13):
+def dual_decay_fit(pairs, coefficients, target):
     """Fit the decay envelope log|c| ~ log C - rate * sqrt(dist).
 
     The bound being probed is an upper envelope, and coefficients at equal
     distance vary strongly with direction, so the fit uses the maximum
-    modulus per unit distance annulus.  Returns (rate, r_squared,
-    (distances, values, fitted)).
+    modulus per unit distance annulus, over coefficients above
+    ``DUAL_FLOOR``.  Returns (rate, r_squared, (distances, values, fitted)).
     """
     tm, tn = target
     annuli = {}
     for (m, n), c in zip(pairs, coefficients):
         d = math.hypot(m - tm, n - tn)
-        if d == 0.0 or abs(c) < floor:
+        if d == 0.0 or abs(c) < DUAL_FLOOR:
             continue
         b = int(d)
         if b not in annuli or abs(c) > annuli[b][1]:
@@ -186,14 +196,13 @@ def dual_decay_fit(pairs, coefficients, target, floor=1e-13):
     return -float(slope), float(r_squared), (distances, np.exp(vals), np.exp(fitted))
 
 
-def quasi_orthogonality_probe(spec, op, base=(0, 0), distances=(2, 4, 8, 16)):
-    """max |(P Psi_base, Psi_shifted)| over lattice offsets at each distance.
+def quasi_orthogonality_probe(spec, op, distances=(2, 4, 8, 16)):
+    """max |(P Psi_00, Psi_mn)| over lattice offsets (m, n) at each distance.
 
     Uses the closed-form constant-coefficient pairing, which stays accurate
     at separations where quadrature would hit the roundoff floor.
     """
-    bm, bn = base
-    s1 = gs.CoherentState(spec.hbar, lattice_point(bm, spec), lattice_point(bn, spec))
+    s1 = gs.CoherentState(spec.hbar, 0.0, 0.0)
     out = {}
     for d in distances:
         best = 0.0
@@ -205,33 +214,34 @@ def quasi_orthogonality_probe(spec, op, base=(0, 0), distances=(2, 4, 8, 16)):
             for sn in {dn, -dn}:
                 s2 = gs.CoherentState(
                     spec.hbar,
-                    lattice_point(bm + dm, spec),
-                    lattice_point(bn + sn, spec),
+                    lattice_point(dm, spec),
+                    lattice_point(sn, spec),
                 )
                 best = max(best, abs(gs.operator_pair_inner(op, s1, s2)))
         out[int(d)] = best
     return out
 
 
-def planewave_coefficient_probe(case, epsilon=0.25, x_pad=0.5, xi_max=2.5):
+def planewave_coefficient_probe(case):
     """Micro-localization of the plane-wave source in the lattice frame.
 
-    Computes |(f, Psi_mn)| by quadrature for every pair in a box around the
-    source support, one block of equal x_m at a time, with
-    f = phi(x) * exp(1j*k*x) built from the C3 cutoff.
+    Computes |(f, Psi_mn)| by quadrature for every pair with |x_m| <= 0.75 +
+    ``PLANEWAVE_X_PAD`` and |xi_n| <= ``PLANEWAVE_XI_MAX``, one block of equal
+    x_m at a time, with f = phi(x) * exp(1j*k*x) built from the C3 cutoff.
+    The band is ``build_planewave_rhs_set`` at ``PLANEWAVE_EPSILON``.
     Returns (max outside band) / (max inside band) together with both maxima.
     """
     k = case.k
     spec = LatticeSpec(1.0 / k)
     support = (-0.75, 0.75)
-    band = build_planewave_rhs_set(spec, support, epsilon)
+    band = build_planewave_rhs_set(spec, support, PLANEWAVE_EPSILON)
     band_set = {(p.m, p.n) for p in band.members}
     h = spec.spacing
-    m_max = math.floor((support[1] + x_pad) / h)
-    n_max = math.floor(xi_max / h)
+    m_max = math.floor((support[1] + PLANEWAVE_X_PAD) / h)
+    n_max = math.floor(PLANEWAVE_XI_MAX / h)
 
     # f conj(Psi_mn) oscillates at most at k * (1 + xi_max)
-    rule = quad.build_rule(support, k, quad.nodes_per_wavelength(1.0 + xi_max))
+    rule = quad.build_rule(support, k, quad.nodes_per_wavelength(1.0 + PLANEWAVE_XI_MAX))
     fw = cutoff_phi(rule.nodes, 0) * np.exp(1j * k * rule.nodes) * rule.weights
 
     m = np.repeat(np.arange(-m_max, m_max + 1), 2 * n_max + 1)

@@ -14,6 +14,7 @@ Exits 0 on success; on failure prints one machine-parsable line
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import analysis
 from .experiments import (
@@ -40,9 +41,7 @@ def _build_parser():
         p.add_argument("--case", choices=["homogeneous", "heterogeneous"])
         p.add_argument("--k", type=_float_list, help="comma-separated wavenumbers")
         p.add_argument("--delta", type=_float_list, help="comma-separated deltas")
-        p.add_argument("--window", type=_float_list, help="error window 'a,b'")
         p.add_argument("--cutoff", type=float, help="relative singular value cutoff")
-        p.add_argument("--fem-xend", type=float, help="FEM truncation point")
         p.add_argument("--out", help="output file path")
         p.add_argument("--format", choices=["csv", "json"], help="output format")
 
@@ -71,9 +70,7 @@ def _config_from(args, default_deltas=None):
         "case": args.case,
         "ks": args.k,
         "deltas": args.delta,
-        "error_window": args.window,
         "cutoff": args.cutoff,
-        "fem_x_end": args.fem_xend,
         "output_path": args.out,
         "output_format": args.format,
     }
@@ -85,12 +82,14 @@ def _config_from(args, default_deltas=None):
     return ExperimentConfig.from_dict(data)
 
 
-def _emit_records(records, config):
-    text = emit(records, config.output_format or "csv", config.output_path)
-    if config.output_path is None:
+def _write(text, path, what):
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path is None:
         sys.stdout.write(text)
     else:
-        print(f"wrote {len(records)} records to {config.output_path}")
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"wrote {what} to {path}")
 
 
 def _run_diagnose(args):
@@ -119,13 +118,7 @@ def _run_diagnose(args):
             "dual_decay_r_squared": r2,
             "quasi_orthogonality": {str(d): v for d, v in probe.items()},
         }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote diagnostics to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out, "diagnostics")
 
 
 def main(argv=None):
@@ -136,32 +129,17 @@ def main(argv=None):
             return 0
         default_deltas = DEFAULT_SCALING_DELTAS if args.verb == "scaling" else None
         config = _config_from(args, default_deltas)
-        if args.verb == "solve":
-            if len(config.ks) != 1 or len(config.deltas) != 1:
-                raise ValueError("solve expects exactly one k and one delta")
-            _emit_records(run_case(config), config)
-        elif args.verb == "table":
-            _emit_records(run_case(config), config)
-        elif args.verb == "scaling":
+        if args.verb == "solve" and (len(config.ks) != 1 or len(config.deltas) != 1):
+            raise ValueError("solve expects exactly one k and one delta")
+        if args.verb in ("solve", "table"):
+            records = run_case(config)
+            text = emit(records, config.output_format or "csv")
+            _write(text, config.output_path, f"{len(records)} records")
+        else:
             if config.target_accuracy is None:
                 raise ValueError("scaling needs --target")
-            study = scaling_study(config)
-            payload = {
-                "ks": study.ks,
-                "deltas": study.deltas,
-                "ndofs": study.ndofs,
-                "errors": study.errors,
-                "dropped_ks": study.dropped_ks,
-                "ndofs_slope": study.ndofs_slope,
-                "delta_slope": study.delta_slope,
-            }
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            if config.output_path:
-                with open(config.output_path, "w") as fh:
-                    fh.write(text)
-                print(f"wrote scaling study to {config.output_path}")
-            else:
-                sys.stdout.write(text)
+            text = json.dumps(asdict(scaling_study(config)), indent=2, sort_keys=True) + "\n"
+            _write(text, config.output_path, "scaling study")
         return 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

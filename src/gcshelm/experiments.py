@@ -3,13 +3,16 @@
 One cell of a table is: build the symbol-selected index set at (k, delta),
 assemble and solve the least-squares system, compare against the exact
 solution (homogeneous) or an order-4 FEM reference (heterogeneous) in the
-relative H1_k norm on the error window.
+relative H1_k norm on ``ERROR_WINDOW``, the physical region [-1, 1].  A cell
+is fixed by its case, k, delta and the solver cutoff: the quadrature density
+follows from the index set, ``assembly_solver.assemble`` places the rule's
+window, and the FEM reference is truncated at ``reference_fem.DEFAULT_X_END``.
 """
 
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,9 +29,11 @@ __all__ = [
     "scaling_study",
     "emit",
     "DEFAULT_SCALING_DELTAS",
+    "ERROR_WINDOW",
 ]
 
 MIN_WAVENUMBER = 20.0
+ERROR_WINDOW = (-1.0, 1.0)
 
 # quarter-octave delta grid for target-accuracy scans
 DEFAULT_SCALING_DELTAS = tuple(
@@ -45,8 +50,6 @@ class ExperimentConfig:
     deltas: tuple = (2.0,)
     target_accuracy: float = None
     cutoff: float = assembly_solver.DEFAULT_CUTOFF
-    error_window: tuple = (-1.0, 1.0)
-    fem_x_end: float = reference_fem.DEFAULT_X_END
     output_path: str = None
     output_format: str = "csv"
 
@@ -63,7 +66,7 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         coerced = dict(data)
-        for key in ("ks", "deltas", "error_window"):
+        for key in ("ks", "deltas"):
             if key in coerced and coerced[key] is not None:
                 coerced[key] = tuple(coerced[key])
         return ExperimentConfig(**coerced)
@@ -87,8 +90,7 @@ class EmptyIndexSetError(RuntimeError):
 class _ReferenceCache:
     """FEM references are expensive; share them across deltas at fixed k."""
 
-    def __init__(self, x_end):
-        self.x_end = x_end
+    def __init__(self):
         self._store = {}
 
     def reference(self, case):
@@ -99,15 +101,14 @@ class _ReferenceCache:
             )
         key = (case.name, case.k)
         if key not in self._store:
-            sol = reference_fem.fem_solve(case, x_end=self.x_end)
-            self._store[key] = sol
+            self._store[key] = reference_fem.fem_solve(case)
         sol = self._store[key]
         return (lambda x: sol(x, 0), lambda x: sol(x, 1))
 
 
 def run_cell(case, delta, config, cache=None):
     """Run a single (case, delta) cell and return (record, report, index_set)."""
-    cache = cache or _ReferenceCache(config.fem_x_end)
+    cache = cache or _ReferenceCache()
     spec = LatticeSpec(1.0 / case.k)
     bounds = search_bounds_from_symbol(case.symbol, delta, spec)
     index_set = build_symbol_set(spec, case.symbol, delta, bounds=bounds)
@@ -117,11 +118,7 @@ def run_cell(case, delta, config, cache=None):
     # a state times the k-periodic source at up to 1 + xi_max
     xi_max = float(np.max(np.abs(index_set.xi_array())))
     density = quad.nodes_per_wavelength(2.0 * max(1.0, xi_max))
-    states = assembly_solver.states_from_index_set(index_set)
-    lo, hi = quad.support_window(states)
-    flo, fhi = case.rhs_support()
-    rule = quad.build_rule((min(lo, flo), max(hi, fhi)), case.k, density)
-    system = assembly_solver.assemble(index_set, case, rule)
+    system = assembly_solver.assemble(index_set, case, density)
     report = assembly_solver.solve(system, config.cutoff)
 
     u_ref = cache.reference(case)
@@ -130,7 +127,7 @@ def run_cell(case, delta, config, cache=None):
         lambda x: assembly_solver.reconstruct(report, index_set, x, 1),
     )
     err = analysis.h1k_error(
-        u_approx, u_ref, config.error_window, case.k, nodes_per_wavelength=density
+        u_approx, u_ref, ERROR_WINDOW, case.k, nodes_per_wavelength=density
     )
     record = ExperimentRecord(case.k, float(delta), len(index_set), err.relative, report.numerical_rank)
     return record, report, index_set
@@ -139,7 +136,7 @@ def run_cell(case, delta, config, cache=None):
 def run_case(config):
     """Run the full (k, delta) grid of a config; deterministic given config."""
     records = []
-    cache = _ReferenceCache(config.fem_x_end)
+    cache = _ReferenceCache()
     for k in config.ks:
         case = ProblemCase.from_name(config.case, k)
         for delta in config.deltas:
@@ -169,7 +166,7 @@ def scaling_study(config):
     if len(config.ks) < 4:
         raise ValueError("scaling_study needs at least 4 wavenumbers")
     deltas = tuple(sorted(config.deltas)) if config.deltas else DEFAULT_SCALING_DELTAS
-    cache = _ReferenceCache(config.fem_x_end)
+    cache = _ReferenceCache()
 
     hit_k, hit_delta, hit_n, hit_err, dropped = [], [], [], [], []
     for k in config.ks:
@@ -210,30 +207,16 @@ def _format_row(r):
     return f"{r.k:g},{r.delta:g},{r.ndofs},{r.rel_h1k_error:.4e},{r.rank}"
 
 
-def emit(records, fmt="csv", path=None):
+def emit(records, fmt="csv"):
     """Serialize records; bytes are deterministic given the records."""
     if not records:
         raise ValueError("no records to emit")
     if fmt == "csv":
-        text = CSV_HEADER + "\n" + "\n".join(_format_row(r) for r in records) + "\n"
-    elif fmt == "json":
-        rows = [
-            {
-                "k": r.k,
-                "delta": r.delta,
-                "ndofs": r.ndofs,
-                "rel_h1k_error": float(f"{r.rel_h1k_error:.4e}"),
-                "rank": r.rank,
-            }
-            for r in records
-        ]
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+        return CSV_HEADER + "\n" + "\n".join(_format_row(r) for r in records) + "\n"
+    if fmt == "json":
+        rows = [{**asdict(r), "rel_h1k_error": float(f"{r.rel_h1k_error:.4e}")} for r in records]
+        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def parse_records_csv(text):

@@ -16,10 +16,11 @@ multiplier g(x) = hbar*a*q_2(z) + 1j*sqrt(hbar)*b*q_1(z) + c times the state,
 so residual factors g - p(x0, xi0) never divide by Psi numerically.
 
 ``state_blocks`` evaluates whole index sets, one block of equal x0 at a
-time, on the rows with |x - x0| <= 12*sqrt(hbar) that
-``quadrature.support_window`` assumes; beyond them a state is below exp(-72)
-of its peak and its tail would underflow into subnormal numbers, which slow
-dense factorizations several-fold, so those entries are exactly zero.  The
+time, on the rows with |x - x0| <= 12*sqrt(hbar); ``assembly_solver.assemble``
+places its rule on the union of these windows.  Beyond them a state is below
+exp(-72) of its peak and its tail would underflow into subnormal numbers,
+which slow dense factorizations several-fold, so those entries are exactly
+zero.  The
 per-state ``eval_state``, ``eval_derivative`` and ``apply_operator`` are the
 reference it is tested against.
 """
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 MAX_DERIVATIVE_ORDER = 4
-# half width of a state's window in units of sqrt(hbar), as in support_window
+# half width of a state's window in units of sqrt(hbar): exp(-WINDOW_SIGMAS**2/2) = DEFAULT_TAIL_TOL
 WINDOW_SIGMAS = math.sqrt(2.0 * math.log(1.0 / DEFAULT_TAIL_TOL))
 
 

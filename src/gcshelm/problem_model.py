@@ -118,9 +118,6 @@ class ProblemCase:
     """One model problem: coefficients, wavenumber, source and exact solution.
 
     ``mu(x)`` is the coefficient mu and ``source(x, k)`` the right-hand side.
-    ``plateau`` is the half width of the interval around 0 on which every
-    coefficient is constant, so that the operator's Taylor data are exact
-    there.
     """
 
     name: str
@@ -128,7 +125,6 @@ class ProblemCase:
     mu: object
     has_exact_solution: bool
     source: object
-    plateau: float
 
     @staticmethod
     def homogeneous(k):
@@ -140,7 +136,6 @@ class ProblemCase:
             _unit_mu,
             True,
             _cutoff_wave_source,
-            1.0,
         )
 
     @staticmethod
@@ -153,7 +148,6 @@ class ProblemCase:
             mu_heterogeneous,
             False,
             _contrast_wave_source,
-            0.7,
         )
 
     @staticmethod
@@ -232,7 +226,8 @@ class ProblemCase:
 
         a = -nu**(-1), 1j*hbar*b = -hbar**2*(nu**(-1))', and
         c = -mu*nu, with hbar = 1/k.  The bundled symbol is the principal
-        one, so the residual factor keeps its O(hbar) size.
+        one, so the residual factor keeps its O(hbar) size.  It carries no
+        Taylor data: the closed forms run on ``constant_operator``.
         """
         hbar = 1.0 / self.k
 
@@ -245,16 +240,7 @@ class ProblemCase:
         def c(x):
             return -np.asarray(self.mu(x)) * self.nu(x, 0)
 
-        def taylor(x0, degree):
-            # exact only where the coefficients are locally constant
-            if not abs(x0) < self.plateau:
-                raise NotImplementedError(
-                    f"polynomial coefficient data only available on |x| < {self.plateau}"
-                )
-            mu0 = complex(np.asarray(self.mu(x0), dtype=complex))
-            return (-np.ones(1, dtype=complex), np.array([0.0 + 0.0j]), np.array([-mu0]))
-
-        return SecondOrderOperator(a=a, b=b, c=c, symbol=self.symbol, taylor=taylor)
+        return SecondOrderOperator(a=a, b=b, c=c, symbol=self.symbol)
 
     def rhs_support(self):
         return (-1.0, 1.0)

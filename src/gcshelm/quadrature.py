@@ -45,8 +45,6 @@ class QuadratureRule:
         Positive weights; they sum to the window length.
     window : (float, float)
         Integration interval.
-    panels : int
-        Number of equal panels.
     nodes_per_panel : int
         Gauss-Legendre order used on every panel.
     """
@@ -54,7 +52,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     window: tuple
-    panels: int
     nodes_per_panel: int
 
     def __len__(self):
@@ -105,7 +102,7 @@ def build_rule(window, k, nodes_per_wavelength=DEFAULT_NODES_PER_WAVELENGTH):
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
     weights = (half[:, None] * ref_w[None, :]).ravel()
-    return QuadratureRule(nodes, weights, (a, b), panels, nodes_per_panel)
+    return QuadratureRule(nodes, weights, (a, b), nodes_per_panel)
 
 
 def inner_product(f, g, rule):
@@ -124,15 +121,15 @@ def norm(f, rule):
     return float(np.sqrt(np.sum(rule.weights * np.abs(fv) ** 2)))
 
 
-def support_window(states, tail_tol=DEFAULT_TAIL_TOL):
+def support_window(states):
     """Smallest interval holding every state center plus its Gaussian tail.
 
-    The half width per state is c*sqrt(hbar) with exp(-c**2/2) <= tail_tol.
+    The half width per state is c*sqrt(hbar) with exp(-c**2/2) = DEFAULT_TAIL_TOL.
     """
     states = list(states)
     if not states:
         raise ValueError("support_window needs at least one state")
-    c = math.sqrt(2.0 * math.log(1.0 / tail_tol))
+    c = math.sqrt(2.0 * math.log(1.0 / DEFAULT_TAIL_TOL))
     lo = min(s.x0 - c * math.sqrt(s.hbar) for s in states)
     hi = max(s.x0 + c * math.sqrt(s.hbar) for s in states)
     return (lo, hi)

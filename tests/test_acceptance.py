@@ -40,8 +40,15 @@ import math
 import numpy as np
 import pytest
 
-from gcshelm import analysis, assembly_solver, gaussian_states as gs, quadrature as quad, reference_fem
-from gcshelm.experiments import ExperimentConfig, ScalingStudy, _ReferenceCache, run_cell, scaling_study
+from gcshelm import analysis, gaussian_states as gs, quadrature as quad, reference_fem
+from gcshelm.experiments import (
+    ERROR_WINDOW,
+    ExperimentConfig,
+    ScalingStudy,
+    _ReferenceCache,
+    run_cell,
+    scaling_study,
+)
 from gcshelm.phase_space import LatticeSpec
 from gcshelm.problem_model import ProblemCase
 
@@ -55,7 +62,7 @@ def report(name, ok, detail):
 
 @pytest.fixture(scope="module")
 def fem_cache():
-    return _ReferenceCache(CONFIG.fem_x_end)
+    return _ReferenceCache()
 
 
 # -- paper-table cells ---------------------------------------------------------
@@ -71,7 +78,8 @@ def best_h1k_error(case, index_set, u_ref):
     2 * max(1, xi_max), as ``run_cell`` sizes it (10 nodes per period).  A
     least-squares projection on that rule bounds the cell's error from
     below.  It uses lstsq's own rank cutoff rather than the solver's, so
-    the floor belongs to the trial space alone.
+    the floor belongs to the trial space alone.  The columns, Psi_j and
+    Psi_j'/k, come from ``gs.state_blocks``, zero beyond 12 sqrt(hbar).
     Columns below 1e-16 of the largest (states centered far outside the
     window) lie under that cutoff and are dropped.  Returns the error and
     that cutoff, numpy's default rcond = eps * max(rows, columns), since the
@@ -80,15 +88,15 @@ def best_h1k_error(case, index_set, u_ref):
     k = case.k
     xi_max = float(np.max(np.abs(index_set.xi_array())))
     density = quad.nodes_per_wavelength(2.0 * max(1.0, xi_max))
-    rule = quad.build_rule(CONFIG.error_window, k, density)
-    states = assembly_solver.states_from_index_set(index_set)
+    rule = quad.build_rule(ERROR_WINDOW, k, density)
     root_w = np.sqrt(rule.weights)
-    basis = np.concatenate(
-        [
-            np.stack([root_w * gs.eval_derivative(s, 0, rule.nodes) for s in states], axis=1),
-            np.stack([root_w * gs.eval_derivative(s, 1, rule.nodes) / k for s in states], axis=1),
-        ]
-    )
+    basis = np.zeros((2, rule.nodes.size, len(index_set)), dtype=complex)
+    for order in (0, 1):
+        for rows, cols, block in gs.state_blocks(
+            index_set.lattice.hbar, index_set.x_array(), index_set.xi_array(), rule.nodes, order
+        ):
+            basis[order, rows, cols] = root_w[rows, None] * block / k**order
+    basis = basis.reshape(-1, len(index_set))
     norms = np.linalg.norm(basis, axis=0)
     basis = basis[:, norms > 1e-16 * norms.max()]
     value, derivative = u_ref
@@ -309,7 +317,7 @@ def test_criterion_7_gram_check_rejects_stretched_lattice():
 
 def test_criterion_8_fem_self_validation():
     case = ProblemCase.homogeneous(20)
-    sol = reference_fem.fem_solve(case, CONFIG.fem_x_end)
+    sol = reference_fem.fem_solve(case)
     exact = (lambda x: case.exact_solution(x, 0), lambda x: case.exact_solution(x, 1))
     err = analysis.h1k_error(
         (lambda x: sol(x, 0), lambda x: sol(x, 1)), exact, (-1, 1), 20, 60

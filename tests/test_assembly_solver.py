@@ -7,17 +7,14 @@ from gcshelm import assembly_solver as asm
 from gcshelm import gaussian_states as gs
 from gcshelm import quadrature as quad
 from gcshelm.experiments import ExperimentConfig, _ReferenceCache, run_cell
-from gcshelm.phase_space import IndexPair, IndexSet, LatticeSpec, build_symbol_set
+from gcshelm.phase_space import LatticeSpec, build_symbol_set
 from gcshelm.problem_model import ProblemCase
 
 
 def make_system(k=50.0, delta=0.5, density=64, case=None):
     case = case or ProblemCase.homogeneous(k)
     iset = build_symbol_set(LatticeSpec(1.0 / k), case.symbol, delta)
-    states = asm.states_from_index_set(iset)
-    lo, hi = quad.support_window(states)
-    rule = quad.build_rule((min(lo, -1.0), max(hi, 1.0)), k, density)
-    return asm.assemble(iset, case, rule), iset, case
+    return asm.assemble(iset, case, density), iset, case
 
 
 def coefficient_report(c):
@@ -26,10 +23,9 @@ def coefficient_report(c):
 
 
 def test_exact_representability_single_column():
-    system, iset, case = make_system()
+    system, _, _ = make_system()
     target = system.matrix[:, :1]
-    single = IndexSet(iset.members[:1], iset.lattice)
-    sub = asm.DesignSystem(target, target[:, 0].copy(), single, system.rule)
+    sub = asm.DesignSystem(target, target[:, 0].copy(), system.rule)
     report = asm.solve(sub)
     assert abs(report.coefficients[0] - 1.0) < 1e-8
     assert report.residual_norm < 1e-10
@@ -54,11 +50,10 @@ def test_gram_hermitian():
 
 
 def test_duplicate_column_rank_and_residual():
-    system, iset, _ = make_system()
+    system, _, _ = make_system()
     report = asm.solve(system)
     dup = np.concatenate([system.matrix, system.matrix[:, :1]], axis=1)
-    pad = IndexSet(iset.members, iset.lattice)
-    sub = asm.DesignSystem(dup, system.rhs, pad, system.rule)
+    sub = asm.DesignSystem(dup, system.rhs, system.rule)
     report2 = asm.solve(sub)
     assert report2.numerical_rank == report.numerical_rank
     assert abs(report2.residual_norm - report.residual_norm) < 1e-8
@@ -68,10 +63,7 @@ def test_orthonormal_columns_projection():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.normal(size=(40, 6)) + 1j * rng.normal(size=(40, 6)))
     b = rng.normal(size=40) + 1j * rng.normal(size=40)
-    spec = LatticeSpec(0.05)
-    idx = IndexSet(tuple(IndexPair(0, n) for n in range(6)), spec)
-    rule = quad.build_rule((0.0, 1.0), 20, 20)
-    sub = asm.DesignSystem(q, b, idx, rule)
+    sub = asm.DesignSystem(q, b, quad.build_rule((0.0, 1.0), 20, 20))
     report = asm.solve(sub)
     assert np.max(np.abs(report.coefficients - q.conj().T @ b)) < 1e-10
 
@@ -83,10 +75,7 @@ def test_normal_equation_optimality():
     v, _ = np.linalg.qr(rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)))
     a = u @ np.diag(np.logspace(0, -3, 30)) @ v.conj().T
     b = rng.normal(size=200) + 1j * rng.normal(size=200)
-    spec = LatticeSpec(0.05)
-    idx = IndexSet(tuple(IndexPair(0, n) for n in range(30)), spec)
-    rule = quad.build_rule((0.0, 1.0), 20, 20)
-    report = asm.solve(asm.DesignSystem(a, b, idx, rule))
+    report = asm.solve(asm.DesignSystem(a, b, quad.build_rule((0.0, 1.0), 20, 20)))
     lhs = np.linalg.norm(a.conj().T @ (a @ report.coefficients - b))
     assert lhs <= 1e-8 * np.linalg.norm(a.conj().T @ b)
 
@@ -101,16 +90,15 @@ def test_normal_equation_optimality():
 
 
 def test_monotone_residual_in_delta():
+    # each set gets its own window; outside it both the states and the
+    # source are below exp(-72), so the residuals compare as on one rule
     k = 50.0
     case = ProblemCase.homogeneous(k)
     spec = LatticeSpec(1.0 / k)
     small = build_symbol_set(spec, case.symbol, 0.5)
     large = build_symbol_set(spec, case.symbol, 1.0)
     assert {(p.m, p.n) for p in small} <= {(p.m, p.n) for p in large}
-    states = asm.states_from_index_set(large)
-    lo, hi = quad.support_window(states)
-    rule = quad.build_rule((min(lo, -1.0), max(hi, 1.0)), k, 64)
-    res = [asm.solve(asm.assemble(s, case, rule)).residual_norm for s in (small, large)]
+    res = [asm.solve(asm.assemble(s, case, 64)).residual_norm for s in (small, large)]
     assert res[1] <= res[0] + 1e-10
 
 
@@ -128,7 +116,7 @@ def test_quadrature_invariance_of_reconstruction_error(name, k, delta, err_tol, 
     # error 1.5e-7 and 2.5e-5).
     case = ProblemCase.from_name(name, k)
     config = ExperimentConfig()
-    cache = _ReferenceCache(config.fem_x_end)
+    cache = _ReferenceCache()
     new_record, new_report, _ = run_cell(case, delta, config, cache)
     monkeypatch.setattr(quad, "nodes_per_wavelength", lambda f: math.ceil(40.0 * (f / 2.0)))
     old_record, old_report, _ = run_cell(case, delta, config, cache)
@@ -176,22 +164,21 @@ def test_reconstruct_linearity_and_trivial_cases():
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(lhs))
 
 
-def test_assemble_window_coverage_check():
-    k = 50.0
-    case = ProblemCase.homogeneous(k)
-    iset = build_symbol_set(LatticeSpec(1.0 / k), case.symbol, 0.5)
-    narrow = quad.build_rule((-1.0, 1.0), k, 20)
-    with pytest.raises(ValueError, match="window"):
-        asm.assemble(iset, case, narrow)
+def test_assemble_window_holds_states_and_source():
+    # hom (20, 2.0) selects states in the PML, beyond the source support
+    case = ProblemCase.homogeneous(20.0)
+    iset = build_symbol_set(LatticeSpec(1.0 / 20.0), case.symbol, 2.0)
+    lo, hi = quad.support_window(asm.states_from_index_set(iset))
+    system = asm.assemble(iset, case, 20)
+    assert system.rule.window == (min(lo, -1.0), max(hi, 1.0))
+    assert system.rule.window[0] < -3.2 and system.rule.window[1] > 3.2
 
 
 def test_solve_validation():
     system, _, _ = make_system()
     with pytest.raises(ValueError):
         asm.solve(system, cutoff_rel=0.0)
-    zero = asm.DesignSystem(
-        np.zeros_like(system.matrix), system.rhs, system.column_index, system.rule
-    )
+    zero = asm.DesignSystem(np.zeros_like(system.matrix), system.rhs, system.rule)
     with pytest.raises(ValueError):
         asm.solve(zero)
 
@@ -272,9 +259,7 @@ def het6_cell():
 
 
 def synthetic_system(a, b):
-    spec = LatticeSpec(0.05)
-    idx = IndexSet(tuple(IndexPair(0, n) for n in range(a.shape[1])), spec)
-    return asm.DesignSystem(a, b, idx, quad.build_rule((0.0, 1.0), 20, 20))
+    return asm.DesignSystem(a, b, quad.build_rule((0.0, 1.0), 20, 20))
 
 
 def dense_system(padded):
@@ -326,7 +311,7 @@ def test_solve_matches_lstsq(name, request):
 def test_cell_error_matches_lstsq_solve(monkeypatch):
     case = ProblemCase.heterogeneous(50.0)
     config = ExperimentConfig()
-    cache = _ReferenceCache(config.fem_x_end)
+    cache = _ReferenceCache()
     banded, _, _ = run_cell(case, 6.0, config, cache)
     monkeypatch.setattr(asm, "solve", lstsq_solve)
     oracle, _, _ = run_cell(case, 6.0, config, cache)

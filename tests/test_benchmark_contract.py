@@ -1,18 +1,30 @@
-"""The benchmark's tracer patches gcshelm functions by name; they must exist."""
+"""The benchmark calls gcshelm by name and signature; both must hold.
+
+``perfbench/tracer.py`` patches gcshelm functions by name, and
+``perfbench/workloads.py`` calls them with the arguments its workloads use.
+"""
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from gcshelm import assembly_solver, gaussian_states
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = ("table-hom", "table-het", "scaling-hom", "diagnose")
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name, module_name):
+    spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load("tracer", "perfbench_tracer")
 
 
 def traced_names():
@@ -26,3 +38,19 @@ def test_tracer_patches_and_restores_every_traced_name():
     with tracer.SystemLog(), tracer.Tracer():
         assert all(now is not old for now, old in zip(traced_names(), originals))
     assert all(now is old for now, old in zip(traced_names(), originals))
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports the tracer as a top-level module named ``tracer``
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "tracer", load_tracer())
+        yield load("workloads", "perfbench_workloads")
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_warms_up_and_builds_its_operations(name, workloads):
+    # the warm-up calls every gcshelm entry point of a pass on small inputs
+    workload = workloads.make(name)
+    workload.warm_up()
+    assert all(callable(run) and callable(check) for _, run, check in workload.operations())

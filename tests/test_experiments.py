@@ -48,14 +48,12 @@ def test_error_monotone_in_delta():
     assert errs[1] <= errs[0] * 1.1 and errs[2] <= errs[1] * 1.1
 
 
-def test_emit_csv_roundtrip(tmp_path):
+def test_emit_csv_roundtrip():
     records = [
         ExperimentRecord(20.0, 2.0, 177, 2.2356e-05, 170),
         ExperimentRecord(50.0, 1.0, 229, 1.7831e-05, 210),
     ]
-    path = tmp_path / "out.csv"
-    text = emit(records, "csv", path)
-    assert path.read_text() == text
+    text = emit(records, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == "k,delta,ndofs,rel_h1k_error,rank"
     assert len(lines) == len(records) + 1
@@ -141,6 +139,15 @@ def test_cli_config_file_with_override(tmp_path):
     assert code == 0
     rows = parse_records_csv(out.read_text())
     assert [r.delta for r in rows] == [1.0]
+
+
+@pytest.mark.parametrize("key,value", [("error_window", [-1.0, 1.0]), ("fem_x_end", 3.5)])
+def test_cli_rejects_fixed_settings_in_config(key, value, tmp_path, capsys):
+    # the error window and the FEM truncation are constants, not settings
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"case": "homogeneous", "ks": [20.0], "deltas": [0.5], key: value}))
+    assert cli.main(["table", "--config", str(path)]) == 2
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
 def test_cli_error_exit(capsys):

@@ -97,20 +97,16 @@ def test_refinement_stability_of_gram_entries(name, k, delta, scale, converged):
     # A^H A of a table cell on the production rule moves by <= 1e-9 of its
     # largest entry against the rule at twice the frequency (1.9e-14 and
     # 2.6e-10 measured); at half the frequency it moves by more (3.9e-7, 1.0e-8)
-    from gcshelm.assembly_solver import assemble, states_from_index_set
+    from gcshelm.assembly_solver import assemble
     from gcshelm.phase_space import LatticeSpec, build_symbol_set
     from gcshelm.problem_model import ProblemCase
 
     case = ProblemCase.from_name(name, k)
     iset = build_symbol_set(LatticeSpec(1.0 / k), case.symbol, delta)
     frequency = 2.0 * max(1.0, np.abs(iset.xi_array()).max())
-    lo, hi = quad.support_window(states_from_index_set(iset))
-    flo, fhi = case.rhs_support()
-    window = (min(lo, flo), max(hi, fhi))
     grams = []
     for f in (scale * frequency, 2.0 * frequency):
-        rule = quad.build_rule(window, k, quad.nodes_per_wavelength(f))
-        system = assemble(iset, case, rule)
+        system = assemble(iset, case, quad.nodes_per_wavelength(f))
         grams.append(system.matrix.conj().T @ system.matrix)
     moved = np.abs(grams[0] - grams[1]).max() / np.abs(grams[1]).max()
     assert (moved <= 1e-9) == converged, moved
