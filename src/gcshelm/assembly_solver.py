@@ -12,17 +12,20 @@ numbers, on which LAPACK's SVD (``gelsd``) ran several times slower.
 and the source support, so no state or source mass above exp(-72) of its
 peak falls outside the rule.
 
-Index sets are sorted by position, so the design matrix is a staircase band:
-at heterogeneous (k, delta) = (100, 4) a row touches at most 368 of 985
+The matrix is never formed: ``assemble`` keeps only the blocks that
+``state_blocks`` yields, each scaled by sqrt(w_q), so storage grows with
+the number of nonzeros, not with Q x N (at heterogeneous (k, delta) =
+(100, 4), 1.81M of 6.88M entries).  Index sets are sorted by position, so
+the blocks form a staircase band: there a row touches at most 368 of 985
 columns.  The solve factorizes the matrix itself (never the normal matrix)
 in two steps.  A row-block streaming QR (TSQR; Demmel, Grigori, Hoemmen and
 Langou, SIAM J. Sci. Comput. 34, 2012) stacks the carried triangle on each
-block of [A | b], restricted to the columns that block can touch, and emits
-the rows of R whose columns no later block touches.  The column windows come
-from each column's first and last nonzero row; a matrix out of staircase
-order only widens them toward a dense blocked QR.  The N x N triangle R has
-A's singular values, and its truncated-SVD least-squares solve with the
-relative cutoff gives the rank and the minimum-norm solution of A.
+block of [A | b], filled from the state blocks that overlap its rows and
+restricted to the columns those rows can touch, and emits the rows of R
+whose columns no later block touches.  A column's first and last row are
+those of its state block.  The N x N triangle R has A's singular values,
+and its truncated-SVD least-squares solve with the relative cutoff gives
+the rank and the minimum-norm solution of A.
 
 The factorizations call ``numpy.linalg`` only.  numpy and scipy link
 separate OpenBLAS builds, each with its own thread pool.  On a 2-vCPU
@@ -39,12 +42,11 @@ import numpy as np
 
 from . import gaussian_states as gs
 from . import quadrature as quad
-from .phase_space import lattice_point
 
 __all__ = [
+    "BlockMatrix",
     "DesignSystem",
     "SolveReport",
-    "states_from_index_set",
     "assemble",
     "solve",
     "reconstruct",
@@ -59,10 +61,33 @@ _BLOCK_MIN = 1024
 
 
 @dataclass(frozen=True)
-class DesignSystem:
-    """Dense complex least-squares system A c ~ b with quadrature metadata."""
+class BlockMatrix:
+    """A Q x N matrix held as its blocks ``(rows, cols, block)``; zero elsewhere.
 
-    matrix: np.ndarray
+    ``rows`` and ``cols`` are slices.  The column runs are disjoint and in
+    increasing order, and the row starts and stops never decrease, as
+    ``state_blocks`` yields them for an index set sorted by position.
+    """
+
+    shape: tuple
+    blocks: tuple
+
+    def __post_init__(self):
+        rows = np.array([(r.start, r.stop) for r, _, _ in self.blocks], dtype=int).reshape(-1, 2)
+        cols = np.array([(c.start, c.stop) for _, c, _ in self.blocks], dtype=int).reshape(-1, 2)
+        if np.any(np.diff(rows, axis=0) < 0) or np.any(cols[1:, 0] < cols[:-1, 1]):
+            raise ValueError("blocks must run down the rows over disjoint, increasing columns")
+        if np.any(rows[:, 0] >= rows[:, 1]) or np.any(rows[:, 1] > self.shape[0]):
+            raise ValueError("block rows must be nonempty and inside the matrix")
+        if np.any(cols[:, 0] >= cols[:, 1]) or np.any(cols[:, 1] > self.shape[1]):
+            raise ValueError("block columns must be nonempty and inside the matrix")
+
+
+@dataclass(frozen=True)
+class DesignSystem:
+    """Complex least-squares system A c ~ b, A held as blocks, with its quadrature rule."""
+
+    matrix: BlockMatrix
     rhs: np.ndarray
     rule: quad.QuadratureRule
 
@@ -70,7 +95,7 @@ class DesignSystem:
         q, n = self.matrix.shape
         if q < n:
             raise ValueError("system must have at least as many rows as columns")
-        if not np.all(np.isfinite(self.matrix)):
+        if not all(np.all(np.isfinite(block)) for _, _, block in self.matrix.blocks):
             raise ValueError("non-finite design matrix entries")
 
 
@@ -92,15 +117,6 @@ class SolveReport:
     sigma_dropped_max: float
 
 
-def states_from_index_set(index_set):
-    """Coherent states sitting at the lattice points of an index set."""
-    spec = index_set.lattice
-    return [
-        gs.CoherentState(spec.hbar, lattice_point(p.m, spec), lattice_point(p.n, spec))
-        for p in index_set.members
-    ]
-
-
 def assemble(index_set, case, nodes_per_wavelength):
     """Sample P_k Psi_j and the source on a rule built for them.
 
@@ -114,11 +130,12 @@ def assemble(index_set, case, nodes_per_wavelength):
     window = (min(x0.min() - reach, flo), max(x0.max() + reach, fhi))
     rule = quad.build_rule(window, case.k, nodes_per_wavelength)
     root_w = np.sqrt(rule.weights)
-    matrix = np.zeros((len(rule), len(index_set)), dtype=complex)
-    for rows, cols, block in _blocks(index_set, rule.nodes, op=case.operator()):
-        matrix[rows, cols] = root_w[rows, None] * block
+    blocks = tuple(
+        (rows, cols, root_w[rows, None] * block)
+        for rows, cols, block in _blocks(index_set, rule.nodes, op=case.operator())
+    )
     rhs = root_w * case.rhs(rule.nodes)
-    return DesignSystem(matrix, rhs, rule)
+    return DesignSystem(BlockMatrix((len(rule), len(index_set)), blocks), rhs, rule)
 
 
 def solve(system, cutoff_rel=DEFAULT_CUTOFF):
@@ -128,7 +145,7 @@ def solve(system, cutoff_rel=DEFAULT_CUTOFF):
     a = system.matrix
     r, qhb = _banded_qr(a, system.rhs)
     coeff, _, rank, sigma = np.linalg.lstsq(r, qhb, rcond=cutoff_rel)
-    residual = float(np.linalg.norm(a @ coeff - system.rhs))
+    residual = float(np.linalg.norm(_block_product(a.blocks, coeff, a.shape[0]) - system.rhs))
     dropped = float(sigma[rank]) if rank < sigma.size else 0.0
     return SolveReport(
         coeff, int(rank), float(cutoff_rel), residual,
@@ -139,14 +156,12 @@ def solve(system, cutoff_rel=DEFAULT_CUTOFF):
 def _banded_qr(a, b):
     """The N x N triangle R of a = Q R and Q^H b, from row blocks of [a | b]."""
     q, n = a.shape
-    nonzero = a != 0
-    touched = nonzero.any(axis=0)
-    if not touched.any():
+    blocks = a.blocks
+    if not any(block.any() for _, _, block in blocks):
         raise ValueError("design matrix is identically zero")
-    # each touched column's first and last nonzero row
-    cols = np.flatnonzero(touched)
-    first = nonzero.argmax(axis=0)[cols]
-    last = q - 1 - nonzero[::-1].argmax(axis=0)[cols]
+    cols, first, last = _column_rows(blocks)
+    starts = np.array([rows.start for rows, _, _ in blocks])
+    stops = np.array([rows.stop for rows, _, _ in blocks])
     # reached[r]: one past the last column that rows < r touch;
     # needed[r]: the first column that rows >= r touch, n if none
     top = np.full(q, -1)
@@ -157,14 +172,14 @@ def _banded_qr(a, b):
     needed = np.minimum.accumulate(bottom[::-1])[::-1]
     # band: the most column spans that cover one row
     band = np.cumsum(np.bincount(first, minlength=q + 1) - np.bincount(last + 1, minlength=q + 1))
-    block = max(_BLOCK_PER_BAND * int(band.max()), _BLOCK_MIN)
+    step = max(_BLOCK_PER_BAND * int(band.max()), _BLOCK_MIN)
 
     r = np.zeros((n, n), dtype=complex)
     qhb = np.zeros(n, dtype=complex)
     carry = np.zeros((0, 1), dtype=complex)
     lo = 0
-    for r0 in range(0, q, block):
-        r1 = min(r0 + block, q)
+    for r0 in range(0, q, step):
+        r1 = min(r0 + step, q)
         # rows of R for columns below `done` are final: no later row touches them
         done = needed[r1]
         hi = max(reached[r1], done)
@@ -172,7 +187,13 @@ def _banded_qr(a, b):
         stacked = np.zeros((held + r1 - r0, hi - lo + 1), dtype=complex)
         stacked[:held, : carry.shape[1] - 1] = carry[:, :-1]
         stacked[:held, -1] = carry[:, -1]
-        stacked[held:, :-1] = a[r0:r1, lo:hi]
+        # the blocks that overlap rows [r0, r1): stops > r0 and starts < r1
+        overlap = slice(np.searchsorted(stops, r0, side="right"), np.searchsorted(starts, r1))
+        for rows, cols, block in blocks[overlap]:
+            i0, i1 = max(rows.start, r0), min(rows.stop, r1)
+            stacked[held + i0 - r0 : held + i1 - r0, cols.start - lo : cols.stop - lo] = (
+                block[i0 - rows.start : i1 - rows.start]
+            )
         stacked[held:, -1] = b[r0:r1]
         tri = np.linalg.qr(stacked, mode="r")
         emit = min(done - lo, tri.shape[0])
@@ -183,18 +204,34 @@ def _banded_qr(a, b):
     return r, qhb
 
 
+def _column_rows(blocks):
+    """The columns the blocks cover, with each one's first and last row: its block's."""
+    widths = [c.stop - c.start for _, c, _ in blocks]
+    cols = np.concatenate([np.arange(c.start, c.stop) for _, c, _ in blocks])
+    first = np.repeat([rows.start for rows, _, _ in blocks], widths)
+    last = np.repeat([rows.stop - 1 for rows, _, _ in blocks], widths)
+    return cols, first, last
+
+
 def reconstruct(report, index_set, x, derivative_order=0):
     """Evaluate the solved combination sum_j c_j d^order Psi_j at x."""
     if not 0 <= derivative_order <= 1:
         raise ValueError("derivative order must lie in [0, 1]")
     xv = np.asarray(x, dtype=float)
     perm = np.argsort(xv, axis=None)
-    values = np.zeros(xv.size, dtype=complex)
-    for rows, cols, block in _blocks(index_set, xv.ravel()[perm], order=derivative_order):
-        values[rows] += block @ report.coefficients[cols]
+    blocks = _blocks(index_set, xv.ravel()[perm], order=derivative_order)
+    values = _block_product(blocks, report.coefficients, xv.size)
     out = np.empty_like(values)
     out[perm] = values
     return out.reshape(xv.shape) if xv.ndim else complex(out[0])
+
+
+def _block_product(blocks, c, size):
+    """sum over blocks of block @ c[cols], placed at rows: the product A c."""
+    values = np.zeros(size, dtype=complex)
+    for rows, cols, block in blocks:
+        values[rows] += block @ c[cols]
+    return values
 
 
 def _blocks(index_set, nodes, order=0, op=None):

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 __all__ = ["FemMesh", "FemSolution", "fem_solve", "fem_eval", "DEFAULT_X_END"]
 
@@ -128,6 +127,9 @@ def fem_solve(case, x_end=DEFAULT_X_END, h=None):
         ab[:, dof] = 0.0  # column
         ab[bw, dof] = 1.0
         rhs[dof] = 0.0
+
+    # scipy.linalg takes most of the time of ``import gcshelm``; only this solve needs it
+    from scipy.linalg import solve_banded
 
     values = solve_banded((bw, bw), ab, rhs)
     if not np.all(np.isfinite(values)):

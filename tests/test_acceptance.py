@@ -32,7 +32,10 @@ spaces need at least k).  Only that side is checked, with a 0.15 margin.
 The measured pass rests on ndofs falling with k (769 -> 368 over
 k = 50..400, delta slope -1.5); the data show no k^(1/2) regime, so the
 pass is not evidence of the rate itself.  The one-sided reading holds until
-the paper's theorem statement is in the repository.
+the paper's theorem statement is in the repository.  A second check, next
+to it, tests the law on both sides along delta = c k^(-1/2) up to k = 1600:
+there ndofs must grow as k^(1/2) (within 0.15) while the error does not
+grow with k.
 """
 
 import math
@@ -199,6 +202,64 @@ def test_criterion_3_verdict_rejects_polynomial_rate():
     semiclassical = _synthetic_study(ks, 30.0 * np.sqrt(ks), 20.0 / np.sqrt(ks))
     assert not dof_law_holds(polynomial)
     assert dof_law_holds(semiclassical)
+
+
+# -- criterion 3, both sides: N at delta = c k^(-1/2) ------------------------
+
+# c = 0.336 * sqrt(400): delta at criterion 3's k=400 hit (0.336359 on its
+# grid, 0.336 in the benchmark table), carried to every k as c k^(-1/2)
+DOF_LAW_C = 6.72
+DOF_LAW_KS = (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0)
+DOF_LAW_FIT_FROM = 100.0  # k=50 sits below the k^(1/2) regime (N 194 vs 208)
+ERROR_SLOPE_MAX = 0.15
+
+
+def dof_law_slopes(ks, ndofs, errors):
+    """Log-log slopes of N and of the error over k >= DOF_LAW_FIT_FROM."""
+    ks = np.asarray(ks, dtype=float)
+    fit = ks >= DOF_LAW_FIT_FROM
+    log_k = np.log(ks[fit])
+    n_slope = float(np.polyfit(log_k, np.log(np.asarray(ndofs, dtype=float)[fit]), 1)[0])
+    e_slope = float(np.polyfit(log_k, np.log(np.asarray(errors)[fit]), 1)[0])
+    return n_slope, e_slope
+
+
+def two_sided_dof_law_holds(n_slope, e_slope):
+    """N grows as k^(1/2) within SLOPE_MARGIN and the error does not grow with k."""
+    return abs(n_slope - 0.5) <= SLOPE_MARGIN and e_slope <= ERROR_SLOPE_MAX
+
+
+def test_criterion_3_two_sided_dof_law():
+    ndofs, errors, inside = [], [], []
+    for k in DOF_LAW_KS:
+        record, _, index_set = run_cell(
+            ProblemCase.homogeneous(k), DOF_LAW_C / math.sqrt(k), CONFIG
+        )
+        ndofs.append(record.ndofs)
+        errors.append(record.rel_h1k_error)
+        inside.append(int(np.count_nonzero(np.abs(index_set.x_array()) <= 1.0)))
+    n_slope, e_slope = dof_law_slopes(DOF_LAW_KS, ndofs, errors)
+    report(
+        "criterion 3 (two-sided)",
+        two_sided_dof_law_holds(n_slope, e_slope),
+        f"delta={DOF_LAW_C}*k^(-1/2), k={DOF_LAW_KS[0]:g}..{DOF_LAW_KS[-1]:g}: "
+        f"ndofs={tuple(ndofs)} (|x_m| <= 1: {tuple(inside)}), "
+        f"errors=({', '.join(f'{e:.3e}' for e in errors)}); over k >= {DOF_LAW_FIT_FROM:g}: "
+        f"ndofs slope={n_slope:.3f} (want 0.5 +- {SLOPE_MARGIN}), "
+        f"error slope={e_slope:.3f} (want <= {ERROR_SLOPE_MAX})",
+    )
+
+
+def test_criterion_3_two_sided_verdict_fails_both_ways():
+    ks = np.array(DOF_LAW_KS)
+    falling = 1e-3 * (ks / 50.0) ** -2.0
+    # N ~ k^(1/2) with a falling error passes
+    assert two_sided_dof_law_holds(*dof_law_slopes(ks, 20.0 * np.sqrt(ks), falling))
+    # delta held fixed: the sublevel set's area is fixed, so N ~ k
+    assert not two_sided_dof_law_holds(*dof_law_slopes(ks, 4.0 * ks, falling))
+    # N ~ k^(1/2), but the error grows with k
+    growing = 1e-5 * (ks / 50.0) ** 0.5
+    assert not two_sided_dof_law_holds(*dof_law_slopes(ks, 20.0 * np.sqrt(ks), growing))
 
 
 # -- criterion 4: residual scaling ------------------------------------------

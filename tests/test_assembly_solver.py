@@ -10,6 +10,8 @@ from gcshelm.experiments import ExperimentConfig, _ReferenceCache, run_cell
 from gcshelm.phase_space import LatticeSpec, build_symbol_set
 from gcshelm.problem_model import ProblemCase
 
+from helpers import dense, one_block, states_from_index_set
+
 
 def make_system(k=50.0, delta=0.5, density=64, case=None):
     case = case or ProblemCase.homogeneous(k)
@@ -24,8 +26,8 @@ def coefficient_report(c):
 
 def test_exact_representability_single_column():
     system, _, _ = make_system()
-    target = system.matrix[:, :1]
-    sub = asm.DesignSystem(target, target[:, 0].copy(), system.rule)
+    target = dense(system.matrix)[:, :1]
+    sub = asm.DesignSystem(one_block(target), target[:, 0].copy(), system.rule)
     report = asm.solve(sub)
     assert abs(report.coefficients[0] - 1.0) < 1e-8
     assert report.residual_norm < 1e-10
@@ -33,9 +35,9 @@ def test_exact_representability_single_column():
 
 def test_gram_diagonal_matches_independent_quadrature():
     system, iset, case = make_system(density=64)
-    gram_diag = np.real(np.sum(np.abs(system.matrix) ** 2, axis=0))
+    gram_diag = np.real(np.sum(np.abs(dense(system.matrix)) ** 2, axis=0))
     op = case.operator()
-    states = asm.states_from_index_set(iset)
+    states = states_from_index_set(iset)
     fine = quad.build_rule(system.rule.window, case.k, 96)
     for j in (0, len(states) // 2, len(states) - 1):
         direct = quad.norm(lambda x: gs.apply_operator(states[j], op, x), fine) ** 2
@@ -44,7 +46,8 @@ def test_gram_diagonal_matches_independent_quadrature():
 
 def test_gram_hermitian():
     system, _, _ = make_system()
-    gram = system.matrix.conj().T @ system.matrix
+    a = dense(system.matrix)
+    gram = a.conj().T @ a
     assert np.array_equal(gram, gram)  # finite
     assert np.max(np.abs(gram - gram.conj().T)) == 0.0
 
@@ -52,8 +55,9 @@ def test_gram_hermitian():
 def test_duplicate_column_rank_and_residual():
     system, _, _ = make_system()
     report = asm.solve(system)
-    dup = np.concatenate([system.matrix, system.matrix[:, :1]], axis=1)
-    sub = asm.DesignSystem(dup, system.rhs, system.rule)
+    a = dense(system.matrix)
+    dup = np.concatenate([a, a[:, :1]], axis=1)
+    sub = asm.DesignSystem(one_block(dup), system.rhs, system.rule)
     report2 = asm.solve(sub)
     assert report2.numerical_rank == report.numerical_rank
     assert abs(report2.residual_norm - report.residual_norm) < 1e-8
@@ -63,7 +67,7 @@ def test_orthonormal_columns_projection():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.normal(size=(40, 6)) + 1j * rng.normal(size=(40, 6)))
     b = rng.normal(size=40) + 1j * rng.normal(size=40)
-    sub = asm.DesignSystem(q, b, quad.build_rule((0.0, 1.0), 20, 20))
+    sub = asm.DesignSystem(one_block(q), b, quad.build_rule((0.0, 1.0), 20, 20))
     report = asm.solve(sub)
     assert np.max(np.abs(report.coefficients - q.conj().T @ b)) < 1e-10
 
@@ -75,7 +79,7 @@ def test_normal_equation_optimality():
     v, _ = np.linalg.qr(rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)))
     a = u @ np.diag(np.logspace(0, -3, 30)) @ v.conj().T
     b = rng.normal(size=200) + 1j * rng.normal(size=200)
-    report = asm.solve(asm.DesignSystem(a, b, quad.build_rule((0.0, 1.0), 20, 20)))
+    report = asm.solve(asm.DesignSystem(one_block(a), b, quad.build_rule((0.0, 1.0), 20, 20)))
     lhs = np.linalg.norm(a.conj().T @ (a @ report.coefficients - b))
     assert lhs <= 1e-8 * np.linalg.norm(a.conj().T @ b)
 
@@ -83,9 +87,10 @@ def test_normal_equation_optimality():
     # only meaningful within the revealed-rank subspace
     system, _, _ = make_system(k=50.0, delta=1.0)
     report_d = asm.solve(system)
-    u2, s2, _ = np.linalg.svd(system.matrix, full_matrices=False)
+    a_d = dense(system.matrix)
+    u2, s2, _ = np.linalg.svd(a_d, full_matrices=False)
     kept = u2[:, s2 > report_d.truncation_cutoff * s2[0]]
-    resid = system.matrix @ report_d.coefficients - system.rhs
+    resid = a_d @ report_d.coefficients - system.rhs
     assert np.linalg.norm(kept.conj().T @ resid) <= 1e-6 * np.linalg.norm(system.rhs)
 
 
@@ -130,7 +135,8 @@ def test_quadrature_invariance_of_reconstruction_error(name, k, delta, err_tol, 
 
 def test_near_bandedness_at_k100():
     system, iset, _ = make_system(k=100.0, delta=0.8, density=64)
-    gram = system.matrix.conj().T @ system.matrix
+    a = dense(system.matrix)
+    gram = a.conj().T @ a
     m = iset.m_array()
     n = iset.n_array()
     dist = np.hypot(m[:, None] - m[None, :], n[:, None] - n[None, :])
@@ -150,7 +156,7 @@ def test_reconstruct_linearity_and_trivial_cases():
     unit = np.zeros_like(report.coefficients)
     unit[3] = 1.0
     one = coefficient_report(unit)
-    state = asm.states_from_index_set(iset)[3]
+    state = states_from_index_set(iset)[3]
     assert np.allclose(asm.reconstruct(one, iset, x, 1), gs.eval_derivative(state, 1, x))
 
     rng = np.random.default_rng(11)
@@ -168,7 +174,7 @@ def test_assemble_window_holds_states_and_source():
     # hom (20, 2.0) selects states in the PML, beyond the source support
     case = ProblemCase.homogeneous(20.0)
     iset = build_symbol_set(LatticeSpec(1.0 / 20.0), case.symbol, 2.0)
-    lo, hi = quad.support_window(asm.states_from_index_set(iset))
+    lo, hi = quad.support_window(states_from_index_set(iset))
     system = asm.assemble(iset, case, 20)
     assert system.rule.window == (min(lo, -1.0), max(hi, 1.0))
     assert system.rule.window[0] < -3.2 and system.rule.window[1] > 3.2
@@ -178,9 +184,10 @@ def test_solve_validation():
     system, _, _ = make_system()
     with pytest.raises(ValueError):
         asm.solve(system, cutoff_rel=0.0)
-    zero = asm.DesignSystem(np.zeros_like(system.matrix), system.rhs, system.rule)
-    with pytest.raises(ValueError):
-        asm.solve(zero)
+    shape = system.matrix.shape
+    for matrix in (one_block(np.zeros(shape)), asm.BlockMatrix(shape, ())):
+        with pytest.raises(ValueError, match="identically zero"):
+            asm.solve(asm.DesignSystem(matrix, system.rhs, system.rule))
 
 
 # -- the windowed state kernel against the per-state reference -----------------
@@ -210,11 +217,11 @@ def test_assemble_matches_per_state_columns(het_cell):
     op = ProblemCase.heterogeneous(50.0).operator()
     root_w = np.sqrt(rule.weights)
     loop = np.stack(
-        [root_w * gs.apply_operator(s, op, rule.nodes) for s in asm.states_from_index_set(iset)],
+        [root_w * gs.apply_operator(s, op, rule.nodes) for s in states_from_index_set(iset)],
         axis=1,
     )
     scale = np.abs(loop).max()
-    assert np.abs(system.matrix - loop).max() <= 1e-12 * scale
+    assert np.abs(dense(system.matrix) - loop).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("order", [0, 1])
@@ -223,7 +230,7 @@ def test_reconstruct_matches_per_state_sum(order):
     rng = np.random.default_rng(5)
     c = rng.normal(size=len(iset)) + 1j * rng.normal(size=len(iset))
     report = coefficient_report(c)
-    states = asm.states_from_index_set(iset)
+    states = states_from_index_set(iset)
 
     def reference(x):
         return sum(cj * gs.eval_derivative(s, order, x) for cj, s in zip(c, states))
@@ -241,7 +248,7 @@ def test_design_matrix_window_and_no_subnormals(cell, het_cell, hom_cell):
     # Gaussian tails underflow to subnormal numbers, on which gelsd ran several
     # times slower; the kernel leaves them exactly zero outside 12 sqrt(hbar).
     system, iset = het_cell if cell == "heterogeneous" else hom_cell
-    a = system.matrix
+    a = dense(system.matrix)
     tiny = np.finfo(float).tiny
     for part in (a.real, a.imag):
         assert not np.any((np.abs(part) > 0.0) & (np.abs(part) < tiny))
@@ -259,7 +266,7 @@ def het6_cell():
 
 
 def synthetic_system(a, b):
-    return asm.DesignSystem(a, b, quad.build_rule((0.0, 1.0), 20, 20))
+    return asm.DesignSystem(one_block(a), b, quad.build_rule((0.0, 1.0), 20, 20))
 
 
 def dense_system(padded):
@@ -274,7 +281,7 @@ def dense_system(padded):
 
 def lstsq_solve(system, cutoff_rel=asm.DEFAULT_CUTOFF):
     """The solve before the banded QR: gelsd on the whole Q x N matrix."""
-    a, b = system.matrix, system.rhs
+    a, b = dense(system.matrix), system.rhs
     coeff, _, rank, sigma = np.linalg.lstsq(a, b, rcond=cutoff_rel)
     dropped = float(sigma[rank]) if rank < sigma.size else 0.0
     residual = float(np.linalg.norm(a @ coeff - b))
@@ -297,10 +304,10 @@ EQUIVALENCE_CASES = {
 def test_solve_matches_lstsq(name, request):
     build, rank = EQUIVALENCE_CASES[name]
     system = build(request)
-    before = system.matrix.copy()
+    before = dense(system.matrix)
     report = asm.solve(system)
     oracle = lstsq_solve(system)
-    assert np.array_equal(system.matrix, before)
+    assert np.array_equal(dense(system.matrix), before)
     assert report.numerical_rank == oracle.numerical_rank == rank
     assert abs(report.residual_norm - oracle.residual_norm) <= 1e-6 * oracle.residual_norm
     if rank == system.matrix.shape[1]:
@@ -343,10 +350,49 @@ def test_design_matrix_is_a_staircase_band(hom_cell):
     # the solve streams rows over a column window; the window stays narrow
     # only because index sets are sorted by position
     system, iset = hom_cell
-    a = system.matrix
+    a = dense(system.matrix)
     first = (a != 0).argmax(axis=0)
     assert np.all(np.diff(iset.x_array()) >= 0.0)
     assert np.all(np.diff(first) >= 0)
     assert a.shape[1] == 364 and np.count_nonzero(a, axis=1).max() == 112
     shuffled = np.random.default_rng(2).permutation(a.shape[1])
     assert np.any(np.diff(first[shuffled]) < 0)
+
+
+# -- the design matrix held as its state blocks --------------------------------
+
+
+@pytest.mark.parametrize("cell", ["hom-400-0.336", "het-50-6"])
+def test_block_rows_match_the_nonzero_scan(cell, hom_cell, het6_cell):
+    # the QR takes each column's first and last row from its block's slice;
+    # they equal a scan of the dense matrix, so its windows, and with them
+    # R and Q^H b, are those of a scan
+    system, _ = hom_cell if cell == "hom-400-0.336" else het6_cell
+    nonzero = dense(system.matrix) != 0
+    q = nonzero.shape[0]
+    cols, first, last = asm._column_rows(system.matrix.blocks)
+    assert np.array_equal(cols, np.flatnonzero(nonzero.any(axis=0)))
+    assert np.array_equal(first, nonzero.argmax(axis=0)[cols])
+    assert np.array_equal(last, q - 1 - nonzero[::-1].argmax(axis=0)[cols])
+
+
+@pytest.mark.parametrize("cell", ["hom-400-0.336", "het-50-6"])
+def test_blocks_store_only_the_nonzeros(cell, hom_cell, het6_cell):
+    system, _ = hom_cell if cell == "hom-400-0.336" else het6_cell
+    q, n = system.matrix.shape
+    stored = sum(block.size for _, _, block in system.matrix.blocks)
+    assert stored == np.count_nonzero(dense(system.matrix))
+    assert stored <= 0.35 * q * n
+
+
+def test_block_matrix_rejects_blocks_out_of_order():
+    a = np.ones((4, 1))
+    down = (slice(0, 2), slice(0, 1), a[:2])
+    up = (slice(1, 3), slice(1, 2), a[:2])
+    asm.BlockMatrix((4, 2), (down, up))
+    with pytest.raises(ValueError):
+        asm.BlockMatrix((4, 2), (up, down))  # columns decrease
+    with pytest.raises(ValueError):
+        asm.BlockMatrix((4, 2), ((slice(2, 4), slice(0, 1), a[:2]), up))  # rows go back up
+    with pytest.raises(ValueError):
+        asm.BlockMatrix((2, 2), (down, up))  # rows past the matrix

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from gcshelm import assembly_solver, gaussian_states
+from gcshelm import assembly_solver, experiments, gaussian_states
+from gcshelm.problem_model import ProblemCase
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = ("table-hom", "table-het", "scaling-hom", "diagnose")
@@ -38,6 +39,25 @@ def test_tracer_patches_and_restores_every_traced_name():
     with tracer.SystemLog(), tracer.Tracer():
         assert all(now is not old for now, old in zip(traced_names(), originals))
     assert all(now is old for now, old in zip(traced_names(), originals))
+
+
+def test_system_log_records_each_assembled_size(monkeypatch):
+    # the runner prints every cell's sizes from system.matrix.shape; a design
+    # matrix without it would fail every benchmark operation, not a test
+    built = []
+    assemble = assembly_solver.assemble
+
+    def keep(*args):
+        built.append(assemble(*args))
+        return built[-1]
+
+    monkeypatch.setattr(assembly_solver, "assemble", keep)
+    with load_tracer().SystemLog() as log:
+        _, _, index_set = experiments.run_cell(
+            ProblemCase.homogeneous(20.0), 2.0, experiments.ExperimentConfig()
+        )
+    rule = built[0].rule
+    assert log.systems == [(len(rule), len(index_set), rule.nodes_per_panel)]
 
 
 @pytest.fixture(scope="module")

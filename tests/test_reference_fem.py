@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gcshelm
 from gcshelm import analysis, reference_fem as fem
 from gcshelm.problem_model import ProblemCase
 
@@ -126,3 +131,17 @@ def test_fem_solve_validation():
     case = ProblemCase.homogeneous(20)
     with pytest.raises(ValueError):
         fem.fem_solve(case, 0.5)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg takes most of the import time, and only fem_solve needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gcshelm.__file__)))
+    code = "import sys, gcshelm; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
