@@ -27,7 +27,7 @@ from .problem_model import (
     cutoff_phi,
     mu_heterogeneous,
 )
-from .quadrature import QuadratureRule, build_rule, inner_product, nodes_per_wavelength
+from .quadrature import QuadratureRule, build_rule, nodes_per_wavelength
 from .assembly_solver import DesignSystem, SolveReport, assemble, solve, reconstruct
 from .reference_fem import FemMesh, FemSolution, fem_solve, fem_eval
 from .analysis import ErrorReport, FrameDiagnostics, h1k_error, frame_bounds

@@ -55,7 +55,11 @@ def _build_parser():
     p_diag = sub.add_parser("diagnose", help="frame and decay diagnostics")
     p_diag.add_argument("--hbar", type=_float_list, default=(0.05, 0.01))
     p_diag.add_argument(
-        "--box", type=int, default=25, help="frame-operator box half width in lattice steps"
+        "--box",
+        type=int,
+        default=25,
+        help="sizes the dual-frame Gram box, half width min(12, box) in lattice steps; "
+        "the frame bounds are exact and need no box",
     )
     p_diag.add_argument("--out", help="output file path")
     return parser
@@ -95,10 +99,10 @@ def _write(text, path, what):
 def _run_diagnose(args):
     if not args.hbar:
         raise ValueError("diagnose needs at least one --hbar")
-    # The frame bounds and the dual frame read only the hbar-free lattice
-    # Gram, so they are computed once for every hbar.
+    # The frame bounds and the dual frame are hbar-free in lattice units, so
+    # they are computed once for every hbar.
     spec = LatticeSpec(args.hbar[0])
-    fb = analysis.frame_bounds(spec, box_half_width=args.box)
+    fb = analysis.frame_bounds(spec)
     pairs, coeffs, residual = analysis.dual_frame_coefficients(
         spec, (0, 0), box_half_width=min(12, args.box)
     )

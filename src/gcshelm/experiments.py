@@ -9,8 +9,6 @@ follows from the index set, ``assembly_solver.assemble`` places the rule's
 window, and the FEM reference is truncated at ``reference_fem.DEFAULT_X_END``.
 """
 
-import csv
-import io
 import json
 from dataclasses import asdict, dataclass
 
@@ -217,20 +215,3 @@ def emit(records, fmt="csv"):
         rows = [{**asdict(r), "rel_h1k_error": float(f"{r.rel_h1k_error:.4e}")} for r in records]
         return json.dumps(rows, indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def parse_records_csv(text):
-    """Inverse of emit(..., 'csv'), used by round-trip checks."""
-    reader = csv.DictReader(io.StringIO(text))
-    out = []
-    for row in reader:
-        out.append(
-            ExperimentRecord(
-                float(row["k"]),
-                float(row["delta"]),
-                int(row["ndofs"]),
-                float(row["rel_h1k_error"]),
-                int(row["rank"]),
-            )
-        )
-    return out

@@ -1,14 +1,13 @@
 """Composite Gauss-Legendre quadrature tuned to oscillatory Gaussian integrands.
 
 Its nodes and weights discretize every L2 integral: the design system, whose
-columns come from ``gaussian_states.state_blocks``, the error norms, the
-plane-wave probe, and the ``inner_product`` and ``norm`` oracles of the tests.
-Panels are half a wavelength (2*pi/k) wide, so the requested node density per
-wavelength translates directly into nodes per panel.  The table cells and the
-plane-wave probe size their rules with ``nodes_per_wavelength``: 10 nodes per
-period of the integrand's fastest oscillation.  Ten Gauss-Legendre nodes
-integrate exp(1j*w*x) over one period 2*pi/w to 5e-15 absolute; five leave
-3e-5.
+columns come from ``gaussian_states.state_blocks``, the error norms and the
+plane-wave probe.  Panels are half a wavelength (2*pi/k) wide, so the
+requested node density per wavelength translates directly into nodes per
+panel.  The table cells and the plane-wave probe size their rules with
+``nodes_per_wavelength``: 10 nodes per period of the integrand's fastest
+oscillation.  Ten Gauss-Legendre nodes integrate exp(1j*w*x) over one
+period 2*pi/w to 5e-15 absolute; five leave 3e-5.
 """
 
 import math
@@ -19,9 +18,6 @@ import numpy as np
 __all__ = [
     "QuadratureRule",
     "build_rule",
-    "inner_product",
-    "norm",
-    "support_window",
     "nodes_per_wavelength",
     "DEFAULT_NODES_PER_WAVELENGTH",
     "DEFAULT_TAIL_TOL",
@@ -103,33 +99,3 @@ def build_rule(window, k, nodes_per_wavelength=DEFAULT_NODES_PER_WAVELENGTH):
     nodes = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
     weights = (half[:, None] * ref_w[None, :]).ravel()
     return QuadratureRule(nodes, weights, (a, b), nodes_per_panel)
-
-
-def inner_product(f, g, rule):
-    """L2 inner product (f, g) = int f conj(g) over the rule's window.
-
-    ``f`` and ``g`` are vectorized callables.
-    """
-    fv = np.asarray(f(rule.nodes))
-    gv = np.asarray(g(rule.nodes))
-    return complex(np.sum(rule.weights * fv * np.conj(gv)))
-
-
-def norm(f, rule):
-    """L2 norm of a vectorized callable over the rule's window."""
-    fv = np.asarray(f(rule.nodes))
-    return float(np.sqrt(np.sum(rule.weights * np.abs(fv) ** 2)))
-
-
-def support_window(states):
-    """Smallest interval holding every state center plus its Gaussian tail.
-
-    The half width per state is c*sqrt(hbar) with exp(-c**2/2) = DEFAULT_TAIL_TOL.
-    """
-    states = list(states)
-    if not states:
-        raise ValueError("support_window needs at least one state")
-    c = math.sqrt(2.0 * math.log(1.0 / DEFAULT_TAIL_TOL))
-    lo = min(s.x0 - c * math.sqrt(s.hbar) for s in states)
-    hi = max(s.x0 + c * math.sqrt(s.hbar) for s in states)
-    return (lo, hi)

@@ -1,9 +1,18 @@
-"""Oracles the tests share: per-state lists and dense views of block matrices."""
+"""Oracles the tests share: per-state lists, dense views of block matrices,
+quadrature inner products, the box estimate of the frame bounds and a CSV
+reader for the table output."""
+
+import csv
+import io
+import math
 
 import numpy as np
 
+from gcshelm import analysis
 from gcshelm import assembly_solver as asm
 from gcshelm import gaussian_states as gs
+from gcshelm import quadrature as quad
+from gcshelm.experiments import ExperimentRecord
 from gcshelm.phase_space import lattice_point
 
 
@@ -28,3 +37,84 @@ def one_block(a):
     """A dense array as an ``asm.BlockMatrix`` of one block."""
     q, n = a.shape
     return asm.BlockMatrix((q, n), ((slice(0, q), slice(0, n), np.asarray(a, dtype=complex)),))
+
+
+def inner_product(f, g, rule):
+    """L2 inner product (f, g) = int f conj(g) over the rule's window.
+
+    ``f`` and ``g`` are vectorized callables.
+    """
+    fv = np.asarray(f(rule.nodes))
+    gv = np.asarray(g(rule.nodes))
+    return complex(np.sum(rule.weights * fv * np.conj(gv)))
+
+
+def norm(f, rule):
+    """L2 norm of a vectorized callable over the rule's window."""
+    fv = np.asarray(f(rule.nodes))
+    return float(np.sqrt(np.sum(rule.weights * np.abs(fv) ** 2)))
+
+
+def support_window(states):
+    """Smallest interval holding every state center plus its Gaussian tail.
+
+    The half width per state is c*sqrt(hbar) with exp(-c**2/2) = quad.DEFAULT_TAIL_TOL.
+    """
+    states = list(states)
+    if not states:
+        raise ValueError("support_window needs at least one state")
+    c = math.sqrt(2.0 * math.log(1.0 / quad.DEFAULT_TAIL_TOL))
+    lo = min(s.x0 - c * math.sqrt(s.hbar) for s in states)
+    hi = max(s.x0 + c * math.sqrt(s.hbar) for s in states)
+    return (lo, hi)
+
+
+def _box_pairs(half_width):
+    rng = range(-half_width, half_width + 1)
+    return [(m, n) for m in rng for n in rng]
+
+
+def box_frame_bounds(box_half_width, interior_margin):
+    """Extremal frame Rayleigh quotients on a truncated lattice box.
+
+    Test functions live in the span of the interior states (margin away from
+    the box edge); the frame sum runs over the whole box.  The quotient
+    (d* (G^2)_II d) / (d* G_II d) is extremized over the numerically
+    nondegenerate directions of G_II.  The estimate lies inside the exact
+    bounds of ``analysis.frame_bounds`` and widens toward them with the box.
+    """
+    pairs = _box_pairs(box_half_width)
+    gram = analysis.lattice_gram(pairs)
+    inner = [
+        i
+        for i, (m, n) in enumerate(pairs)
+        if max(abs(m), abs(n)) <= box_half_width - interior_margin
+    ]
+    a = gram[inner] @ gram[:, inner]
+    b = gram[np.ix_(inner, inner)]
+    evals, evecs = np.linalg.eigh(b)
+    keep = evals > 1e-10 * evals.max()
+    w = evecs[:, keep] / np.sqrt(evals[keep])
+    m = w.conj().T @ a @ w
+    rq = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    diag = analysis.FrameDiagnostics(float(rq.min()), float(rq.max()))
+    if not 0.0 < diag.alpha_est <= diag.beta_est:
+        raise RuntimeError("frame bound estimation produced an invalid ordering")
+    return diag
+
+
+def parse_records_csv(text):
+    """Inverse of experiments.emit(..., 'csv'), used by round-trip checks."""
+    reader = csv.DictReader(io.StringIO(text))
+    out = []
+    for row in reader:
+        out.append(
+            ExperimentRecord(
+                float(row["k"]),
+                float(row["delta"]),
+                int(row["ndofs"]),
+                float(row["rel_h1k_error"]),
+                int(row["rank"]),
+            )
+        )
+    return out

@@ -55,6 +55,8 @@ from gcshelm.experiments import (
 from gcshelm.phase_space import LatticeSpec
 from gcshelm.problem_model import ProblemCase
 
+from helpers import inner_product, support_window
+
 CONFIG = ExperimentConfig()
 
 
@@ -297,8 +299,8 @@ def test_criterion_5_overlap_oracle():
             s1 = gs.CoherentState(hbar, x1, xi1)
             s2 = gs.CoherentState(hbar, x2, xi2)
             density = max(40, math.ceil(30 * (1 + abs(xi1 - xi2))))
-            rule = quad.build_rule(quad.support_window([s1, s2]), k, density)
-            qv = quad.inner_product(
+            rule = quad.build_rule(support_window([s1, s2]), k, density)
+            qv = inner_product(
                 lambda x: gs.eval_state(s1, x), lambda x: gs.eval_state(s2, x), rule
             )
             worst = max(worst, abs(qv - gs.overlap(s1, s2)))
@@ -350,8 +352,9 @@ def quadrature_gram_error(hbar, half_width=6, x_stretch=1.0):
 
 
 def test_criterion_7_frame_stability():
-    # The box estimate is hbar-free (it reads only the lattice Gram), so it
-    # is computed once; hbar enters through the quadrature Gram check.
+    # The exact frame bounds are hbar-free (they follow from the Zak
+    # transform in lattice units), so they are computed once; hbar enters
+    # through the quadrature Gram check.
     diag = analysis.frame_bounds(LatticeSpec(1.0 / 20.0))
     gram_errors = {h: quadrature_gram_error(1.0 / h) for h in (20, 100)}
     gram_ok = all(e <= 1e-12 for e in gram_errors.values())
@@ -361,7 +364,7 @@ def test_criterion_7_frame_stability():
     report(
         "criterion 7",
         gram_ok and decay_ok,
-        f"alpha={diag.alpha_est:.5f}, beta={diag.beta_est:.5f} (box 25); "
+        f"alpha={diag.alpha_est:.5f}, beta={diag.beta_est:.5f} (Zak); "
         "quadrature Gram of the half-width-6 box vs lattice_gram: "
         + ", ".join(f"{e:.1e} (hbar=1/{h})" for h, e in gram_errors.items())
         + f" <= 1e-12; dual decay rate={rate:.3f} > 0, R^2={r_squared:.3f} >= 0.9",

@@ -7,6 +7,8 @@ from gcshelm import analysis, gaussian_states as gs, quadrature as quad
 from gcshelm.phase_space import LatticeSpec, lattice_point
 from gcshelm.problem_model import ProblemCase
 
+from helpers import box_frame_bounds, inner_product
+
 
 def pair(fn, dfn):
     return (fn, dfn)
@@ -105,13 +107,13 @@ def test_lattice_gram_matches_overlap():
 
 
 def test_frame_bounds_single_state():
-    diag = analysis.frame_bounds(LatticeSpec(0.05), box_half_width=0, interior_margin=0)
+    diag = box_frame_bounds(0, 0)
     assert abs(diag.alpha_est - 1.0) < 1e-12
     assert abs(diag.beta_est - 1.0) < 1e-12
 
 
 def test_frame_bounds_ordering_and_hbar_stability():
-    a = analysis.frame_bounds(LatticeSpec(1.0 / 20.0), box_half_width=12, interior_margin=5)
+    a = box_frame_bounds(12, 5)
     assert 0.0 < a.alpha_est <= a.beta_est
     # the hbar-free Gram behind the bounds is the Gram of the states placed
     # on the lattice at each hbar
@@ -153,7 +155,7 @@ def _old_frame_bounds(gram, inner):
 @pytest.mark.parametrize("box", [12, 16])
 def test_frame_bounds_match_unwindowed_full_product(box):
     margin = 5
-    diag = analysis.frame_bounds(LatticeSpec(1.0 / 20.0), box, margin)
+    diag = box_frame_bounds(box, margin)
     got = (diag.alpha_est, diag.beta_est)
     pairs = [(m, n) for m in range(-box, box + 1) for n in range(-box, box + 1)]
     inner = [i for i, (m, n) in enumerate(pairs) if max(abs(m), abs(n)) <= box - margin]
@@ -184,29 +186,50 @@ def test_lattice_gram_tail_is_exact_zero_and_no_subnormals():
     assert np.abs(gram - closed_form)[~past_tail].max() <= 1e-14
 
 
-def _zak_frame_bounds():
-    # Exact bounds of the density-2 Gaussian lattice frame from the Zak
-    # transform at step 2 in lattice units (Groechenig, Foundations of
-    # Time-Frequency Analysis, ch. 8): the extrema over the unit cell of
-    # 2 (|Zg(x, w)|**2 + |Zg(x + 1, w)|**2), g(x) = exp(-pi x**2 / 2).
-    x = np.linspace(0.0, 2.0, 201)[:, None]
-    w = np.linspace(0.0, 1.0, 201)[None, :]
-
+def _zak_frame_function(x, w):
+    # 2 (|Zg(x, w)|**2 + |Zg(x + 1, w)|**2) with the Zak transform at step 2
+    # in lattice units, Zg(x, w) = sum_j g(x + 2j) exp(-2 pi i j w) and
+    # g(x) = exp(-pi x**2 / 2), summed over 17 terms without a tail cut
+    # (Groechenig, Foundations of Time-Frequency Analysis, ch. 8)
     def zak(x):
         return sum(np.exp(-0.5 * math.pi * (x + 2 * j) ** 2 - 2j * math.pi * j * w) for j in range(-8, 9))
 
-    bound = 2.0 * (np.abs(zak(x)) ** 2 + np.abs(zak(x + 1.0)) ** 2)
-    return bound.min(), bound.max()
+    return 2.0 * (np.abs(zak(x)) ** 2 + np.abs(zak(x + 1.0)) ** 2)
+
+
+def test_frame_bounds_are_zak_grid_extrema():
+    # the unit cell [0, 1]**2 on a 401 x 401 grid, which holds (0, 0) and
+    # (1/2, 1/2): no point lies below alpha (1 - 1e-12) or above
+    # beta (1 + 1e-12), and both are attained
+    diag = analysis.frame_bounds(LatticeSpec(1.0 / 20.0))
+    grid = np.linspace(0.0, 1.0, 401)
+    bound = _zak_frame_function(grid[:, None], grid[None, :])
+    assert abs(bound.min() - diag.alpha_est) <= 1e-12 * diag.alpha_est
+    assert abs(bound.max() - diag.beta_est) <= 1e-12 * diag.beta_est
+
+
+def test_frame_bounds_closed_form_values_and_hbar_free():
+    diag = analysis.frame_bounds(LatticeSpec(1.0 / 20.0))
+    assert abs(diag.alpha_est - 1.6692536833) < 1e-10
+    assert abs(diag.beta_est - 2.3606811980) < 1e-10
+    assert abs(diag.beta_est / diag.alpha_est - math.sqrt(2.0)) <= 1e-14 * math.sqrt(2.0)
+    # the same bits at every hbar, whatever box the ignored keywords name
+    assert analysis.frame_bounds(LatticeSpec(1.0 / 100.0)) == diag
+    assert analysis.frame_bounds(LatticeSpec(1.0 / 20.0), box_half_width=20, interior_margin=3) == diag
 
 
 def test_box_frame_bounds_widen_toward_zak_bounds():
-    zak_alpha, zak_beta = _zak_frame_bounds()
-    assert abs(zak_alpha - 1.6693) < 1e-4 and abs(zak_beta - 2.3607) < 1e-4
-    diags = [analysis.frame_bounds(LatticeSpec(1.0 / 20.0), box, 5) for box in (12, 16, 20)]
+    # the box estimate nests strictly inside the exact bounds and widens
+    # toward them; a Zak transform at the wrong step or without its factor 2
+    # lands outside the nest
+    zak = analysis.frame_bounds(LatticeSpec(1.0 / 20.0))
+    diags = [box_frame_bounds(box, 5) for box in (12, 16, 20)]
     alphas = [d.alpha_est for d in diags]
     betas = [d.beta_est for d in diags]
-    assert zak_alpha <= alphas[2] < alphas[1] < alphas[0]
-    assert betas[0] < betas[1] < betas[2] <= zak_beta
+    assert zak.alpha_est < alphas[2] < alphas[1] < alphas[0]
+    assert betas[0] < betas[1] < betas[2] < zak.beta_est
+    assert alphas[2] <= zak.alpha_est * 1.005
+    assert betas[2] >= zak.beta_est * 0.995
 
 
 def test_frame_sandwich_random_bumps():
@@ -214,7 +237,8 @@ def test_frame_sandwich_random_bumps():
     # bumps centered well inside the box (all inner products closed-form)
     spec = LatticeSpec(1.0 / 20.0)
     bw, margin = 12, 5
-    diag = analysis.frame_bounds(spec, box_half_width=bw, interior_margin=margin)
+    diag = box_frame_bounds(bw, margin)
+    exact = analysis.frame_bounds(spec)
     rng = np.random.default_rng(2)
     pairs = [(m, n) for m in range(-bw, bw + 1) for n in range(-bw, bw + 1)]
     states = [
@@ -227,6 +251,8 @@ def test_frame_sandwich_random_bumps():
         v = gs.CoherentState(spec.hbar, x0, xi0)
         energy = sum(abs(gs.overlap(v, s)) ** 2 for s in states)
         assert diag.alpha_est * (1 - 1e-9) <= energy <= diag.beta_est * (1 + 1e-9)
+        # the exact bounds hold for every v, and are looser than the box's
+        assert exact.alpha_est * (1 - 1e-9) <= energy <= exact.beta_est * (1 + 1e-9)
 
 
 def test_dual_frame_consistency_and_decay():
@@ -296,7 +322,7 @@ def test_planewave_probe_values():
     n2 = math.ceil(2.0 / spec.spacing)  # first lattice frequency with |xi| >= 2
     state = gs.CoherentState(spec.hbar, 0.0, lattice_point(n2, spec))
     rule = quad.build_rule((-0.75, 0.75), 100, 160)
-    val = quad.inner_product(
+    val = inner_product(
         lambda x: cutoff_phi(x) * np.exp(1j * 100 * x),
         lambda x: gs.eval_state(state, x),
         rule,

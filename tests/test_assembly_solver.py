@@ -10,7 +10,7 @@ from gcshelm.experiments import ExperimentConfig, _ReferenceCache, run_cell
 from gcshelm.phase_space import LatticeSpec, build_symbol_set
 from gcshelm.problem_model import ProblemCase
 
-from helpers import dense, one_block, states_from_index_set
+from helpers import dense, norm, one_block, states_from_index_set, support_window
 
 
 def make_system(k=50.0, delta=0.5, density=64, case=None):
@@ -40,7 +40,7 @@ def test_gram_diagonal_matches_independent_quadrature():
     states = states_from_index_set(iset)
     fine = quad.build_rule(system.rule.window, case.k, 96)
     for j in (0, len(states) // 2, len(states) - 1):
-        direct = quad.norm(lambda x: gs.apply_operator(states[j], op, x), fine) ** 2
+        direct = norm(lambda x: gs.apply_operator(states[j], op, x), fine) ** 2
         assert abs(gram_diag[j] - direct) <= 1e-10 * max(direct, 1.0)
 
 
@@ -174,7 +174,7 @@ def test_assemble_window_holds_states_and_source():
     # hom (20, 2.0) selects states in the PML, beyond the source support
     case = ProblemCase.homogeneous(20.0)
     iset = build_symbol_set(LatticeSpec(1.0 / 20.0), case.symbol, 2.0)
-    lo, hi = quad.support_window(states_from_index_set(iset))
+    lo, hi = support_window(states_from_index_set(iset))
     system = asm.assemble(iset, case, 20)
     assert system.rule.window == (min(lo, -1.0), max(hi, 1.0))
     assert system.rule.window[0] < -3.2 and system.rule.window[1] > 3.2

@@ -1,7 +1,8 @@
 """The benchmark calls gcshelm by name and signature; both must hold.
 
 ``perfbench/tracer.py`` patches gcshelm functions by name, and
-``perfbench/workloads.py`` calls them with the arguments its workloads use.
+``perfbench/workloads.py`` calls them with the arguments its workloads use
+and checks their outputs against its seed values.
 """
 
 import importlib.util
@@ -74,3 +75,11 @@ def test_workload_warms_up_and_builds_its_operations(name, workloads):
     workload = workloads.make(name)
     workload.warm_up()
     assert all(callable(run) and callable(check) for _, run, check in workload.operations())
+
+
+def test_diagnose_operations_pass_their_checks(workloads):
+    # a broken frame, dual-frame or plane-wave result would otherwise first
+    # show as failed benchmark operations; the checks read no system sizes
+    for name, run, check in workloads.make("diagnose").operations():
+        outcome = check(name, run(), [])
+        assert outcome.failure is None, f"{name}: {outcome.failure}"

@@ -4,14 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcshelm import cli
+from gcshelm import analysis, cli
 from gcshelm.experiments import (
     ExperimentConfig,
     ExperimentRecord,
     emit,
-    parse_records_csv,
     run_case,
 )
+from gcshelm.phase_space import LatticeSpec
+
+from helpers import box_frame_bounds, parse_records_csv
 
 FAST = ExperimentConfig(case="homogeneous", ks=(20.0,), deltas=(0.5,))
 
@@ -223,7 +225,8 @@ def test_cli_diagnose_small_box(tmp_path):
 
 def test_cli_diagnose_matches_saved_report(tmp_path):
     # Saved from the version that rebuilt the hbar-free frame bounds and dual
-    # frame at every hbar and rounded the Gram phases through exp(1j*phase).
+    # frame at every hbar, rounded the Gram phases through exp(1j*phase) and
+    # printed the box-8 estimate of the frame bounds.
     want = json.loads((Path(__file__).parent / "data" / "diagnose_hbar_0.05_0.01_box8.json").read_text())
     out = tmp_path / "diag.json"
     assert cli.main(["diagnose", "--hbar", "0.05,0.01", "--box", "8", "--out", str(out)]) == 0
@@ -231,11 +234,20 @@ def test_cli_diagnose_matches_saved_report(tmp_path):
     got = json.loads(text)
     assert text == json.dumps(got, indent=2, sort_keys=True) + "\n"
     assert got.keys() == want.keys()
+    box = box_frame_bounds(8, 5)
+    exact = analysis.frame_bounds(LatticeSpec(0.05))
     for key, entry in want.items():
         assert got[key].keys() == entry.keys()
         # hbar-dependent: untouched arithmetic, equal bits
         assert got[key]["quasi_orthogonality"] == entry["quasi_orthogonality"]
-        # hbar-free: the exact phases move the conditioning-limited frame
+        # hbar-free: the exact phases move the conditioning-limited box
         # estimate by 1.4e-10 here (see test_frame_bounds_match_unwindowed_full_product)
-        for name in ("alpha_est", "beta_est", "ratio", "dual_solve_residual", "dual_decay_rate", "dual_decay_r_squared"):
+        saved_box = (entry["alpha_est"], entry["beta_est"], entry["ratio"])
+        for saved, oracle in zip(saved_box, (box.alpha_est, box.beta_est, box.beta_est / box.alpha_est)):
+            assert saved == pytest.approx(oracle, rel=1e-8, abs=0.0)
+        # the CLI prints the exact bounds
+        assert got[key]["alpha_est"] == exact.alpha_est
+        assert got[key]["beta_est"] == exact.beta_est
+        assert got[key]["ratio"] == exact.beta_est / exact.alpha_est
+        for name in ("dual_solve_residual", "dual_decay_rate", "dual_decay_r_squared"):
             assert got[key][name] == pytest.approx(entry[name], rel=1e-8, abs=0.0)

@@ -8,6 +8,8 @@ from gcshelm import gaussian_states as gs
 from gcshelm import quadrature as quad
 from gcshelm.problem_model import ProblemCase
 
+from helpers import inner_product, norm, support_window
+
 HBAR = 1.0 / 50.0
 
 finite_real = st.floats(-2.0, 2.0, allow_nan=False)
@@ -15,7 +17,7 @@ finite_real = st.floats(-2.0, 2.0, allow_nan=False)
 
 def state_rule(*states, density=80):
     k = 1.0 / states[0].hbar
-    return quad.build_rule(quad.support_window(states), k, density)
+    return quad.build_rule(support_window(states), k, density)
 
 
 def residual(s, op, x):
@@ -42,7 +44,7 @@ def test_eval_state_modulus_even(xi0, dx):
 def test_eval_state_unit_norm():
     s = gs.CoherentState(HBAR, -0.4, 0.9)
     rule = state_rule(s)
-    val = quad.inner_product(lambda x: gs.eval_state(s, x), lambda x: gs.eval_state(s, x), rule)
+    val = inner_product(lambda x: gs.eval_state(s, x), lambda x: gs.eval_state(s, x), rule)
     assert abs(val - 1.0) < 1e-12
 
 
@@ -101,7 +103,7 @@ def test_overlap_matches_quadrature():
     s1 = gs.CoherentState(HBAR, 0.15, 0.85)
     s2 = gs.CoherentState(HBAR, -0.2, 1.3)
     rule = state_rule(s1, s2, density=120)
-    val = quad.inner_product(lambda x: gs.eval_state(s1, x), lambda x: gs.eval_state(s2, x), rule)
+    val = inner_product(lambda x: gs.eval_state(s1, x), lambda x: gs.eval_state(s2, x), rule)
     assert abs(val - gs.overlap(s1, s2)) < 1e-12
 
 
@@ -112,7 +114,7 @@ def test_pair_moments_match_quadrature():
     xbar = 0.5 * (s1.x0 + s2.x0)
     moments = gs.pair_moments(s1, s2, 4)
     for j in range(5):
-        val = quad.inner_product(
+        val = inner_product(
             lambda x: (x - xbar) ** j * gs.eval_state(s1, x),
             lambda x: gs.eval_state(s2, x),
             rule,
@@ -182,7 +184,7 @@ def test_residual_norm_scaling_quadrature():
         op = case.operator()
         s = gs.CoherentState(hbar, 0.0, 1.0)
         rule = state_rule(s, density=60)
-        val = quad.norm(lambda x: residual(s, op, x), rule)
+        val = norm(lambda x: residual(s, op, x), rule)
         norms.append(val)
         hbars.append(hbar)
     slope = np.polyfit(np.log(hbars), np.log(norms), 1)[0]
@@ -205,7 +207,7 @@ def test_iterated_residual_norm_matches_quadrature():
     op = gs.constant_operator(-1.0, 0.0, -1.0)
     exact = gs.iterated_residual_norm(s, op, 1)
     rule = state_rule(s, density=60)
-    qval = quad.norm(lambda x: residual(s, op, x), rule)
+    qval = norm(lambda x: residual(s, op, x), rule)
     assert abs(exact - qval) < 1e-12
 
 
@@ -259,7 +261,7 @@ def test_operator_pair_inner_matches_quadrature():
     for dm, dn in [(2, 0), (0, 2), (1, 1), (3, 2)]:
         s2 = gs.CoherentState(hbar, dm * spacing, dn * spacing)
         rule = state_rule(s1, s2, density=max(120, int(40 * (dn * spacing + 1))))
-        qv = quad.inner_product(
+        qv = inner_product(
             lambda x: gs.apply_operator(s1, op, x), lambda x: gs.eval_state(s2, x), rule
         )
         cv = gs.operator_pair_inner(op, s1, s2)

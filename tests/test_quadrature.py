@@ -6,26 +6,28 @@ import pytest
 from gcshelm import gaussian_states as gs
 from gcshelm import quadrature as quad
 
+from helpers import inner_product, support_window
+
 
 def test_constant_integral_exact():
     rule = quad.build_rule((0.0, 1.0), 20, 20)
     assert abs(np.sum(rule.weights) - 1.0) < 1e-14
-    val = quad.inner_product(lambda x: np.ones_like(x), lambda x: np.ones_like(x), rule)
+    val = inner_product(lambda x: np.ones_like(x), lambda x: np.ones_like(x), rule)
     assert abs(val - 1.0) < 1e-14
 
 
 def test_oscillatory_closed_form():
     k = 100.0
     rule = quad.build_rule((-1.0, 1.0), k, 20)
-    val = quad.inner_product(lambda x: np.exp(1j * k * x), lambda x: np.ones_like(x), rule)
+    val = inner_product(lambda x: np.exp(1j * k * x), lambda x: np.ones_like(x), rule)
     assert abs(val - 2.0 * math.sin(k) / k) < 1e-10
 
 
 def test_gaussian_normalization_high_k():
     hbar = 1.0 / 400.0
     s = gs.CoherentState(hbar, 0.0, 1.0)
-    rule = quad.build_rule(quad.support_window([s]), 400, 20)
-    val = quad.inner_product(lambda x: gs.eval_state(s, x), lambda x: gs.eval_state(s, x), rule)
+    rule = quad.build_rule(support_window([s]), 400, 20)
+    val = inner_product(lambda x: gs.eval_state(s, x), lambda x: gs.eval_state(s, x), rule)
     assert abs(val - 1.0) < 1e-12
 
 
@@ -46,11 +48,11 @@ def test_inner_product_axioms():
     def g(x):
         return np.exp(-(x**2)) * (1.0 + 2j * x)
 
-    ff = quad.inner_product(f, f, rule)
+    ff = inner_product(f, f, rule)
     assert abs(ff.imag) < 1e-14 * abs(ff)
     assert ff.real >= 0.0
-    fg = quad.inner_product(f, g, rule)
-    gf = quad.inner_product(g, f, rule)
+    fg = inner_product(f, g, rule)
+    gf = inner_product(g, f, rule)
     assert abs(fg - np.conj(gf)) < 1e-14
 
 
@@ -58,19 +60,19 @@ def test_inner_product_matches_overlap():
     hbar = 1.0 / 50.0
     s1 = gs.CoherentState(hbar, 0.1, 0.8)
     s2 = gs.CoherentState(hbar, -0.2, 1.1)
-    rule = quad.build_rule(quad.support_window([s1, s2]), 50, 60)
-    val = quad.inner_product(lambda x: gs.eval_state(s1, x), lambda x: gs.eval_state(s2, x), rule)
+    rule = quad.build_rule(support_window([s1, s2]), 50, 60)
+    val = inner_product(lambda x: gs.eval_state(s1, x), lambda x: gs.eval_state(s2, x), rule)
     assert abs(val - gs.overlap(s1, s2)) < 1e-10
 
 
 def test_support_window_single_and_hull():
     hbar = 0.01
     s = gs.CoherentState(hbar, 0.5, 0.0)
-    lo, hi = quad.support_window([s])
+    lo, hi = support_window([s])
     assert abs(lo - (0.5 - 12 * math.sqrt(hbar))) < 1e-12
     assert abs(hi - (0.5 + 12 * math.sqrt(hbar))) < 1e-12
     s2 = gs.CoherentState(hbar, 5.0, 0.0)
-    lo2, hi2 = quad.support_window([s, s2])
+    lo2, hi2 = support_window([s, s2])
     assert lo2 == lo and abs(hi2 - (5.0 + 12 * math.sqrt(hbar))) < 1e-12
 
 
@@ -81,7 +83,7 @@ def test_support_window_covers_pml_states():
 
     case = ProblemCase.homogeneous(20)
     iset = build_symbol_set(LatticeSpec(1.0 / 20.0), case.symbol, 2.0)
-    lo, hi = quad.support_window(states_from_index_set(iset))
+    lo, hi = support_window(states_from_index_set(iset))
     assert lo < -3.2 and hi > 3.2
 
 
@@ -119,4 +121,4 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         quad.build_rule((0.0, 1.0), 20, nodes_per_wavelength=5)
     with pytest.raises(ValueError):
-        quad.support_window([])
+        support_window([])
