@@ -51,17 +51,16 @@ class FrameDiagnostics:
 
 
 def h1k_error(u_approx, u_ref, window, k, nodes_per_wavelength=40):
-    """Relative and absolute H1_k distance between two (value, derivative) pairs.
+    """Relative and absolute H1_k distance between two functions.
 
-    ``u_approx`` and ``u_ref`` are pairs of vectorized callables (v, v').
+    ``u_approx`` and ``u_ref`` are vectorized callables returning the pair
+    (v, v') at an array of nodes; each is called once.
     """
     rule = quad.build_rule(window, k, nodes_per_wavelength)
-    va, da = u_approx
-    vr, dr = u_ref
-    ref_v = np.asarray(vr(rule.nodes))
-    ref_d = np.asarray(dr(rule.nodes))
-    dv = np.asarray(va(rule.nodes)) - ref_v
-    dd = np.asarray(da(rule.nodes)) - ref_d
+    va, da = (np.asarray(f) for f in u_approx(rule.nodes))
+    ref_v, ref_d = (np.asarray(f) for f in u_ref(rule.nodes))
+    dv = va - ref_v
+    dd = da - ref_d
     k2inv = 1.0 / float(k) ** 2
     abs_sq = np.sum(rule.weights * (np.abs(dv) ** 2 + k2inv * np.abs(dd) ** 2))
     ref_sq = np.sum(rule.weights * (np.abs(ref_v) ** 2 + k2inv * np.abs(ref_d) ** 2))
@@ -73,6 +72,8 @@ def h1k_error(u_approx, u_ref, window, k, nodes_per_wavelength=40):
 
 # dual frame: Gram eigen-directions kept above this fraction of the largest
 DUAL_GAP_CUT = 0.3
+# dual frame: half width of the lattice box, in lattice steps
+DUAL_BOX_HALF_WIDTH = 12
 # dual decay fit: coefficients below this modulus are left out
 DUAL_FLOOR = 1e-13
 # plane-wave probe: band exponent, position pad beyond the source support,
@@ -144,7 +145,7 @@ def frame_bounds(spec, box_half_width=None, interior_margin=None):
     return FrameDiagnostics(_zak_frame_function(0.5, 0.5), _zak_frame_function(0.0, 0.0))
 
 
-def dual_frame_coefficients(spec, target, box_half_width=12):
+def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
     """Coefficients of the (truncated) dual state at ``target`` = (m, n) in the primal family.
 
     The lattice is a redundant frame, so the box Gram G has an essential

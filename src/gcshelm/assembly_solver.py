@@ -130,12 +130,12 @@ def assemble(index_set, case, nodes_per_wavelength):
     window = (min(x0.min() - reach, flo), max(x0.max() + reach, fhi))
     rule = quad.build_rule(window, case.k, nodes_per_wavelength)
     root_w = np.sqrt(rule.weights)
-    blocks = tuple(
-        (rows, cols, root_w[rows, None] * block)
-        for rows, cols, block in _blocks(index_set, rule.nodes, op=case.operator())
-    )
+    blocks = []
+    for rows, cols, block in _blocks(index_set, rule.nodes, op=case.operator()):
+        block *= root_w[rows, None]
+        blocks.append((rows, cols, block))
     rhs = root_w * case.rhs(rule.nodes)
-    return DesignSystem(BlockMatrix((len(rule), len(index_set)), blocks), rhs, rule)
+    return DesignSystem(BlockMatrix((len(rule), len(index_set)), tuple(blocks)), rhs, rule)
 
 
 def solve(system, cutoff_rel=DEFAULT_CUTOFF):
@@ -213,17 +213,31 @@ def _column_rows(blocks):
     return cols, first, last
 
 
-def reconstruct(report, index_set, x, derivative_order=0):
-    """Evaluate the solved combination sum_j c_j d^order Psi_j at x."""
-    if not 0 <= derivative_order <= 1:
-        raise ValueError("derivative order must lie in [0, 1]")
+def reconstruct(report, index_set, x):
+    """The solved combination u = sum_j c_j Psi_j and its derivative u' at x.
+
+    Both come from one kernel pass: with u = x - x_j in the block of
+    position x_j, Psi_j' = -(u - 1j*xi_j)/hbar * Psi_j, so the block's share
+    of u' is -(u * (B c) - 1j * B (xi c))/hbar, from the same product B [c, xi c].
+    Returns the pair (u, u').
+    """
     xv = np.asarray(x, dtype=float)
     perm = np.argsort(xv, axis=None)
-    blocks = _blocks(index_set, xv.ravel()[perm], order=derivative_order)
-    values = _block_product(blocks, report.coefficients, xv.size)
-    out = np.empty_like(values)
-    out[perm] = values
-    return out.reshape(xv.shape) if xv.ndim else complex(out[0])
+    nodes = xv.ravel()[perm]
+    hbar = index_set.lattice.hbar
+    x0 = index_set.x_array()
+    c = report.coefficients
+    both = np.stack([c, index_set.xi_array() * c], axis=1)
+    sums = np.zeros((2, xv.size), dtype=complex)
+    for rows, cols, block in _blocks(index_set, nodes):
+        bc, bxc = (block @ both[cols]).T
+        sums[0, rows] += bc
+        sums[1, rows] -= ((nodes[rows] - x0[cols.start]) * bc - 1j * bxc) / hbar
+    out = np.empty_like(sums)
+    out[:, perm] = sums
+    if xv.ndim == 0:
+        return complex(out[0, 0]), complex(out[1, 0])
+    return out[0].reshape(xv.shape), out[1].reshape(xv.shape)
 
 
 def _block_product(blocks, c, size):
@@ -234,7 +248,7 @@ def _block_product(blocks, c, size):
     return values
 
 
-def _blocks(index_set, nodes, order=0, op=None):
+def _blocks(index_set, nodes, op=None):
     return gs.state_blocks(
-        index_set.lattice.hbar, index_set.x_array(), index_set.xi_array(), nodes, order, op
+        index_set.lattice.hbar, index_set.x_array(), index_set.xi_array(), nodes, op=op
     )

@@ -54,13 +54,6 @@ def _build_parser():
     p_scaling.add_argument("--target", type=float, help="relative H1_k target accuracy")
     p_diag = sub.add_parser("diagnose", help="frame and decay diagnostics")
     p_diag.add_argument("--hbar", type=_float_list, default=(0.05, 0.01))
-    p_diag.add_argument(
-        "--box",
-        type=int,
-        default=25,
-        help="sizes the dual-frame Gram box, half width min(12, box) in lattice steps; "
-        "the frame bounds are exact and need no box",
-    )
     p_diag.add_argument("--out", help="output file path")
     return parser
 
@@ -103,9 +96,7 @@ def _run_diagnose(args):
     # they are computed once for every hbar.
     spec = LatticeSpec(args.hbar[0])
     fb = analysis.frame_bounds(spec)
-    pairs, coeffs, residual = analysis.dual_frame_coefficients(
-        spec, (0, 0), box_half_width=min(12, args.box)
-    )
+    pairs, coeffs, residual = analysis.dual_frame_coefficients(spec, (0, 0))
     rate, r2, _ = analysis.dual_decay_fit(pairs, coeffs, (0, 0))
     report = {}
     for hbar in args.hbar:

@@ -24,6 +24,7 @@ __all__ = [
     "EmptyIndexSetError",
     "run_case",
     "run_cell",
+    "select_index_set",
     "scaling_study",
     "emit",
     "DEFAULT_SCALING_DELTAS",
@@ -92,24 +93,32 @@ class _ReferenceCache:
         self._store = {}
 
     def reference(self, case):
+        """The reference solution as a callable x -> (u, u')."""
         if case.has_exact_solution:
-            return (
-                lambda x: case.exact_solution(x, 0),
-                lambda x: case.exact_solution(x, 1),
-            )
+            return lambda x: (case.exact_solution(x, 0), case.exact_solution(x, 1))
         key = (case.name, case.k)
         if key not in self._store:
             self._store[key] = reference_fem.fem_solve(case)
         sol = self._store[key]
-        return (lambda x: sol(x, 0), lambda x: sol(x, 1))
+        return lambda x: (sol(x, 0), sol(x, 1))
 
 
-def run_cell(case, delta, config, cache=None):
-    """Run a single (case, delta) cell and return (record, report, index_set)."""
-    cache = cache or _ReferenceCache()
+def select_index_set(case, delta):
+    """The lattice pairs with |p(x_m, xi_n)| < delta at hbar = 1/k."""
     spec = LatticeSpec(1.0 / case.k)
     bounds = search_bounds_from_symbol(case.symbol, delta, spec)
-    index_set = build_symbol_set(spec, case.symbol, delta, bounds=bounds)
+    return build_symbol_set(spec, case.symbol, delta, bounds=bounds)
+
+
+def run_cell(case, delta, config, cache=None, index_set=None):
+    """Run a single (case, delta) cell and return (record, report, index_set).
+
+    ``index_set``, when given, is ``select_index_set(case, delta)`` already
+    built by the caller.
+    """
+    cache = cache or _ReferenceCache()
+    if index_set is None:
+        index_set = select_index_set(case, delta)
     if len(index_set) == 0:
         raise EmptyIndexSetError(f"empty index set at k={case.k}, delta={delta}")
     # in units of k, products of two states oscillate at up to 2 * xi_max and
@@ -119,13 +128,12 @@ def run_cell(case, delta, config, cache=None):
     system = assembly_solver.assemble(index_set, case, density)
     report = assembly_solver.solve(system, config.cutoff)
 
-    u_ref = cache.reference(case)
-    u_approx = (
-        lambda x: assembly_solver.reconstruct(report, index_set, x, 0),
-        lambda x: assembly_solver.reconstruct(report, index_set, x, 1),
-    )
     err = analysis.h1k_error(
-        u_approx, u_ref, ERROR_WINDOW, case.k, nodes_per_wavelength=density
+        lambda x: assembly_solver.reconstruct(report, index_set, x),
+        cache.reference(case),
+        ERROR_WINDOW,
+        case.k,
+        nodes_per_wavelength=density,
     )
     record = ExperimentRecord(case.k, float(delta), len(index_set), err.relative, report.numerical_rank)
     return record, report, index_set
@@ -158,7 +166,13 @@ class ScalingStudy:
 
 
 def scaling_study(config):
-    """Smallest delta reaching the target accuracy per k, plus log-log slopes."""
+    """Smallest delta reaching the target accuracy per k, plus log-log slopes.
+
+    A cell depends on delta only through its index set, and consecutive
+    grid deltas often select the same set (k = 50 selects 30 pairs at all
+    five of delta = 0.1 ... 0.2).  Such a repeat is not solved again: its
+    cell is its predecessor's, which already missed the target.
+    """
     if config.target_accuracy is None or config.target_accuracy <= 0.0:
         raise ValueError("scaling_study needs a positive target_accuracy")
     if len(config.ks) < 4:
@@ -170,12 +184,14 @@ def scaling_study(config):
     for k in config.ks:
         case = ProblemCase.from_name(config.case, k)
         found = False
+        previous = None
         for delta in deltas:
-            try:
-                record, _, _ = run_cell(case, delta, config, cache)
-            except EmptyIndexSetError:
-                # sub-threshold deltas select nothing at small k
+            index_set = select_index_set(case, delta)
+            # sub-threshold deltas select nothing at small k
+            if len(index_set) == 0 or index_set.members == previous:
                 continue
+            previous = index_set.members
+            record, _, _ = run_cell(case, delta, config, cache, index_set)
             if record.rel_h1k_error <= config.target_accuracy:
                 hit_k.append(k)
                 hit_delta.append(delta)

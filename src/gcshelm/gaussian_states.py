@@ -20,9 +20,18 @@ time, on the rows with |x - x0| <= 12*sqrt(hbar); ``assembly_solver.assemble``
 places its rule on the union of these windows.  Beyond them a state is below
 exp(-72) of its peak and its tail would underflow into subnormal numbers,
 which slow dense factorizations several-fold, so those entries are exactly
-zero.  The
-per-state ``eval_state``, ``eval_derivative`` and ``apply_operator`` are the
-reference it is tested against.
+zero.  Within a block the states separate into a real envelope of the row,
+amp*exp(-u**2/(2*hbar)) with u = x - x0, times the pure phase
+exp(1j*xi0*u/hbar), times a multiplier polynomial in xi0.  The envelope is
+evaluated once per row and the phase filled in place.  An operator's
+multiplier is quadratic in xi0,
+
+    g = G0(x) + G1(x)*xi0 + G2(x)*xi0**2,
+    G0 = a*(u**2 - hbar) - 1j*b*u + c,  G1 = -2j*a*u - b,  G2 = -a,
+
+and the first derivative's is -(u - 1j*xi0)/hbar.  The per-state
+``eval_state``, ``eval_derivative`` and ``apply_operator`` are the reference
+it is tested against.
 """
 
 import math
@@ -260,7 +269,7 @@ def state_blocks(hbar, x0, xi0, x, order=0, op=None):
     root = math.sqrt(hbar)
     amp = (math.pi * hbar) ** (-0.25)
     if op is not None:
-        a, b, c = (np.asarray(f(x)) for f in (op.a, op.b, op.c))
+        a, b, c = (np.asarray(f(x), dtype=complex) for f in (op.a, op.b, op.c))
     starts = np.flatnonzero(np.diff(x0, prepend=np.nan) != 0.0)
     for start, stop in zip(starts, np.append(starts[1:], x0.size)):
         centre = x0[start]
@@ -269,18 +278,24 @@ def state_blocks(hbar, x0, xi0, x, order=0, op=None):
         if lo == hi:
             continue
         rows, cols = slice(lo, hi), slice(start, stop)
-        u = (x[rows] - centre)[:, None]
-        xi = xi0[cols][None, :]
-        block = amp * np.exp(-(u**2) / (2.0 * hbar) + 1j * xi * u / hbar)
-        if op is not None or order:
-            z = (u - 1j * xi) / root
+        u = x[rows] - centre
+        xi = xi0[cols]
+        block = np.empty((u.size, xi.size), dtype=complex)
+        np.multiply.outer(u / hbar, xi, out=block.real)
+        np.sin(block.real, out=block.imag)
+        np.cos(block.real, out=block.real)
+        block *= (amp * np.exp(-(u**2) / (2.0 * hbar)))[:, None]
         if op is not None:
-            block *= (
-                hbar * a[rows, None] * npoly.polyval(z, _Q_POLYS[2])
-                + 1j * root * b[rows, None] * npoly.polyval(z, _Q_POLYS[1])
-                + c[rows, None]
-            )
+            ar, br, cr = a[rows], b[rows], c[rows]
+            g = np.multiply.outer(-ar, xi)
+            g += (-2j * ar * u - br)[:, None]
+            g *= xi
+            g += (ar * (u**2 - hbar) - 1j * br * u + cr)[:, None]
+            block *= g
+        elif order == 1:
+            block *= np.add.outer(-u / hbar, (1j / hbar) * xi)
         elif order:
+            z = np.subtract.outer(u, 1j * xi) / root
             block *= hbar ** (-order / 2.0) * npoly.polyval(z, _Q_POLYS[order])
         yield rows, cols, block
 

@@ -1,6 +1,6 @@
 """Oracles the tests share: per-state lists, dense views of block matrices,
-quadrature inner products, the box estimate of the frame bounds and a CSV
-reader for the table output."""
+quadrature inner products, the box estimate of the frame bounds, the Zak
+frame function, and a CSV reader for the table output."""
 
 import csv
 import io
@@ -14,6 +14,11 @@ from gcshelm import gaussian_states as gs
 from gcshelm import quadrature as quad
 from gcshelm.experiments import ExperimentRecord
 from gcshelm.phase_space import lattice_point
+
+
+def with_derivative(f):
+    """x -> (f(x, 0), f(x, 1)), the form ``analysis.h1k_error`` takes."""
+    return lambda x: (f(x, 0), f(x, 1))
 
 
 def states_from_index_set(index_set):
@@ -101,6 +106,21 @@ def box_frame_bounds(box_half_width, interior_margin):
     if not 0.0 < diag.alpha_est <= diag.beta_est:
         raise RuntimeError("frame bound estimation produced an invalid ordering")
     return diag
+
+
+def zak_frame_function(x, w):
+    """2 (|Zg(x, w)|**2 + |Zg(x + 1, w)|**2), whose extrema are the frame bounds.
+
+    The Zak transform at step 2 in lattice units, Zg(x, w) = sum_j g(x + 2j)
+    exp(-2 pi i j w) with g(x) = exp(-pi x**2 / 2), summed over 17 terms
+    without a tail cut (Groechenig, Foundations of Time-Frequency Analysis,
+    ch. 8); kept apart from ``analysis`` as an independent oracle.
+    """
+
+    def zak(x):
+        return sum(np.exp(-0.5 * math.pi * (x + 2 * j) ** 2 - 2j * math.pi * j * w) for j in range(-8, 9))
+
+    return 2.0 * (np.abs(zak(x)) ** 2 + np.abs(zak(x + 1.0)) ** 2)
 
 
 def parse_records_csv(text):

@@ -55,7 +55,7 @@ from gcshelm.experiments import (
 from gcshelm.phase_space import LatticeSpec
 from gcshelm.problem_model import ProblemCase
 
-from helpers import inner_product, support_window
+from helpers import inner_product, support_window, with_derivative, zak_frame_function
 
 CONFIG = ExperimentConfig()
 
@@ -104,8 +104,8 @@ def best_h1k_error(case, index_set, u_ref):
     basis = basis.reshape(-1, len(index_set))
     norms = np.linalg.norm(basis, axis=0)
     basis = basis[:, norms > 1e-16 * norms.max()]
-    value, derivative = u_ref
-    target = np.concatenate([root_w * value(rule.nodes), root_w * derivative(rule.nodes) / k])
+    value, derivative = u_ref(rule.nodes)
+    target = np.concatenate([root_w * value, root_w * derivative / k])
     rcond = np.finfo(float).eps * max(basis.shape)
     coeff = np.linalg.lstsq(basis, target, rcond=rcond)[0]
     return float(np.linalg.norm(basis @ coeff - target) / np.linalg.norm(target)), rcond
@@ -351,11 +351,30 @@ def quadrature_gram_error(hbar, half_width=6, x_stretch=1.0):
     return float(np.abs(gram - analysis.lattice_gram(pairs)).max())
 
 
+def zak_bounds_hold(diag):
+    """(verdict, grid minimum) of the frame bounds against the Zak transform.
+
+    The bounds hold when beta/alpha = sqrt(2) to 1e-12 and alpha lies within
+    1e-12 of the minimum of ``zak_frame_function`` on a 101 x 101 grid over
+    the unit cell, which holds the minimizer (1/2, 1/2).
+    """
+    grid = np.linspace(0.0, 1.0, 101)
+    zak_min = float(zak_frame_function(grid[:, None], grid[None, :]).min())
+    alpha, beta = diag.alpha_est, diag.beta_est
+    ok = (
+        alpha > 0.0
+        and abs(beta / alpha - math.sqrt(2.0)) <= 1e-12
+        and abs(alpha - zak_min) <= 1e-12
+    )
+    return ok, zak_min
+
+
 def test_criterion_7_frame_stability():
     # The exact frame bounds are hbar-free (they follow from the Zak
     # transform in lattice units), so they are computed once; hbar enters
     # through the quadrature Gram check.
     diag = analysis.frame_bounds(LatticeSpec(1.0 / 20.0))
+    bounds_ok, zak_min = zak_bounds_hold(diag)
     gram_errors = {h: quadrature_gram_error(1.0 / h) for h in (20, 100)}
     gram_ok = all(e <= 1e-12 for e in gram_errors.values())
     pairs, coeffs, _ = analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), (0, 0))
@@ -363,12 +382,25 @@ def test_criterion_7_frame_stability():
     decay_ok = rate > 0.0 and r_squared >= 0.9
     report(
         "criterion 7",
-        gram_ok and decay_ok,
-        f"alpha={diag.alpha_est:.5f}, beta={diag.beta_est:.5f} (Zak); "
+        bounds_ok and gram_ok and decay_ok,
+        f"alpha={diag.alpha_est:.5f}, beta={diag.beta_est:.5f} (Zak): beta/alpha - sqrt(2) = "
+        f"{diag.beta_est / diag.alpha_est - math.sqrt(2.0):.1e}, alpha - grid min = "
+        f"{diag.alpha_est - zak_min:.1e} (both <= 1e-12); "
         "quadrature Gram of the half-width-6 box vs lattice_gram: "
         + ", ".join(f"{e:.1e} (hbar=1/{h})" for h, e in gram_errors.items())
         + f" <= 1e-12; dual decay rate={rate:.3f} > 0, R^2={r_squared:.3f} >= 0.9",
     )
+
+
+def test_criterion_7_bounds_check_rejects_wrong_bounds():
+    # a Zak transform at step 1 vanishes at (1/2, 1/2) and gave alpha = 0;
+    # bounds scaled together keep the ratio but leave the grid minimum;
+    # a beta off by itself breaks the ratio
+    exact = analysis.frame_bounds(LatticeSpec(1.0 / 20.0))
+    alpha, beta = exact.alpha_est, exact.beta_est
+    assert zak_bounds_hold(exact)[0]
+    for wrong in ((0.0, beta), (alpha * (1 + 1e-9), beta * (1 + 1e-9)), (alpha, beta * (1 + 1e-9))):
+        assert not zak_bounds_hold(analysis.FrameDiagnostics(*wrong))[0]
 
 
 def test_criterion_7_gram_check_rejects_stretched_lattice():
@@ -382,19 +414,13 @@ def test_criterion_7_gram_check_rejects_stretched_lattice():
 def test_criterion_8_fem_self_validation():
     case = ProblemCase.homogeneous(20)
     sol = reference_fem.fem_solve(case)
-    exact = (lambda x: case.exact_solution(x, 0), lambda x: case.exact_solution(x, 1))
-    err = analysis.h1k_error(
-        (lambda x: sol(x, 0), lambda x: sol(x, 1)), exact, (-1, 1), 20, 60
-    ).relative
+    exact = with_derivative(case.exact_solution)
+    err = analysis.h1k_error(with_derivative(sol), exact, (-1, 1), 20, 60).relative
     errs, hs = [], []
     for elements in (112, 224, 448, 896):
         h = 7.0 / elements  # breakpoint-aligned meshes recover the full order
         s = reference_fem.fem_solve(case, 3.5, h=h)
-        errs.append(
-            analysis.h1k_error(
-                (lambda x: s(x, 0), lambda x: s(x, 1)), exact, (-1, 1), 20, 60
-            ).relative
-        )
+        errs.append(analysis.h1k_error(with_derivative(s), exact, (-1, 1), 20, 60).relative)
         hs.append(h)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     ok = err <= 1e-6 and abs(slope - 4.0) <= 0.3

@@ -151,13 +151,16 @@ def test_reconstruct_linearity_and_trivial_cases():
     report = asm.solve(system)
     zero = coefficient_report(np.zeros_like(report.coefficients))
     x = np.linspace(-0.9, 0.9, 20)
-    assert np.max(np.abs(asm.reconstruct(zero, iset, x))) == 0.0
+    for part in asm.reconstruct(zero, iset, x):
+        assert np.max(np.abs(part)) == 0.0
 
     unit = np.zeros_like(report.coefficients)
     unit[3] = 1.0
     one = coefficient_report(unit)
     state = states_from_index_set(iset)[3]
-    assert np.allclose(asm.reconstruct(one, iset, x, 1), gs.eval_derivative(state, 1, x))
+    value, derivative = asm.reconstruct(one, iset, x)
+    assert np.allclose(value, gs.eval_state(state, x))
+    assert np.allclose(derivative, gs.eval_derivative(state, 1, x))
 
     rng = np.random.default_rng(11)
     c1 = rng.normal(size=len(iset)) + 1j * rng.normal(size=len(iset))
@@ -165,8 +168,8 @@ def test_reconstruct_linearity_and_trivial_cases():
     r1 = coefficient_report(c1)
     r2 = coefficient_report(c2)
     r12 = coefficient_report(c1 + c2)
-    lhs = asm.reconstruct(r12, iset, x)
-    rhs = asm.reconstruct(r1, iset, x) + asm.reconstruct(r2, iset, x)
+    lhs = np.array(asm.reconstruct(r12, iset, x))
+    rhs = np.array(asm.reconstruct(r1, iset, x)) + np.array(asm.reconstruct(r2, iset, x))
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(lhs))
 
 
@@ -226,6 +229,8 @@ def test_assemble_matches_per_state_columns(het_cell):
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_reconstruct_matches_per_state_sum(order):
+    # value and derivative come from one kernel pass; each matches its own
+    # per-state sum, on and off the lattice positions
     _, iset, _ = make_system()
     rng = np.random.default_rng(5)
     c = rng.normal(size=len(iset)) + 1j * rng.normal(size=len(iset))
@@ -235,12 +240,12 @@ def test_reconstruct_matches_per_state_sum(order):
     def reference(x):
         return sum(cj * gs.eval_derivative(s, order, x) for cj, s in zip(c, states))
 
-    for x in (0.37, rng.uniform(-1.5, 1.5, 40), rng.uniform(-1.5, 1.5, (5, 8))):
-        got = asm.reconstruct(report, iset, x, order)
+    for x in (0.37, iset.x_array(), rng.uniform(-1.5, 1.5, 40), rng.uniform(-1.5, 1.5, (5, 8))):
+        got = asm.reconstruct(report, iset, x)[order]
         want = reference(np.asarray(x))
         assert np.shape(got) == np.shape(x)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert isinstance(asm.reconstruct(report, iset, 0.37, order), complex)
+    assert isinstance(asm.reconstruct(report, iset, 0.37)[order], complex)
 
 
 @pytest.mark.parametrize("cell", ["heterogeneous", "homogeneous"])

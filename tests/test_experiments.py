@@ -4,14 +4,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcshelm import analysis, cli
+from gcshelm import analysis, assembly_solver, cli
 from gcshelm.experiments import (
+    DEFAULT_SCALING_DELTAS,
+    EmptyIndexSetError,
     ExperimentConfig,
     ExperimentRecord,
+    ScalingStudy,
+    _ReferenceCache,
     emit,
     run_case,
+    run_cell,
+    scaling_study,
 )
 from gcshelm.phase_space import LatticeSpec
+from gcshelm.problem_model import ProblemCase
 
 from helpers import box_frame_bounds, parse_records_csv
 
@@ -104,6 +111,48 @@ def test_scaling_study_propagates_solver_errors(monkeypatch):
         scaling_study(cfg)
 
 
+def test_scaling_study_solves_each_distinct_index_set_once(monkeypatch):
+    # On this grid k = 50, 100, 200 and 400 each select a set at two or more
+    # consecutive deltas before their hits.  The study must return what a
+    # plain loop over run_cell returns, assembling once per distinct set.
+    cfg = ExperimentConfig(ks=(50.0, 100.0, 200.0, 400.0), deltas=DEFAULT_SCALING_DELTAS[:12], target_accuracy=1e-2)
+    cache = _ReferenceCache()
+    hits, distinct, cells = [], 0, 0
+    for k in cfg.ks:
+        case = ProblemCase.homogeneous(k)
+        seen = set()
+        for delta in cfg.deltas:
+            try:
+                record, _, index_set = run_cell(case, delta, cfg, cache)
+            except EmptyIndexSetError:
+                continue
+            cells += 1
+            seen.add(index_set.members)
+            if record.rel_h1k_error <= cfg.target_accuracy:
+                hits.append((k, delta, record.ndofs, record.rel_h1k_error))
+                break
+        distinct += len(seen)
+    ks, deltas, ndofs, errors = zip(*hits)
+    log_k = np.log(ks)
+    want = ScalingStudy(
+        ks, deltas, ndofs, errors, tuple(k for k in cfg.ks if k not in ks),
+        float(np.polyfit(log_k, np.log(np.array(ndofs, dtype=float)), 1)[0]),
+        float(np.polyfit(log_k, np.log(deltas), 1)[0]),
+    )
+
+    assembled = []
+    assemble = assembly_solver.assemble
+
+    def counted(index_set, case, density):
+        assembled.append(len(index_set))
+        return assemble(index_set, case, density)
+
+    monkeypatch.setattr(assembly_solver, "assemble", counted)
+    assert scaling_study(cfg) == want
+    assert len(assembled) == distinct < cells
+    assert 0 not in assembled
+
+
 def test_cli_solve_to_csv(tmp_path, capsys):
     out = tmp_path / "cell.csv"
     code = cli.main(
@@ -166,7 +215,7 @@ def test_cli_solve_requires_single_cell(capsys):
 
 
 def test_cli_diagnose_requires_hbar(capsys):
-    assert cli.main(["diagnose", "--hbar", ",", "--box", "2"]) == 2
+    assert cli.main(["diagnose", "--hbar", ","]) == 2
     assert "at least one --hbar" in capsys.readouterr().err
 
 
@@ -212,9 +261,9 @@ def test_cli_scaling_wiring(tmp_path, monkeypatch):
     assert len(cfg.deltas) > 10  # scan grid injected by default
 
 
-def test_cli_diagnose_small_box(tmp_path):
+def test_cli_diagnose_single_hbar(tmp_path):
     out = tmp_path / "diag.json"
-    code = cli.main(["diagnose", "--hbar", "0.05", "--box", "8", "--out", str(out)])
+    code = cli.main(["diagnose", "--hbar", "0.05", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
     entry = payload["hbar=0.05"]
@@ -225,17 +274,27 @@ def test_cli_diagnose_small_box(tmp_path):
 
 def test_cli_diagnose_matches_saved_report(tmp_path):
     # Saved from the version that rebuilt the hbar-free frame bounds and dual
-    # frame at every hbar, rounded the Gram phases through exp(1j*phase) and
-    # printed the box-8 estimate of the frame bounds.
+    # frame at every hbar, rounded the Gram phases through exp(1j*phase),
+    # printed the box-8 estimate of the frame bounds and took the dual frame
+    # on a box of half width 8 from the former --box flag.
     want = json.loads((Path(__file__).parent / "data" / "diagnose_hbar_0.05_0.01_box8.json").read_text())
     out = tmp_path / "diag.json"
-    assert cli.main(["diagnose", "--hbar", "0.05,0.01", "--box", "8", "--out", str(out)]) == 0
+    assert cli.main(["diagnose", "--hbar", "0.05,0.01", "--out", str(out)]) == 0
     text = out.read_text()
     got = json.loads(text)
     assert text == json.dumps(got, indent=2, sort_keys=True) + "\n"
     assert got.keys() == want.keys()
     box = box_frame_bounds(8, 5)
     exact = analysis.frame_bounds(LatticeSpec(0.05))
+    dual = {}
+    for half_width in (8, analysis.DUAL_BOX_HALF_WIDTH):
+        pairs, coeffs, residual = analysis.dual_frame_coefficients(LatticeSpec(0.05), (0, 0), half_width)
+        rate, r_squared, _ = analysis.dual_decay_fit(pairs, coeffs, (0, 0))
+        dual[half_width] = {
+            "dual_solve_residual": residual,
+            "dual_decay_rate": rate,
+            "dual_decay_r_squared": r_squared,
+        }
     for key, entry in want.items():
         assert got[key].keys() == entry.keys()
         # hbar-dependent: untouched arithmetic, equal bits
@@ -249,5 +308,7 @@ def test_cli_diagnose_matches_saved_report(tmp_path):
         assert got[key]["alpha_est"] == exact.alpha_est
         assert got[key]["beta_est"] == exact.beta_est
         assert got[key]["ratio"] == exact.beta_est / exact.alpha_est
-        for name in ("dual_solve_residual", "dual_decay_rate", "dual_decay_r_squared"):
-            assert got[key][name] == pytest.approx(entry[name], rel=1e-8, abs=0.0)
+        # the dual frame: the saved box-8 values, and the CLI's fixed box
+        for name, value in dual[analysis.DUAL_BOX_HALF_WIDTH].items():
+            assert entry[name] == pytest.approx(dual[8][name], rel=1e-8, abs=0.0)
+            assert got[key][name] == value

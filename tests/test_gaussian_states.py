@@ -269,17 +269,28 @@ def test_operator_pair_inner_matches_quadrature():
 
 
 def test_state_blocks_match_per_state_derivatives():
-    x0 = np.array([-0.3, -0.3, 0.0, 0.4, 0.4, 0.4])
-    xi0 = np.array([-1.0, 0.5, 0.0, -0.7, 0.2, 1.1])
-    x = np.linspace(-3.5, 3.5, 1401)
-    for order in (0, 2, 4):
-        dense = np.zeros((x.size, x0.size), dtype=complex)
-        for rows, cols, block in gs.state_blocks(HBAR, x0, xi0, x, order):
-            dense[rows, cols] = block
-        for j in range(x0.size):
-            ref = gs.eval_derivative(gs.CoherentState(HBAR, x0[j], xi0[j]), order, x)
-            near = np.abs(x - x0[j]) <= gs.WINDOW_SIGMAS * math.sqrt(HBAR)
-            assert np.max(np.abs(dense[near, j] - ref[near])) <= 1e-12 * np.max(np.abs(ref))
-            assert not np.any(dense[~near, j])
+    # every kernel path (orders 0-4 and an operator's multiplier, constant
+    # and heterogeneous) against the per-state reference, for states off the
+    # lattice at HBAR and on the lattice of hbar = 1/100, on nodes that hold
+    # the centres
+    h = math.sqrt(math.pi / 100.0)
+    state_sets = [
+        (HBAR, np.array([-0.3, -0.3, 0.0, 0.4, 0.4, 0.4]), np.array([-1.0, 0.5, 0.0, -0.7, 0.2, 1.1])),
+        (1.0 / 100.0, h * np.array([-3, -3, 0, 2, 2, 2]), h * np.array([-4, 1, 0, -2, 3, 6])),
+    ]
+    paths = [(order, None) for order in range(gs.MAX_DERIVATIVE_ORDER + 1)]
+    paths += [(0, gs.constant_operator(-1.0, 0.0, -1.0)), (0, ProblemCase.heterogeneous(100.0).operator())]
+    for hbar, x0, xi0 in state_sets:
+        x = np.sort(np.concatenate([np.linspace(-3.5, 3.5, 1401), x0]))
+        for order, op in paths:
+            dense = np.zeros((x.size, x0.size), dtype=complex)
+            for rows, cols, block in gs.state_blocks(hbar, x0, xi0, x, order, op):
+                dense[rows, cols] = block
+            for j in range(x0.size):
+                state = gs.CoherentState(hbar, x0[j], xi0[j])
+                ref = gs.eval_derivative(state, order, x) if op is None else gs.apply_operator(state, op, x)
+                near = np.abs(x - x0[j]) <= gs.WINDOW_SIGMAS * math.sqrt(hbar)
+                assert np.max(np.abs(dense[near, j] - ref[near])) <= 1e-12 * np.max(np.abs(ref))
+                assert not np.any(dense[~near, j])
     with pytest.raises(ValueError):
         next(gs.state_blocks(HBAR, x0, xi0, x[::-1]))

@@ -9,11 +9,13 @@ import gcshelm
 from gcshelm import analysis, reference_fem as fem
 from gcshelm.problem_model import ProblemCase
 
+from helpers import with_derivative
+
 
 def h1k_vs_exact(solution, case, window=(-1.0, 1.0), density=60):
     return analysis.h1k_error(
-        (lambda x: solution(x, 0), lambda x: solution(x, 1)),
-        (lambda x: case.exact_solution(x, 0), lambda x: case.exact_solution(x, 1)),
+        with_derivative(solution),
+        with_derivative(case.exact_solution),
         window,
         case.k,
         density,
@@ -62,11 +64,7 @@ def test_self_convergence_against_refined_reference():
     for elements in (112, 224, 448):
         sol = fem.fem_solve(case, 3.5, h=aligned_h(elements))
         err = analysis.h1k_error(
-            (lambda x: sol(x, 0), lambda x: sol(x, 1)),
-            (lambda x: truth(x, 0), lambda x: truth(x, 1)),
-            (-1.0, 1.0),
-            case.k,
-            60,
+            with_derivative(sol), with_derivative(truth), (-1.0, 1.0), case.k, 60
         ).relative
         errs.append(err)
         hs.append(aligned_h(elements))
@@ -87,11 +85,7 @@ def test_truncation_insensitivity():
     sol_a = fem.fem_solve(case, 3.5)
     sol_b = fem.fem_solve(case, 4.0)
     err = analysis.h1k_error(
-        (lambda x: sol_a(x, 0), lambda x: sol_a(x, 1)),
-        (lambda x: sol_b(x, 0), lambda x: sol_b(x, 1)),
-        (-1.0, 1.0),
-        case.k,
-        60,
+        with_derivative(sol_a), with_derivative(sol_b), (-1.0, 1.0), case.k, 60
     )
     assert err.relative <= 1e-7
 
