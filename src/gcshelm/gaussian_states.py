@@ -29,7 +29,7 @@ multiplier is quadratic in xi0,
     g = G0(x) + G1(x)*xi0 + G2(x)*xi0**2,
     G0 = a*(u**2 - hbar) - 1j*b*u + c,  G1 = -2j*a*u - b,  G2 = -a,
 
-and the first derivative's is -(u - 1j*xi0)/hbar.  The per-state
+and a derivative's is hbar**(-order/2) * q_order(z).  The per-state
 ``eval_state``, ``eval_derivative`` and ``apply_operator`` are the reference
 it is tested against.
 """
@@ -269,7 +269,7 @@ def state_blocks(hbar, x0, xi0, x, order=0, op=None):
     root = math.sqrt(hbar)
     amp = (math.pi * hbar) ** (-0.25)
     if op is not None:
-        a, b, c = (np.asarray(f(x), dtype=complex) for f in (op.a, op.b, op.c))
+        a, b, c = (np.asarray(f(x)) for f in (op.a, op.b, op.c))
     starts = np.flatnonzero(np.diff(x0, prepend=np.nan) != 0.0)
     for start, stop in zip(starts, np.append(starts[1:], x0.size)):
         centre = x0[start]
@@ -287,13 +287,12 @@ def state_blocks(hbar, x0, xi0, x, order=0, op=None):
         block *= (amp * np.exp(-(u**2) / (2.0 * hbar)))[:, None]
         if op is not None:
             ar, br, cr = a[rows], b[rows], c[rows]
-            g = np.multiply.outer(-ar, xi)
+            g = np.empty_like(block)
+            np.multiply.outer(-ar, xi, out=g)
             g += (-2j * ar * u - br)[:, None]
             g *= xi
             g += (ar * (u**2 - hbar) - 1j * br * u + cr)[:, None]
             block *= g
-        elif order == 1:
-            block *= np.add.outer(-u / hbar, (1j / hbar) * xi)
         elif order:
             z = np.subtract.outer(u, 1j * xi) / root
             block *= hbar ** (-order / 2.0) * npoly.polyval(z, _Q_POLYS[order])
