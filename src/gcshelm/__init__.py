@@ -3,7 +3,6 @@ problem with perfectly matched layers."""
 
 from .phase_space import (
     LatticeSpec,
-    IndexPair,
     IndexSet,
     lattice_point,
     build_symbol_set,

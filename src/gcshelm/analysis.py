@@ -247,7 +247,7 @@ def planewave_coefficient_probe(case):
     spec = LatticeSpec(1.0 / k)
     support = (-0.75, 0.75)
     band = build_planewave_rhs_set(spec, support, PLANEWAVE_EPSILON)
-    band_set = {(p.m, p.n) for p in band.members}
+    band_set = set(zip(band.m.tolist(), band.n.tolist()))
     h = spec.spacing
     m_max = math.floor((support[1] + PLANEWAVE_X_PAD) / h)
     n_max = math.floor(PLANEWAVE_XI_MAX / h)

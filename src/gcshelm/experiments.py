@@ -184,13 +184,14 @@ def scaling_study(config):
     for k in config.ks:
         case = ProblemCase.from_name(config.case, k)
         found = False
-        previous = None
+        prev_m = prev_n = None
         for delta in deltas:
             index_set = select_index_set(case, delta)
+            m, n = index_set.m, index_set.n
             # sub-threshold deltas select nothing at small k
-            if len(index_set) == 0 or index_set.members == previous:
+            if len(index_set) == 0 or (np.array_equal(m, prev_m) and np.array_equal(n, prev_n)):
                 continue
-            previous = index_set.members
+            prev_m, prev_n = m, n
             record, _, _ = run_cell(case, delta, config, cache, index_set)
             if record.rel_h1k_error <= config.target_accuracy:
                 hit_k.append(k)

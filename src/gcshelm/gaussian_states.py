@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from numpy.polynomial import Polynomial
 
 from .quadrature import DEFAULT_TAIL_TOL
 
@@ -51,12 +50,9 @@ __all__ = [
     "eval_state",
     "eval_derivative",
     "overlap",
-    "pair_moments",
-    "polynomial_pair_inner",
     "operator_pair_inner",
     "apply_operator",
     "state_blocks",
-    "residual_polynomial",
     "iterated_residual_norm",
 ]
 
@@ -103,16 +99,16 @@ class SecondOrderOperator:
     ``a``, ``b`` and ``c`` are vectorized callables of x.  ``symbol`` maps
     (x, xi) to the phase-space symbol used when subtracting p(x0, xi0); for
     the plain substitution d -> 1j*xi/hbar this is -a*xi**2 - b*xi + c, but a
-    problem model may supply only the principal part.  ``taylor`` optionally
-    returns local polynomial coefficients (a, b, c) about a point, enabling
-    exact iterated-residual algebra.
+    problem model may supply only the principal part.  ``constant`` is the
+    (a, b, c) triple of a frozen-coefficient operator, or None; the closed
+    forms ``operator_pair_inner`` and ``iterated_residual_norm`` need it.
     """
 
     a: object
     b: object
     c: object
     symbol: object
-    taylor: object = None
+    constant: tuple = None
 
 
 def constant_operator(a, b, c):
@@ -122,15 +118,12 @@ def constant_operator(a, b, c):
     def symbol(x, xi):
         return -a * xi**2 - b * xi + c
 
-    def taylor(x0, degree):
-        return (np.array([a]), np.array([b]), np.array([c]))
-
     return SecondOrderOperator(
         a=lambda x: np.full_like(np.asarray(x, dtype=float), a, dtype=complex),
         b=lambda x: np.full_like(np.asarray(x, dtype=float), b, dtype=complex),
         c=lambda x: np.full_like(np.asarray(x, dtype=float), c, dtype=complex),
         symbol=symbol,
-        taylor=taylor,
+        constant=(a, b, c),
     )
 
 
@@ -173,63 +166,20 @@ def overlap(s1, s2):
     return mag * complex(math.cos(phase), math.sin(phase))
 
 
-def _double_factorial(n):
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def pair_moments(s1, s2, jmax):
-    """Exact moments I_j = int (x - xbar)**j Psi1 conj(Psi2) dx, j = 0..jmax.
-
-    ``xbar`` is the midpoint of the two centers.  Obtained by completing the
-    square; the envelope factor is the plain overlap.
-    """
-    if s1.hbar != s2.hbar:
-        raise ValueError("pair_moments requires matching hbar")
-    hbar = s1.hbar
-    dxi = s1.xi0 - s2.xi0
-    base = overlap(s1, s2)
-    out = np.zeros(jmax + 1, dtype=complex)
-    for j in range(jmax + 1):
-        acc = 0.0 + 0.0j
-        for ell in range(0, j + 1, 2):
-            acc += (
-                math.comb(j, ell)
-                * (0.5j * dxi) ** (j - ell)
-                * (0.5 * hbar) ** (ell // 2)
-                * _double_factorial(ell - 1)
-            )
-        out[j] = base * acc
-    return out
-
-
-def polynomial_pair_inner(coeffs, center, s1, s2):
-    """Closed form of (g * Psi1, Psi2) for g polynomial about ``center``.
-
-    ``coeffs`` are lowest-degree-first coefficients of g in (x - center).
-    """
-    xbar = 0.5 * (s1.x0 + s2.x0)
-    shifted = Polynomial(np.asarray(coeffs, dtype=complex))(
-        Polynomial([xbar - center, 1.0])
-    ).coef
-    moments = pair_moments(s1, s2, len(shifted) - 1)
-    return complex(np.dot(shifted, moments[: len(shifted)]))
-
-
 def operator_pair_inner(op, s1, s2):
-    """Closed form of (P Psi1, Psi2) for an operator with polynomial Taylor data.
+    """Closed form of (P Psi1, Psi2) for a constant-coefficient operator.
 
-    Exact for frozen (constant or polynomial) coefficients; the main use is
-    probing quasi-orthogonality at separations where quadrature would drown
-    in roundoff.
+    P multiplies the hbar-Fourier transform by p(xi) = -a*xi**2 - b*xi + c,
+    and the transform of Psi1 * conj(Psi2) is the plain overlap times a
+    Gaussian of variance hbar/2 about mu = (xi1 + xi2)/2 + 1j*(x2 - x1)/2,
+    so the pairing is overlap * (p(mu) - a*hbar/2).  It stays accurate at
+    separations where quadrature would drown in roundoff.
     """
-    if op.taylor is None:
-        raise ValueError("operator_pair_inner needs taylor coefficient data")
-    g = _multiplier_poly(s1, op, degree_hint=6)
-    return polynomial_pair_inner(g, s1.x0, s1, s2)
+    if op.constant is None:
+        raise ValueError("operator_pair_inner needs a constant-coefficient operator")
+    a, b, c = op.constant
+    mu = complex(0.5 * (s1.xi0 + s2.xi0), 0.5 * (s2.x0 - s1.x0))
+    return overlap(s1, s2) * (-a * mu * mu - b * mu + c - 0.5 * a * s1.hbar)
 
 
 def apply_operator(state, op, x):
@@ -299,48 +249,12 @@ def state_blocks(hbar, x0, xi0, x, order=0, op=None):
         yield rows, cols, block
 
 
-def _poly_from_taylor(coeffs):
-    return Polynomial(np.asarray(coeffs, dtype=complex))
-
-
-def _multiplier_poly(state, op, degree_hint=None):
-    """g as polynomial coefficients in u = x - x0 (requires taylor data)."""
-    hbar = state.hbar
-    a, b, c = op.taylor(state.x0, degree_hint)
-    a, b, c = map(_poly_from_taylor, (a, b, c))
-    # q_k(z) with z = (u - 1j*xi0)/sqrt(hbar) as polynomials in u
-    z = Polynomial([-1j * state.xi0, 1.0]) / math.sqrt(hbar)
-    q1 = -z
-    q2 = z * z - 1.0
-    g = hbar * a * q2 + 1j * math.sqrt(hbar) * b * q1 + c
-    return g.coef
-
-
-def residual_polynomial(state, op, L=1):
-    """Coefficients in u = x - x0 of r_L with (P - p(x0,xi0))**L Psi = r_L Psi.
-
-    Requires polynomial Taylor data on the operator.  The recursion uses
-
-        (P - p)(g Psi) = [hbar**2 a g'' + 2 hbar a g' (1j*xi0 - u)
-                          + 1j hbar b g' + g r_1] Psi,
-
-    which follows from Psi'/Psi = (1j*xi0 - u)/hbar.
-    """
-    if op.taylor is None:
-        raise ValueError("residual_polynomial needs taylor coefficient data")
-    if L < 0:
-        raise ValueError("L must be nonnegative")
-    hbar = state.hbar
-    a, b, _ = op.taylor(state.x0, None)
-    a, b = map(_poly_from_taylor, (a, b))
-    p0 = complex(op.symbol(state.x0, state.xi0))
-    r1 = Polynomial(_multiplier_poly(state, op)) - p0
-    lin = Polynomial([1j * state.xi0, -1.0])  # 1j*xi0 - u
-    g = Polynomial([1.0 + 0.0j])
-    for _ in range(L):
-        dg = g.deriv()
-        g = hbar**2 * a * g.deriv(2) + 2.0 * hbar * a * dg * lin + 1j * hbar * b * dg + g * r1
-    return g.coef
+def _double_factorial(n):
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
 
 
 def _gaussian_sq_moments(hbar, pmax):
@@ -352,15 +266,20 @@ def _gaussian_sq_moments(hbar, pmax):
 
 
 def iterated_residual_norm(state, op, L):
-    """Exact L2 norm of (P - p(x0, xi0))**L Psi for L in {1, 2, 3}.
+    """Exact L2 norm of (P - p(xi0))**L Psi for L in {1, 2, 3}.
 
-    The operator must carry polynomial Taylor data (frozen coefficients are
-    the intended use); the norm is then a finite Gaussian-moment sum.
+    For a constant-coefficient operator the residual multiplies the
+    hbar-Fourier transform by r(v)**L, r(v) = p(xi0 + v) - p(xi0) =
+    -a*v**2 - (2*a*xi0 + b)*v, and |transform|**2 is a Gaussian of variance
+    hbar/2 about xi0, so the squared norm is a finite Gaussian-moment sum.
     """
     if L not in (1, 2, 3):
         raise ValueError("L must be 1, 2 or 3")
-    coeffs = residual_polynomial(state, op, L)
+    if op.constant is None:
+        raise ValueError("iterated_residual_norm needs a constant-coefficient operator")
+    a, b, _ = op.constant
+    coeffs = npoly.polypow([0.0, -(2.0 * a * state.xi0 + b), -a], L)
     sq = npoly.polymul(coeffs, np.conj(coeffs))
     moments = _gaussian_sq_moments(state.hbar, len(sq) - 1)
-    val = float(np.real(np.dot(sq, moments[: len(sq)])))
+    val = float(np.real(np.dot(sq, moments)))
     return math.sqrt(max(val, 0.0))

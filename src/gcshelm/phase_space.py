@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "LatticeSpec",
-    "IndexPair",
     "IndexSet",
     "lattice_point",
     "build_symbol_set",
@@ -36,53 +35,44 @@ class LatticeSpec:
         return math.sqrt(math.pi * self.hbar)
 
 
-@dataclass(frozen=True, order=True)
-class IndexPair:
-    """One lattice index [m, n]: m indexes position, n indexes frequency."""
-
-    m: int
-    n: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSet:
-    """Finite, lexicographically ordered collection of lattice index pairs."""
+    """Finite set of lattice indices [m, n], m for position and n for frequency.
 
-    members: tuple
+    Held as two integer arrays, sorted lexicographically by (m, n).
+    """
+
+    m: np.ndarray
+    n: np.ndarray
     lattice: LatticeSpec
 
     def __post_init__(self):
-        if len(set(self.members)) != len(self.members):
+        m = np.asarray(self.m, dtype=int)
+        n = np.asarray(self.n, dtype=int)
+        if m.ndim != 1 or m.shape != n.shape:
+            raise ValueError("m and n must be 1-D arrays of equal length")
+        dm, dn = np.diff(m), np.diff(n)
+        same_m = dm == 0
+        if np.any(same_m & (dn == 0)):
             raise ValueError("duplicate index pairs")
-        if list(self.members) != sorted(self.members):
-            raise ValueError("members must be sorted lexicographically")
+        if np.any(dm < 0) or np.any(same_m & (dn < 0)):
+            raise ValueError("index pairs must be sorted lexicographically")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def m_array(self):
-        return np.array([p.m for p in self.members], dtype=int)
-
-    def n_array(self):
-        return np.array([p.n for p in self.members], dtype=int)
+        return self.m.size
 
     def x_array(self):
-        return self.m_array() * self.lattice.spacing
+        return self.m * self.lattice.spacing
 
     def xi_array(self):
-        return self.n_array() * self.lattice.spacing
+        return self.n * self.lattice.spacing
 
 
 def lattice_point(m, spec):
     """Coordinate of lattice index m: sqrt(pi*hbar)*m (same map for m and n)."""
     return spec.spacing * m
-
-
-def _ordered(pairs):
-    return tuple(sorted(IndexPair(int(m), int(n)) for m, n in pairs))
 
 
 def _symbol_modulus_grid(symbol, spec, m_max, n_max):
@@ -108,6 +98,7 @@ def build_symbol_set(spec, symbol, delta, bounds=None):
     m_max, n_max = int(bounds[0]), int(bounds[1])
     ms, ns, mod = _symbol_modulus_grid(symbol, spec, m_max, n_max)
     sel = mod < delta
+    # the row-major scan of the (m, n) grid is already lexicographic
     mi, ni = np.nonzero(sel)
     m_sel = ms[mi]
     n_sel = ns[ni]
@@ -116,9 +107,7 @@ def build_symbol_set(spec, symbol, delta, bounds=None):
             raise ValueError(
                 f"selected pairs touch the search box boundary {bounds}; enlarge bounds"
             )
-    order = np.lexsort((n_sel, m_sel))
-    pairs = tuple(IndexPair(int(m_sel[i]), int(n_sel[i])) for i in order)
-    return IndexSet(pairs, spec)
+    return IndexSet(m_sel, n_sel, spec)
 
 
 def build_planewave_rhs_set(spec, support, epsilon):
@@ -138,16 +127,12 @@ def build_planewave_rhs_set(spec, support, epsilon):
     m_hi = math.floor((hi + tol) / h + 1e-12)
     n_abs_hi = math.floor((1.0 + tol) / h + 1e-12)
     n_abs_lo = math.ceil(max(1.0 - tol, 0.0) / h - 1e-12)
-    pairs = []
-    for m in range(m_lo, m_hi + 1):
-        for n_abs in range(n_abs_lo, n_abs_hi + 1):
-            if abs(abs(n_abs * h) - 1.0) <= tol + 1e-15:
-                if n_abs == 0:
-                    pairs.append((m, 0))
-                else:
-                    pairs.append((m, n_abs))
-                    pairs.append((m, -n_abs))
-    return IndexSet(_ordered(pairs), spec)
+    m = np.arange(m_lo, m_hi + 1)
+    n_abs = np.arange(n_abs_lo, n_abs_hi + 1)
+    n_abs = n_abs[np.abs(n_abs * h - 1.0) <= tol + 1e-15]
+    # -n_abs then +n_abs, ascending, with n = 0 kept once
+    n = np.concatenate((-n_abs[::-1], n_abs[n_abs > 0]))
+    return IndexSet(np.repeat(m, n.size), np.tile(n, m.size), spec)
 
 
 def search_bounds_from_symbol(symbol, delta, spec, max_doublings=16):

@@ -226,8 +226,9 @@ class ProblemCase:
 
         a = -nu**(-1), 1j*hbar*b = -hbar**2*(nu**(-1))', and
         c = -mu*nu, with hbar = 1/k.  The bundled symbol is the principal
-        one, so the residual factor keeps its O(hbar) size.  It carries no
-        Taylor data: the closed forms run on ``constant_operator``.
+        one, so the residual factor keeps its O(hbar) size.  Its
+        coefficients vary, so it has no ``constant`` triple: the closed
+        forms run on ``constant_operator``.
         """
         hbar = 1.0 / self.k
 

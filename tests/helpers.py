@@ -21,12 +21,17 @@ def with_derivative(f):
     return lambda x: (f(x, 0), f(x, 1))
 
 
+def pairs_of(index_set):
+    """The index pairs (m, n) of an index set, as a Python set."""
+    return set(zip(index_set.m.tolist(), index_set.n.tolist()))
+
+
 def states_from_index_set(index_set):
     """Coherent states sitting at the lattice points of an index set."""
     spec = index_set.lattice
     return [
-        gs.CoherentState(spec.hbar, lattice_point(p.m, spec), lattice_point(p.n, spec))
-        for p in index_set.members
+        gs.CoherentState(spec.hbar, lattice_point(m, spec), lattice_point(n, spec))
+        for m, n in zip(index_set.m, index_set.n)
     ]
 
 

@@ -7,7 +7,7 @@ from gcshelm import analysis, gaussian_states as gs, quadrature as quad
 from gcshelm.phase_space import LatticeSpec, lattice_point
 from gcshelm.problem_model import ProblemCase
 
-from helpers import box_frame_bounds, inner_product, zak_frame_function
+from helpers import box_frame_bounds, inner_product, pairs_of, zak_frame_function
 
 
 def pair(fn, dfn):
@@ -339,7 +339,7 @@ def test_planewave_probe_matches_per_state_loop():
 
     case = ProblemCase.homogeneous(50)
     spec = LatticeSpec(1.0 / case.k)
-    band = {(p.m, p.n) for p in build_planewave_rhs_set(spec, (-0.75, 0.75), 0.25)}
+    band = pairs_of(build_planewave_rhs_set(spec, (-0.75, 0.75), 0.25))
     rule = quad.build_rule((-0.75, 0.75), case.k, quad.nodes_per_wavelength(1.0 + 2.5))
     fw = cutoff_phi(rule.nodes, 0) * np.exp(1j * case.k * rule.nodes) * rule.weights
     inside = outside = 0.0

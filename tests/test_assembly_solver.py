@@ -10,7 +10,7 @@ from gcshelm.experiments import ExperimentConfig, _ReferenceCache, run_cell
 from gcshelm.phase_space import LatticeSpec, build_symbol_set
 from gcshelm.problem_model import ProblemCase
 
-from helpers import dense, norm, one_block, states_from_index_set, support_window
+from helpers import dense, norm, one_block, pairs_of, states_from_index_set, support_window
 
 
 def make_system(k=50.0, delta=0.5, density=64, case=None):
@@ -102,7 +102,7 @@ def test_monotone_residual_in_delta():
     spec = LatticeSpec(1.0 / k)
     small = build_symbol_set(spec, case.symbol, 0.5)
     large = build_symbol_set(spec, case.symbol, 1.0)
-    assert {(p.m, p.n) for p in small} <= {(p.m, p.n) for p in large}
+    assert pairs_of(small) <= pairs_of(large)
     res = [asm.solve(asm.assemble(s, case, 64)).residual_norm for s in (small, large)]
     assert res[1] <= res[0] + 1e-10
 
@@ -137,8 +137,7 @@ def test_near_bandedness_at_k100():
     system, iset, _ = make_system(k=100.0, delta=0.8, density=64)
     a = dense(system.matrix)
     gram = a.conj().T @ a
-    m = iset.m_array()
-    n = iset.n_array()
+    m, n = iset.m, iset.n
     dist = np.hypot(m[:, None] - m[None, :], n[:, None] - n[None, :])
     far = dist >= 10.0
     max_far = np.abs(gram[far]).max()

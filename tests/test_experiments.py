@@ -127,7 +127,7 @@ def test_scaling_study_solves_each_distinct_index_set_once(monkeypatch):
             except EmptyIndexSetError:
                 continue
             cells += 1
-            seen.add(index_set.members)
+            seen.add((index_set.m.tobytes(), index_set.n.tobytes()))
             if record.rel_h1k_error <= cfg.target_accuracy:
                 hits.append((k, delta, record.ndofs, record.rel_h1k_error))
                 break
@@ -297,8 +297,10 @@ def test_cli_diagnose_matches_saved_report(tmp_path):
         }
     for key, entry in want.items():
         assert got[key].keys() == entry.keys()
-        # hbar-dependent: untouched arithmetic, equal bits
-        assert got[key]["quasi_orthogonality"] == entry["quasi_orthogonality"]
+        # hbar-dependent: the saved values come from the polynomial-moment
+        # pairing this closed form replaced, and stay as its oracle; three
+        # of the values differ from it by one ulp
+        assert got[key]["quasi_orthogonality"] == pytest.approx(entry["quasi_orthogonality"], rel=1e-14)
         # hbar-free: the exact phases move the conditioning-limited box
         # estimate by 1.4e-10 here (see test_frame_bounds_match_unwindowed_full_product)
         saved_box = (entry["alpha_est"], entry["beta_est"], entry["ratio"])

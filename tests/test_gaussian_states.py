@@ -107,21 +107,6 @@ def test_overlap_matches_quadrature():
     assert abs(val - gs.overlap(s1, s2)) < 1e-12
 
 
-def test_pair_moments_match_quadrature():
-    s1 = gs.CoherentState(HBAR, 0.1, 0.6)
-    s2 = gs.CoherentState(HBAR, -0.15, 1.0)
-    rule = state_rule(s1, s2, density=120)
-    xbar = 0.5 * (s1.x0 + s2.x0)
-    moments = gs.pair_moments(s1, s2, 4)
-    for j in range(5):
-        val = inner_product(
-            lambda x: (x - xbar) ** j * gs.eval_state(s1, x),
-            lambda x: gs.eval_state(s2, x),
-            rule,
-        )
-        assert abs(val - moments[j]) < 1e-12
-
-
 def test_apply_operator_identity():
     s = gs.CoherentState(HBAR, 0.3, -0.7)
     op = gs.constant_operator(0.0, 0.0, 1.0)
@@ -211,6 +196,34 @@ def test_iterated_residual_norm_matches_quadrature():
     assert abs(exact - qval) < 1e-12
 
 
+def test_iterated_residual_norm_L2_matches_quadrature():
+    # (P - p0)**2 = sum_o c_o d^o with e = c - p0 for constant (a, b, c)
+    a, b, c = -1.3 + 0.2j, 0.4 - 0.1j, -2.0 + 0.05j
+    op = gs.constant_operator(a, b, c)
+    for hbar, x0, xi0 in ((1.0 / 64.0, 0.0, 1.0), (1.0 / 40.0, 0.3, -0.8)):
+        s = gs.CoherentState(hbar, x0, xi0)
+        e = c - complex(op.symbol(x0, xi0))
+        coeffs = [
+            e * e,
+            2j * hbar * b * e,
+            2 * hbar**2 * a * e - hbar**2 * b * b,
+            2j * hbar**3 * a * b,
+            hbar**4 * a * a,
+        ]
+        rule = state_rule(s, density=120)
+        qval = norm(lambda x: sum(co * gs.eval_derivative(s, o, x) for o, co in enumerate(coeffs)), rule)
+        assert abs(gs.iterated_residual_norm(s, op, 2) - qval) <= 1e-12 * qval
+
+
+def test_closed_forms_need_constant_coefficients():
+    op = ProblemCase.homogeneous(50).operator()
+    s = gs.CoherentState(1.0 / 50.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="constant-coefficient"):
+        gs.operator_pair_inner(op, s, s)
+    with pytest.raises(ValueError, match="constant-coefficient"):
+        gs.iterated_residual_norm(s, op, 1)
+
+
 def test_iterated_residual_norm_scaling_and_monotonicity():
     op = gs.constant_operator(-1.0, 0.0, -1.0)
     for L in (1, 2, 3):
@@ -254,18 +267,25 @@ def test_gaussian_moment_bounds():
 
 
 def test_operator_pair_inner_matches_quadrature():
-    op = gs.constant_operator(-1.0, 0.0, -1.0)
+    # the real Helmholtz triple from the origin, and a complex triple with
+    # b != 0 from a state off the origin
     hbar = 1.0 / 100.0
     spacing = math.sqrt(math.pi * hbar)
-    s1 = gs.CoherentState(hbar, 0.0, 0.0)
-    for dm, dn in [(2, 0), (0, 2), (1, 1), (3, 2)]:
-        s2 = gs.CoherentState(hbar, dm * spacing, dn * spacing)
-        rule = state_rule(s1, s2, density=max(120, int(40 * (dn * spacing + 1))))
-        qv = inner_product(
-            lambda x: gs.apply_operator(s1, op, x), lambda x: gs.eval_state(s2, x), rule
-        )
-        cv = gs.operator_pair_inner(op, s1, s2)
-        assert abs(qv - cv) < 1e-12
+    cases = [
+        (gs.constant_operator(-1.0, 0.0, -1.0), (0, 0)),
+        (gs.constant_operator(-1.3 + 0.2j, 0.4 - 0.1j, -2.0 + 0.05j), (1, -2)),
+    ]
+    for op, (m1, n1) in cases:
+        s1 = gs.CoherentState(hbar, m1 * spacing, n1 * spacing)
+        for dm, dn in [(2, 0), (0, 2), (1, 1), (3, 2)]:
+            s2 = gs.CoherentState(hbar, (m1 + dm) * spacing, (n1 + dn) * spacing)
+            xi_max = max(abs(s1.xi0), abs(s2.xi0))
+            rule = state_rule(s1, s2, density=max(120, int(40 * (xi_max + 1))))
+            qv = inner_product(
+                lambda x: gs.apply_operator(s1, op, x), lambda x: gs.eval_state(s2, x), rule
+            )
+            cv = gs.operator_pair_inner(op, s1, s2)
+            assert abs(qv - cv) < 1e-12
 
 
 def test_state_blocks_match_per_state_derivatives():

@@ -6,6 +6,8 @@ import pytest
 from gcshelm import phase_space as ps
 from gcshelm.problem_model import ProblemCase
 
+from helpers import pairs_of
+
 
 def test_lattice_point_values():
     assert ps.lattice_point(0, ps.LatticeSpec(0.37)) == 0.0
@@ -29,7 +31,7 @@ def test_symbol_set_figure_geometry_k400():
     xis = np.unique(np.round(np.abs(iset.xi_array()), 10))
     assert xis.size == 1
     assert abs(xis[0] - 0.974849617998) < 1e-10
-    assert set(np.unique(iset.n_array())) == {-11, 11}
+    assert set(np.unique(iset.n)) == {-11, 11}
 
 
 def test_symbol_set_strictness_empty_sublevel():
@@ -66,10 +68,7 @@ def test_symbol_set_counts_frozen():
 def test_symbol_set_monotone_in_delta():
     case = ProblemCase.homogeneous(50)
     spec = ps.LatticeSpec(1.0 / 50.0)
-    sets = [
-        {(p.m, p.n) for p in ps.build_symbol_set(spec, case.symbol, d)}
-        for d in (0.5, 1.0, 2.0)
-    ]
+    sets = [pairs_of(ps.build_symbol_set(spec, case.symbol, d)) for d in (0.5, 1.0, 2.0)]
     assert sets[0] <= sets[1] <= sets[2]
 
 
@@ -81,7 +80,7 @@ def test_symbol_set_stable_under_bound_enlargement():
     bigger = ps.build_symbol_set(
         spec, case.symbol, 1.0, bounds=(2 * bounds[0], 2 * bounds[1])
     )
-    assert base.members == bigger.members
+    assert np.array_equal(base.m, bigger.m) and np.array_equal(base.n, bigger.n)
 
 
 def test_symbol_set_boundary_touch_raises():
@@ -95,7 +94,7 @@ def test_planewave_set_boundary_inclusion():
     # hbar = 1 makes the tolerance 1, so (0, 0) sits exactly on the band edge
     spec = ps.LatticeSpec(1.0)
     iset = ps.build_planewave_rhs_set(spec, (-1.0, 1.0), 1e-9)
-    assert (0, 0) in {(p.m, p.n) for p in iset}
+    assert (0, 0) in pairs_of(iset)
 
 
 def test_planewave_set_band_halfwidth():
@@ -108,6 +107,16 @@ def test_planewave_set_band_halfwidth():
     assert xs.max() <= 1.0 + tol + 1e-12
     # the outermost admissible lattice column is included
     assert xs.max() > 1.0 + tol - spec.spacing
+    # the documented band, enumerated pair by pair over a box around it
+    h = spec.spacing
+    box = range(-math.ceil((1.0 + tol) / h) - 2, math.ceil((1.0 + tol) / h) + 3)
+    band = {
+        (m, n)
+        for m in box
+        for n in box
+        if max(abs(m * h) - 1.0, 0.0) <= tol and abs(abs(n * h) - 1.0) <= tol
+    }
+    assert pairs_of(iset) == band
 
 
 def test_planewave_set_count_scaling():
@@ -152,7 +161,12 @@ def test_search_bounds_terminate_in_pml():
 
 def test_index_set_duplicate_and_order_validation():
     spec = ps.LatticeSpec(0.1)
-    with pytest.raises(ValueError):
-        ps.IndexSet((ps.IndexPair(0, 0), ps.IndexPair(0, 0)), spec)
-    with pytest.raises(ValueError):
-        ps.IndexSet((ps.IndexPair(1, 0), ps.IndexPair(0, 0)), spec)
+    with pytest.raises(ValueError, match="duplicate"):
+        ps.IndexSet(np.array([0, 0]), np.array([0, 0]), spec)
+    with pytest.raises(ValueError, match="sorted"):
+        ps.IndexSet(np.array([1, 0]), np.array([0, 0]), spec)
+    with pytest.raises(ValueError, match="sorted"):
+        ps.IndexSet(np.array([0, 0]), np.array([1, -1]), spec)
+    with pytest.raises(ValueError, match="equal length"):
+        ps.IndexSet(np.array([0, 1]), np.array([0]), spec)
+    assert len(ps.IndexSet(np.array([-1, 0, 0, 2]), np.array([5, -3, 1, -7]), spec)) == 4

@@ -205,10 +205,9 @@ def test_symbol_operator_consistency_on_lattice():
         op = case.operator()
         spec = LatticeSpec(1.0 / k)
         iset = build_symbol_set(spec, case.symbol, 0.8)
-        for pair in iset.members[:: max(1, len(iset) // 25)]:
-            s = gs.CoherentState(
-                spec.hbar, lattice_point(pair.m, spec), lattice_point(pair.n, spec)
-            )
+        step = max(1, len(iset) // 25)
+        for m, n in zip(iset.m[::step], iset.n[::step]):
+            s = gs.CoherentState(spec.hbar, lattice_point(m, spec), lattice_point(n, spec))
             r0 = gs.apply_operator(s, op, s.x0) / gs.eval_state(s, s.x0) - op.symbol(s.x0, s.xi0)
             ratios.append(abs(r0) / (s.hbar * (1 + s.xi0**2)))
     assert max(ratios) < 3.0
