@@ -22,10 +22,14 @@ in two steps.  A row-block streaming QR (TSQR; Demmel, Grigori, Hoemmen and
 Langou, SIAM J. Sci. Comput. 34, 2012) stacks the carried triangle on each
 block of [A | b], filled from the state blocks that overlap its rows and
 restricted to the columns those rows can touch, and emits the rows of R
-whose columns no later block touches.  A column's first and last row are
-those of its state block.  The N x N triangle R has A's singular values,
-and its truncated-SVD least-squares solve with the relative cutoff gives
-the rank and the minimum-norm solution of A.
+whose columns no later block touches.  Those column windows and the band
+are read off the staircase of the blocks' row and column bounds.  The N x N
+triangle R has A's singular values, and its truncated-SVD least-squares
+solve with the relative cutoff gives the rank and the minimum-norm solution
+of A.  The residual comes from the same triangle: for every c,
+||A c - b||**2 = ||R c - Q^H b||**2 + rho**2, where rho is the last diagonal
+entry of the triangle of [A | b] (Golub and Van Loan, Matrix Computations,
+section 5.3), so no second pass over the blocks forms A c.
 
 The factorizations call ``numpy.linalg`` only.  numpy and scipy link
 separate OpenBLAS builds, each with its own thread pool.  On a 2-vCPU
@@ -36,7 +40,7 @@ against 0.44 s).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,10 +71,14 @@ class BlockMatrix:
     ``rows`` and ``cols`` are slices.  The column runs are disjoint and in
     increasing order, and the row starts and stops never decrease, as
     ``state_blocks`` yields them for an index set sorted by position.
+    ``row_bounds`` and ``col_bounds`` hold each block's (start, stop) rows
+    and columns: the staircase.
     """
 
     shape: tuple
     blocks: tuple
+    row_bounds: np.ndarray = field(init=False)
+    col_bounds: np.ndarray = field(init=False)
 
     def __post_init__(self):
         rows = np.array([(r.start, r.stop) for r, _, _ in self.blocks], dtype=int).reshape(-1, 2)
@@ -81,6 +89,8 @@ class BlockMatrix:
             raise ValueError("block rows must be nonempty and inside the matrix")
         if np.any(cols[:, 0] >= cols[:, 1]) or np.any(cols[:, 1] > self.shape[1]):
             raise ValueError("block columns must be nonempty and inside the matrix")
+        object.__setattr__(self, "row_bounds", rows)
+        object.__setattr__(self, "col_bounds", cols)
 
 
 @dataclass(frozen=True)
@@ -142,10 +152,10 @@ def solve(system, cutoff_rel=DEFAULT_CUTOFF):
     """Rank-revealing least-squares solve of the rectangular design matrix."""
     if not 0.0 < cutoff_rel < 1.0:
         raise ValueError("cutoff_rel must lie in (0, 1)")
-    a = system.matrix
-    r, qhb = _banded_qr(a, system.rhs)
+    r, qhb, rho = _banded_qr(system.matrix, system.rhs)
     coeff, _, rank, sigma = np.linalg.lstsq(r, qhb, rcond=cutoff_rel)
-    residual = float(np.linalg.norm(_block_product(a.blocks, coeff, a.shape[0]) - system.rhs))
+    # ||A c - b||**2 = ||R c - Q^H b||**2 + rho**2 for every c
+    residual = math.hypot(float(np.linalg.norm(r @ coeff - qhb)), rho)
     dropped = float(sigma[rank]) if rank < sigma.size else 0.0
     return SolveReport(
         coeff, int(rank), float(cutoff_rel), residual,
@@ -154,25 +164,28 @@ def solve(system, cutoff_rel=DEFAULT_CUTOFF):
 
 
 def _banded_qr(a, b):
-    """The N x N triangle R of a = Q R and Q^H b, from row blocks of [a | b]."""
+    """The N x N triangle R of a = Q R, Q^H b and |rho|, from row blocks of [a | b].
+
+    rho is the last diagonal entry of the triangle of [a | b], the part of b
+    outside the range of a; it is 0 when no row is left for it (Q = N).
+    """
     q, n = a.shape
     blocks = a.blocks
     if not any(block.any() for _, _, block in blocks):
         raise ValueError("design matrix is identically zero")
-    cols, first, last = _column_rows(blocks)
-    starts = np.array([rows.start for rows, _, _ in blocks])
-    stops = np.array([rows.stop for rows, _, _ in blocks])
-    # reached[r]: one past the last column that rows < r touch;
-    # needed[r]: the first column that rows >= r touch, n if none
-    top = np.full(q, -1)
-    np.maximum.at(top, first, cols)
-    reached = np.append(0, np.maximum.accumulate(top) + 1)
-    bottom = np.full(q + 1, n)
-    np.minimum.at(bottom, last, cols)
-    needed = np.minimum.accumulate(bottom[::-1])[::-1]
-    # band: the most column spans that cover one row
-    band = np.cumsum(np.bincount(first, minlength=q + 1) - np.bincount(last + 1, minlength=q + 1))
+    starts, stops = a.row_bounds.T
+    col_starts, col_stops = a.col_bounds.T
+    # band: the most columns that cover one row, as at some block start; the
+    # blocks that start at or before a row less those that stop by it cover it
+    widths = np.append(0, np.cumsum(col_stops - col_starts))
+    band = (
+        widths[np.searchsorted(starts, starts, side="right")]
+        - widths[np.searchsorted(stops, starts, side="right")]
+    )
     step = max(_BLOCK_PER_BAND * int(band.max()), _BLOCK_MIN)
+    # indexed by searchsorted: n past the last block, 0 before the first
+    first_col = np.append(col_starts, n)
+    end_col = np.append(0, col_stops)
 
     r = np.zeros((n, n), dtype=complex)
     qhb = np.zeros(n, dtype=complex)
@@ -180,15 +193,18 @@ def _banded_qr(a, b):
     lo = 0
     for r0 in range(0, q, step):
         r1 = min(r0 + step, q)
-        # rows of R for columns below `done` are final: no later row touches them
-        done = needed[r1]
-        hi = max(reached[r1], done)
+        # rows of R for columns below `done` are final: no later row touches
+        # them (the first block that stops past r1 starts at `done`); rows
+        # < r1 touch columns up to the end of the last block that starts there
+        begun = np.searchsorted(starts, r1)
+        done = first_col[np.searchsorted(stops, r1, side="right")]
+        hi = max(end_col[begun], done)
         held = carry.shape[0]
         stacked = np.zeros((held + r1 - r0, hi - lo + 1), dtype=complex)
         stacked[:held, : carry.shape[1] - 1] = carry[:, :-1]
         stacked[:held, -1] = carry[:, -1]
         # the blocks that overlap rows [r0, r1): stops > r0 and starts < r1
-        overlap = slice(np.searchsorted(stops, r0, side="right"), np.searchsorted(starts, r1))
+        overlap = slice(np.searchsorted(stops, r0, side="right"), begun)
         for rows, cols, block in blocks[overlap]:
             i0, i1 = max(rows.start, r0), min(rows.stop, r1)
             stacked[held + i0 - r0 : held + i1 - r0, cols.start - lo : cols.stop - lo] = (
@@ -201,16 +217,8 @@ def _banded_qr(a, b):
         qhb[lo : lo + emit] = tri[:emit, -1]
         carry = tri[done - lo :, done - lo :]
         lo = done
-    return r, qhb
-
-
-def _column_rows(blocks):
-    """The columns the blocks cover, with each one's first and last row: its block's."""
-    widths = [c.stop - c.start for _, c, _ in blocks]
-    cols = np.concatenate([np.arange(c.start, c.stop) for _, c, _ in blocks])
-    first = np.repeat([rows.start for rows, _, _ in blocks], widths)
-    last = np.repeat([rows.stop - 1 for rows, _, _ in blocks], widths)
-    return cols, first, last
+    # after the last block done = n, so the carry is [rho] or empty
+    return r, qhb, float(abs(carry[0, 0])) if carry.size else 0.0
 
 
 def reconstruct(report, index_set, x):
@@ -238,14 +246,6 @@ def reconstruct(report, index_set, x):
     if xv.ndim == 0:
         return complex(out[0, 0]), complex(out[1, 0])
     return out[0].reshape(xv.shape), out[1].reshape(xv.shape)
-
-
-def _block_product(blocks, c, size):
-    """sum over blocks of block @ c[cols], placed at rows: the product A c."""
-    values = np.zeros(size, dtype=complex)
-    for rows, cols, block in blocks:
-        values[rows] += block @ c[cols]
-    return values
 
 
 def _blocks(index_set, nodes, op=None):

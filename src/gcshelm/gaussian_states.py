@@ -22,16 +22,14 @@ exp(-72) of its peak and its tail would underflow into subnormal numbers,
 which slow dense factorizations several-fold, so those entries are exactly
 zero.  Within a block the states separate into a real envelope of the row,
 amp*exp(-u**2/(2*hbar)) with u = x - x0, times the pure phase
-exp(1j*xi0*u/hbar), times a multiplier polynomial in xi0.  The envelope is
-evaluated once per row and the phase filled in place.  An operator's
-multiplier is quadratic in xi0,
+exp(1j*xi0*u/hbar).  The envelope is evaluated once per row and the phase
+filled in place.  An operator adds a multiplier quadratic in xi0,
 
     g = G0(x) + G1(x)*xi0 + G2(x)*xi0**2,
-    G0 = a*(u**2 - hbar) - 1j*b*u + c,  G1 = -2j*a*u - b,  G2 = -a,
+    G0 = a*(u**2 - hbar) - 1j*b*u + c,  G1 = -2j*a*u - b,  G2 = -a.
 
-and a derivative's is hbar**(-order/2) * q_order(z).  The per-state
-``eval_state``, ``eval_derivative`` and ``apply_operator`` are the reference
-it is tested against.
+The per-state ``eval_state``, ``eval_derivative`` (through q_a) and
+``apply_operator`` are the reference it is tested against.
 """
 
 import math
@@ -199,18 +197,14 @@ def apply_operator(state, op, x):
     return g * psi
 
 
-def state_blocks(hbar, x0, xi0, x, order=0, op=None):
+def state_blocks(hbar, x0, xi0, x, op=None):
     """Columns of the states (hbar, x0[j], xi0[j]) on nondecreasing nodes x.
 
-    Yields ``(rows, cols, block)``, ``block`` holding d^order Psi_j, or P Psi_j
-    for an operator ``op`` (coefficients sampled once on x), at ``x[rows]``
-    for the run ``cols`` of equal x0 (index sets are sorted by position).
-    Rows farther than WINDOW_SIGMAS*sqrt(hbar) from x0 are left out: zero.
+    Yields ``(rows, cols, block)``, ``block`` holding Psi_j, or P Psi_j for
+    an operator ``op`` (coefficients sampled once on x), at ``x[rows]`` for
+    the run ``cols`` of equal x0 (index sets are sorted by position).  Rows
+    farther than WINDOW_SIGMAS*sqrt(hbar) from x0 are left out: zero.
     """
-    if not 0 <= order <= MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"derivative order must lie in [0, {MAX_DERIVATIVE_ORDER}]")
-    if op is not None and order:
-        raise ValueError("state_blocks applies an operator or a derivative, not both")
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     xi0 = np.asarray(xi0, dtype=float)
@@ -243,9 +237,6 @@ def state_blocks(hbar, x0, xi0, x, order=0, op=None):
             g *= xi
             g += (ar * (u**2 - hbar) - 1j * br * u + cr)[:, None]
             block *= g
-        elif order:
-            z = np.subtract.outer(u, 1j * xi) / root
-            block *= hbar ** (-order / 2.0) * npoly.polyval(z, _Q_POLYS[order])
         yield rows, cols, block
 
 

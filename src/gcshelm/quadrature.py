@@ -19,12 +19,10 @@ __all__ = [
     "QuadratureRule",
     "build_rule",
     "nodes_per_wavelength",
-    "DEFAULT_NODES_PER_WAVELENGTH",
     "DEFAULT_TAIL_TOL",
 ]
 
 NODES_PER_PERIOD = 10
-DEFAULT_NODES_PER_WAVELENGTH = 20
 # 12-sigma Gaussian tail: exp(-12**2/2)
 DEFAULT_TAIL_TOL = math.exp(-72.0)
 
@@ -63,7 +61,7 @@ def nodes_per_wavelength(frequency):
     return math.ceil(NODES_PER_PERIOD * float(frequency))
 
 
-def build_rule(window, k, nodes_per_wavelength=DEFAULT_NODES_PER_WAVELENGTH):
+def build_rule(window, k, nodes_per_wavelength):
     """Build a composite rule resolving oscillations at wavenumber ``k``.
 
     Parameters

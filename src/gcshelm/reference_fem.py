@@ -60,10 +60,10 @@ def _reference_basis():
         roots = np.delete(ref_pts, i)
         poly = np.polynomial.Polynomial.fromroots(roots)
         coeffs.append((poly / poly(ref_pts[i])).coef)
-    return ref_pts, coeffs
+    return coeffs
 
 
-_REF_PTS, _BASIS_COEFFS = _reference_basis()
+_BASIS_COEFFS = _reference_basis()
 _BASIS_DERIV_COEFFS = [np.polynomial.polynomial.polyder(c) for c in _BASIS_COEFFS]
 
 

@@ -1,12 +1,13 @@
 """Oracles the tests share: per-state lists, dense views of block matrices,
-quadrature inner products, the box estimate of the frame bounds, the Zak
-frame function, and a CSV reader for the table output."""
+derivative blocks, quadrature inner products, the box estimate of the frame
+bounds, the Zak frame function, and a CSV reader for the table output."""
 
 import csv
 import io
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from gcshelm import analysis
 from gcshelm import assembly_solver as asm
@@ -47,6 +48,20 @@ def one_block(a):
     """A dense array as an ``asm.BlockMatrix`` of one block."""
     q, n = a.shape
     return asm.BlockMatrix((q, n), ((slice(0, q), slice(0, n), np.asarray(a, dtype=complex)),))
+
+
+def derivative_blocks(hbar, x0, xi0, x, order):
+    """``gs.state_blocks`` for d^order Psi_j: each block times hbar**(-order/2) q_order(z).
+
+    z = (x - x0 - 1j*xi0)/sqrt(hbar), with q_a the polynomials of
+    ``gs.eval_derivative``.
+    """
+    x0, xi0, x = (np.asarray(v, dtype=float) for v in (x0, xi0, x))
+    for rows, cols, block in gs.state_blocks(hbar, x0, xi0, x):
+        if order:
+            z = np.subtract.outer(x[rows] - x0[cols.start], 1j * xi0[cols]) / math.sqrt(hbar)
+            block *= hbar ** (-order / 2.0) * npoly.polyval(z, gs._Q_POLYS[order])
+        yield rows, cols, block
 
 
 def inner_product(f, g, rule):

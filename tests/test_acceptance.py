@@ -55,7 +55,13 @@ from gcshelm.experiments import (
 from gcshelm.phase_space import LatticeSpec
 from gcshelm.problem_model import ProblemCase
 
-from helpers import inner_product, support_window, with_derivative, zak_frame_function
+from helpers import (
+    derivative_blocks,
+    inner_product,
+    support_window,
+    with_derivative,
+    zak_frame_function,
+)
 
 CONFIG = ExperimentConfig()
 
@@ -84,7 +90,7 @@ def best_h1k_error(case, index_set, u_ref):
     least-squares projection on that rule bounds the cell's error from
     below.  It uses lstsq's own rank cutoff rather than the solver's, so
     the floor belongs to the trial space alone.  The columns, Psi_j and
-    Psi_j'/k, come from ``gs.state_blocks``, zero beyond 12 sqrt(hbar).
+    Psi_j'/k, come from ``derivative_blocks``, zero beyond 12 sqrt(hbar).
     Columns below 1e-16 of the largest (states centered far outside the
     window) lie under that cutoff and are dropped.  Returns the error and
     that cutoff, numpy's default rcond = eps * max(rows, columns), since the
@@ -97,7 +103,7 @@ def best_h1k_error(case, index_set, u_ref):
     root_w = np.sqrt(rule.weights)
     basis = np.zeros((2, rule.nodes.size, len(index_set)), dtype=complex)
     for order in (0, 1):
-        for rows, cols, block in gs.state_blocks(
+        for rows, cols, block in derivative_blocks(
             index_set.lattice.hbar, index_set.x_array(), index_set.xi_array(), rule.nodes, order
         ):
             basis[order, rows, cols] = root_w[rows, None] * block / k**order

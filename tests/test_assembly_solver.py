@@ -294,6 +294,21 @@ def lstsq_solve(system, cutoff_rel=asm.DEFAULT_CUTOFF):
     )
 
 
+def gapped_staircase():
+    # five random blocks down 3000 rows (three row blocks) over 16 columns,
+    # column 7 in none of them
+    rng = np.random.default_rng(23)
+    rows = [(0, 900), (300, 1500), (1200, 2100), (1800, 2700), (2400, 3000)]
+    cols = [(0, 3), (3, 7), (8, 11), (11, 14), (14, 16)]
+    blocks = []
+    for (r0, r1), (c0, c1) in zip(rows, cols):
+        block = rng.normal(size=(r1 - r0, c1 - c0)) + 1j * rng.normal(size=(r1 - r0, c1 - c0))
+        blocks.append((slice(r0, r1), slice(c0, c1), block))
+    b = rng.normal(size=3000) + 1j * rng.normal(size=3000)
+    matrix = asm.BlockMatrix((3000, 16), tuple(blocks))
+    return asm.DesignSystem(matrix, b, quad.build_rule((0.0, 1.0), 20, 20))
+
+
 # (system, numerical rank of lstsq)
 EQUIVALENCE_CASES = {
     "hom-400-0.336": (lambda r: r.getfixturevalue("hom_cell")[0], 364),
@@ -301,6 +316,7 @@ EQUIVALENCE_CASES = {
     "dense": (lambda r: dense_system(False), 60),
     "dense-zero-and-duplicate-column": (lambda r: dense_system(True), 60),
     "shorter-than-one-block": (lambda r: make_system(20.0, 1.0, 20)[0], 78),
+    "gapped-staircase": (lambda r: gapped_staircase(), 15),
 }
 
 
@@ -314,6 +330,9 @@ def test_solve_matches_lstsq(name, request):
     assert np.array_equal(dense(system.matrix), before)
     assert report.numerical_rank == oracle.numerical_rank == rank
     assert abs(report.residual_norm - oracle.residual_norm) <= 1e-6 * oracle.residual_norm
+    # the residual read off the triangle against the product with the matrix
+    direct = np.linalg.norm(before @ report.coefficients - system.rhs)
+    assert abs(report.residual_norm - direct) <= 2e-6 * direct
     if rank == system.matrix.shape[1]:
         diff = np.linalg.norm(report.coefficients - oracle.coefficients)
         assert diff <= 1e-8 * np.linalg.norm(oracle.coefficients)
@@ -368,13 +387,17 @@ def test_design_matrix_is_a_staircase_band(hom_cell):
 
 @pytest.mark.parametrize("cell", ["hom-400-0.336", "het-50-6"])
 def test_block_rows_match_the_nonzero_scan(cell, hom_cell, het6_cell):
-    # the QR takes each column's first and last row from its block's slice;
-    # they equal a scan of the dense matrix, so its windows, and with them
-    # R and Q^H b, are those of a scan
+    # the QR reads each column's first and last row off its block's row
+    # bounds; they equal a scan of the dense matrix, so its windows, and
+    # with them R and Q^H b, are those of a scan
     system, _ = hom_cell if cell == "hom-400-0.336" else het6_cell
     nonzero = dense(system.matrix) != 0
     q = nonzero.shape[0]
-    cols, first, last = asm._column_rows(system.matrix.blocks)
+    row_bounds, col_bounds = system.matrix.row_bounds, system.matrix.col_bounds
+    widths = col_bounds[:, 1] - col_bounds[:, 0]
+    cols = np.concatenate([np.arange(c0, c1) for c0, c1 in col_bounds])
+    first = np.repeat(row_bounds[:, 0], widths)
+    last = np.repeat(row_bounds[:, 1] - 1, widths)
     assert np.array_equal(cols, np.flatnonzero(nonzero.any(axis=0)))
     assert np.array_equal(first, nonzero.argmax(axis=0)[cols])
     assert np.array_equal(last, q - 1 - nonzero[::-1].argmax(axis=0)[cols])

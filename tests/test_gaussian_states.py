@@ -8,7 +8,7 @@ from gcshelm import gaussian_states as gs
 from gcshelm import quadrature as quad
 from gcshelm.problem_model import ProblemCase
 
-from helpers import inner_product, norm, support_window
+from helpers import derivative_blocks, inner_product, norm, support_window
 
 HBAR = 1.0 / 50.0
 
@@ -289,10 +289,10 @@ def test_operator_pair_inner_matches_quadrature():
 
 
 def test_state_blocks_match_per_state_derivatives():
-    # every kernel path (orders 0-4 and an operator's multiplier, constant
-    # and heterogeneous) against the per-state reference, for states off the
-    # lattice at HBAR and on the lattice of hbar = 1/100, on nodes that hold
-    # the centres
+    # every kernel path (the state and an operator's multiplier, constant
+    # and heterogeneous) and the derivative blocks of orders 1-4 built on it
+    # against the per-state reference, for states off the lattice at HBAR
+    # and on the lattice of hbar = 1/100, on nodes that hold the centres
     h = math.sqrt(math.pi / 100.0)
     state_sets = [
         (HBAR, np.array([-0.3, -0.3, 0.0, 0.4, 0.4, 0.4]), np.array([-1.0, 0.5, 0.0, -0.7, 0.2, 1.1])),
@@ -304,7 +304,11 @@ def test_state_blocks_match_per_state_derivatives():
         x = np.sort(np.concatenate([np.linspace(-3.5, 3.5, 1401), x0]))
         for order, op in paths:
             dense = np.zeros((x.size, x0.size), dtype=complex)
-            for rows, cols, block in gs.state_blocks(hbar, x0, xi0, x, order, op):
+            if op is None:
+                blocks = derivative_blocks(hbar, x0, xi0, x, order)
+            else:
+                blocks = gs.state_blocks(hbar, x0, xi0, x, op=op)
+            for rows, cols, block in blocks:
                 dense[rows, cols] = block
             for j in range(x0.size):
                 state = gs.CoherentState(hbar, x0[j], xi0[j])

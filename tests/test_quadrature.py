@@ -117,7 +117,7 @@ def test_refinement_stability_of_gram_entries(name, k, delta, scale, converged):
 
 def test_invalid_inputs():
     with pytest.raises(ValueError):
-        quad.build_rule((1.0, 1.0), 20)
+        quad.build_rule((1.0, 1.0), 20, 20)
     with pytest.raises(ValueError):
         quad.build_rule((0.0, 1.0), 20, nodes_per_wavelength=5)
     with pytest.raises(ValueError):
