@@ -17,7 +17,6 @@ from .gaussian_states import (
     eval_derivative,
     overlap,
     apply_operator,
-    iterated_residual_norm,
 )
 from .problem_model import (
     ProblemCase,

@@ -51,7 +51,6 @@ __all__ = [
     "operator_pair_inner",
     "apply_operator",
     "state_blocks",
-    "iterated_residual_norm",
 ]
 
 MAX_DERIVATIVE_ORDER = 4
@@ -99,7 +98,7 @@ class SecondOrderOperator:
     the plain substitution d -> 1j*xi/hbar this is -a*xi**2 - b*xi + c, but a
     problem model may supply only the principal part.  ``constant`` is the
     (a, b, c) triple of a frozen-coefficient operator, or None; the closed
-    forms ``operator_pair_inner`` and ``iterated_residual_norm`` need it.
+    form ``operator_pair_inner`` needs it.
     """
 
     a: object
@@ -238,39 +237,3 @@ def state_blocks(hbar, x0, xi0, x, op=None):
             g += (ar * (u**2 - hbar) - 1j * br * u + cr)[:, None]
             block *= g
         yield rows, cols, block
-
-
-def _double_factorial(n):
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def _gaussian_sq_moments(hbar, pmax):
-    # M_p = int u**p |Psi|**2 du = (hbar/2)**(p/2) (p-1)!! for even p, else 0
-    out = np.zeros(pmax + 1)
-    for p in range(0, pmax + 1, 2):
-        out[p] = (0.5 * hbar) ** (p // 2) * _double_factorial(p - 1)
-    return out
-
-
-def iterated_residual_norm(state, op, L):
-    """Exact L2 norm of (P - p(xi0))**L Psi for L in {1, 2, 3}.
-
-    For a constant-coefficient operator the residual multiplies the
-    hbar-Fourier transform by r(v)**L, r(v) = p(xi0 + v) - p(xi0) =
-    -a*v**2 - (2*a*xi0 + b)*v, and |transform|**2 is a Gaussian of variance
-    hbar/2 about xi0, so the squared norm is a finite Gaussian-moment sum.
-    """
-    if L not in (1, 2, 3):
-        raise ValueError("L must be 1, 2 or 3")
-    if op.constant is None:
-        raise ValueError("iterated_residual_norm needs a constant-coefficient operator")
-    a, b, _ = op.constant
-    coeffs = npoly.polypow([0.0, -(2.0 * a * state.xi0 + b), -a], L)
-    sq = npoly.polymul(coeffs, np.conj(coeffs))
-    moments = _gaussian_sq_moments(state.hbar, len(sq) - 1)
-    val = float(np.real(np.dot(sq, moments)))
-    return math.sqrt(max(val, 0.0))

@@ -104,6 +104,12 @@ def _unit_mu(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
+# the PML onset (|x| = 1) and the joints of the source's phi (|x| = 0.5,
+# 0.75), or of mu and the source (mu - 1) e^{ikx} (|x| = 0.7, 0.8)
+_HOMOGENEOUS_BREAKPOINTS = (-1.0, -0.75, -0.5, 0.5, 0.75, 1.0)
+_HETEROGENEOUS_BREAKPOINTS = (-1.0, -0.8, -0.7, 0.7, 0.8, 1.0)
+
+
 def _cutoff_wave_source(x, k):
     # P_k (phi e^{ikx}) for mu = 1, where the PML is inactive
     return -(cutoff_phi(x, 2) + 2j * k * cutoff_phi(x, 1)) * np.exp(1j * k * x) / k**2
@@ -118,6 +124,8 @@ class ProblemCase:
     """One model problem: coefficients, wavenumber, source and exact solution.
 
     ``mu(x)`` is the coefficient mu and ``source(x, k)`` the right-hand side.
+    ``breakpoints`` are the sorted points where a coefficient or the source
+    is only C3: the joints of phi or mu and the PML onset.
     """
 
     name: str
@@ -125,6 +133,7 @@ class ProblemCase:
     mu: object
     has_exact_solution: bool
     source: object
+    breakpoints: tuple
 
     @staticmethod
     def homogeneous(k):
@@ -136,6 +145,7 @@ class ProblemCase:
             _unit_mu,
             True,
             _cutoff_wave_source,
+            _HOMOGENEOUS_BREAKPOINTS,
         )
 
     @staticmethod
@@ -148,6 +158,7 @@ class ProblemCase:
             mu_heterogeneous,
             False,
             _contrast_wave_source,
+            _HETEROGENEOUS_BREAKPOINTS,
         )
 
     @staticmethod
@@ -185,14 +196,6 @@ class ProblemCase:
         return -n2 * g0**2 + 2.0 * n1**2 * g0**3
 
     # -- operator, symbol, source, solution ---------------------------------
-
-    def apply_P(self, u, du, d2u, x):
-        """P_k acting on function values (u, u', u'') at x."""
-        k2 = self.k**2
-        return (
-            -np.asarray(self.mu(x)) * self.nu(x, 0) * u
-            - (self.nu_inv(x, 1) * du + self.nu_inv(x, 0) * d2u) / k2
-        )
 
     def symbol(self, x, xi):
         """Principal symbol nu**(-1)*xi**2 - mu*nu.

@@ -4,10 +4,16 @@ Solves the sesquilinear weak form of the model operator,
 
     int k**-2 nu**-1 u' conj(v') - int mu nu u conj(v) = int f conj(v),
 
-with homogeneous Dirichlet ends at +-X_end.  The default mesh size
-0.02 * k**(-9/8) suppresses the pollution effect at the wavenumbers used in
-the experiments.  The complex system is assembled banded (half bandwidth 4)
-and solved directly.
+with homogeneous Dirichlet ends at +-X_end.  The coefficients and the
+source are only C3 at the case's breakpoints, so the default mesh puts
+element edges on them: every breakpoint and X_end is a multiple of
+MESH_UNIT = 0.05, and the elements are MESH_UNIT/j wide with
+j = ceil(MESH_RESOLUTION * k**(9/8)).  An aligned mesh converges at the
+full order 4, and the k**(9/8) growth keeps the pollution effect in check.
+MESH_RESOLUTION = 0.5 is chosen for a relative H1_k error on [-1, 1] of at
+most 2e-8, which tests/test_reference_fem.py holds it to.  The element
+matrices are two products with the tabulated basis products, and the
+complex system is assembled banded (half bandwidth 4) and solved directly.
 """
 
 import math
@@ -15,9 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FemMesh", "FemSolution", "fem_solve", "fem_eval", "DEFAULT_X_END"]
+__all__ = [
+    "FemMesh",
+    "FemSolution",
+    "fem_solve",
+    "fem_eval",
+    "DEFAULT_X_END",
+    "MESH_UNIT",
+    "MESH_RESOLUTION",
+]
 
 DEFAULT_X_END = 3.5
+MESH_UNIT = 0.05
+MESH_RESOLUTION = 0.5
 _DEGREE = 4
 _QUAD_POINTS = 6
 
@@ -27,7 +43,6 @@ class FemMesh:
     """Uniform degree-4 mesh on [-x_end, x_end]."""
 
     x_end: float
-    h_target: float
     elements: int
 
     @property
@@ -52,8 +67,8 @@ class FemSolution:
 
 
 def _reference_basis():
-    # Lagrange basis on [-1, 1] through 5 equispaced points, plus derivative,
-    # tabulated at the Gauss points and kept as polynomial coefficients.
+    # Lagrange basis on [-1, 1] through 5 equispaced points, kept as
+    # polynomial coefficients.
     ref_pts = np.linspace(-1.0, 1.0, _DEGREE + 1)
     coeffs = []
     for i in range(_DEGREE + 1):
@@ -66,11 +81,55 @@ def _reference_basis():
 _BASIS_COEFFS = _reference_basis()
 _BASIS_DERIV_COEFFS = [np.polynomial.polynomial.polyder(c) for c in _BASIS_COEFFS]
 
+# the basis and its derivative at the Gauss points, (6, 5), and their
+# products phi_i*phi_j and dphi_i*dphi_j flattened to (6, 25)
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_QUAD_POINTS)
+_PHI = np.array([np.polynomial.polynomial.polyval(_GAUSS_X, c) for c in _BASIS_COEFFS]).T
+_DPHI = np.array([np.polynomial.polynomial.polyval(_GAUSS_X, c) for c in _BASIS_DERIV_COEFFS]).T
+_MASS = (_PHI[:, :, None] * _PHI[:, None, :]).reshape(_QUAD_POINTS, -1)
+_STIFF = (_DPHI[:, :, None] * _DPHI[:, None, :]).reshape(_QUAD_POINTS, -1)
+
 
 def _mesh_for(case, x_end, h=None):
-    h_target = 0.02 * case.k ** (-9.0 / 8.0) if h is None else float(h)
-    elements = max(2, math.ceil(2.0 * x_end / h_target))
-    return FemMesh(float(x_end), h_target, elements)
+    if h is not None:
+        # rounded first: 7 / (7 / 55) is 55.00000000000001, which would add
+        # an element and move every edge off the aligned grid
+        return FemMesh(float(x_end), max(2, math.ceil(round(2.0 * x_end / float(h), 6))))
+    units = [p / MESH_UNIT for p in (*case.breakpoints, x_end)]
+    if any(abs(u - round(u)) > 1e-9 for u in units):
+        raise ValueError(f"breakpoints and x_end must be multiples of {MESH_UNIT}; pass h")
+    j = math.ceil(MESH_RESOLUTION * case.k ** (9.0 / 8.0))
+    return FemMesh(float(x_end), 2 * round(units[-1]) * j)
+
+
+def _element_system(case, mesh):
+    """Element matrices (E, 5, 5) and load vectors (E, 5) of the weak form."""
+    jac = 0.5 * mesh.h
+    left = -mesh.x_end + mesh.h * np.arange(mesh.elements)
+    xq = left[:, None] + jac * (_GAUSS_X + 1.0)  # (E, 6)
+    stiff = _GAUSS_W / (jac * case.k**2) * case.nu_inv(xq, 0)
+    mass = _GAUSS_W * jac * case.mu(xq) * case.nu(xq, 0)
+    ke = stiff @ _STIFF - mass @ _MASS
+    fe = (_GAUSS_W * jac * case.rhs(xq)) @ _PHI
+    return ke.reshape(-1, _DEGREE + 1, _DEGREE + 1), fe
+
+
+def _banded_system(ke, fe):
+    """Banded global matrix (9, dofs) and load vector of the element system.
+
+    Row 4e+i, column 4e+j lands in band 4+i-j.  For fixed (i, j) the columns
+    4e+j of different elements are distinct, so one strided ``+=`` per pair
+    scatters all elements.
+    """
+    bw = _DEGREE
+    n_dof = _DEGREE * len(fe) + 1
+    ab = np.zeros((2 * bw + 1, n_dof), dtype=complex)
+    rhs = np.zeros(n_dof, dtype=complex)
+    for i in range(_DEGREE + 1):
+        rhs[i : n_dof - bw + i : bw] += fe[:, i]
+        for j in range(_DEGREE + 1):
+            ab[bw + i - j, j : n_dof - bw + j : bw] += ke[:, i, j]
+    return ab, rhs
 
 
 def fem_solve(case, x_end=DEFAULT_X_END, h=None):
@@ -82,43 +141,16 @@ def fem_solve(case, x_end=DEFAULT_X_END, h=None):
     x_end : float
         Truncation point; the PML damps reflections long before it.
     h : float, optional
-        Mesh size override, used by convergence studies.  Default is the
-        pollution-safe 0.02 * k**(-9/8).
+        Mesh size override, used by convergence studies.  By default the
+        elements are MESH_UNIT/j wide, j = ceil(MESH_RESOLUTION * k**(9/8)),
+        which puts an element edge on every ``case.breakpoints`` entry and
+        needs x_end to be a multiple of MESH_UNIT.
     """
     if x_end <= 1.0:
         raise ValueError("x_end must exceed the physical region (> 1)")
     mesh = _mesh_for(case, x_end, h)
-    n_el, n_dof = mesh.elements, mesh.dofs
-    h_el = mesh.h
-    jac = 0.5 * h_el
-
-    gl_x, gl_w = np.polynomial.legendre.leggauss(_QUAD_POINTS)
-    phi = np.array([np.polynomial.polynomial.polyval(gl_x, c) for c in _BASIS_COEFFS]).T
-    dphi = np.array([np.polynomial.polynomial.polyval(gl_x, c) for c in _BASIS_DERIV_COEFFS]).T
-
-    left = -x_end + h_el * np.arange(n_el)
-    xq = left[:, None] + jac * (gl_x[None, :] + 1.0)  # (E, Q)
-
-    k2inv = 1.0 / case.k**2
-    stiff_coef = k2inv * np.asarray(case.nu_inv(xq, 0))
-    mass_coef = np.asarray(case.mu(xq)) * case.nu(xq, 0)
-    f_vals = case.rhs(xq)
-
-    # element matrices: (E, 5, 5)
-    wq = gl_w[None, :]
-    ke = np.einsum("eq,qi,qj->eij", wq * stiff_coef / jac, dphi, dphi)
-    ke -= np.einsum("eq,qi,qj->eij", wq * mass_coef * jac, phi, phi)
-    fe = np.einsum("eq,qi->ei", wq * f_vals * jac, phi)
-
-    # banded assembly: row 4*e+i, col 4*e+j lands in band 4+i-j
-    bw = _DEGREE
-    ab = np.zeros((2 * bw + 1, n_dof), dtype=complex)
-    rhs = np.zeros(n_dof, dtype=complex)
-    base = _DEGREE * np.arange(n_el)
-    for i in range(_DEGREE + 1):
-        np.add.at(rhs, base + i, fe[:, i])
-        for j in range(_DEGREE + 1):
-            np.add.at(ab[bw + i - j], base + j, ke[:, i, j])
+    ab, rhs = _banded_system(*_element_system(case, mesh))
+    n_dof, bw = mesh.dofs, _DEGREE
 
     # homogeneous Dirichlet ends: decouple the end dofs entirely
     for dof in (0, n_dof - 1):

@@ -1,6 +1,8 @@
 """Oracles the tests share: per-state lists, dense views of block matrices,
-derivative blocks, quadrature inner products, the box estimate of the frame
-bounds, the Zak frame function, and a CSV reader for the table output."""
+derivative blocks, quadrature inner products, the operator on function
+values, the closed-form iterated residual, the box estimate of the frame
+bounds, the Zak frame function, the einsum assembly of the FEM reference,
+and a CSV reader for the table output."""
 
 import csv
 import io
@@ -13,6 +15,7 @@ from gcshelm import analysis
 from gcshelm import assembly_solver as asm
 from gcshelm import gaussian_states as gs
 from gcshelm import quadrature as quad
+from gcshelm import reference_fem as fem
 from gcshelm.experiments import ExperimentRecord
 from gcshelm.phase_space import lattice_point
 
@@ -80,6 +83,50 @@ def norm(f, rule):
     return float(np.sqrt(np.sum(rule.weights * np.abs(fv) ** 2)))
 
 
+def apply_P(case, u, du, d2u, x):
+    """P_k of ``case`` acting on function values (u, u', u'') at x."""
+    return (
+        -np.asarray(case.mu(x)) * case.nu(x, 0) * u
+        - (case.nu_inv(x, 1) * du + case.nu_inv(x, 0) * d2u) / case.k**2
+    )
+
+
+def _double_factorial(n):
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
+
+
+def _gaussian_sq_moments(hbar, pmax):
+    # M_p = int u**p |Psi|**2 du = (hbar/2)**(p/2) (p-1)!! for even p, else 0
+    out = np.zeros(pmax + 1)
+    for p in range(0, pmax + 1, 2):
+        out[p] = (0.5 * hbar) ** (p // 2) * _double_factorial(p - 1)
+    return out
+
+
+def iterated_residual_norm(state, op, L):
+    """Exact L2 norm of (P - p(xi0))**L Psi for L in {1, 2, 3}, criterion 4's measure.
+
+    For a constant-coefficient operator the residual multiplies the
+    hbar-Fourier transform by r(v)**L, r(v) = p(xi0 + v) - p(xi0) =
+    -a*v**2 - (2*a*xi0 + b)*v, and |transform|**2 is a Gaussian of variance
+    hbar/2 about xi0, so the squared norm is a finite Gaussian-moment sum.
+    """
+    if L not in (1, 2, 3):
+        raise ValueError("L must be 1, 2 or 3")
+    if op.constant is None:
+        raise ValueError("iterated_residual_norm needs a constant-coefficient operator")
+    a, b, _ = op.constant
+    coeffs = npoly.polypow([0.0, -(2.0 * a * state.xi0 + b), -a], L)
+    sq = npoly.polymul(coeffs, np.conj(coeffs))
+    moments = _gaussian_sq_moments(state.hbar, len(sq) - 1)
+    val = float(np.real(np.dot(sq, moments)))
+    return math.sqrt(max(val, 0.0))
+
+
 def support_window(states):
     """Smallest interval holding every state center plus its Gaussian tail.
 
@@ -141,6 +188,36 @@ def zak_frame_function(x, w):
         return sum(np.exp(-0.5 * math.pi * (x + 2 * j) ** 2 - 2j * math.pi * j * w) for j in range(-8, 9))
 
     return 2.0 * (np.abs(zak(x)) ** 2 + np.abs(zak(x + 1.0)) ** 2)
+
+
+def einsum_fem_system(case, mesh):
+    """Element matrices, load vectors and banded system of ``fem_solve``, the einsum way.
+
+    The three-operand ``einsum`` and ``np.add.at`` assembly that
+    ``reference_fem`` replaced; returns (ke, fe, ab, rhs) before the
+    Dirichlet ends are imposed.
+    """
+    gl_x, gl_w = np.polynomial.legendre.leggauss(6)
+    phi = np.array([npoly.polyval(gl_x, c) for c in fem._BASIS_COEFFS]).T
+    dphi = np.array([npoly.polyval(gl_x, c) for c in fem._BASIS_DERIV_COEFFS]).T
+    h_el = mesh.h
+    jac = 0.5 * h_el
+    left = -mesh.x_end + h_el * np.arange(mesh.elements)
+    xq = left[:, None] + jac * (gl_x[None, :] + 1.0)
+    stiff_coef = np.asarray(case.nu_inv(xq, 0)) / case.k**2
+    mass_coef = np.asarray(case.mu(xq)) * case.nu(xq, 0)
+    wq = gl_w[None, :]
+    ke = np.einsum("eq,qi,qj->eij", wq * stiff_coef / jac, dphi, dphi)
+    ke -= np.einsum("eq,qi,qj->eij", wq * mass_coef * jac, phi, phi)
+    fe = np.einsum("eq,qi->ei", wq * case.rhs(xq) * jac, phi)
+    ab = np.zeros((9, mesh.dofs), dtype=complex)
+    rhs = np.zeros(mesh.dofs, dtype=complex)
+    base = 4 * np.arange(mesh.elements)
+    for i in range(5):
+        np.add.at(rhs, base + i, fe[:, i])
+        for j in range(5):
+            np.add.at(ab[4 + i - j], base + j, ke[:, i, j])
+    return ke, fe, ab, rhs
 
 
 def parse_records_csv(text):

@@ -58,6 +58,7 @@ from gcshelm.problem_model import ProblemCase
 from helpers import (
     derivative_blocks,
     inner_product,
+    iterated_residual_norm,
     support_window,
     with_derivative,
     zak_frame_function,
@@ -279,7 +280,7 @@ def test_criterion_4_residual_scaling():
     slopes = {}
     for L in (1, 2):
         norms = [
-            gs.iterated_residual_norm(gs.CoherentState(h, 0.0, 1.0), op, L)
+            iterated_residual_norm(gs.CoherentState(h, 0.0, 1.0), op, L)
             for h in hbars
         ]
         slopes[L] = float(np.polyfit(np.log(hbars), np.log(norms), 1)[0])
@@ -433,7 +434,7 @@ def test_criterion_8_fem_self_validation():
     report(
         "criterion 8",
         ok,
-        f"rel_h1k={err:.3e} <= 1e-6 at h=0.02*k^(-9/8); observed order {slope:.3f} (4 +- 0.3)",
+        f"rel_h1k={err:.3e} <= 1e-6 at h=0.05/ceil(0.5*k^(9/8)); observed order {slope:.3f} (4 +- 0.3)",
     )
 
 

@@ -8,7 +8,14 @@ from gcshelm import gaussian_states as gs
 from gcshelm import quadrature as quad
 from gcshelm.problem_model import ProblemCase
 
-from helpers import derivative_blocks, inner_product, norm, support_window
+from helpers import (
+    apply_P,
+    derivative_blocks,
+    inner_product,
+    iterated_residual_norm,
+    norm,
+    support_window,
+)
 
 HBAR = 1.0 / 50.0
 
@@ -133,7 +140,7 @@ def test_apply_operator_matches_model_operator():
     u0 = gs.eval_state(s, x)
     d1 = (gs.eval_state(s, x + h) - gs.eval_state(s, x - h)) / (2 * h)
     d2 = (gs.eval_state(s, x + h) - 2 * u0 + gs.eval_state(s, x - h)) / h**2
-    fd = case.apply_P(u0, d1, d2, x)
+    fd = apply_P(case, u0, d1, d2, x)
     an = gs.apply_operator(s, op, x)
     assert np.max(np.abs(fd - an) / np.abs(an)) < 1e-6
 
@@ -182,7 +189,7 @@ def test_iterated_residual_norm_free_case_closed_form():
     hbar = 0.05
     s = gs.CoherentState(hbar, 0.0, 0.0)
     op = gs.constant_operator(-1.0, 0.0, 0.0)
-    val = gs.iterated_residual_norm(s, op, 1)
+    val = iterated_residual_norm(s, op, 1)
     assert abs(val - math.sqrt(0.75) * hbar) < 1e-14
 
 
@@ -190,7 +197,7 @@ def test_iterated_residual_norm_matches_quadrature():
     hbar = 1.0 / 64.0
     s = gs.CoherentState(hbar, 0.0, 1.0)
     op = gs.constant_operator(-1.0, 0.0, -1.0)
-    exact = gs.iterated_residual_norm(s, op, 1)
+    exact = iterated_residual_norm(s, op, 1)
     rule = state_rule(s, density=60)
     qval = norm(lambda x: residual(s, op, x), rule)
     assert abs(exact - qval) < 1e-12
@@ -212,7 +219,7 @@ def test_iterated_residual_norm_L2_matches_quadrature():
         ]
         rule = state_rule(s, density=120)
         qval = norm(lambda x: sum(co * gs.eval_derivative(s, o, x) for o, co in enumerate(coeffs)), rule)
-        assert abs(gs.iterated_residual_norm(s, op, 2) - qval) <= 1e-12 * qval
+        assert abs(iterated_residual_norm(s, op, 2) - qval) <= 1e-12 * qval
 
 
 def test_closed_forms_need_constant_coefficients():
@@ -221,7 +228,7 @@ def test_closed_forms_need_constant_coefficients():
     with pytest.raises(ValueError, match="constant-coefficient"):
         gs.operator_pair_inner(op, s, s)
     with pytest.raises(ValueError, match="constant-coefficient"):
-        gs.iterated_residual_norm(s, op, 1)
+        iterated_residual_norm(s, op, 1)
 
 
 def test_iterated_residual_norm_scaling_and_monotonicity():
@@ -229,19 +236,19 @@ def test_iterated_residual_norm_scaling_and_monotonicity():
     for L in (1, 2, 3):
         hbars = [2.0**-p for p in range(4, 11)]
         vals = [
-            gs.iterated_residual_norm(gs.CoherentState(h, 0.0, 1.0), op, L) for h in hbars
+            iterated_residual_norm(gs.CoherentState(h, 0.0, 1.0), op, L) for h in hbars
         ]
         slope = np.polyfit(np.log(hbars), np.log(vals), 1)[0]
         assert abs(slope - L / 2.0) < 0.1
     s = gs.CoherentState(1e-2, 0.0, 1.0)
-    assert gs.iterated_residual_norm(s, op, 2) <= gs.iterated_residual_norm(s, op, 1)
+    assert iterated_residual_norm(s, op, 2) <= iterated_residual_norm(s, op, 1)
 
 
 def test_iterated_residual_norm_validates_L():
     s = gs.CoherentState(0.05, 0.0, 0.0)
     op = gs.constant_operator(-1.0, 0.0, -1.0)
     with pytest.raises(ValueError):
-        gs.iterated_residual_norm(s, op, 4)
+        iterated_residual_norm(s, op, 4)
 
 
 def test_gaussian_moment_bounds():

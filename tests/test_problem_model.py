@@ -5,7 +5,35 @@ import pytest
 
 from gcshelm import problem_model as pm
 
+from helpers import apply_P
+
 BREAKPOINTS = (0.5, 0.7, 0.75, 0.8)
+
+
+def piecewise_fit_residual(case, breakpoints, x_end=3.5, degree=7):
+    """Worst misfit of mu, sigma and rhs*exp(-ikx) by one polynomial per interval."""
+    edges = (-x_end, *breakpoints, x_end)
+    worst = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        x = np.linspace(lo, hi, 40)[1:-1]
+        for vals in (case.mu(x), pm.pml_sigma(x), case.rhs(x) * np.exp(-1j * case.k * x)):
+            for part in (np.real(vals), np.imag(vals)):
+                fit = np.polynomial.polynomial.Polynomial.fit(x, part, degree)
+                worst = max(worst, float(np.max(np.abs(fit(x) - part))))
+    return worst
+
+
+@pytest.mark.parametrize("make", [pm.ProblemCase.homogeneous, pm.ProblemCase.heterogeneous])
+def test_case_breakpoints_are_the_coefficient_joints(make):
+    # between breakpoints mu, the PML and the source envelope are polynomials
+    # of degree <= 7; dropping any breakpoint leaves a joint inside an interval
+    case = make(20)
+    assert list(case.breakpoints) == sorted(case.breakpoints)
+    assert case.breakpoints == tuple(-b for b in reversed(case.breakpoints))
+    assert piecewise_fit_residual(case, case.breakpoints) < 1e-9
+    for drop in case.breakpoints:
+        fewer = tuple(b for b in case.breakpoints if b != drop)
+        assert piecewise_fit_residual(case, fewer) > 1e-6, drop
 
 
 def test_bridge_defining_conditions():
@@ -99,14 +127,14 @@ def test_apply_P_plane_wave_annihilated():
     u = np.exp(1j * 20 * x)
     du = 1j * 20 * u
     d2u = -(400.0) * u
-    res = case.apply_P(u, du, d2u, x)
+    res = apply_P(case, u, du, d2u, x)
     assert np.max(np.abs(res)) < 1e-13
 
 
 def test_apply_P_constant_field():
     case = pm.ProblemCase.homogeneous(20)
     x = np.array([-0.3, 0.2])
-    out = case.apply_P(np.ones(2, complex), np.zeros(2), np.zeros(2), x)
+    out = apply_P(case, np.ones(2, complex), np.zeros(2), np.zeros(2), x)
     assert np.allclose(out, -1.0)
 
 
@@ -122,8 +150,8 @@ def test_apply_P_pml_region_finite_difference():
     h = 1e-5
     du = (u(x + h) - u(x - h)) / (2 * h)
     d2u = (u(x + h) - 2 * u(x) + u(x - h)) / h**2
-    got = case.apply_P(u(x), du, d2u, x)
-    exact = case.apply_P(u(x), 1j * k * u(x), -(k**2) * u(x), x)
+    got = apply_P(case, u(x), du, d2u, x)
+    exact = apply_P(case, u(x), 1j * k * u(x), -(k**2) * u(x), x)
     assert abs(got - exact) / abs(exact) < 1e-6
 
 
@@ -138,7 +166,7 @@ def test_physical_region_neutrality():
     du = 0.3j * u
     d2u = -0.09 * u
     plain = -u - d2u / 30.0**2
-    assert np.max(np.abs(case.apply_P(u, du, d2u, x) - plain)) < 1e-15
+    assert np.max(np.abs(apply_P(case, u, du, d2u, x) - plain)) < 1e-15
 
 
 def test_symbol_values():
@@ -190,7 +218,7 @@ def test_exact_solution_residual():
     u = phi0 * wave
     du = (phi1 + 1j * k * phi0) * wave
     d2u = (phi2 + 2j * k * phi1 - k**2 * phi0) * wave
-    res = case.apply_P(u, du, d2u, x) - case.rhs(x)
+    res = apply_P(case, u, du, d2u, x) - case.rhs(x)
     assert np.max(np.abs(res)) < 1e-9
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,12 @@ import gcshelm
 from gcshelm import analysis, reference_fem as fem
 from gcshelm.problem_model import ProblemCase
 
-from helpers import with_derivative
+from helpers import einsum_fem_system, with_derivative
+
+KS = (20.0, 50.0, 100.0, 200.0, 400.0)
+# relative H1_k error on [-1, 1] that fem.MESH_RESOLUTION is chosen for
+ACCURACY_TARGET = 2e-8
+CASES = (ProblemCase.homogeneous, ProblemCase.heterogeneous)
 
 
 def h1k_vs_exact(solution, case, window=(-1.0, 1.0), density=60):
@@ -29,13 +35,80 @@ def aligned_h(elements):
     return 7.0 / elements
 
 
+def resolution(k):
+    # elements per MESH_UNIT of the default mesh
+    return math.ceil(fem.MESH_RESOLUTION * k ** (9.0 / 8.0))
+
+
+def off_node_distance(case, mesh):
+    """Largest distance from a breakpoint or domain end to the nearest mesh node."""
+    nodes = np.linspace(-mesh.x_end, mesh.x_end, mesh.dofs)
+    pts = np.array([*case.breakpoints, -mesh.x_end, mesh.x_end])
+    nearest = np.rint((pts + mesh.x_end) / (mesh.h / 4)).astype(int)
+    return float(np.abs(nodes[np.clip(nearest, 0, mesh.dofs - 1)] - pts).max())
+
+
 def test_mesh_bookkeeping():
     case = ProblemCase.homogeneous(20)
     sol = fem.fem_solve(case, 3.5)
     mesh = sol.mesh
-    assert mesh.elements == int(np.ceil(2 * 3.5 / mesh.h_target))
+    assert mesh.elements == 140 * resolution(20) == 2100
     assert mesh.dofs == 4 * mesh.elements + 1
     assert sol.values[0] == 0.0 and sol.values[-1] == 0.0
+    assert fem.fem_solve(case, 3.5, h=0.01).mesh.elements == 700
+    # an h that divides the domain gives exactly that many elements
+    for n in (55, 112, 2884):
+        assert fem._mesh_for(case, 3.5, h=7.0 / n).elements == n
+    assert fem._mesh_for(case, 3.5, h=7.0 / 55.4).elements == 56
+
+
+@pytest.mark.parametrize("make", CASES, ids=["hom", "het"])
+@pytest.mark.parametrize("k", KS)
+def test_default_mesh_puts_breakpoints_on_nodes(make, k):
+    case = make(k)
+    assert off_node_distance(case, fem._mesh_for(case, 3.5)) <= 1e-12
+    # the former law h = 0.02 k^(-9/8) cuts through the C3 joints
+    old = fem._mesh_for(case, 3.5, h=0.02 * k ** (-9.0 / 8.0))
+    assert off_node_distance(case, old) > 1e-7
+
+
+def test_default_mesh_rejects_unaligned_domain():
+    with pytest.raises(ValueError):
+        fem.fem_solve(ProblemCase.homogeneous(20), 3.52)
+
+
+@pytest.mark.parametrize(
+    "make, k",
+    [(ProblemCase.homogeneous, k) for k in (20.0, 100.0, 400.0)]
+    + [(ProblemCase.heterogeneous, k) for k in (20.0, 50.0, 100.0)],
+    ids=["hom-20", "hom-100", "hom-400", "het-20", "het-50", "het-100"],
+)
+def test_default_mesh_meets_accuracy_target(make, k):
+    # against the exact solution, or a 4x-refined aligned mesh where there is none
+    case = make(k)
+    sol = fem.fem_solve(case)
+    if case.has_exact_solution:
+        err = h1k_vs_exact(sol, case)
+    else:
+        truth = fem.fem_solve(case, h=fem.MESH_UNIT / (4 * resolution(k)))
+        assert truth.mesh.elements == 4 * sol.mesh.elements
+        err = analysis.h1k_error(
+            with_derivative(sol), with_derivative(truth), (-1.0, 1.0), case.k, 60
+        ).relative
+    assert err <= ACCURACY_TARGET
+
+
+def test_element_assembly_matches_einsum_oracle():
+    # the basis-product matmuls and strided scatter against the einsum/add.at
+    # path, compared as matrices: on a large system summation order alone
+    # moves the solved values far more than the entries
+    case = ProblemCase.heterogeneous(20)
+    mesh = fem._mesh_for(case, 3.5)
+    ke, fe = fem._element_system(case, mesh)
+    ab, rhs = fem._banded_system(ke, fe)
+    for got, want in zip((ke, fe, ab, rhs), einsum_fem_system(case, mesh)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_homogeneous_reference_accuracy():
