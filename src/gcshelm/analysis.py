@@ -6,13 +6,16 @@ are the Gabor system of g(t) = exp(-pi t**2 / 2) on Z x (1/2)Z, a frame of
 density 2 whose bounds are the extrema of its Zak transform (Zibulski and
 Zeevi, ACHA 4, 1997; Groechenig, Foundations of Time-Frequency Analysis,
 ch. 8).  The dual frame works on a truncated lattice box whose Gram matrix
-is available in closed form.  In lattice units both are exactly
-independent of hbar, which is what makes the frame diagnostics
-hbar-stable.  The Zak series and the Gram are cut at the tail tolerance of
-the state kernel, ``quad.DEFAULT_TAIL_TOL`` = exp(-72), the tolerance of
-the 12-sigma window of ``gaussian_states.state_blocks``: Gram entries at
-lattice distance beyond sqrt(288/pi) ~ 9.6 steps are exactly 0, so the
-Gram holds no subnormal numbers, and its phases are exact quarter turns.
+is available in closed form.  The mirror of the frequency offsets about
+the box centre conjugates that Gram, so the dual solve is one real
+``eigh`` of its real form, of the same size.  In lattice units the bounds
+and the Gram are exactly independent of hbar, which is what makes the
+frame diagnostics hbar-stable.  The Zak series and the Gram are cut at
+the tail tolerance of the state kernel, ``quad.DEFAULT_TAIL_TOL`` =
+exp(-72), the tolerance of the 12-sigma window of
+``gaussian_states.state_blocks``: Gram entries at lattice distance beyond
+sqrt(288/pi) ~ 9.6 steps are exactly 0, so the Gram holds no subnormal
+numbers, and its phases are exact quarter turns.
 """
 
 import math
@@ -152,27 +155,74 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
     kernel (the synthesis null space) and G c = e_target is solvable only up
     to that kernel.  The well-posed realization inverts G on its frame band:
     eigen-directions with eigenvalue above ``DUAL_GAP_CUT`` times the largest are
-    kept, the rest (kernel plus box-edge artifacts below the spectral gap)
-    are discarded.  The returned residual is ||G (G c - e)||, which vanishes
-    exactly when G c - e lies in the kernel, i.e. when the synthesized
-    function reproduces the dual state on the box.
+    kept, the rest (kernel plus box-edge artifacts) are discarded.  The cut
+    sits in no spectral gap, but the nearest eigenvalues keep a margin: as
+    fractions of the largest they are 0.2684 and 0.3310 at box half-width
+    4 (42 kept), 0.2869 and 0.3196 at 8 (147 kept), and 0.2942 and 0.3164
+    at 12 (316 kept).  At half-widths 6, 16 and 20 an eigenvalue lies
+    within 1% of the cut (0.3013, 0.2982, 0.3007), so there a small change
+    of the cut moves the kept set.
+
+    The spectral solve is real.  The box is indexed by the offsets (dm, dn)
+    about the target, and the mirror mu: dn -> -dn conjugates the Gram,
+    G[mu i, mu j] = conj(G[i, j]): distances are unchanged, and the
+    quarter-turn exponent (n1+n2)(m2-m1) changes sign modulo 4, since
+    4 tn (m2-m1) is a whole number of turns.  In the orthonormal basis
+    e_z (dn = 0), (e_p + e_mu p)/sqrt(2) and i(e_p - e_mu p)/sqrt(2)
+    (dn > 0) the Gram is the real symmetric
+
+        W = [[Re G_zz, sqrt2 Re G_zp,   -sqrt2 Im G_zp  ],
+             [.,       Re(G_pp + G_pmu), Im(G_pmu - G_pp)],
+             [.,       .,                Re(G_pp - G_pmu)]],
+
+    G_pmu[a, b] = G[p_a, mu p_b], with G's eigenvalues; it is built from
+    slices of G, and one real ``eigh`` of W inverts it.  The target is the
+    box centre, a fixed point of the mirror, so e_target is a basis vector
+    of the z block.  The returned residual is ||G (G c - e)||, on the
+    complex G in the original coordinates, which vanishes exactly when
+    G c - e lies in the kernel, i.e. when the synthesized function
+    reproduces the dual state on the box.
 
     Returns (pairs, coefficients, consistency_residual).
     """
     tm, tn = target
+    width = 2 * box_half_width + 1
     pairs = [
         (tm + dm, tn + dn)
         for dm in range(-box_half_width, box_half_width + 1)
         for dn in range(-box_half_width, box_half_width + 1)
     ]
     gram = lattice_gram(pairs)
-    e = np.zeros(len(pairs), dtype=complex)
-    e[pairs.index((tm, tn))] = 1.0
-    evals, evecs = np.linalg.eigh(gram)
+    # pair index of offset (dm, dn), and the z, p and mirrored p slots
+    slot = np.arange(width * width).reshape(width, width)
+    z = slot[:, box_half_width]
+    p = slot[:, box_half_width + 1 :].ravel()
+    mu = slot[:, :box_half_width][:, ::-1].ravel()
+    g_zp = gram[np.ix_(z, p)]
+    g_pp = gram[np.ix_(p, p)]
+    g_pmu = gram[np.ix_(p, mu)]
+    cross = (g_pmu - g_pp).imag
+    root2 = math.sqrt(2.0)
+    w = np.block(
+        [
+            [gram[np.ix_(z, z)].real, root2 * g_zp.real, -root2 * g_zp.imag],
+            [root2 * g_zp.real.T, (g_pp + g_pmu).real, cross],
+            [-root2 * g_zp.imag.T, cross.T, (g_pp - g_pmu).real],
+        ]
+    )
+    evals, evecs = np.linalg.eigh(w)
     keep = evals > DUAL_GAP_CUT * evals.max()
     if not np.any(keep):
         raise RuntimeError("spectral cut removed every Gram eigen-direction")
-    c = evecs[:, keep] @ ((evecs[:, keep].conj().T @ e) / evals[keep])
+    kept = evecs[:, keep]
+    y = kept @ (kept[box_half_width] / evals[keep])
+    y_c, y_s = np.split(y[width:], 2)
+    c = np.empty(len(pairs), dtype=complex)
+    c[z] = y[:width]
+    c[p] = (y_c + 1j * y_s) / root2
+    c[mu] = (y_c - 1j * y_s) / root2
+    e = np.zeros(len(pairs), dtype=complex)
+    e[z[box_half_width]] = 1.0
     residual = float(np.linalg.norm(gram @ (gram @ c - e)))
     return pairs, c, residual
 

@@ -1,8 +1,9 @@
 """Oracles the tests share: per-state lists, dense views of block matrices,
 derivative blocks, quadrature inner products, the operator on function
 values, the closed-form iterated residual, the box estimate of the frame
-bounds, the Zak frame function, the einsum assembly of the FEM reference,
-and a CSV reader for the table output."""
+bounds, the complex solve of the dual frame, the Zak frame function, the
+einsum assembly of the FEM reference, and a CSV reader for the table
+output."""
 
 import csv
 import io
@@ -173,6 +174,37 @@ def box_frame_bounds(box_half_width, interior_margin):
     if not 0.0 < diag.alpha_est <= diag.beta_est:
         raise RuntimeError("frame bound estimation produced an invalid ordering")
     return diag
+
+
+def gram_band_solve(gram, rhs):
+    """G+ rhs on the frame band of a Hermitian Gram, by a complex ``eigh``.
+
+    The solve ``analysis.dual_frame_coefficients`` made before it used the
+    mirror's real form: eigen-directions above ``analysis.DUAL_GAP_CUT``
+    times the largest eigenvalue are inverted, the rest dropped.  ``rhs``
+    is a vector or a matrix of columns.  Returns (solution, kept count).
+    """
+    evals, evecs = np.linalg.eigh(gram)
+    keep = evals > analysis.DUAL_GAP_CUT * evals.max()
+    kept = evecs[:, keep]
+    # divide each row of the projection by its eigenvalue, vector or columns
+    projected = (kept.conj().T @ rhs).T / evals[keep]
+    return kept @ projected.T, int(keep.sum())
+
+
+def dual_frame_oracle(target, box_half_width):
+    """``analysis.dual_frame_coefficients`` through ``gram_band_solve``.
+
+    Returns (pairs, coefficients, residual, kept count), with the pairs and
+    the residual ||G (G c - e)|| as the production path defines them.
+    """
+    tm, tn = target
+    pairs = [(tm + dm, tn + dn) for dm, dn in _box_pairs(box_half_width)]
+    gram = analysis.lattice_gram(pairs)
+    e = np.zeros(len(pairs), dtype=complex)
+    e[pairs.index((tm, tn))] = 1.0
+    c, kept = gram_band_solve(gram, e)
+    return pairs, c, float(np.linalg.norm(gram @ (gram @ c - e))), kept
 
 
 def zak_frame_function(x, w):

@@ -7,7 +7,14 @@ from gcshelm import analysis, gaussian_states as gs, quadrature as quad
 from gcshelm.phase_space import LatticeSpec, lattice_point
 from gcshelm.problem_model import ProblemCase
 
-from helpers import box_frame_bounds, inner_product, pairs_of, zak_frame_function
+from helpers import (
+    box_frame_bounds,
+    dual_frame_oracle,
+    gram_band_solve,
+    inner_product,
+    pairs_of,
+    zak_frame_function,
+)
 
 
 def pair(fn, dfn):
@@ -263,32 +270,91 @@ def test_dual_frame_consistency_and_decay():
     assert abs(row - 0.5) < 0.05
 
 
+def _spy_on_eigh(monkeypatch):
+    # record the matrix type and the spectrum of every eigh call
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a):
+        evals, evecs = eigh(a)
+        calls.append((a.dtype, a.shape, evals))
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+@pytest.mark.parametrize("target", [(0, 0), (3, 5), (-2, 1)])
+@pytest.mark.parametrize("box", [0, 1, 4, 8, 12])
+def test_dual_frame_real_form_matches_complex_eigh(box, target, monkeypatch):
+    spec = LatticeSpec(1.0 / 20.0)
+    pairs, coeffs, residual, kept = dual_frame_oracle(target, box)
+    calls = _spy_on_eigh(monkeypatch)
+    got_pairs, got, got_residual = analysis.dual_frame_coefficients(spec, target, box)
+    # one real eigh of the box's size, keeping as many directions
+    [(dtype, shape, evals)] = calls
+    assert dtype == np.float64 and shape == (len(pairs), len(pairs))
+    assert int(np.sum(evals > analysis.DUAL_GAP_CUT * evals.max())) == kept
+    assert got_pairs == pairs
+    assert np.abs(got - coeffs).max() <= 1e-14
+    assert got_residual == pytest.approx(residual, rel=1e-9, abs=0.0)
+
+
+def _kept_and_clear_of_cut(box, monkeypatch):
+    # kept count of the real solve, and whether every eigenvalue of it lies
+    # more than 1% away from the cut
+    calls = _spy_on_eigh(monkeypatch)
+    analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), (0, 0), box)
+    [(_, _, evals)] = calls
+    fractions = evals / evals.max()
+    kept = int(np.sum(fractions > analysis.DUAL_GAP_CUT))
+    return kept, bool(np.all(np.abs(fractions / analysis.DUAL_GAP_CUT - 1.0) > 0.01))
+
+
+@pytest.mark.parametrize("box,kept", [(4, 42), (8, 147), (12, 316)])
+def test_dual_gap_cut_keeps_a_margin(box, kept, monkeypatch):
+    assert _kept_and_clear_of_cut(box, monkeypatch) == (kept, True)
+
+
+def test_dual_gap_cut_margin_check_trips_at_box_20(monkeypatch):
+    # an eigenvalue at 0.3007 of the largest lies within 1% of the cut
+    assert _kept_and_clear_of_cut(20, monkeypatch) == (847, False)
+
+
+def _worst_dual_energy(hbar, x_stretch=1.0):
+    # largest dual-coefficient energy of random bumps near the box centre,
+    # with the states at (x_stretch * m, n) times the lattice spacing
+    spec = LatticeSpec(hbar)
+    bw = 8
+    pairs = [(m, n) for m in range(-bw, bw + 1) for n in range(-bw, bw + 1)]
+    states = [
+        gs.CoherentState(spec.hbar, x_stretch * lattice_point(m, spec), lattice_point(n, spec))
+        for m, n in pairs
+    ]
+    rng = np.random.default_rng(4)
+    bumps = [
+        gs.CoherentState(spec.hbar, *rng.uniform(-2 * spec.spacing, 2 * spec.spacing, size=2))
+        for _ in range(20)
+    ]
+    coef = np.array([[gs.overlap(v, s) for v in bumps] for s in states])
+    dual, _ = gram_band_solve(analysis.lattice_gram(pairs), coef)
+    return float(np.max(np.sum(np.abs(dual) ** 2, axis=0)))
+
+
+def _energies_agree(a, b):
+    return abs(a - b) <= 1e-10 * max(a, b)
+
+
 def test_dual_coefficient_energy_stable_across_hbar():
-    # dual-coefficient energy of random interior bumps, normalized by ||v||^2,
-    # agrees across hbar (the lattice Gram is hbar-free in lattice units)
-    energies = []
-    for hbar in (1.0 / 20.0, 1.0 / 100.0):
-        spec = LatticeSpec(hbar)
-        bw = 8
-        pairs = [(m, n) for m in range(-bw, bw + 1) for n in range(-bw, bw + 1)]
-        gram = analysis.lattice_gram(pairs)
-        evals, evecs = np.linalg.eigh(gram)
-        keep = evals > 0.3 * evals.max()
-        inv = evecs[:, keep] @ np.diag(1.0 / evals[keep]) @ evecs[:, keep].conj().T
-        states = [
-            gs.CoherentState(spec.hbar, lattice_point(m, spec), lattice_point(n, spec))
-            for m, n in pairs
-        ]
-        rng = np.random.default_rng(4)
-        worst = 0.0
-        for _ in range(20):
-            x0, xi0 = rng.uniform(-2 * spec.spacing, 2 * spec.spacing, size=2)
-            v = gs.CoherentState(spec.hbar, x0, xi0)
-            coef = np.array([gs.overlap(v, s) for s in states])
-            dual = inv @ coef
-            worst = max(worst, float(np.vdot(dual, dual).real))
-        energies.append(worst)
-    assert abs(energies[0] - energies[1]) <= 0.2 * max(energies)
+    # the lattice Gram and the overlaps are hbar-free in lattice units, so
+    # the dual-coefficient energies agree across hbar to rounding
+    assert _energies_agree(_worst_dual_energy(1.0 / 20.0), _worst_dual_energy(1.0 / 100.0))
+
+
+def test_dual_coefficient_energy_check_rejects_stretched_lattice():
+    # positions 1% off the lattice move the energy by 0.86%
+    a, b = _worst_dual_energy(1.0 / 20.0), _worst_dual_energy(1.0 / 100.0, x_stretch=1.01)
+    assert not _energies_agree(a, b)
 
 
 def test_quasi_orthogonality_decay():
