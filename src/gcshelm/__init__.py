@@ -4,7 +4,6 @@ problem with perfectly matched layers."""
 from .phase_space import (
     LatticeSpec,
     IndexSet,
-    lattice_point,
     build_symbol_set,
     build_planewave_rhs_set,
     search_bounds_from_symbol,
@@ -15,7 +14,6 @@ from .gaussian_states import (
     constant_operator,
     eval_state,
     eval_derivative,
-    overlap,
     apply_operator,
 )
 from .problem_model import (

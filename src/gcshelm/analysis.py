@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gaussian_states as gs
 from . import quadrature as quad
-from .phase_space import LatticeSpec, build_planewave_rhs_set, lattice_point
+from .phase_space import LatticeSpec, build_planewave_rhs_set
 from .problem_model import cutoff_phi
 
 __all__ = [
@@ -259,28 +259,26 @@ def dual_decay_fit(pairs, coefficients, target):
 
 
 def quasi_orthogonality_probe(spec, op, distances=(2, 4, 8, 16)):
-    """max |(P Psi_00, Psi_mn)| over lattice offsets (m, n) at each distance.
+    """max |(P Psi_00, Psi_mn)| over lattice offsets with m**2 + n**2 = d**2, per d.
 
-    Uses the closed-form constant-coefficient pairing, which stays accurate
-    at separations where quadrature would hit the roundoff floor.
+    For a constant-coefficient operator (a, b, c) = ``op.constant``, P
+    multiplies the hbar-Fourier transform by -a*xi**2 - b*xi + c.  With
+    (x, xi) = (m, n)*spacing and mu = (xi + 1j*x)/2 the pairing then has
+    modulus exp(-(x**2 + xi**2)/(4*hbar)) * |-a*mu**2 - b*mu + c - a*hbar/2|,
+    a closed form that stays accurate at separations where quadrature would
+    hit the roundoff floor.
     """
-    s1 = gs.CoherentState(spec.hbar, 0.0, 0.0)
+    if op.constant is None:
+        raise ValueError("quasi_orthogonality_probe needs a constant-coefficient operator")
+    a, b, c = op.constant
     out = {}
     for d in distances:
-        best = 0.0
-        for dm in range(-d, d + 1):
-            rem = d * d - dm * dm
-            dn = int(round(math.sqrt(rem)))
-            if dn * dn != rem:
-                continue
-            for sn in {dn, -dn}:
-                s2 = gs.CoherentState(
-                    spec.hbar,
-                    lattice_point(dm, spec),
-                    lattice_point(sn, spec),
-                )
-                best = max(best, abs(gs.operator_pair_inner(op, s1, s2)))
-        out[int(d)] = best
+        m, n = np.mgrid[-d : d + 1, -d : d + 1]
+        on_circle = m * m + n * n == d * d
+        x, xi = spec.spacing * m[on_circle], spec.spacing * n[on_circle]
+        mu = 0.5 * (xi + 1j * x)
+        factor = np.abs(-a * mu * mu - b * mu + c - 0.5 * a * spec.hbar)
+        out[int(d)] = float(np.max(np.exp(-(x * x + xi * xi) / (4.0 * spec.hbar)) * factor))
     return out
 
 

@@ -47,8 +47,6 @@ __all__ = [
     "MAX_DERIVATIVE_ORDER",
     "eval_state",
     "eval_derivative",
-    "overlap",
-    "operator_pair_inner",
     "apply_operator",
     "state_blocks",
 ]
@@ -93,33 +91,24 @@ class CoherentState:
 class SecondOrderOperator:
     """Semiclassical operator P = hbar**2 a d2 + 1j*hbar b d1 + c.
 
-    ``a``, ``b`` and ``c`` are vectorized callables of x.  ``symbol`` maps
-    (x, xi) to the phase-space symbol used when subtracting p(x0, xi0); for
-    the plain substitution d -> 1j*xi/hbar this is -a*xi**2 - b*xi + c, but a
-    problem model may supply only the principal part.  ``constant`` is the
-    (a, b, c) triple of a frozen-coefficient operator, or None; the closed
-    form ``operator_pair_inner`` needs it.
+    ``a``, ``b`` and ``c`` are vectorized callables of x.  ``constant`` is
+    the (a, b, c) triple of a frozen-coefficient operator, or None; the
+    closed form of ``analysis.quasi_orthogonality_probe`` needs it.
     """
 
     a: object
     b: object
     c: object
-    symbol: object
     constant: tuple = None
 
 
 def constant_operator(a, b, c):
-    """Frozen-coefficient operator with the full substitution symbol."""
+    """Frozen-coefficient operator P = hbar**2 a d2 + 1j*hbar b d1 + c."""
     a, b, c = complex(a), complex(b), complex(c)
-
-    def symbol(x, xi):
-        return -a * xi**2 - b * xi + c
-
     return SecondOrderOperator(
         a=lambda x: np.full_like(np.asarray(x, dtype=float), a, dtype=complex),
         b=lambda x: np.full_like(np.asarray(x, dtype=float), b, dtype=complex),
         c=lambda x: np.full_like(np.asarray(x, dtype=float), c, dtype=complex),
-        symbol=symbol,
         constant=(a, b, c),
     )
 
@@ -145,38 +134,6 @@ def eval_derivative(state, order, x):
         return psi
     q = npoly.polyval(_z(state, x), _Q_POLYS[order])
     return state.hbar ** (-order / 2.0) * q * psi
-
-
-def overlap(s1, s2):
-    """Closed-form L2 inner product (s1, s2) of two states with equal hbar.
-
-    The modulus is exp(-((x1-x2)**2 + (xi1-xi2)**2) / (4*hbar)); the phase,
-    obtained by completing the square, is (xi1+xi2)*(x2-x1)/(2*hbar).
-    """
-    if s1.hbar != s2.hbar:
-        raise ValueError("overlap requires matching hbar")
-    hbar = s1.hbar
-    dx = s1.x0 - s2.x0
-    dxi = s1.xi0 - s2.xi0
-    mag = math.exp(-(dx * dx + dxi * dxi) / (4.0 * hbar))
-    phase = (s1.xi0 + s2.xi0) * (s2.x0 - s1.x0) / (2.0 * hbar)
-    return mag * complex(math.cos(phase), math.sin(phase))
-
-
-def operator_pair_inner(op, s1, s2):
-    """Closed form of (P Psi1, Psi2) for a constant-coefficient operator.
-
-    P multiplies the hbar-Fourier transform by p(xi) = -a*xi**2 - b*xi + c,
-    and the transform of Psi1 * conj(Psi2) is the plain overlap times a
-    Gaussian of variance hbar/2 about mu = (xi1 + xi2)/2 + 1j*(x2 - x1)/2,
-    so the pairing is overlap * (p(mu) - a*hbar/2).  It stays accurate at
-    separations where quadrature would drown in roundoff.
-    """
-    if op.constant is None:
-        raise ValueError("operator_pair_inner needs a constant-coefficient operator")
-    a, b, c = op.constant
-    mu = complex(0.5 * (s1.xi0 + s2.xi0), 0.5 * (s2.x0 - s1.x0))
-    return overlap(s1, s2) * (-a * mu * mu - b * mu + c - 0.5 * a * s1.hbar)
 
 
 def apply_operator(state, op, x):

@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "LatticeSpec",
     "IndexSet",
-    "lattice_point",
     "build_symbol_set",
     "build_planewave_rhs_set",
     "search_bounds_from_symbol",
@@ -68,11 +67,6 @@ class IndexSet:
 
     def xi_array(self):
         return self.n * self.lattice.spacing
-
-
-def lattice_point(m, spec):
-    """Coordinate of lattice index m: sqrt(pi*hbar)*m (same map for m and n)."""
-    return spec.spacing * m
 
 
 def _symbol_modulus_grid(symbol, spec, m_max, n_max):
@@ -135,7 +129,11 @@ def build_planewave_rhs_set(spec, support, epsilon):
     return IndexSet(np.repeat(m, n.size), np.tile(n, m.size), spec)
 
 
-def search_bounds_from_symbol(symbol, delta, spec, max_doublings=16):
+# doublings of the search box before a symbol is declared non-coercive
+MAX_DOUBLINGS = 16
+
+
+def search_bounds_from_symbol(symbol, delta, spec):
     """Box half-widths enclosing the sublevel set {|p| < delta}.
 
     Doubles the box outward until every lattice point on the box shell has
@@ -148,7 +146,7 @@ def search_bounds_from_symbol(symbol, delta, spec, max_doublings=16):
     threshold = delta + 0.1 * delta
     scale = 1.5 * max(2.0, math.sqrt(1.0 + delta))
     m_max = n_max = max(8, math.ceil(scale / spec.spacing) + 2)
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         ms = np.arange(-m_max, m_max + 1)
         ns = np.arange(-n_max, n_max + 1)
         x_edge = np.array([-m_max, m_max]) * spec.spacing
@@ -165,5 +163,5 @@ def search_bounds_from_symbol(symbol, delta, spec, max_doublings=16):
         m_max *= 2
         n_max *= 2
     raise RuntimeError(
-        f"no clean shell after {max_doublings} doublings; symbol looks non-coercive"
+        f"no clean shell after {MAX_DOUBLINGS} doublings; symbol looks non-coercive"
     )

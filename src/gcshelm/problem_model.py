@@ -52,13 +52,13 @@ def bridge_eval(t, order=0):
 
 def pml_sigma(x, order=0):
     """Quartic PML stretching a*(|x|-1)**4 outside [-1, 1], a = 1/10."""
-    if not 0 <= order <= 2:
-        raise ValueError("sigma derivative order must lie in [0, 2]")
+    if not 0 <= order <= 1:
+        raise ValueError("sigma derivative order must lie in [0, 1]")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(xv)
     right = xv > 1.0
     left = xv < -1.0
-    fall = [1.0, 4.0, 12.0][order]
+    fall = [1.0, 4.0][order]
     p = PML_EXPONENT - order
     out[right] = PML_AMPLITUDE * fall * (xv[right] - 1.0) ** p
     # chain rule for the mirrored branch: d/dx (-1-x) = -1
@@ -175,25 +175,20 @@ class ProblemCase:
     # -- PML scaling and derived coefficient algebra ------------------------
 
     def nu(self, x, order=0):
-        """nu = 1 + 1j*sigma and its derivatives."""
+        """nu = 1 + 1j*sigma (order 0) or its derivative (order 1)."""
         s = pml_sigma(x, order)
         if order == 0:
             return 1.0 + 1j * np.asarray(s)
         return 1j * np.asarray(s)
 
     def nu_inv(self, x, order=0):
-        """nu**(-1) and its derivatives via the quotient rule."""
-        if not 0 <= order <= 2:
-            raise ValueError("nu_inv derivative order must lie in [0, 2]")
-        n0 = self.nu(x, 0)
-        g0 = 1.0 / n0
+        """nu**(-1) (order 0) or its derivative -nu'/nu**2 (order 1)."""
+        if not 0 <= order <= 1:
+            raise ValueError("nu_inv derivative order must lie in [0, 1]")
+        g0 = 1.0 / self.nu(x, 0)
         if order == 0:
             return g0
-        n1 = self.nu(x, 1)
-        if order == 1:
-            return -n1 * g0**2
-        n2 = self.nu(x, 2)
-        return -n2 * g0**2 + 2.0 * n1**2 * g0**3
+        return -self.nu(x, 1) * g0**2
 
     # -- operator, symbol, source, solution ---------------------------------
 
@@ -228,10 +223,8 @@ class ProblemCase:
         """The coefficient triple form of P_k for the state calculus.
 
         a = -nu**(-1), 1j*hbar*b = -hbar**2*(nu**(-1))', and
-        c = -mu*nu, with hbar = 1/k.  The bundled symbol is the principal
-        one, so the residual factor keeps its O(hbar) size.  Its
-        coefficients vary, so it has no ``constant`` triple: the closed
-        forms run on ``constant_operator``.
+        c = -mu*nu, with hbar = 1/k.  Its coefficients vary, so it has no
+        ``constant`` triple: the closed forms run on ``constant_operator``.
         """
         hbar = 1.0 / self.k
 
@@ -244,7 +237,7 @@ class ProblemCase:
         def c(x):
             return -np.asarray(self.mu(x)) * self.nu(x, 0)
 
-        return SecondOrderOperator(a=a, b=b, c=c, symbol=self.symbol)
+        return SecondOrderOperator(a=a, b=b, c=c)
 
     def rhs_support(self):
         return (-1.0, 1.0)

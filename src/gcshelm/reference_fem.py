@@ -4,16 +4,19 @@ Solves the sesquilinear weak form of the model operator,
 
     int k**-2 nu**-1 u' conj(v') - int mu nu u conj(v) = int f conj(v),
 
-with homogeneous Dirichlet ends at +-X_end.  The coefficients and the
-source are only C3 at the case's breakpoints, so the default mesh puts
-element edges on them: every breakpoint and X_end is a multiple of
-MESH_UNIT = 0.05, and the elements are MESH_UNIT/j wide with
-j = ceil(MESH_RESOLUTION * k**(9/8)).  An aligned mesh converges at the
-full order 4, and the k**(9/8) growth keeps the pollution effect in check.
+on [-DEFAULT_X_END, DEFAULT_X_END] = [-3.5, 3.5], where the PML has long
+damped every reflection, with homogeneous Dirichlet ends.  The
+coefficients and the source are only C3 at the case's breakpoints, so the
+default mesh puts element edges on them: every breakpoint and the end are
+multiples of MESH_UNIT = 0.05, and the elements are MESH_UNIT/j wide with
+j = ceil(MESH_RESOLUTION * k**(9/8)).  Convergence studies pass an
+element count instead.  An aligned mesh converges at the full order 4, and
+the k**(9/8) growth keeps the pollution effect in check.
 MESH_RESOLUTION = 0.5 is chosen for a relative H1_k error on [-1, 1] of at
 most 2e-8, which tests/test_reference_fem.py holds it to.  The element
-matrices are two products with the tabulated basis products, and the
-complex system is assembled banded (half bandwidth 4) and solved directly.
+matrices are two products with the tabulated basis products.  The complex
+system is assembled banded (half bandwidth 4), and the Dirichlet ends are
+imposed by solving it on the interior dofs alone.
 """
 
 import math
@@ -90,16 +93,12 @@ _MASS = (_PHI[:, :, None] * _PHI[:, None, :]).reshape(_QUAD_POINTS, -1)
 _STIFF = (_DPHI[:, :, None] * _DPHI[:, None, :]).reshape(_QUAD_POINTS, -1)
 
 
-def _mesh_for(case, x_end, h=None):
-    if h is not None:
-        # rounded first: 7 / (7 / 55) is 55.00000000000001, which would add
-        # an element and move every edge off the aligned grid
-        return FemMesh(float(x_end), max(2, math.ceil(round(2.0 * x_end / float(h), 6))))
-    units = [p / MESH_UNIT for p in (*case.breakpoints, x_end)]
+def _mesh_for(case):
+    units = [p / MESH_UNIT for p in (*case.breakpoints, DEFAULT_X_END)]
     if any(abs(u - round(u)) > 1e-9 for u in units):
-        raise ValueError(f"breakpoints and x_end must be multiples of {MESH_UNIT}; pass h")
+        raise ValueError(f"breakpoints and x_end must be multiples of {MESH_UNIT}")
     j = math.ceil(MESH_RESOLUTION * case.k ** (9.0 / 8.0))
-    return FemMesh(float(x_end), 2 * round(units[-1]) * j)
+    return FemMesh(DEFAULT_X_END, 2 * round(units[-1]) * j)
 
 
 def _element_system(case, mesh):
@@ -132,41 +131,26 @@ def _banded_system(ke, fe):
     return ab, rhs
 
 
-def fem_solve(case, x_end=DEFAULT_X_END, h=None):
-    """Solve the truncated weak problem for ``case``.
+def fem_solve(case, elements=None):
+    """Solve the truncated weak problem for ``case`` on [-DEFAULT_X_END, DEFAULT_X_END].
 
-    Parameters
-    ----------
-    case : ProblemCase
-    x_end : float
-        Truncation point; the PML damps reflections long before it.
-    h : float, optional
-        Mesh size override, used by convergence studies.  By default the
-        elements are MESH_UNIT/j wide, j = ceil(MESH_RESOLUTION * k**(9/8)),
-        which puts an element edge on every ``case.breakpoints`` entry and
-        needs x_end to be a multiple of MESH_UNIT.
+    By default the elements are MESH_UNIT/j wide, j = ceil(MESH_RESOLUTION *
+    k**(9/8)), which puts an element edge on every ``case.breakpoints``
+    entry; ``elements`` sets their number instead, for convergence studies.
     """
-    if x_end <= 1.0:
-        raise ValueError("x_end must exceed the physical region (> 1)")
-    mesh = _mesh_for(case, x_end, h)
+    mesh = _mesh_for(case) if elements is None else FemMesh(DEFAULT_X_END, elements)
     ab, rhs = _banded_system(*_element_system(case, mesh))
-    n_dof, bw = mesh.dofs, _DEGREE
-
-    # homogeneous Dirichlet ends: decouple the end dofs entirely
-    for dof in (0, n_dof - 1):
-        for col in range(max(0, dof - bw), min(n_dof, dof + bw + 1)):
-            ab[bw + dof - col, col] = 0.0  # row
-        ab[:, dof] = 0.0  # column
-        ab[bw, dof] = 1.0
-        rhs[dof] = 0.0
 
     # scipy.linalg takes most of the time of ``import gcshelm``; only this solve needs it
     from scipy.linalg import solve_banded
 
-    values = solve_banded((bw, bw), ab, rhs)
+    # homogeneous Dirichlet ends: solve for the interior dofs; band storage
+    # leaves out the entries coupling them to the ends
+    values = np.zeros(mesh.dofs, dtype=complex)
+    values[1:-1] = solve_banded((_DEGREE, _DEGREE), ab[:, 1:-1], rhs[1:-1])
     if not np.all(np.isfinite(values)):
         raise RuntimeError("banded solve produced non-finite values (singular system)")
-    nodes = np.linspace(-x_end, x_end, n_dof)
+    nodes = np.linspace(-mesh.x_end, mesh.x_end, mesh.dofs)
     return FemSolution(mesh, nodes, values)
 
 

@@ -1,9 +1,10 @@
 """Oracles the tests share: per-state lists, dense views of block matrices,
-derivative blocks, quadrature inner products, the operator on function
-values, the closed-form iterated residual, the box estimate of the frame
-bounds, the complex solve of the dual frame, the Zak frame function, the
-einsum assembly of the FEM reference, and a CSV reader for the table
-output."""
+derivative blocks, quadrature inner products, the closed-form overlap and
+operator pairing of two states, the operator on function values, the
+closed-form iterated residual, the box estimate of the frame bounds, the
+complex solve of the dual frame, the Zak frame function, the einsum
+assembly and end-decoupling solve of the FEM reference, and a CSV reader
+for the table output."""
 
 import csv
 import io
@@ -11,6 +12,7 @@ import math
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg import solve_banded
 
 from gcshelm import analysis
 from gcshelm import assembly_solver as asm
@@ -18,7 +20,6 @@ from gcshelm import gaussian_states as gs
 from gcshelm import quadrature as quad
 from gcshelm import reference_fem as fem
 from gcshelm.experiments import ExperimentRecord
-from gcshelm.phase_space import lattice_point
 
 
 def with_derivative(f):
@@ -35,7 +36,7 @@ def states_from_index_set(index_set):
     """Coherent states sitting at the lattice points of an index set."""
     spec = index_set.lattice
     return [
-        gs.CoherentState(spec.hbar, lattice_point(m, spec), lattice_point(n, spec))
+        gs.CoherentState(spec.hbar, m * spec.spacing, n * spec.spacing)
         for m, n in zip(index_set.m, index_set.n)
     ]
 
@@ -82,6 +83,44 @@ def norm(f, rule):
     """L2 norm of a vectorized callable over the rule's window."""
     fv = np.asarray(f(rule.nodes))
     return float(np.sqrt(np.sum(rule.weights * np.abs(fv) ** 2)))
+
+
+def overlap(s1, s2):
+    """Closed-form L2 inner product (s1, s2) of two states with equal hbar.
+
+    The modulus is exp(-((x1-x2)**2 + (xi1-xi2)**2) / (4*hbar)); the phase,
+    obtained by completing the square, is (xi1+xi2)*(x2-x1)/(2*hbar).
+    """
+    if s1.hbar != s2.hbar:
+        raise ValueError("overlap requires matching hbar")
+    hbar = s1.hbar
+    dx = s1.x0 - s2.x0
+    dxi = s1.xi0 - s2.xi0
+    mag = math.exp(-(dx * dx + dxi * dxi) / (4.0 * hbar))
+    phase = (s1.xi0 + s2.xi0) * (s2.x0 - s1.x0) / (2.0 * hbar)
+    return mag * complex(math.cos(phase), math.sin(phase))
+
+
+def operator_pair_inner(op, s1, s2):
+    """Closed form of (P Psi1, Psi2) for a constant-coefficient operator.
+
+    P multiplies the hbar-Fourier transform by p(xi) = -a*xi**2 - b*xi + c,
+    and the transform of Psi1 * conj(Psi2) is the plain overlap times a
+    Gaussian of variance hbar/2 about mu = (xi1 + xi2)/2 + 1j*(x2 - x1)/2,
+    so the pairing is overlap * (p(mu) - a*hbar/2).  The per-pair oracle of
+    ``analysis.quasi_orthogonality_probe``.
+    """
+    if op.constant is None:
+        raise ValueError("operator_pair_inner needs a constant-coefficient operator")
+    a, b, c = op.constant
+    mu = complex(0.5 * (s1.xi0 + s2.xi0), 0.5 * (s2.x0 - s1.x0))
+    return overlap(s1, s2) * (-a * mu * mu - b * mu + c - 0.5 * a * s1.hbar)
+
+
+def constant_symbol(op):
+    """The substitution symbol (x, xi) -> -a*xi**2 - b*xi + c of a constant operator."""
+    a, b, c = op.constant
+    return lambda x, xi: -a * xi**2 - b * xi + c
 
 
 def apply_P(case, u, du, d2u, x):
@@ -250,6 +289,25 @@ def einsum_fem_system(case, mesh):
         for j in range(5):
             np.add.at(ab[4 + i - j], base + j, ke[:, i, j])
     return ke, fe, ab, rhs
+
+
+def end_decoupled_fem_values(case, elements=None):
+    """Nodal values of ``fem.fem_solve`` by the full banded solve with decoupled ends.
+
+    The Dirichlet ends are imposed by zeroing their rows and columns and
+    putting 1 on the diagonal, the way ``reference_fem`` did before it
+    solved on the interior dofs alone.
+    """
+    mesh = fem._mesh_for(case) if elements is None else fem.FemMesh(fem.DEFAULT_X_END, elements)
+    ab, rhs = fem._banded_system(*fem._element_system(case, mesh))
+    n_dof, bw = mesh.dofs, 4
+    for dof in (0, n_dof - 1):
+        for col in range(max(0, dof - bw), min(n_dof, dof + bw + 1)):
+            ab[bw + dof - col, col] = 0.0  # row
+        ab[:, dof] = 0.0  # column
+        ab[bw, dof] = 1.0
+        rhs[dof] = 0.0
+    return solve_banded((bw, bw), ab, rhs)
 
 
 def parse_records_csv(text):

@@ -59,6 +59,7 @@ from helpers import (
     derivative_blocks,
     inner_product,
     iterated_residual_norm,
+    overlap,
     support_window,
     with_derivative,
     zak_frame_function,
@@ -310,7 +311,7 @@ def test_criterion_5_overlap_oracle():
             qv = inner_product(
                 lambda x: gs.eval_state(s1, x), lambda x: gs.eval_state(s2, x), rule
             )
-            worst = max(worst, abs(qv - gs.overlap(s1, s2)))
+            worst = max(worst, abs(qv - overlap(s1, s2)))
     report("criterion 5", worst <= 1e-12, f"max |closed - quadrature| = {worst:.3e} over 200 pairs")
 
 
@@ -425,10 +426,10 @@ def test_criterion_8_fem_self_validation():
     err = analysis.h1k_error(with_derivative(sol), exact, (-1, 1), 20, 60).relative
     errs, hs = [], []
     for elements in (112, 224, 448, 896):
-        h = 7.0 / elements  # breakpoint-aligned meshes recover the full order
-        s = reference_fem.fem_solve(case, 3.5, h=h)
+        # breakpoint-aligned meshes recover the full order
+        s = reference_fem.fem_solve(case, elements)
         errs.append(analysis.h1k_error(with_derivative(s), exact, (-1, 1), 20, 60).relative)
-        hs.append(h)
+        hs.append(7.0 / elements)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     ok = err <= 1e-6 and abs(slope - 4.0) <= 0.3
     report(

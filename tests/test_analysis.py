@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gcshelm import analysis, gaussian_states as gs, quadrature as quad
-from gcshelm.phase_space import LatticeSpec, lattice_point
+from gcshelm.phase_space import LatticeSpec
 from gcshelm.problem_model import ProblemCase
 
 from helpers import (
@@ -12,6 +12,8 @@ from helpers import (
     dual_frame_oracle,
     gram_band_solve,
     inner_product,
+    operator_pair_inner,
+    overlap,
     pairs_of,
     zak_frame_function,
 )
@@ -109,9 +111,9 @@ def test_lattice_gram_matches_overlap():
     gram = analysis.lattice_gram(pairs)
     for i, (m1, n1) in enumerate(pairs):
         for j, (m2, n2) in enumerate(pairs):
-            s1 = gs.CoherentState(spec.hbar, lattice_point(m1, spec), lattice_point(n1, spec))
-            s2 = gs.CoherentState(spec.hbar, lattice_point(m2, spec), lattice_point(n2, spec))
-            assert abs(gram[i, j] - gs.overlap(s1, s2)) < 1e-14
+            s1 = gs.CoherentState(spec.hbar, m1 * spec.spacing, n1 * spec.spacing)
+            s2 = gs.CoherentState(spec.hbar, m2 * spec.spacing, n2 * spec.spacing)
+            assert abs(gram[i, j] - overlap(s1, s2)) < 1e-14
 
 
 def test_frame_bounds_single_state():
@@ -130,10 +132,10 @@ def test_frame_bounds_ordering_and_hbar_stability():
     for hbar in (1.0 / 20.0, 1.0 / 100.0):
         spec = LatticeSpec(hbar)
         states = [
-            gs.CoherentState(hbar, lattice_point(m, spec), lattice_point(n, spec))
+            gs.CoherentState(hbar, m * spec.spacing, n * spec.spacing)
             for m, n in pairs
         ]
-        exact = np.array([[gs.overlap(s1, s2) for s2 in states] for s1 in states])
+        exact = np.array([[overlap(s1, s2) for s2 in states] for s1 in states])
         assert np.abs(gram - exact).max() < 1e-14
 
 
@@ -239,14 +241,14 @@ def test_frame_sandwich_random_bumps():
     rng = np.random.default_rng(2)
     pairs = [(m, n) for m in range(-bw, bw + 1) for n in range(-bw, bw + 1)]
     states = [
-        gs.CoherentState(spec.hbar, lattice_point(m, spec), lattice_point(n, spec))
+        gs.CoherentState(spec.hbar, m * spec.spacing, n * spec.spacing)
         for m, n in pairs
     ]
     span = (bw - margin) * spec.spacing
     for _ in range(50):
         x0, xi0 = rng.uniform(-span / 2, span / 2, size=2)
         v = gs.CoherentState(spec.hbar, x0, xi0)
-        energy = sum(abs(gs.overlap(v, s)) ** 2 for s in states)
+        energy = sum(abs(overlap(v, s)) ** 2 for s in states)
         assert diag.alpha_est * (1 - 1e-9) <= energy <= diag.beta_est * (1 + 1e-9)
         # the exact bounds hold for every v, and are looser than the box's
         assert exact.alpha_est * (1 - 1e-9) <= energy <= exact.beta_est * (1 + 1e-9)
@@ -328,7 +330,7 @@ def _worst_dual_energy(hbar, x_stretch=1.0):
     bw = 8
     pairs = [(m, n) for m in range(-bw, bw + 1) for n in range(-bw, bw + 1)]
     states = [
-        gs.CoherentState(spec.hbar, x_stretch * lattice_point(m, spec), lattice_point(n, spec))
+        gs.CoherentState(spec.hbar, x_stretch * m * spec.spacing, n * spec.spacing)
         for m, n in pairs
     ]
     rng = np.random.default_rng(4)
@@ -336,7 +338,7 @@ def _worst_dual_energy(hbar, x_stretch=1.0):
         gs.CoherentState(spec.hbar, *rng.uniform(-2 * spec.spacing, 2 * spec.spacing, size=2))
         for _ in range(20)
     ]
-    coef = np.array([[gs.overlap(v, s) for v in bumps] for s in states])
+    coef = np.array([[overlap(v, s) for v in bumps] for s in states])
     dual, _ = gram_band_solve(analysis.lattice_gram(pairs), coef)
     return float(np.max(np.sum(np.abs(dual) ** 2, axis=0)))
 
@@ -365,6 +367,40 @@ def test_quasi_orthogonality_decay():
     assert probe[4] / probe[8] >= 6.0
 
 
+def _per_pair_probe(spec, op, distances):
+    # the probe as one closed-form pairing per pair of states: a double loop
+    # over the offsets with m**2 + n**2 = d**2
+    s1 = gs.CoherentState(spec.hbar, 0.0, 0.0)
+    out = {}
+    for d in distances:
+        best = 0.0
+        for dm in range(-d, d + 1):
+            rem = d * d - dm * dm
+            dn = int(round(math.sqrt(rem)))
+            if dn * dn != rem:
+                continue
+            for sn in {dn, -dn}:
+                s2 = gs.CoherentState(spec.hbar, dm * spec.spacing, sn * spec.spacing)
+                best = max(best, abs(operator_pair_inner(op, s1, s2)))
+        out[d] = best
+    return out
+
+
+@pytest.mark.parametrize("hbar", [1.0 / 20.0, 1.0 / 100.0, 1.0 / 400.0, 0.3])
+@pytest.mark.parametrize(
+    "triple", [(-1.0, 0.0, -1.0), (-1.0, 0.3, -2.0), (-1.0 + 0.2j, 0.1j, -1.5)]
+)
+def test_quasi_orthogonality_probe_matches_per_pair_loop(hbar, triple):
+    spec = LatticeSpec(hbar)
+    op = gs.constant_operator(*triple)
+    distances = (1, 2, 3, 5, 8, 13, 16)
+    got = analysis.quasi_orthogonality_probe(spec, op, distances)
+    want = _per_pair_probe(spec, op, distances)
+    assert list(got) == list(distances)
+    for d in distances:
+        assert abs(got[d] - want[d]) <= 1e-14 * want[d]
+
+
 def test_planewave_probe_values():
     case = ProblemCase.homogeneous(100)
     ratio, outside, inside = analysis.planewave_coefficient_probe(case)
@@ -376,7 +412,7 @@ def test_planewave_probe_values():
     from gcshelm.problem_model import cutoff_phi
 
     n2 = math.ceil(2.0 / spec.spacing)  # first lattice frequency with |xi| >= 2
-    state = gs.CoherentState(spec.hbar, 0.0, lattice_point(n2, spec))
+    state = gs.CoherentState(spec.hbar, 0.0, n2 * spec.spacing)
     rule = quad.build_rule((-0.75, 0.75), 100, 160)
     val = inner_product(
         lambda x: cutoff_phi(x) * np.exp(1j * 100 * x),
@@ -411,7 +447,7 @@ def test_planewave_probe_matches_per_state_loop():
     inside = outside = 0.0
     for m in range(-math.floor(1.25 / spec.spacing), math.floor(1.25 / spec.spacing) + 1):
         for n in range(-math.floor(2.5 / spec.spacing), math.floor(2.5 / spec.spacing) + 1):
-            state = gs.CoherentState(spec.hbar, lattice_point(m, spec), lattice_point(n, spec))
+            state = gs.CoherentState(spec.hbar, m * spec.spacing, n * spec.spacing)
             val = abs(np.sum(fw * np.conj(gs.eval_state(state, rule.nodes))))
             if (m, n) in band:
                 inside = max(inside, val)

@@ -10,10 +10,10 @@ from helpers import pairs_of
 
 
 def test_lattice_point_values():
-    assert ps.lattice_point(0, ps.LatticeSpec(0.37)) == 0.0
-    assert abs(ps.lattice_point(1, ps.LatticeSpec(1.0 / math.pi)) - 1.0) < 1e-15
+    # lattice index m sits at m * spacing, for positions and frequencies alike
+    assert abs(ps.LatticeSpec(1.0 / math.pi).spacing - 1.0) < 1e-15
     # lattice step for k = 400 (matches the published phase-space chart)
-    assert abs(ps.lattice_point(1, ps.LatticeSpec(1.0 / 400.0)) - 0.08862269254527) < 1e-12
+    assert abs(ps.LatticeSpec(1.0 / 400.0).spacing - 0.08862269254527) < 1e-12
 
 
 def test_lattice_spec_invariants():
@@ -156,7 +156,7 @@ def test_search_bounds_terminate_in_pml():
     x_edge = m_max * spec.spacing
     assert abs(complex(case.symbol(x_edge, 0.0))) >= 2.0
     with pytest.raises(RuntimeError):
-        ps.search_bounds_from_symbol(lambda x, xi: 0.0 * x * xi, 1.0, spec, max_doublings=3)
+        ps.search_bounds_from_symbol(lambda x, xi: 0.0 * x * xi, 1.0, spec)
 
 
 def test_index_set_duplicate_and_order_validation():

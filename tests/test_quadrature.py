@@ -6,7 +6,7 @@ import pytest
 from gcshelm import gaussian_states as gs
 from gcshelm import quadrature as quad
 
-from helpers import inner_product, support_window
+from helpers import inner_product, overlap, support_window
 
 
 def test_constant_integral_exact():
@@ -62,7 +62,7 @@ def test_inner_product_matches_overlap():
     s2 = gs.CoherentState(hbar, -0.2, 1.1)
     rule = quad.build_rule(support_window([s1, s2]), 50, 60)
     val = inner_product(lambda x: gs.eval_state(s1, x), lambda x: gs.eval_state(s2, x), rule)
-    assert abs(val - gs.overlap(s1, s2)) < 1e-10
+    assert abs(val - overlap(s1, s2)) < 1e-10
 
 
 def test_support_window_single_and_hull():

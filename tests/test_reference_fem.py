@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import gcshelm
 from gcshelm import analysis, reference_fem as fem
 from gcshelm.problem_model import ProblemCase
 
-from helpers import einsum_fem_system, with_derivative
+from helpers import einsum_fem_system, end_decoupled_fem_values, with_derivative
 
 KS = (20.0, 50.0, 100.0, 200.0, 400.0)
 # relative H1_k error on [-1, 1] that fem.MESH_RESOLUTION is chosen for
@@ -50,31 +51,34 @@ def off_node_distance(case, mesh):
 
 def test_mesh_bookkeeping():
     case = ProblemCase.homogeneous(20)
-    sol = fem.fem_solve(case, 3.5)
-    mesh = sol.mesh
-    assert mesh.elements == 140 * resolution(20) == 2100
-    assert mesh.dofs == 4 * mesh.elements + 1
-    assert sol.values[0] == 0.0 and sol.values[-1] == 0.0
-    assert fem.fem_solve(case, 3.5, h=0.01).mesh.elements == 700
-    # an h that divides the domain gives exactly that many elements
-    for n in (55, 112, 2884):
-        assert fem._mesh_for(case, 3.5, h=7.0 / n).elements == n
-    assert fem._mesh_for(case, 3.5, h=7.0 / 55.4).elements == 56
+    default, explicit = fem.fem_solve(case), fem.fem_solve(case, 700)
+    assert default.mesh.elements == 140 * resolution(20) == 2100
+    assert explicit.mesh.elements == 700 and explicit.mesh.h == 0.01
+    for sol in (default, explicit):
+        mesh = sol.mesh
+        assert mesh.x_end == fem.DEFAULT_X_END == 3.5
+        assert mesh.dofs == 4 * mesh.elements + 1 == sol.values.size
+        assert sol.nodes[0] == -3.5 and sol.nodes[-1] == 3.5
+        assert sol.values[0] == 0.0 and sol.values[-1] == 0.0
 
 
 @pytest.mark.parametrize("make", CASES, ids=["hom", "het"])
 @pytest.mark.parametrize("k", KS)
 def test_default_mesh_puts_breakpoints_on_nodes(make, k):
     case = make(k)
-    assert off_node_distance(case, fem._mesh_for(case, 3.5)) <= 1e-12
-    # the former law h = 0.02 k^(-9/8) cuts through the C3 joints
-    old = fem._mesh_for(case, 3.5, h=0.02 * k ** (-9.0 / 8.0))
+    assert off_node_distance(case, fem._mesh_for(case)) <= 1e-12
+    # the former law h = 0.02 k^(-9/8), ceil(350 k^(9/8)) elements, cuts
+    # through the C3 joints
+    old = fem.FemMesh(fem.DEFAULT_X_END, math.ceil(350.0 * k ** (9.0 / 8.0)))
     assert off_node_distance(case, old) > 1e-7
 
 
 def test_default_mesh_rejects_unaligned_domain():
-    with pytest.raises(ValueError):
-        fem.fem_solve(ProblemCase.homogeneous(20), 3.52)
+    # a breakpoint off the MESH_UNIT grid cannot sit on an element edge
+    case = ProblemCase.homogeneous(20)
+    moved = dataclasses.replace(case, breakpoints=(-1.0, -0.75, -0.52, 0.5, 0.75, 1.0))
+    with pytest.raises(ValueError, match="multiples"):
+        fem.fem_solve(moved)
 
 
 @pytest.mark.parametrize(
@@ -90,8 +94,8 @@ def test_default_mesh_meets_accuracy_target(make, k):
     if case.has_exact_solution:
         err = h1k_vs_exact(sol, case)
     else:
-        truth = fem.fem_solve(case, h=fem.MESH_UNIT / (4 * resolution(k)))
-        assert truth.mesh.elements == 4 * sol.mesh.elements
+        truth = fem.fem_solve(case, 4 * sol.mesh.elements)
+        assert off_node_distance(case, truth.mesh) <= 1e-12
         err = analysis.h1k_error(
             with_derivative(sol), with_derivative(truth), (-1.0, 1.0), case.k, 60
         ).relative
@@ -103,7 +107,7 @@ def test_element_assembly_matches_einsum_oracle():
     # path, compared as matrices: on a large system summation order alone
     # moves the solved values far more than the entries
     case = ProblemCase.heterogeneous(20)
-    mesh = fem._mesh_for(case, 3.5)
+    mesh = fem._mesh_for(case)
     ke, fe = fem._element_system(case, mesh)
     ab, rhs = fem._banded_system(ke, fe)
     for got, want in zip((ke, fe, ab, rhs), einsum_fem_system(case, mesh)):
@@ -111,9 +115,17 @@ def test_element_assembly_matches_einsum_oracle():
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("make", CASES, ids=["hom", "het"])
+def test_interior_solve_matches_end_decoupled_solve(make):
+    # solving on the interior dofs against the full system with the end
+    # rows and columns replaced by the identity
+    case = make(20.0)
+    assert np.array_equal(fem.fem_solve(case).values, end_decoupled_fem_values(case))
+
+
 def test_homogeneous_reference_accuracy():
     case = ProblemCase.homogeneous(20)
-    sol = fem.fem_solve(case, 3.5)
+    sol = fem.fem_solve(case)
     assert h1k_vs_exact(sol, case) <= 1e-6
 
 
@@ -121,10 +133,9 @@ def test_h_convergence_order_four():
     case = ProblemCase.homogeneous(20)
     errs, hs = [], []
     for elements in (112, 224, 448, 896):
-        h = aligned_h(elements)
-        sol = fem.fem_solve(case, 3.5, h=h)
+        sol = fem.fem_solve(case, elements)
         errs.append(h1k_vs_exact(sol, case))
-        hs.append(h)
+        hs.append(aligned_h(elements))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - 4.0) < 0.3
 
@@ -132,10 +143,10 @@ def test_h_convergence_order_four():
 def test_self_convergence_against_refined_reference():
     # errors measured against a 2x-refined solution keep the same order
     case = ProblemCase.heterogeneous(20)
-    truth = fem.fem_solve(case, 3.5, h=aligned_h(1792))
+    truth = fem.fem_solve(case, 1792)
     errs, hs = [], []
     for elements in (112, 224, 448):
-        sol = fem.fem_solve(case, 3.5, h=aligned_h(elements))
+        sol = fem.fem_solve(case, elements)
         err = analysis.h1k_error(
             with_derivative(sol), with_derivative(truth), (-1.0, 1.0), case.k, 60
         ).relative
@@ -147,16 +158,18 @@ def test_self_convergence_against_refined_reference():
 
 def test_pml_decay_at_domain_end():
     case = ProblemCase.homogeneous(20)
-    sol = fem.fem_solve(case, 3.5)
+    sol = fem.fem_solve(case)
     edge = abs(sol(3.4, 0))
     peak = np.abs(sol.values).max()
     assert edge <= 1e-6 * peak
 
 
-def test_truncation_insensitivity():
+def test_truncation_insensitivity(monkeypatch):
     case = ProblemCase.heterogeneous(20)
-    sol_a = fem.fem_solve(case, 3.5)
-    sol_b = fem.fem_solve(case, 4.0)
+    sol_a = fem.fem_solve(case)
+    monkeypatch.setattr(fem, "DEFAULT_X_END", 4.0)
+    sol_b = fem.fem_solve(case)
+    assert sol_b.mesh.x_end == 4.0
     err = analysis.h1k_error(
         with_derivative(sol_a), with_derivative(sol_b), (-1.0, 1.0), case.k, 60
     )
@@ -165,7 +178,7 @@ def test_truncation_insensitivity():
 
 def test_fem_eval_nodal_and_derivative():
     case = ProblemCase.homogeneous(20)
-    sol = fem.fem_solve(case, 3.5, h=aligned_h(112))
+    sol = fem.fem_solve(case, 112)
     idx = np.array([5, 100, 300])
     got = sol(sol.nodes[idx], 0)
     assert np.max(np.abs(got - sol.values[idx])) < 1e-12 * np.abs(sol.values[idx]).max()
@@ -179,7 +192,7 @@ def test_fem_eval_nodal_and_derivative():
 
 def test_fem_eval_constant_field_derivative():
     case = ProblemCase.homogeneous(20)
-    sol = fem.fem_solve(case, 3.5, h=aligned_h(112))
+    sol = fem.fem_solve(case, 112)
     const = fem.FemSolution(sol.mesh, sol.nodes, np.ones_like(sol.values))
     x = np.linspace(-3.0, 3.0, 17)
     assert np.max(np.abs(const(x, 1))) < 1e-11
@@ -187,17 +200,11 @@ def test_fem_eval_constant_field_derivative():
 
 def test_fem_eval_out_of_domain():
     case = ProblemCase.homogeneous(20)
-    sol = fem.fem_solve(case, 3.5, h=aligned_h(112))
+    sol = fem.fem_solve(case, 112)
     with pytest.raises(ValueError):
         sol(3.6, 0)
     with pytest.raises(ValueError):
         fem.fem_eval(sol, 0.0, 2)
-
-
-def test_fem_solve_validation():
-    case = ProblemCase.homogeneous(20)
-    with pytest.raises(ValueError):
-        fem.fem_solve(case, 0.5)
 
 
 def test_import_leaves_scipy_unloaded():
