@@ -25,7 +25,7 @@ from .problem_model import (
 )
 from .quadrature import QuadratureRule, build_rule, nodes_per_wavelength
 from .assembly_solver import DesignSystem, SolveReport, assemble, solve, reconstruct
-from .reference_fem import FemMesh, FemSolution, fem_solve, fem_eval
+from .reference_fem import FemMesh, FemSolution, fem_solve
 from .analysis import ErrorReport, FrameDiagnostics, h1k_error, frame_bounds
 from .experiments import ExperimentConfig, ExperimentRecord, run_case, scaling_study, emit
 

@@ -26,7 +26,6 @@ import numpy as np
 from . import gaussian_states as gs
 from . import quadrature as quad
 from .phase_space import LatticeSpec, build_planewave_rhs_set
-from .problem_model import cutoff_phi
 
 __all__ = [
     "ErrorReport",
@@ -287,7 +286,7 @@ def planewave_coefficient_probe(case):
 
     Computes |(f, Psi_mn)| by quadrature for every pair with |x_m| <= 0.75 +
     ``PLANEWAVE_X_PAD`` and |xi_n| <= ``PLANEWAVE_XI_MAX``, one block of equal
-    x_m at a time, with f = phi(x) * exp(1j*k*x) built from the C3 cutoff.
+    x_m at a time, with f = phi(x) * exp(1j*k*x) the case's closed-form solution.
     The band is ``build_planewave_rhs_set`` at ``PLANEWAVE_EPSILON``.
     Returns (max outside band) / (max inside band) together with both maxima.
     """
@@ -302,7 +301,7 @@ def planewave_coefficient_probe(case):
 
     # f conj(Psi_mn) oscillates at most at k * (1 + xi_max)
     rule = quad.build_rule(support, k, quad.nodes_per_wavelength(1.0 + PLANEWAVE_XI_MAX))
-    fw = cutoff_phi(rule.nodes, 0) * np.exp(1j * k * rule.nodes) * rule.weights
+    fw = case.exact_solution(rule.nodes)[0] * rule.weights
 
     m = np.repeat(np.arange(-m_max, m_max + 1), 2 * n_max + 1)
     n = np.tile(np.arange(-n_max, n_max + 1), 2 * m_max + 1)

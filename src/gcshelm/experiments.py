@@ -3,7 +3,10 @@
 One cell of a table is: build the symbol-selected index set at (k, delta),
 assemble and solve the least-squares system, compare against the exact
 solution (homogeneous) or an order-4 FEM reference (heterogeneous) in the
-relative H1_k norm on ``ERROR_WINDOW``, the physical region [-1, 1].  A cell
+relative H1_k norm on ``ERROR_WINDOW``, the physical region [-1, 1].  The
+symbol, the design operator and the FEM all read P_k from
+``ProblemCase.operator()``, and both references are callables
+x -> (u, u'), the form ``analysis.h1k_error`` takes.  A cell
 is fixed by its case, k, delta and the solver cutoff: the quadrature density
 follows from the index set, ``assembly_solver.assemble`` places the rule's
 window, and the FEM reference is truncated at ``reference_fem.DEFAULT_X_END``.
@@ -94,13 +97,12 @@ class _ReferenceCache:
 
     def reference(self, case):
         """The reference solution as a callable x -> (u, u')."""
-        if case.has_exact_solution:
-            return lambda x: (case.exact_solution(x, 0), case.exact_solution(x, 1))
+        if case.solution is not None:
+            return case.exact_solution
         key = (case.name, case.k)
         if key not in self._store:
             self._store[key] = reference_fem.fem_solve(case)
-        sol = self._store[key]
-        return lambda x: (sol(x, 0), sol(x, 1))
+        return self._store[key]
 
 
 def select_index_set(case, delta):

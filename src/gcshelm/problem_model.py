@@ -7,9 +7,12 @@ Both experiment cases share the semiclassical operator
 with nu = 1 + 1j*sigma and sigma a quartic stretching supported outside
 [-1, 1].  The paper writes the operator with a second coefficient alpha in
 front of nu**(-1); both of its 1D experiments take alpha = 1, so it is left
-out here.  The homogeneous case (mu = 1) carries the closed-form solution
-phi(x)*exp(1j*k*x) built from a degree-7 C3 bridge; the heterogeneous case
-raises mu to 2 on [-0.7, 0.7] and has no closed form.
+out here.  ``ProblemCase.operator()`` is the one place that writes the
+coefficients of P_k: the principal symbol and the FEM weak form read its
+(a, c) pair.  Each case is one row of ``_CASES``: the homogeneous case
+(mu = 1) carries the closed-form solution phi(x)*exp(1j*k*x) built from a
+degree-7 C3 bridge; the heterogeneous case raises mu to 2 on [-0.7, 0.7]
+and has no closed form.
 """
 
 from dataclasses import dataclass
@@ -39,9 +42,9 @@ BRIDGE_COEFFS = np.array([0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0])
 
 
 def bridge_eval(t, order=0):
-    """Value or derivative (order <= 3) of the C3 bridge S on [0, 1]."""
-    if not 0 <= order <= 3:
-        raise ValueError("bridge derivative order must lie in [0, 3]")
+    """Value or derivative (order <= 2) of the C3 bridge S on [0, 1]."""
+    if not 0 <= order <= 2:
+        raise ValueError("bridge derivative order must lie in [0, 2]")
     tv = np.asarray(t, dtype=float)
     if np.any(tv < -1e-14) or np.any(tv > 1.0 + 1e-14):
         raise ValueError("bridge argument outside [0, 1]")
@@ -84,30 +87,22 @@ def _even_bridge(x, order, lo, hi):
 
 
 def cutoff_phi(x, order=0):
-    """Even C3 plateau: 1 on [-1/2, 1/2], degree-7 bridge down to 0 at 3/4."""
-    if not 0 <= order <= 3:
-        raise ValueError("phi derivative order must lie in [0, 3]")
+    """Even C3 plateau: 1 on [-1/2, 1/2], degree-7 bridge down to 0 at 3/4.
+
+    ``order`` <= 2 selects a derivative; the source needs no higher one.
+    """
+    if not 0 <= order <= 2:
+        raise ValueError("phi derivative order must lie in [0, 2]")
     return _even_bridge(x, order, 0.5, 0.75)
 
 
-def mu_heterogeneous(x, order=0):
+def mu_heterogeneous(x):
     """Even C3 coefficient: 2 on [-0.7, 0.7], bridge down to 1 beyond 0.8."""
-    if not 0 <= order <= 3:
-        raise ValueError("mu derivative order must lie in [0, 3]")
-    out = _even_bridge(x, order, 0.7, 0.8)
-    if order == 0:
-        out = out + 1.0
-    return out
+    return _even_bridge(x, 0, 0.7, 0.8) + 1.0
 
 
 def _unit_mu(x):
     return np.ones_like(np.asarray(x, dtype=float))
-
-
-# the PML onset (|x| = 1) and the joints of the source's phi (|x| = 0.5,
-# 0.75), or of mu and the source (mu - 1) e^{ikx} (|x| = 0.7, 0.8)
-_HOMOGENEOUS_BREAKPOINTS = (-1.0, -0.75, -0.5, 0.5, 0.75, 1.0)
-_HETEROGENEOUS_BREAKPOINTS = (-1.0, -0.8, -0.7, 0.7, 0.8, 1.0)
 
 
 def _cutoff_wave_source(x, k):
@@ -115,129 +110,106 @@ def _cutoff_wave_source(x, k):
     return -(cutoff_phi(x, 2) + 2j * k * cutoff_phi(x, 1)) * np.exp(1j * k * x) / k**2
 
 
+def _cutoff_wave(x, k):
+    # (u, u') of u = phi e^{ikx}
+    wave = np.exp(1j * k * x)
+    phi = cutoff_phi(x, 0)
+    return phi * wave, (cutoff_phi(x, 1) + 1j * k * phi) * wave
+
+
 def _contrast_wave_source(x, k):
-    return (np.asarray(mu_heterogeneous(x, 0)) - 1.0) * np.exp(1j * k * x)
+    return (mu_heterogeneous(x) - 1.0) * np.exp(1j * k * x)
+
+
+# name -> (mu, source, closed-form solution or None, breakpoints).  The
+# breakpoints are the PML onset (|x| = 1) and the joints of the source's phi
+# (|x| = 0.5, 0.75), or of mu and the source (mu - 1) e^{ikx} (|x| = 0.7, 0.8).
+_CASES = {
+    "homogeneous": (_unit_mu, _cutoff_wave_source, _cutoff_wave, (-1.0, -0.75, -0.5, 0.5, 0.75, 1.0)),
+    "heterogeneous": (mu_heterogeneous, _contrast_wave_source, None, (-1.0, -0.8, -0.7, 0.7, 0.8, 1.0)),
+}
 
 
 @dataclass(frozen=True)
 class ProblemCase:
     """One model problem: coefficients, wavenumber, source and exact solution.
 
-    ``mu(x)`` is the coefficient mu and ``source(x, k)`` the right-hand side.
-    ``breakpoints`` are the sorted points where a coefficient or the source
-    is only C3: the joints of phi or mu and the PML onset.
+    ``mu(x)`` is the coefficient mu, ``source(x, k)`` the right-hand side
+    and ``solution(x, k)`` the closed-form (u, u'), or None where the case
+    has none.  ``breakpoints`` are the sorted points where a coefficient or
+    the source is only C3: the joints of phi or mu and the PML onset.
     """
 
     name: str
     k: float
     mu: object
-    has_exact_solution: bool
     source: object
+    solution: object
     breakpoints: tuple
 
     @staticmethod
-    def homogeneous(k):
+    def from_name(name, k):
+        """The case of ``_CASES`` called ``name``, at wavenumber k >= 1."""
+        if name not in _CASES:
+            raise ValueError(f"unknown case {name!r}")
         if k < 1.0:
             raise ValueError("wavenumber must satisfy k >= 1")
-        return ProblemCase(
-            "homogeneous",
-            float(k),
-            _unit_mu,
-            True,
-            _cutoff_wave_source,
-            _HOMOGENEOUS_BREAKPOINTS,
-        )
+        return ProblemCase(name, float(k), *_CASES[name])
+
+    @staticmethod
+    def homogeneous(k):
+        return ProblemCase.from_name("homogeneous", k)
 
     @staticmethod
     def heterogeneous(k):
-        if k < 1.0:
-            raise ValueError("wavenumber must satisfy k >= 1")
-        return ProblemCase(
-            "heterogeneous",
-            float(k),
-            mu_heterogeneous,
-            False,
-            _contrast_wave_source,
-            _HETEROGENEOUS_BREAKPOINTS,
-        )
+        return ProblemCase.from_name("heterogeneous", k)
 
-    @staticmethod
-    def from_name(name, k):
-        try:
-            factory = {
-                "homogeneous": ProblemCase.homogeneous,
-                "heterogeneous": ProblemCase.heterogeneous,
-            }[name]
-        except KeyError:
-            raise ValueError(f"unknown case {name!r}") from None
-        return factory(k)
+    def operator(self):
+        """P_k as the coefficient triple of the state calculus.
 
-    # -- PML scaling and derived coefficient algebra ------------------------
+        P = hbar**2 a d2 + 1j*hbar b d1 + c with hbar = 1/k, a = -nu**(-1),
+        b = 1j*hbar*(nu**(-1))' and c = -mu*nu.  P_k is in divergence form,
+        1j*hbar*b = hbar**2 a', so P = hbar**2 (a u')' + c u.  Its
+        coefficients vary, so it has no ``constant`` triple: the closed
+        forms run on ``constant_operator``.
+        """
+        hbar = 1.0 / self.k
 
-    def nu(self, x, order=0):
-        """nu = 1 + 1j*sigma (order 0) or its derivative (order 1)."""
-        s = pml_sigma(x, order)
-        if order == 0:
-            return 1.0 + 1j * np.asarray(s)
-        return 1j * np.asarray(s)
+        def stretch(x):
+            # nu = 1 + 1j*sigma
+            return 1.0 + 1j * np.asarray(pml_sigma(x))
 
-    def nu_inv(self, x, order=0):
-        """nu**(-1) (order 0) or its derivative -nu'/nu**2 (order 1)."""
-        if not 0 <= order <= 1:
-            raise ValueError("nu_inv derivative order must lie in [0, 1]")
-        g0 = 1.0 / self.nu(x, 0)
-        if order == 0:
-            return g0
-        return -self.nu(x, 1) * g0**2
+        def a(x):
+            return -(1.0 / stretch(x))
 
-    # -- operator, symbol, source, solution ---------------------------------
+        def b(x):
+            # (nu**(-1))' = -nu'/nu**2 with nu' = 1j*sigma'
+            return 1j * hbar * (-(1j * np.asarray(pml_sigma(x, 1))) * (1.0 / stretch(x)) ** 2)
+
+        def c(x):
+            return -np.asarray(self.mu(x)) * stretch(x)
+
+        return SecondOrderOperator(a=a, b=b, c=c)
 
     def symbol(self, x, xi):
-        """Principal symbol nu**(-1)*xi**2 - mu*nu.
+        """Principal symbol -a*xi**2 + c = nu**(-1)*xi**2 - mu*nu of ``operator()``.
 
-        The order-(1/k) first-derivative term of the operator is excluded.
+        The order-(1/k) first-derivative term b is excluded.
         """
+        op = self.operator()
         xi = np.asarray(xi, dtype=float)
-        return self.nu_inv(x, 0) * xi**2 - np.asarray(self.mu(x)) * self.nu(x, 0)
+        return -op.a(x) * xi**2 + op.c(x)
 
     def rhs(self, x):
         """Source term, normalized so that P_k u = rhs for the stated solution."""
         val = self.source(np.asarray(x, dtype=float), self.k)
         return val if val.ndim else complex(val)
 
-    def exact_solution(self, x, order=0):
-        """phi(x)*exp(1j*k*x) and its first derivative (homogeneous case only)."""
-        if not self.has_exact_solution:
+    def exact_solution(self, x):
+        """The closed-form solution and its derivative (u, u') at x."""
+        if self.solution is None:
             raise ValueError(f"case {self.name!r} has no closed-form solution")
-        if not 0 <= order <= 1:
-            raise ValueError("solution derivative order must lie in [0, 1]")
-        xv = np.asarray(x, dtype=float)
-        wave = np.exp(1j * self.k * xv)
-        if order == 0:
-            val = cutoff_phi(xv, 0) * wave
-        else:
-            val = (cutoff_phi(xv, 1) + 1j * self.k * cutoff_phi(xv, 0)) * wave
-        return val if val.ndim else complex(val)
-
-    def operator(self):
-        """The coefficient triple form of P_k for the state calculus.
-
-        a = -nu**(-1), 1j*hbar*b = -hbar**2*(nu**(-1))', and
-        c = -mu*nu, with hbar = 1/k.  Its coefficients vary, so it has no
-        ``constant`` triple: the closed forms run on ``constant_operator``.
-        """
-        hbar = 1.0 / self.k
-
-        def a(x):
-            return -self.nu_inv(x, 0)
-
-        def b(x):
-            return 1j * hbar * self.nu_inv(x, 1)
-
-        def c(x):
-            return -np.asarray(self.mu(x)) * self.nu(x, 0)
-
-        return SecondOrderOperator(a=a, b=b, c=c)
+        return self.solution(np.asarray(x, dtype=float), self.k)
 
     def rhs_support(self):
         return (-1.0, 1.0)

@@ -4,11 +4,15 @@ Solves the sesquilinear weak form of the model operator,
 
     int k**-2 nu**-1 u' conj(v') - int mu nu u conj(v) = int f conj(v),
 
-on [-DEFAULT_X_END, DEFAULT_X_END] = [-3.5, 3.5], where the PML has long
-damped every reflection, with homogeneous Dirichlet ends.  The
-coefficients and the source are only C3 at the case's breakpoints, so the
-default mesh puts element edges on them: every breakpoint and the end are
-multiples of MESH_UNIT = 0.05, and the elements are MESH_UNIT/j wide with
+with its coefficients read off ``case.operator()``: -a/k**2 = nu**-1/k**2
+for the stiffness and -c = mu*nu for the mass.  That weak form holds
+because P_k is in divergence form, 1j*hbar*b = hbar**2 a', so
+P_k u = k**-2 (a u')' + c u.  It is posed on [-DEFAULT_X_END,
+DEFAULT_X_END] = [-3.5, 3.5], where the PML has long damped every
+reflection, with homogeneous Dirichlet ends.  The coefficients and the
+source are only C3 at the case's breakpoints, so the default mesh puts
+element edges on them: every breakpoint and the end are multiples of
+MESH_UNIT = 0.05, and the elements are MESH_UNIT/j wide with
 j = ceil(MESH_RESOLUTION * k**(9/8)).  Convergence studies pass an
 element count instead.  An aligned mesh converges at the full order 4, and
 the k**(9/8) growth keeps the pollution effect in check.
@@ -28,7 +32,6 @@ __all__ = [
     "FemMesh",
     "FemSolution",
     "fem_solve",
-    "fem_eval",
     "DEFAULT_X_END",
     "MESH_UNIT",
     "MESH_RESOLUTION",
@@ -65,8 +68,21 @@ class FemSolution:
     nodes: np.ndarray
     values: np.ndarray
 
-    def __call__(self, x, derivative_order=0):
-        return fem_eval(self, x, derivative_order)
+    def __call__(self, x):
+        """(u, u') at x by local degree-4 interpolation, one element lookup for both."""
+        mesh = self.mesh
+        xv = np.asarray(x, dtype=float)
+        if np.any(xv < -mesh.x_end - 1e-12) or np.any(xv > mesh.x_end + 1e-12):
+            raise ValueError("evaluation point outside the mesh domain")
+        el = np.clip(((xv + mesh.x_end) / mesh.h).astype(int), 0, mesh.elements - 1)
+        t = 2.0 * (xv - (-mesh.x_end + el * mesh.h)) / mesh.h - 1.0
+        u = np.zeros(xv.shape, dtype=complex)
+        du = np.zeros(xv.shape, dtype=complex)
+        base = _DEGREE * el
+        for i in range(_DEGREE + 1):
+            u += self.values[base + i] * np.polynomial.polynomial.polyval(t, _BASIS_COEFFS[i])
+            du += self.values[base + i] * np.polynomial.polynomial.polyval(t, _BASIS_DERIV_COEFFS[i])
+        return u, du * (2.0 / mesh.h)
 
 
 def _reference_basis():
@@ -106,8 +122,9 @@ def _element_system(case, mesh):
     jac = 0.5 * mesh.h
     left = -mesh.x_end + mesh.h * np.arange(mesh.elements)
     xq = left[:, None] + jac * (_GAUSS_X + 1.0)  # (E, 6)
-    stiff = _GAUSS_W / (jac * case.k**2) * case.nu_inv(xq, 0)
-    mass = _GAUSS_W * jac * case.mu(xq) * case.nu(xq, 0)
+    op = case.operator()
+    stiff = _GAUSS_W / (jac * case.k**2) * -op.a(xq)
+    mass = _GAUSS_W * jac * -op.c(xq)
     ke = stiff @ _STIFF - mass @ _MASS
     fe = (_GAUSS_W * jac * case.rhs(xq)) @ _PHI
     return ke.reshape(-1, _DEGREE + 1, _DEGREE + 1), fe
@@ -152,24 +169,3 @@ def fem_solve(case, elements=None):
         raise RuntimeError("banded solve produced non-finite values (singular system)")
     nodes = np.linspace(-mesh.x_end, mesh.x_end, mesh.dofs)
     return FemSolution(mesh, nodes, values)
-
-
-def fem_eval(solution, x, derivative_order=0):
-    """Local degree-4 interpolation of the solution or its derivative."""
-    if not 0 <= derivative_order <= 1:
-        raise ValueError("derivative order must lie in [0, 1]")
-    mesh = solution.mesh
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xv < -mesh.x_end - 1e-12) or np.any(xv > mesh.x_end + 1e-12):
-        raise ValueError("evaluation point outside the mesh domain")
-    h_el = mesh.h
-    el = np.clip(((xv + mesh.x_end) / h_el).astype(int), 0, mesh.elements - 1)
-    t = 2.0 * (xv - (-mesh.x_end + el * h_el)) / h_el - 1.0
-    coeffs = _BASIS_COEFFS if derivative_order == 0 else _BASIS_DERIV_COEFFS
-    out = np.zeros(xv.shape, dtype=complex)
-    base = _DEGREE * el
-    for i in range(_DEGREE + 1):
-        out += solution.values[base + i] * np.polynomial.polynomial.polyval(t, coeffs[i])
-    if derivative_order == 1:
-        out *= 2.0 / h_el
-    return out if np.ndim(x) else complex(out[0])

@@ -2,7 +2,8 @@
 derivative blocks, quadrature inner products, the closed-form overlap and
 operator pairing of two states, the operator on function values, the
 closed-form iterated residual, the box estimate of the frame bounds, the
-complex solve of the dual frame, the Zak frame function, the einsum
+complex solve of the dual frame, the Zak frame function, the nu formulas
+of P_k's symbol, coefficients and FEM element matrices, the einsum
 assembly and end-decoupling solve of the FEM reference, and a CSV reader
 for the table output."""
 
@@ -17,14 +18,10 @@ from scipy.linalg import solve_banded
 from gcshelm import analysis
 from gcshelm import assembly_solver as asm
 from gcshelm import gaussian_states as gs
+from gcshelm import problem_model as pm
 from gcshelm import quadrature as quad
 from gcshelm import reference_fem as fem
 from gcshelm.experiments import ExperimentRecord
-
-
-def with_derivative(f):
-    """x -> (f(x, 0), f(x, 1)), the form ``analysis.h1k_error`` takes."""
-    return lambda x: (f(x, 0), f(x, 1))
 
 
 def pairs_of(index_set):
@@ -123,12 +120,45 @@ def constant_symbol(op):
     return lambda x, xi: -a * xi**2 - b * xi + c
 
 
+def nu_coefficients(x):
+    """(nu, nu**(-1), (nu**(-1))') at x, with nu = 1 + 1j*sigma and nu' = 1j*sigma'.
+
+    The formulas of P_k through nu before ``ProblemCase.operator()`` became
+    the one place that writes its coefficients; the oracle of that triple,
+    of the symbol and of the FEM coefficient products.
+    """
+    nu = 1.0 + 1j * np.asarray(pm.pml_sigma(x))
+    nu_inv = 1.0 / nu
+    return nu, nu_inv, -(1j * np.asarray(pm.pml_sigma(x, 1))) * nu_inv**2
+
+
+def nu_symbol(case, x, xi):
+    """The principal symbol nu**(-1)*xi**2 - mu*nu of ``case``."""
+    nu, nu_inv, _ = nu_coefficients(x)
+    return nu_inv * np.asarray(xi, dtype=float) ** 2 - np.asarray(case.mu(x)) * nu
+
+
+def nu_triple(case, x):
+    """(a, b, c) = (-nu**(-1), 1j*hbar*(nu**(-1))', -mu*nu) of ``case`` at x, hbar = 1/k."""
+    nu, nu_inv, d_nu_inv = nu_coefficients(x)
+    return -nu_inv, 1j * (1.0 / case.k) * d_nu_inv, -np.asarray(case.mu(x)) * nu
+
+
+def nu_element_matrices(case, mesh):
+    """The element matrices (E, 5, 5) of ``fem._element_system`` from nu**(-1)/k**2 and mu*nu."""
+    jac = 0.5 * mesh.h
+    left = -mesh.x_end + mesh.h * np.arange(mesh.elements)
+    xq = left[:, None] + jac * (fem._GAUSS_X + 1.0)
+    nu, nu_inv, _ = nu_coefficients(xq)
+    stiff = fem._GAUSS_W / (jac * case.k**2) * nu_inv
+    mass = fem._GAUSS_W * jac * case.mu(xq) * nu
+    return (stiff @ fem._STIFF - mass @ fem._MASS).reshape(-1, 5, 5)
+
+
 def apply_P(case, u, du, d2u, x):
     """P_k of ``case`` acting on function values (u, u', u'') at x."""
-    return (
-        -np.asarray(case.mu(x)) * case.nu(x, 0) * u
-        - (case.nu_inv(x, 1) * du + case.nu_inv(x, 0) * d2u) / case.k**2
-    )
+    nu, nu_inv, d_nu_inv = nu_coefficients(x)
+    return -np.asarray(case.mu(x)) * nu * u - (d_nu_inv * du + nu_inv * d2u) / case.k**2
 
 
 def _double_factorial(n):
@@ -275,8 +305,9 @@ def einsum_fem_system(case, mesh):
     jac = 0.5 * h_el
     left = -mesh.x_end + h_el * np.arange(mesh.elements)
     xq = left[:, None] + jac * (gl_x[None, :] + 1.0)
-    stiff_coef = np.asarray(case.nu_inv(xq, 0)) / case.k**2
-    mass_coef = np.asarray(case.mu(xq)) * case.nu(xq, 0)
+    nu, nu_inv, _ = nu_coefficients(xq)
+    stiff_coef = nu_inv / case.k**2
+    mass_coef = np.asarray(case.mu(xq)) * nu
     wq = gl_w[None, :]
     ke = np.einsum("eq,qi,qj->eij", wq * stiff_coef / jac, dphi, dphi)
     ke -= np.einsum("eq,qi,qj->eij", wq * mass_coef * jac, phi, phi)

@@ -5,7 +5,7 @@ import pytest
 
 from gcshelm import problem_model as pm
 
-from helpers import apply_P
+from helpers import apply_P, nu_symbol, nu_triple
 
 BREAKPOINTS = (0.5, 0.7, 0.75, 0.8)
 
@@ -39,7 +39,7 @@ def test_case_breakpoints_are_the_coefficient_joints(make):
 def test_bridge_defining_conditions():
     assert pm.bridge_eval(0.0) == 0.0
     assert abs(pm.bridge_eval(1.0) - 1.0) < 1e-15
-    for order in (1, 2, 3):
+    for order in (1, 2):
         assert abs(pm.bridge_eval(0.0, order)) < 1e-12
         assert abs(pm.bridge_eval(1.0, order)) < 1e-10
     assert abs(pm.bridge_eval(0.5) - 0.5) < 1e-15
@@ -94,9 +94,36 @@ def test_mu_heterogeneous_plateaus():
     assert pm.mu_heterogeneous(5.0) == 1.0
 
 
-@pytest.mark.parametrize("fn", [pm.cutoff_phi, pm.mu_heterogeneous])
-def test_c3_continuity_at_breakpoints(fn):
+def bridge_plateau(x, order, lo, hi):
+    """d^order/dx^order of 1 on |x| <= lo, S((hi - |x|)/(hi - lo)) up to hi, 0 beyond.
+
+    S is ``np.polynomial`` of ``pm.BRIDGE_COEFFS``, so every order is at hand.
+    """
+    r, scale = abs(x), 1.0 / (hi - lo)
+    if r >= hi:
+        return 0.0
+    if r <= lo:
+        return 1.0 if order == 0 else 0.0
+    coeffs = np.polynomial.polynomial.polyder(pm.BRIDGE_COEFFS, order)
+    return np.polynomial.polynomial.polyval((hi - r) * scale, coeffs) * (-scale * np.sign(x)) ** order
+
+
+# name -> (x, order) -> d^order of the plateau: the function itself at the
+# orders it takes (cutoff_phi 0-2, mu - 1 order 0), ``bridge_plateau`` above
+PLATEAUS = {
+    "cutoff_phi": (
+        lambda x, order: pm.cutoff_phi(x, order) if order <= 2 else bridge_plateau(x, order, 0.5, 0.75)
+    ),
+    "mu_heterogeneous": (
+        lambda x, order: pm.mu_heterogeneous(x) - 1.0 if order == 0 else bridge_plateau(x, order, 0.7, 0.8)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PLATEAUS)
+def test_c3_continuity_at_breakpoints(name):
     # jumps across a junction are bounded by the next derivative's Taylor term
+    fn = PLATEAUS[name]
     eps = 1e-9
     for b in BREAKPOINTS:
         for sign in (1.0, -1.0):
@@ -160,7 +187,7 @@ def test_physical_region_neutrality():
     case = pm.ProblemCase.homogeneous(30)
     x = np.linspace(-1.0, 1.0, 101)
     assert np.all(pm.pml_sigma(x) == 0.0)
-    assert np.all(case.nu(x, 0) == 1.0)
+    assert np.all(case.operator().a(x) == -1.0)
     u = np.exp(0.3j * x)
     du = 0.3j * u
     d2u = -0.09 * u
@@ -197,9 +224,10 @@ def test_rhs_heterogeneous_plateau():
 
 def test_exact_solution_values():
     case = pm.ProblemCase.homogeneous(25)
-    assert abs(case.exact_solution(0.0, 0) - 1.0) < 1e-15
-    assert case.exact_solution(0.8, 0) == 0.0
-    assert case.exact_solution(-0.8, 0) == 0.0
+    assert abs(case.exact_solution(0.0)[0] - 1.0) < 1e-15
+    assert case.exact_solution(0.0)[1] == 25j
+    assert case.exact_solution(0.8) == (0.0, 0.0)
+    assert case.exact_solution(-0.8) == (0.0, 0.0)
     with pytest.raises(ValueError):
         pm.ProblemCase.heterogeneous(25).exact_solution(0.0)
 
@@ -240,12 +268,30 @@ def test_symbol_operator_consistency_on_lattice():
     assert max(ratios) < 3.0
 
 
-def test_nu_and_anu_inv_derivatives():
-    case = pm.ProblemCase.homogeneous(20)
-    x = np.array([0.3, 1.5, 2.5])
-    h = 1e-6
-    fd = (case.nu_inv(x + h, 0) - case.nu_inv(x - h, 0)) / (2 * h)
-    assert np.max(np.abs(fd - case.nu_inv(x, 1))) < 1e-5
+@pytest.mark.parametrize("make", [pm.ProblemCase.homogeneous, pm.ProblemCase.heterogeneous])
+def test_operator_and_symbol_match_nu_formulas(make):
+    # bit for bit against nu**(-1)*xi**2 - mu*nu and the triple through
+    # nu**(-1) and (nu**(-1))', on a grid across both PML sides
+    case = make(20)
+    x = np.linspace(-3.5, 3.5, 141)[:, None]
+    xi = np.linspace(-3.0, 3.0, 61)
+    assert np.array_equal(case.symbol(x, xi), nu_symbol(case, x, xi))
+    op = case.operator()
+    for got, want in zip((op.a(x), op.b(x), op.c(x)), nu_triple(case, x)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(case.symbol(-2.0, 1.5), nu_symbol(case, -2.0, 1.5))
+
+
+def test_first_order_coefficient_is_divergence_form():
+    # b = -1j*hbar*a', the condition under which the FEM weak form with
+    # stiffness -a/k**2 and mass -c discretises P_k
+    for case in (pm.ProblemCase.homogeneous(20), pm.ProblemCase.heterogeneous(50)):
+        op = case.operator()
+        x = np.array([-2.5, -1.5, -1.1, 0.3, 1.1, 1.5, 2.5])
+        h = 1e-6
+        fd = (op.a(x + h) - op.a(x - h)) / (2 * h)
+        b = op.b(x)
+        assert np.max(np.abs(b - (-1j / case.k) * fd)) < 1e-7 * np.max(np.abs(b))
 
 
 def test_case_validation():
@@ -260,7 +306,7 @@ def test_rhs_bit_identical_to_closed_forms():
     x = np.linspace(-1.2, 1.2, 241)
     wave = np.exp(1j * k * x)
     hom = -(pm.cutoff_phi(x, 2) + 2j * k * pm.cutoff_phi(x, 1)) * wave / k**2
-    het = (np.asarray(pm.mu_heterogeneous(x, 0)) - 1.0) * wave
+    het = (pm.mu_heterogeneous(x) - 1.0) * wave
     assert np.array_equal(pm.ProblemCase.homogeneous(k).rhs(x), hom)
     assert np.array_equal(pm.ProblemCase.heterogeneous(k).rhs(x), het)
     assert pm.ProblemCase.heterogeneous(k).rhs(x[135]) == het[135]
