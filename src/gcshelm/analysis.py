@@ -7,15 +7,15 @@ density 2 whose bounds are the extrema of its Zak transform (Zibulski and
 Zeevi, ACHA 4, 1997; Groechenig, Foundations of Time-Frequency Analysis,
 ch. 8).  The dual frame works on a truncated lattice box whose Gram matrix
 is available in closed form.  The mirror of the frequency offsets about
-the box centre conjugates that Gram, so the dual solve is one real
-``eigh`` of its real form, of the same size.  In lattice units the bounds
-and the Gram are exactly independent of hbar, which is what makes the
-frame diagnostics hbar-stable.  The Zak series and the Gram are cut at
-the tail tolerance of the state kernel, ``quad.DEFAULT_TAIL_TOL`` =
-exp(-72), the tolerance of the 12-sigma window of
-``gaussian_states.state_blocks``: Gram entries at lattice distance beyond
-sqrt(288/pi) ~ 9.6 steps are exactly 0, so the Gram holds no subnormal
-numbers, and its phases are exact quarter turns.
+the box centre conjugates that Gram, so one unitary gauge makes it real
+and the dual solve is one real ``eigh`` of the same size.  In lattice
+units the bounds and the Gram are exactly independent of hbar, which is
+what makes the frame diagnostics hbar-stable.  The Zak series and the Gram
+are cut at the tail tolerance of the state kernel,
+``quad.DEFAULT_TAIL_TOL`` = exp(-72), the tolerance of the 12-sigma window
+of ``gaussian_states.state_blocks``: Gram entries at lattice distance
+beyond sqrt(288/pi) ~ 9.6 steps are exactly 0, so the Gram holds no
+subnormal numbers, and its phases are exact quarter turns.
 """
 
 import math
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gaussian_states as gs
 from . import quadrature as quad
-from .phase_space import LatticeSpec, build_planewave_rhs_set
+from .phase_space import IndexSet, LatticeSpec, build_planewave_rhs_set
 
 __all__ = [
     "ErrorReport",
@@ -88,24 +88,25 @@ PLANEWAVE_XI_MAX = 2.5
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
 # lattice distances squared past which exp(-pi*d2/4) < quad.DEFAULT_TAIL_TOL
 _GRAM_TAIL_D2 = 4.0 * math.log(1.0 / quad.DEFAULT_TAIL_TOL) / math.pi
+# exp(-pi*d2/4) for each integer d2 up to the tail, then one 0 for all beyond
+_GRAM_MODULUS = np.append(np.exp(-0.25 * math.pi * np.arange(math.floor(_GRAM_TAIL_D2) + 1)), 0.0)
 # lattice distance past which g(t) = exp(-pi t**2 / 2) < quad.DEFAULT_TAIL_TOL
 _ZAK_REACH = math.sqrt(2.0 * math.log(1.0 / quad.DEFAULT_TAIL_TOL) / math.pi)
 
 
-def lattice_gram(pairs):
+def lattice_gram(m, n):
     """Closed-form Gram matrix G[i, j] = (Psi_i, Psi_j) = int Psi_i conj(Psi_j) dx.
 
-    In lattice indices the entries are exp(-pi*d2/4) * 1j**((n1+n2)*(m2-m1))
-    with d2 = (m1-m2)**2 + (n1-n2)**2, independent of hbar.  The phase is
-    taken exactly from the quarter turns 1, 1j, -1, -1j.  Entries with
-    pi*d2/4 > log(1/quad.DEFAULT_TAIL_TOL), of modulus below exp(-72), are
-    exactly 0.
+    ``m`` and ``n`` are integer arrays of lattice indices.  The entries are
+    exp(-pi*d2/4) * 1j**((n1+n2)*(m2-m1)) with d2 = (m1-m2)**2 + (n1-n2)**2,
+    independent of hbar.  The modulus is read from a table over integer d2
+    and the phase exactly from the quarter turns 1, 1j, -1, -1j.  Entries
+    with pi*d2/4 > log(1/quad.DEFAULT_TAIL_TOL), of modulus below exp(-72),
+    are exactly 0.
     """
-    m = np.array([p[0] for p in pairs])
-    n = np.array([p[1] for p in pairs])
     dm = m[None, :] - m[:, None]
-    d2 = dm**2 + (n[:, None] - n[None, :]) ** 2
-    mag = np.where(d2 <= _GRAM_TAIL_D2, np.exp(-0.25 * math.pi * d2), 0.0)
+    dn = n[:, None] - n[None, :]
+    mag = _GRAM_MODULUS[np.minimum(dm * dm + dn * dn, _GRAM_MODULUS.size - 1)]
     return mag * _QUARTER_TURNS[((n[:, None] + n[None, :]) * dm) % 4]
 
 
@@ -163,92 +164,71 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
     of the cut moves the kept set.
 
     The spectral solve is real.  The box is indexed by the offsets (dm, dn)
-    about the target, and the mirror mu: dn -> -dn conjugates the Gram,
-    G[mu i, mu j] = conj(G[i, j]): distances are unchanged, and the
-    quarter-turn exponent (n1+n2)(m2-m1) changes sign modulo 4, since
-    4 tn (m2-m1) is a whole number of turns.  In the orthonormal basis
-    e_z (dn = 0), (e_p + e_mu p)/sqrt(2) and i(e_p - e_mu p)/sqrt(2)
-    (dn > 0) the Gram is the real symmetric
+    about the target, and the mirror J: dn -> -dn conjugates the Gram,
+    J G J = conj(G): distances are unchanged, and the quarter-turn exponent
+    (n1+n2)(m2-m1) changes sign modulo 4, since 4 tn (m2-m1) is a whole
+    number of turns.  The unitary U = exp(-i pi/4)(I + iJ)/sqrt(2) =
+    ((1 - i)I + (1 + i)J)/2 has conj(U) = J U, so the Gram in this gauge,
 
-        W = [[Re G_zz, sqrt2 Re G_zp,   -sqrt2 Im G_zp  ],
-             [.,       Re(G_pp + G_pmu), Im(G_pmu - G_pp)],
-             [.,       .,                Re(G_pp - G_pmu)]],
+        W = U^H G U = Re G - (Im G J - J Im G)/2,
 
-    G_pmu[a, b] = G[p_a, mu p_b], with G's eigenvalues; it is built from
-    slices of G, and one real ``eigh`` of W inverts it.  The target is the
-    box centre, a fixed point of the mirror, so e_target is a basis vector
-    of the z block.  The returned residual is ||G (G c - e)||, on the
-    complex G in the original coordinates, which vanishes exactly when
-    G c - e lies in the kernel, i.e. when the synthesized function
-    reproduces the dual state on the box.
+    is real symmetric with G's eigenvalues, and one real ``eigh`` of W
+    inverts it.  The target is the box centre, a fixed point of J, so
+    U^H e_target = e_target, and c = U y for the real solution y; on the
+    fixed points of J, c equals y exactly.  The returned residual is
+    ||G (G c - e)||, on the complex G, which vanishes exactly when G c - e
+    lies in the kernel, i.e. when the synthesized function reproduces the
+    dual state on the box.
 
-    Returns (pairs, coefficients, consistency_residual).
+    Returns (box, coefficients, consistency_residual), the box an
+    ``IndexSet`` of the (2 box_half_width + 1)**2 pairs about ``target``.
     """
     tm, tn = target
     width = 2 * box_half_width + 1
-    pairs = [
-        (tm + dm, tn + dn)
-        for dm in range(-box_half_width, box_half_width + 1)
-        for dn in range(-box_half_width, box_half_width + 1)
-    ]
-    gram = lattice_gram(pairs)
-    # pair index of offset (dm, dn), and the z, p and mirrored p slots
-    slot = np.arange(width * width).reshape(width, width)
-    z = slot[:, box_half_width]
-    p = slot[:, box_half_width + 1 :].ravel()
-    mu = slot[:, :box_half_width][:, ::-1].ravel()
-    g_zp = gram[np.ix_(z, p)]
-    g_pp = gram[np.ix_(p, p)]
-    g_pmu = gram[np.ix_(p, mu)]
-    cross = (g_pmu - g_pp).imag
-    root2 = math.sqrt(2.0)
-    w = np.block(
-        [
-            [gram[np.ix_(z, z)].real, root2 * g_zp.real, -root2 * g_zp.imag],
-            [root2 * g_zp.real.T, (g_pp + g_pmu).real, cross],
-            [-root2 * g_zp.imag.T, cross.T, (g_pp - g_pmu).real],
-        ]
-    )
+    offsets = np.arange(-box_half_width, box_half_width + 1)
+    box = IndexSet(tm + np.repeat(offsets, width), tn + np.tile(offsets, width), spec)
+    gram = lattice_gram(box.m, box.n)
+    # index of the mirrored offset (dm, -dn), and of the target (0, 0)
+    mu = np.arange(width * width).reshape(width, width)[:, ::-1].ravel()
+    centre = width * width // 2
+    w = gram.real - 0.5 * (gram.imag[:, mu] - gram.imag[mu])
     evals, evecs = np.linalg.eigh(w)
     keep = evals > DUAL_GAP_CUT * evals.max()
     if not np.any(keep):
         raise RuntimeError("spectral cut removed every Gram eigen-direction")
     kept = evecs[:, keep]
-    y = kept @ (kept[box_half_width] / evals[keep])
-    y_c, y_s = np.split(y[width:], 2)
-    c = np.empty(len(pairs), dtype=complex)
-    c[z] = y[:width]
-    c[p] = (y_c + 1j * y_s) / root2
-    c[mu] = (y_c - 1j * y_s) / root2
-    e = np.zeros(len(pairs), dtype=complex)
-    e[z[box_half_width]] = 1.0
+    y = kept @ (kept[centre] / evals[keep])
+    c = 0.5 * ((y + y[mu]) + 1j * (y[mu] - y))
+    e = np.zeros(len(box), dtype=complex)
+    e[centre] = 1.0
     residual = float(np.linalg.norm(gram @ (gram @ c - e)))
-    return pairs, c, residual
+    return box, c, residual
 
 
-def dual_decay_fit(pairs, coefficients, target):
+def dual_decay_fit(index_set, coefficients, target):
     """Fit the decay envelope log|c| ~ log C - rate * sqrt(dist).
 
     The bound being probed is an upper envelope, and coefficients at equal
     distance vary strongly with direction, so the fit uses the maximum
-    modulus per unit distance annulus, over coefficients above
-    ``DUAL_FLOOR``.  Returns (rate, r_squared, (distances, values, fitted)).
+    modulus per unit distance ring [b, b + 1), over coefficients above
+    ``DUAL_FLOOR``; on ties the first in ``index_set`` order is kept.
+    Returns (rate, r_squared, (distances, values, fitted)).
     """
-    tm, tn = target
-    annuli = {}
-    for (m, n), c in zip(pairs, coefficients):
-        d = math.hypot(m - tm, n - tn)
-        if d == 0.0 or abs(c) < DUAL_FLOOR:
-            continue
-        b = int(d)
-        if b not in annuli or abs(c) > annuli[b][1]:
-            annuli[b] = (d, abs(c))
-    if len(annuli) < 3:
-        raise ValueError("not enough decay annuli above the floor to fit")
-    pts = [annuli[b] for b in sorted(annuli)]
-    distances = np.array([p[0] for p in pts])
+    dm = index_set.m - target[0]
+    dn = index_set.n - target[1]
+    dist = np.sqrt(dm * dm + dn * dn)
+    modulus = np.abs(coefficients)
+    used = (dist > 0.0) & (modulus >= DUAL_FLOOR)
+    dist, modulus = dist[used], modulus[used]
+    ring = dist.astype(int)
+    # by ring, then by falling modulus; the sort is stable, so ties keep their order
+    order = np.lexsort((-modulus, ring))
+    first = order[np.diff(ring[order], prepend=-1) != 0]
+    if first.size < 3:
+        raise ValueError("fewer than 3 distance rings above the decay floor to fit")
+    distances = dist[first]
     sqrt_dist = np.sqrt(distances)
-    vals = np.log(np.array([p[1] for p in pts]))
+    vals = np.log(modulus[first])
     slope, intercept = np.polyfit(sqrt_dist, vals, 1)
     fitted = slope * sqrt_dist + intercept
     ss_res = float(np.sum((vals - fitted) ** 2))
@@ -294,7 +274,6 @@ def planewave_coefficient_probe(case):
     spec = LatticeSpec(1.0 / k)
     support = (-0.75, 0.75)
     band = build_planewave_rhs_set(spec, support, PLANEWAVE_EPSILON)
-    band_set = set(zip(band.m.tolist(), band.n.tolist()))
     h = spec.spacing
     m_max = math.floor((support[1] + PLANEWAVE_X_PAD) / h)
     n_max = math.floor(PLANEWAVE_XI_MAX / h)
@@ -308,7 +287,9 @@ def planewave_coefficient_probe(case):
     vals = np.zeros(m.size)
     for rows, cols, block in gs.state_blocks(spec.hbar, m * h, n * h, rule.nodes):
         vals[cols] = np.abs(fw[rows] @ np.conj(block))
-    in_band = np.array([pair in band_set for pair in zip(m.tolist(), n.tolist())])
+    # one integer key per pair, wide enough in n to hold both sets
+    span = 2 * max(n_max, int(np.abs(band.n).max(initial=0))) + 1
+    in_band = np.isin(m * span + n, band.m * span + band.n)
     inside = vals[in_band].max(initial=0.0)
     outside = vals[~in_band].max(initial=0.0)
     if inside == 0.0:

@@ -211,9 +211,10 @@ def support_window(states):
     return (lo, hi)
 
 
-def _box_pairs(half_width):
-    rng = range(-half_width, half_width + 1)
-    return [(m, n) for m in rng for n in rng]
+def box_indices(half_width):
+    """Lattice indices (m, n) of the box |m|, |n| <= half_width, sorted by (m, n)."""
+    offsets = np.arange(-half_width, half_width + 1)
+    return np.repeat(offsets, offsets.size), np.tile(offsets, offsets.size)
 
 
 def box_frame_bounds(box_half_width, interior_margin):
@@ -225,13 +226,9 @@ def box_frame_bounds(box_half_width, interior_margin):
     nondegenerate directions of G_II.  The estimate lies inside the exact
     bounds of ``analysis.frame_bounds`` and widens toward them with the box.
     """
-    pairs = _box_pairs(box_half_width)
-    gram = analysis.lattice_gram(pairs)
-    inner = [
-        i
-        for i, (m, n) in enumerate(pairs)
-        if max(abs(m), abs(n)) <= box_half_width - interior_margin
-    ]
+    m, n = box_indices(box_half_width)
+    gram = analysis.lattice_gram(m, n)
+    inner = np.flatnonzero(np.maximum(np.abs(m), np.abs(n)) <= box_half_width - interior_margin)
     a = gram[inner] @ gram[:, inner]
     b = gram[np.ix_(inner, inner)]
     evals, evecs = np.linalg.eigh(b)
@@ -248,10 +245,10 @@ def box_frame_bounds(box_half_width, interior_margin):
 def gram_band_solve(gram, rhs):
     """G+ rhs on the frame band of a Hermitian Gram, by a complex ``eigh``.
 
-    The solve ``analysis.dual_frame_coefficients`` made before it used the
-    mirror's real form: eigen-directions above ``analysis.DUAL_GAP_CUT``
-    times the largest eigenvalue are inverted, the rest dropped.  ``rhs``
-    is a vector or a matrix of columns.  Returns (solution, kept count).
+    The solve ``analysis.dual_frame_coefficients`` made before it used a
+    real form: eigen-directions above ``analysis.DUAL_GAP_CUT`` times the
+    largest eigenvalue are inverted, the rest dropped.  ``rhs`` is a vector
+    or a matrix of columns.  Returns (solution, kept count).
     """
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > analysis.DUAL_GAP_CUT * evals.max()
@@ -264,16 +261,48 @@ def gram_band_solve(gram, rhs):
 def dual_frame_oracle(target, box_half_width):
     """``analysis.dual_frame_coefficients`` through ``gram_band_solve``.
 
-    Returns (pairs, coefficients, residual, kept count), with the pairs and
-    the residual ||G (G c - e)|| as the production path defines them.
+    Returns (m, n, coefficients, residual, kept count), with the box
+    indices and the residual ||G (G c - e)|| as the production path defines
+    them.
     """
     tm, tn = target
-    pairs = [(tm + dm, tn + dn) for dm, dn in _box_pairs(box_half_width)]
-    gram = analysis.lattice_gram(pairs)
-    e = np.zeros(len(pairs), dtype=complex)
-    e[pairs.index((tm, tn))] = 1.0
+    dm, dn = box_indices(box_half_width)
+    m, n = tm + dm, tn + dn
+    gram = analysis.lattice_gram(m, n)
+    e = np.zeros(m.size, dtype=complex)
+    e[(m == tm) & (n == tn)] = 1.0
     c, kept = gram_band_solve(gram, e)
-    return pairs, c, float(np.linalg.norm(gram @ (gram @ c - e))), kept
+    return m, n, c, float(np.linalg.norm(gram @ (gram @ c - e))), kept
+
+
+def dual_decay_fit_oracle(index_set, coefficients, target):
+    """``analysis.dual_decay_fit`` as one Python loop over the pairs.
+
+    The fit before it was vectorised: ``math.hypot`` distances and
+    ``abs(complex)`` moduli, and per unit distance annulus the first pair of
+    largest modulus in index-set order.
+    """
+    tm, tn = target
+    annuli = {}
+    for m, n, c in zip(index_set.m.tolist(), index_set.n.tolist(), coefficients):
+        d = math.hypot(m - tm, n - tn)
+        if d == 0.0 or abs(c) < analysis.DUAL_FLOOR:
+            continue
+        b = int(d)
+        if b not in annuli or abs(c) > annuli[b][1]:
+            annuli[b] = (d, abs(c))
+    if len(annuli) < 3:
+        raise ValueError("not enough decay annuli above the floor to fit")
+    pts = [annuli[b] for b in sorted(annuli)]
+    distances = np.array([p[0] for p in pts])
+    sqrt_dist = np.sqrt(distances)
+    vals = np.log(np.array([p[1] for p in pts]))
+    slope, intercept = np.polyfit(sqrt_dist, vals, 1)
+    fitted = slope * sqrt_dist + intercept
+    ss_res = float(np.sum((vals - fitted) ** 2))
+    ss_tot = float(np.sum((vals - vals.mean()) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot
+    return -float(slope), float(r_squared), (distances, np.exp(vals), np.exp(fitted))
 
 
 def zak_frame_function(x, w):

@@ -59,6 +59,7 @@ from gcshelm.phase_space import LatticeSpec
 from gcshelm.problem_model import ProblemCase
 
 from helpers import (
+    box_indices,
     derivative_blocks,
     inner_product,
     iterated_residual_norm,
@@ -350,17 +351,16 @@ def quadrature_gram_error(hbar, half_width=6, x_stretch=1.0):
     rule for k = 1/hbar.  The lattice Gram is hbar-free; this one is not.
     """
     spec = LatticeSpec(hbar)
-    pairs = [(m, n) for m in range(-half_width, half_width + 1) for n in range(-half_width, half_width + 1)]
-    m, n = np.array(pairs).T
+    m, n = box_indices(half_width)
     x0, xi0 = x_stretch * m * spec.spacing, n * spec.spacing
     reach = x0.max() + gs.WINDOW_SIGMAS * math.sqrt(hbar)
     density = quad.nodes_per_wavelength(2.0 * max(1.0, xi0.max()))
     rule = quad.build_rule((-reach, reach), 1.0 / hbar, density)
-    basis = np.zeros((rule.nodes.size, len(pairs)), dtype=complex)
+    basis = np.zeros((rule.nodes.size, m.size), dtype=complex)
     for rows, cols, block in gs.state_blocks(hbar, x0, xi0, rule.nodes):
         basis[rows, cols] = block
     gram = (rule.weights[:, None] * basis).T @ basis.conj()
-    return float(np.abs(gram - analysis.lattice_gram(pairs)).max())
+    return float(np.abs(gram - analysis.lattice_gram(m, n)).max())
 
 
 def zak_bounds_hold(diag):
@@ -389,8 +389,8 @@ def test_criterion_7_frame_stability():
     bounds_ok, zak_min = zak_bounds_hold(diag)
     gram_errors = {h: quadrature_gram_error(1.0 / h) for h in (20, 100)}
     gram_ok = all(e <= 1e-12 for e in gram_errors.values())
-    pairs, coeffs, _ = analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), (0, 0))
-    rate, r_squared, _ = analysis.dual_decay_fit(pairs, coeffs, (0, 0))
+    box, coeffs, _ = analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), (0, 0))
+    rate, r_squared, _ = analysis.dual_decay_fit(box, coeffs, (0, 0))
     decay_ok = rate > 0.0 and r_squared >= 0.9
     report(
         "criterion 7",

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from gcshelm import analysis, gaussian_states as gs, quadrature as quad
-from gcshelm.phase_space import LatticeSpec
+from gcshelm.phase_space import IndexSet, LatticeSpec
 from gcshelm.problem_model import ProblemCase
 
 from helpers import (
     box_frame_bounds,
+    box_indices,
+    dual_decay_fit_oracle,
     dual_frame_oracle,
     gram_band_solve,
     inner_product,
@@ -107,10 +109,11 @@ def test_h1k_error_evaluates_each_callable_once():
 
 def test_lattice_gram_matches_overlap():
     spec = LatticeSpec(1.0 / 20.0)
-    pairs = [(0, 0), (1, 0), (0, 1), (2, -1), (-1, 2)]
-    gram = analysis.lattice_gram(pairs)
-    for i, (m1, n1) in enumerate(pairs):
-        for j, (m2, n2) in enumerate(pairs):
+    m = np.array([0, 1, 0, 2, -1])
+    n = np.array([0, 0, 1, -1, 2])
+    gram = analysis.lattice_gram(m, n)
+    for i, (m1, n1) in enumerate(zip(m, n)):
+        for j, (m2, n2) in enumerate(zip(m, n)):
             s1 = gs.CoherentState(spec.hbar, m1 * spec.spacing, n1 * spec.spacing)
             s2 = gs.CoherentState(spec.hbar, m2 * spec.spacing, n2 * spec.spacing)
             assert abs(gram[i, j] - overlap(s1, s2)) < 1e-14
@@ -127,22 +130,20 @@ def test_frame_bounds_ordering_and_hbar_stability():
     assert 0.0 < a.alpha_est <= a.beta_est
     # the hbar-free Gram behind the bounds is the Gram of the states placed
     # on the lattice at each hbar
-    pairs = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
-    gram = analysis.lattice_gram(pairs)
+    m, n = box_indices(3)
+    gram = analysis.lattice_gram(m, n)
     for hbar in (1.0 / 20.0, 1.0 / 100.0):
         spec = LatticeSpec(hbar)
         states = [
-            gs.CoherentState(hbar, m * spec.spacing, n * spec.spacing)
-            for m, n in pairs
+            gs.CoherentState(hbar, mi * spec.spacing, ni * spec.spacing)
+            for mi, ni in zip(m, n)
         ]
         exact = np.array([[overlap(s1, s2) for s2 in states] for s1 in states])
         assert np.abs(gram - exact).max() < 1e-14
 
 
-def _old_lattice_gram(pairs):
+def _old_lattice_gram(m, n):
     # the Gram before the tail cut and the quarter-turn phase table
-    m = np.array([p[0] for p in pairs])
-    n = np.array([p[1] for p in pairs])
     dm = m[:, None] - m[None, :]
     dn = n[:, None] - n[None, :]
     mag = np.exp(-0.25 * math.pi * (dm.astype(float) ** 2 + dn.astype(float) ** 2))
@@ -167,33 +168,47 @@ def test_frame_bounds_match_unwindowed_full_product(box):
     margin = 5
     diag = box_frame_bounds(box, margin)
     got = (diag.alpha_est, diag.beta_est)
-    pairs = [(m, n) for m in range(-box, box + 1) for n in range(-box, box + 1)]
-    inner = [i for i, (m, n) in enumerate(pairs) if max(abs(m), abs(n)) <= box - margin]
+    m, n = box_indices(box)
+    inner = np.flatnonzero(np.maximum(np.abs(m), np.abs(n)) <= box - margin)
     # The inner-block product alone reproduces the old product on one Gram.
-    for g, want in zip(got, _old_frame_bounds(analysis.lattice_gram(pairs), inner)):
+    for g, want in zip(got, _old_frame_bounds(analysis.lattice_gram(m, n), inner)):
         assert abs(g - want) <= 1e-12 * want
     # Against the old Gram the estimate is only as determined as its
     # conditioning allows: the directions kept down to 1e-10 of the largest
     # Gram eigenvalue turn the 2.7e-15 rounding of exp(1j*phase) into about
     # 8e-10 of beta at box 12, as large as the old path's own change from one
     # to two BLAS threads (7.9e-10); 1e-8 leaves room for other BLAS builds.
-    for g, want in zip(got, _old_frame_bounds(_old_lattice_gram(pairs), inner)):
+    for g, want in zip(got, _old_frame_bounds(_old_lattice_gram(m, n), inner)):
         assert abs(g - want) <= 1e-8 * want
 
 
 def test_lattice_gram_tail_is_exact_zero_and_no_subnormals():
-    box = 20
-    pairs = [(m, n) for m in range(-box, box + 1) for n in range(-box, box + 1)]
-    gram = analysis.lattice_gram(pairs)
+    m, n = box_indices(20)
+    gram = analysis.lattice_gram(m, n)
     tiny = np.finfo(float).tiny
     for part in (gram.real, gram.imag):
         assert not np.any((np.abs(part) > 0.0) & (np.abs(part) < tiny))
-    m, n = np.array(pairs).T
     d2 = (m[:, None] - m[None, :]) ** 2 + (n[:, None] - n[None, :]) ** 2
     past_tail = 0.25 * math.pi * d2 > -math.log(quad.DEFAULT_TAIL_TOL)
     assert np.all(gram[past_tail] == 0.0)
-    closed_form = _old_lattice_gram(pairs)
+    closed_form = _old_lattice_gram(m, n)
     assert np.abs(gram - closed_form)[~past_tail].max() <= 1e-14
+
+
+def _masked_exp_lattice_gram(m, n):
+    # the Gram before its modulus table: exp on every entry, then the tail masked
+    dm = m[None, :] - m[:, None]
+    d2 = dm**2 + (n[:, None] - n[None, :]) ** 2
+    tail = 4.0 * math.log(1.0 / quad.DEFAULT_TAIL_TOL) / math.pi
+    mag = np.where(d2 <= tail, np.exp(-0.25 * math.pi * d2), 0.0)
+    return mag * np.array([1.0, 1.0j, -1.0, -1.0j])[((n[:, None] + n[None, :]) * dm) % 4]
+
+
+def test_lattice_gram_modulus_table_matches_masked_exp():
+    m, n = box_indices(20)
+    assert np.array_equal(analysis.lattice_gram(m, n), _masked_exp_lattice_gram(m, n))
+    # off-centre indices reach every entry of the table and its zero
+    assert np.array_equal(analysis.lattice_gram(m + 7, 3 - n), _masked_exp_lattice_gram(m + 7, 3 - n))
 
 
 def test_frame_bounds_are_zak_grid_extrema():
@@ -239,10 +254,10 @@ def test_frame_sandwich_random_bumps():
     diag = box_frame_bounds(bw, margin)
     exact = analysis.frame_bounds(spec)
     rng = np.random.default_rng(2)
-    pairs = [(m, n) for m in range(-bw, bw + 1) for n in range(-bw, bw + 1)]
+    m, n = box_indices(bw)
     states = [
-        gs.CoherentState(spec.hbar, m * spec.spacing, n * spec.spacing)
-        for m, n in pairs
+        gs.CoherentState(spec.hbar, mi * spec.spacing, ni * spec.spacing)
+        for mi, ni in zip(m, n)
     ]
     span = (bw - margin) * spec.spacing
     for _ in range(50):
@@ -256,30 +271,54 @@ def test_frame_sandwich_random_bumps():
 
 def test_dual_frame_consistency_and_decay():
     spec = LatticeSpec(1.0 / 20.0)
-    pairs, coeffs, residual = analysis.dual_frame_coefficients(spec, (0, 0))
+    box, coeffs, residual = analysis.dual_frame_coefficients(spec, (0, 0))
     # the synthesized function reproduces the dual state: G(Gc - e) ~ 0
     assert residual <= 1e-6
-    rate, r_squared, (dist, vals, fitted) = analysis.dual_decay_fit(pairs, coeffs, (0, 0))
+    rate, r_squared, (dist, vals, fitted) = analysis.dual_decay_fit(box, coeffs, (0, 0))
     assert rate > 0.0
     assert r_squared >= 0.9
     assert len(dist) == len(vals) == len(fitted)
     # redundancy-2 kernel share: at most half of e_t is reachable, so the
     # plain row sum at the target sits near 1/2, not 1
-    gram = analysis.lattice_gram(pairs)
-    e = np.zeros(len(pairs), dtype=complex)
-    e[pairs.index((0, 0))] = 1.0
-    row = (gram @ coeffs)[pairs.index((0, 0))]
+    gram = analysis.lattice_gram(box.m, box.n)
+    [target] = np.flatnonzero((box.m == 0) & (box.n == 0))
+    row = (gram @ coeffs)[target]
     assert abs(row - 0.5) < 0.05
 
 
+@pytest.mark.parametrize("box", [4, 8, 12, 16, 20])
+def test_dual_decay_fit_matches_per_pair_loop(box):
+    spec = LatticeSpec(1.0 / 20.0)
+    index_set, coeffs, _ = analysis.dual_frame_coefficients(spec, (0, 0), box)
+    rate, r_squared, (dist, vals, fitted) = analysis.dual_decay_fit(index_set, coeffs, (0, 0))
+    want_rate, want_r2, (want_dist, want_vals, _) = dual_decay_fit_oracle(index_set, coeffs, (0, 0))
+    # np.sqrt of the integer d2 is math.hypot's distance; np.abs and
+    # abs(complex) may differ by an ulp, which can round log|c| to the
+    # neighbouring double, up to 3.6e-15 for |log|c|| < 30 above DUAL_FLOOR,
+    # and the values are exp(log|c|)
+    assert np.array_equal(dist, want_dist)
+    assert np.all(np.abs(vals - want_vals) <= 4e-15 * want_vals)
+    assert abs(rate - want_rate) <= 1e-13 * want_rate
+    assert abs(r_squared - want_r2) <= 1e-13 * want_r2
+    assert len(fitted) == len(dist)
+
+
+def test_dual_decay_fit_needs_three_rings():
+    # box 2 reaches distances below 3: two rings, too few to fit a slope
+    box, coeffs, _ = analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), (0, 0), 2)
+    for fit in (analysis.dual_decay_fit, dual_decay_fit_oracle):
+        with pytest.raises(ValueError):
+            fit(box, coeffs, (0, 0))
+
+
 def _spy_on_eigh(monkeypatch):
-    # record the matrix type and the spectrum of every eigh call
+    # record the matrix and the spectrum of every eigh call
     calls = []
     eigh = np.linalg.eigh
 
     def spy(a):
         evals, evecs = eigh(a)
-        calls.append((a.dtype, a.shape, evals))
+        calls.append((a.copy(), evals))
         return evals, evecs
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
@@ -290,16 +329,39 @@ def _spy_on_eigh(monkeypatch):
 @pytest.mark.parametrize("box", [0, 1, 4, 8, 12])
 def test_dual_frame_real_form_matches_complex_eigh(box, target, monkeypatch):
     spec = LatticeSpec(1.0 / 20.0)
-    pairs, coeffs, residual, kept = dual_frame_oracle(target, box)
+    m, n, coeffs, residual, kept = dual_frame_oracle(target, box)
     calls = _spy_on_eigh(monkeypatch)
-    got_pairs, got, got_residual = analysis.dual_frame_coefficients(spec, target, box)
+    got_box, got, got_residual = analysis.dual_frame_coefficients(spec, target, box)
     # one real eigh of the box's size, keeping as many directions
-    [(dtype, shape, evals)] = calls
-    assert dtype == np.float64 and shape == (len(pairs), len(pairs))
+    [(w, evals)] = calls
+    assert w.dtype == np.float64 and w.shape == (m.size, m.size)
     assert int(np.sum(evals > analysis.DUAL_GAP_CUT * evals.max())) == kept
-    assert got_pairs == pairs
+    assert isinstance(got_box, IndexSet) and got_box.lattice == spec
+    assert np.array_equal(got_box.m, m) and np.array_equal(got_box.n, n)
     assert np.abs(got - coeffs).max() <= 1e-14
     assert got_residual == pytest.approx(residual, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("target", [(0, 0), (3, 5)])
+@pytest.mark.parametrize("box", [4, 8, 12])
+def test_dual_gauge_is_real_with_the_gram_spectrum(box, target, monkeypatch):
+    # U = exp(-i pi/4)(I + iJ)/sqrt(2), with J the mirror dn -> -dn about the
+    # target, built here from its definition; U^H G U is real, it is the
+    # matrix the solve hands to eigh, and it has G's eigenvalues
+    tm, tn = target
+    calls = _spy_on_eigh(monkeypatch)
+    index_set, _, _ = analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), target, box)
+    [(w, _)] = calls
+    m, n = index_set.m, index_set.n
+    mirror = ((m[:, None] == m[None, :]) & (n[:, None] + n[None, :] == 2 * tn)).astype(float)
+    u = np.exp(-0.25j * math.pi) * (np.eye(m.size) + 1j * mirror) / math.sqrt(2.0)
+    assert np.abs(u.conj().T @ u - np.eye(m.size)).max() <= 1e-15
+    gram = analysis.lattice_gram(m, n)
+    gauge = u.conj().T @ gram @ u
+    assert np.abs(gauge.imag).max() <= 1e-14
+    assert np.abs(w - gauge.real).max() <= 1e-14
+    want = np.linalg.eigvalsh(gram)
+    assert np.abs(np.linalg.eigvalsh(w) - want).max() <= 1e-13 * want.max()
 
 
 def _kept_and_clear_of_cut(box, monkeypatch):
@@ -307,7 +369,7 @@ def _kept_and_clear_of_cut(box, monkeypatch):
     # more than 1% away from the cut
     calls = _spy_on_eigh(monkeypatch)
     analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), (0, 0), box)
-    [(_, _, evals)] = calls
+    [(_, evals)] = calls
     fractions = evals / evals.max()
     kept = int(np.sum(fractions > analysis.DUAL_GAP_CUT))
     return kept, bool(np.all(np.abs(fractions / analysis.DUAL_GAP_CUT - 1.0) > 0.01))
@@ -328,10 +390,10 @@ def _worst_dual_energy(hbar, x_stretch=1.0):
     # with the states at (x_stretch * m, n) times the lattice spacing
     spec = LatticeSpec(hbar)
     bw = 8
-    pairs = [(m, n) for m in range(-bw, bw + 1) for n in range(-bw, bw + 1)]
+    m, n = box_indices(bw)
     states = [
-        gs.CoherentState(spec.hbar, x_stretch * m * spec.spacing, n * spec.spacing)
-        for m, n in pairs
+        gs.CoherentState(spec.hbar, x_stretch * mi * spec.spacing, ni * spec.spacing)
+        for mi, ni in zip(m, n)
     ]
     rng = np.random.default_rng(4)
     bumps = [
@@ -339,7 +401,7 @@ def _worst_dual_energy(hbar, x_stretch=1.0):
         for _ in range(20)
     ]
     coef = np.array([[overlap(v, s) for v in bumps] for s in states])
-    dual, _ = gram_band_solve(analysis.lattice_gram(pairs), coef)
+    dual, _ = gram_band_solve(analysis.lattice_gram(m, n), coef)
     return float(np.max(np.sum(np.abs(dual) ** 2, axis=0)))
 
 

@@ -288,8 +288,8 @@ def test_cli_diagnose_matches_saved_report(tmp_path):
     exact = analysis.frame_bounds(LatticeSpec(0.05))
     dual = {}
     for half_width in (8, analysis.DUAL_BOX_HALF_WIDTH):
-        pairs, coeffs, residual = analysis.dual_frame_coefficients(LatticeSpec(0.05), (0, 0), half_width)
-        rate, r_squared, _ = analysis.dual_decay_fit(pairs, coeffs, (0, 0))
+        index_set, coeffs, residual = analysis.dual_frame_coefficients(LatticeSpec(0.05), (0, 0), half_width)
+        rate, r_squared, _ = analysis.dual_decay_fit(index_set, coeffs, (0, 0))
         dual[half_width] = {
             "dual_solve_residual": residual,
             "dual_decay_rate": rate,
