@@ -18,7 +18,6 @@ from .gaussian_states import (
 )
 from .problem_model import (
     ProblemCase,
-    bridge_eval,
     pml_sigma,
     cutoff_phi,
     mu_heterogeneous,

@@ -19,6 +19,7 @@ from dataclasses import asdict
 from . import analysis
 from .experiments import (
     DEFAULT_SCALING_DELTAS,
+    FORMATS,
     ExperimentConfig,
     emit,
     run_case,
@@ -43,7 +44,7 @@ def _build_parser():
         p.add_argument("--delta", type=_float_list, help="comma-separated deltas")
         p.add_argument("--cutoff", type=float, help="relative singular value cutoff")
         p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=["csv", "json"], help="output format")
+        p.add_argument("--format", choices=FORMATS, help="output format")
 
     p_solve = sub.add_parser("solve", help="run one (k, delta) cell")
     common(p_solve)
@@ -128,7 +129,7 @@ def main(argv=None):
             raise ValueError("solve expects exactly one k and one delta")
         if args.verb in ("solve", "table"):
             records = run_case(config)
-            text = emit(records, config.output_format or "csv")
+            text = emit(records, config.output_format)
             _write(text, config.output_path, f"{len(records)} records")
         else:
             if config.target_accuracy is None:

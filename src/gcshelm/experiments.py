@@ -32,10 +32,12 @@ __all__ = [
     "emit",
     "DEFAULT_SCALING_DELTAS",
     "ERROR_WINDOW",
+    "FORMATS",
 ]
 
 MIN_WAVENUMBER = 20.0
 ERROR_WINDOW = (-1.0, 1.0)
+FORMATS = ("csv", "json")
 
 # quarter-octave delta grid for target-accuracy scans
 DEFAULT_SCALING_DELTAS = tuple(
@@ -60,6 +62,8 @@ class ExperimentConfig:
             raise ValueError(f"wavenumbers below {MIN_WAVENUMBER} are out of scope")
         if any(d <= 0.0 for d in self.deltas):
             raise ValueError("deltas must be positive")
+        if self.output_format not in FORMATS:
+            raise ValueError(f"unknown format {self.output_format!r}")
 
     @staticmethod
     def from_dict(data):
@@ -182,39 +186,31 @@ def scaling_study(config):
     deltas = tuple(sorted(config.deltas)) if config.deltas else DEFAULT_SCALING_DELTAS
     cache = _ReferenceCache()
 
-    hit_k, hit_delta, hit_n, hit_err, dropped = [], [], [], [], []
+    hits, dropped = [], []
     for k in config.ks:
         case = ProblemCase.from_name(config.case, k)
-        found = False
-        prev_m = prev_n = None
+        size = 0
         for delta in deltas:
             index_set = select_index_set(case, delta)
-            m, n = index_set.m, index_set.n
-            # sub-threshold deltas select nothing at small k
-            if len(index_set) == 0 or (np.array_equal(m, prev_m) and np.array_equal(n, prev_n)):
+            # The sets {|p| < delta} are nested in delta, so a set no larger
+            # than the previous one is that set; sub-threshold deltas select
+            # nothing at small k.
+            if len(index_set) == size:
                 continue
-            prev_m, prev_n = m, n
+            size = len(index_set)
             record, _, _ = run_cell(case, delta, config, cache, index_set)
             if record.rel_h1k_error <= config.target_accuracy:
-                hit_k.append(k)
-                hit_delta.append(delta)
-                hit_n.append(record.ndofs)
-                hit_err.append(record.rel_h1k_error)
-                found = True
+                hits.append((k, delta, record.ndofs, record.rel_h1k_error))
                 break
-        if not found:
+        else:
             dropped.append(k)
-    if len(hit_k) < 4:
-        raise RuntimeError(
-            f"target {config.target_accuracy} reached for only {len(hit_k)} wavenumbers"
-        )
+    if len(hits) < 4:
+        raise RuntimeError(f"target {config.target_accuracy} reached for only {len(hits)} wavenumbers")
+    hit_k, hit_delta, hit_n, hit_err = zip(*hits)
     log_k = np.log(np.array(hit_k))
     n_slope = float(np.polyfit(log_k, np.log(np.array(hit_n, dtype=float)), 1)[0])
     d_slope = float(np.polyfit(log_k, np.log(np.array(hit_delta)), 1)[0])
-    return ScalingStudy(
-        tuple(hit_k), tuple(hit_delta), tuple(hit_n), tuple(hit_err),
-        tuple(dropped), n_slope, d_slope,
-    )
+    return ScalingStudy(hit_k, hit_delta, hit_n, hit_err, tuple(dropped), n_slope, d_slope)
 
 
 CSV_HEADER = "k,delta,ndofs,rel_h1k_error,rank"

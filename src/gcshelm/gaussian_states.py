@@ -9,11 +9,14 @@ which has unit L2 norm.  Derivatives are exact through the Hermite-type
 polynomials q_a in the scaled displacement z = (x - x0 - 1j*xi0)/sqrt(hbar):
 
     d^a Psi = hbar**(-a/2) * q_a(z) * Psi,    q_0 = 1,
-    q_{a+1}(z) = q_a'(z) - z * q_a(z).
+    q_{a+1}(z) = q_a'(z) - z * q_a(z),
 
-Second-order operators P = hbar**2 a(x) d2 + 1j*hbar b(x) d1 + c(x) act as a
-multiplier g(x) = hbar*a*q_2(z) + 1j*sqrt(hbar)*b*q_1(z) + c times the state,
-so residual factors g - p(x0, xi0) never divide by Psi numerically.
+held as ``numpy.polynomial.Polynomial`` objects.
+
+Second-order operators P = hbar**2 a(x) d2 + 1j*hbar b(x) d1 + c(x), given
+by one function of x that returns (a, b, c), act as a multiplier
+g(x) = hbar*a*q_2(z) + 1j*sqrt(hbar)*b*q_1(z) + c times the state, so
+residual factors g - p(x0, xi0) never divide by Psi numerically.
 
 ``state_blocks`` evaluates whole index sets, one block of equal x0 at a
 time, on the rows with |x - x0| <= 12*sqrt(hbar); ``assembly_solver.assemble``
@@ -36,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .quadrature import DEFAULT_TAIL_TOL
 
@@ -56,22 +58,10 @@ MAX_DERIVATIVE_ORDER = 4
 WINDOW_SIGMAS = math.sqrt(2.0 * math.log(1.0 / DEFAULT_TAIL_TOL))
 
 
-def _q_polynomials(max_order):
-    # q_{a+1} = q_a' - z q_a, stored lowest-degree-first.
-    polys = [np.array([1.0])]
-    for _ in range(max_order):
-        q = polys[-1]
-        dq = npoly.polyder(q)
-        zq = np.concatenate(([0.0], q))
-        size = max(dq.size, zq.size)
-        nxt = np.zeros(size)
-        nxt[: dq.size] += dq
-        nxt[: zq.size] -= zq
-        polys.append(nxt)
-    return polys
-
-
-_Q_POLYS = _q_polynomials(MAX_DERIVATIVE_ORDER)
+# q_{a+1} = q_a' - z q_a
+_Q_POLYS = [np.polynomial.Polynomial([1.0])]
+for _ in range(MAX_DERIVATIVE_ORDER):
+    _Q_POLYS.append(_Q_POLYS[-1].deriv() - np.polynomial.Polynomial([0.0, 1.0]) * _Q_POLYS[-1])
 
 
 @dataclass(frozen=True)
@@ -91,26 +81,20 @@ class CoherentState:
 class SecondOrderOperator:
     """Semiclassical operator P = hbar**2 a d2 + 1j*hbar b d1 + c.
 
-    ``a``, ``b`` and ``c`` are vectorized callables of x.  ``constant`` is
-    the (a, b, c) triple of a frozen-coefficient operator, or None; the
-    closed form of ``analysis.quasi_orthogonality_probe`` needs it.
+    ``coefficients(x)`` returns the triple (a, b, c) at x, vectorized.
+    ``constant`` is the (a, b, c) triple of a frozen-coefficient operator,
+    or None; the closed form of ``analysis.quasi_orthogonality_probe``
+    needs it.
     """
 
-    a: object
-    b: object
-    c: object
+    coefficients: object
     constant: tuple = None
 
 
 def constant_operator(a, b, c):
     """Frozen-coefficient operator P = hbar**2 a d2 + 1j*hbar b d1 + c."""
-    a, b, c = complex(a), complex(b), complex(c)
-    return SecondOrderOperator(
-        a=lambda x: np.full_like(np.asarray(x, dtype=float), a, dtype=complex),
-        b=lambda x: np.full_like(np.asarray(x, dtype=float), b, dtype=complex),
-        c=lambda x: np.full_like(np.asarray(x, dtype=float), c, dtype=complex),
-        constant=(a, b, c),
-    )
+    constant = (complex(a), complex(b), complex(c))
+    return SecondOrderOperator(lambda x: tuple(np.full(np.shape(x), v) for v in constant), constant)
 
 
 def _z(state, x):
@@ -132,7 +116,7 @@ def eval_derivative(state, order, x):
     psi = eval_state(state, x)
     if order == 0:
         return psi
-    q = npoly.polyval(_z(state, x), _Q_POLYS[order])
+    q = _Q_POLYS[order](_z(state, x))
     return state.hbar ** (-order / 2.0) * q * psi
 
 
@@ -145,11 +129,8 @@ def apply_operator(state, op, x):
     psi = eval_state(state, xv)
     z = _z(state, xv)
     hbar = state.hbar
-    g = (
-        hbar * np.asarray(op.a(xv)) * npoly.polyval(z, _Q_POLYS[2])
-        + 1j * math.sqrt(hbar) * np.asarray(op.b(xv)) * npoly.polyval(z, _Q_POLYS[1])
-        + np.asarray(op.c(xv))
-    )
+    a, b, c = (np.asarray(v) for v in op.coefficients(xv))
+    g = hbar * a * _Q_POLYS[2](z) + 1j * math.sqrt(hbar) * b * _Q_POLYS[1](z) + c
     return g * psi
 
 
@@ -169,7 +150,7 @@ def state_blocks(hbar, x0, xi0, x, op=None):
     root = math.sqrt(hbar)
     amp = (math.pi * hbar) ** (-0.25)
     if op is not None:
-        a, b, c = (np.asarray(f(x)) for f in (op.a, op.b, op.c))
+        a, b, c = (np.asarray(v) for v in op.coefficients(x))
     starts = np.flatnonzero(np.diff(x0, prepend=np.nan) != 0.0)
     for start, stop in zip(starts, np.append(starts[1:], x0.size)):
         centre = x0[start]

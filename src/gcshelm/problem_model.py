@@ -7,12 +7,15 @@ Both experiment cases share the semiclassical operator
 with nu = 1 + 1j*sigma and sigma a quartic stretching supported outside
 [-1, 1].  The paper writes the operator with a second coefficient alpha in
 front of nu**(-1); both of its 1D experiments take alpha = 1, so it is left
-out here.  ``ProblemCase.operator()`` is the one place that writes the
-coefficients of P_k: the principal symbol and the FEM weak form read its
+out here.  The pieces are polynomial data: the cutoff phi and the contrast
+mu are even C3 plateaus built from one degree-7 bridge S, a
+``numpy.polynomial.Polynomial`` evaluated at a clipped argument, and
+``pml_sigma`` returns the pair (sigma, sigma').  ``ProblemCase.operator()``
+is the one place that writes the coefficients of P_k, as one function of x
+returning (a, b, c): the principal symbol and the FEM weak form read its
 (a, c) pair.  Each case is one row of ``_CASES``: the homogeneous case
-(mu = 1) carries the closed-form solution phi(x)*exp(1j*k*x) built from a
-degree-7 C3 bridge; the heterogeneous case raises mu to 2 on [-0.7, 0.7]
-and has no closed form.
+(mu = 1) carries the closed-form solution phi(x)*exp(1j*k*x); the
+heterogeneous case raises mu to 2 on [-0.7, 0.7] and has no closed form.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,6 @@ from .gaussian_states import SecondOrderOperator
 
 __all__ = [
     "BRIDGE_COEFFS",
-    "bridge_eval",
     "pml_sigma",
     "cutoff_phi",
     "mu_heterogeneous",
@@ -41,49 +43,28 @@ PML_EXPONENT = 4
 BRIDGE_COEFFS = np.array([0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0])
 
 
-def bridge_eval(t, order=0):
-    """Value or derivative (order <= 2) of the C3 bridge S on [0, 1]."""
-    if not 0 <= order <= 2:
-        raise ValueError("bridge derivative order must lie in [0, 2]")
-    tv = np.asarray(t, dtype=float)
-    if np.any(tv < -1e-14) or np.any(tv > 1.0 + 1e-14):
-        raise ValueError("bridge argument outside [0, 1]")
-    coeffs = np.polynomial.polynomial.polyder(BRIDGE_COEFFS, order) if order else BRIDGE_COEFFS
-    out = np.polynomial.polynomial.polyval(np.clip(tv, 0.0, 1.0), coeffs)
-    return out if out.ndim else float(out)
+_BRIDGE = np.polynomial.Polynomial(BRIDGE_COEFFS)
+_BRIDGE_DERIVS = (_BRIDGE, _BRIDGE.deriv(), _BRIDGE.deriv(2))
 
 
-def pml_sigma(x, order=0):
-    """Quartic PML stretching a*(|x|-1)**4 outside [-1, 1], a = 1/10."""
-    if not 0 <= order <= 1:
-        raise ValueError("sigma derivative order must lie in [0, 1]")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(xv)
-    right = xv > 1.0
-    left = xv < -1.0
-    fall = [1.0, 4.0][order]
-    p = PML_EXPONENT - order
-    out[right] = PML_AMPLITUDE * fall * (xv[right] - 1.0) ** p
-    # chain rule for the mirrored branch: d/dx (-1-x) = -1
-    out[left] = PML_AMPLITUDE * fall * (-1.0 - xv[left]) ** p * (-1.0) ** order
-    return out if np.ndim(x) else float(out[0])
+def _plateau(x, lo, hi, order):
+    """d^order/dx^order of the even C3 plateau: 1 on |x| <= lo, S down to 0 at |x| = hi.
 
-
-def _even_bridge(x, order, lo, hi):
-    """Even C3 plateau: 1 for |x| <= lo, bridge down to 0 for |x| >= hi."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    r = np.abs(xv)
+    S and its first three derivatives are flat at both ends, so clipping its
+    argument to [0, 1] gives exactly 1 and 0 off the bridge, and exactly 0
+    for the derivatives.
+    """
     scale = 1.0 / (hi - lo)
-    out = np.zeros_like(xv)
-    if order == 0:
-        out[r <= lo] = 1.0
-    mid = (r > lo) & (r < hi)
-    if np.any(mid):
-        t = (hi - r[mid]) * scale
-        val = bridge_eval(t, order)
-        # d/dx t = -scale * sign(x)
-        out[mid] = val * (-scale * np.sign(xv[mid])) ** order
-    return out if np.ndim(x) else float(out[0])
+    t = np.clip((hi - np.abs(x)) * scale, 0.0, 1.0)
+    # d/dx t = -scale * sign(x)
+    return _BRIDGE_DERIVS[order](t) * (-scale * np.sign(x)) ** order
+
+
+def pml_sigma(x):
+    """(sigma, sigma') of the quartic PML stretching a*(|x|-1)**4 outside [-1, 1], a = 1/10."""
+    d = np.maximum(np.abs(x) - 1.0, 0.0)
+    sigma = PML_AMPLITUDE * d**PML_EXPONENT
+    return sigma, PML_AMPLITUDE * PML_EXPONENT * d ** (PML_EXPONENT - 1) * np.sign(x)
 
 
 def cutoff_phi(x, order=0):
@@ -93,12 +74,12 @@ def cutoff_phi(x, order=0):
     """
     if not 0 <= order <= 2:
         raise ValueError("phi derivative order must lie in [0, 2]")
-    return _even_bridge(x, order, 0.5, 0.75)
+    return _plateau(x, 0.5, 0.75, order)
 
 
 def mu_heterogeneous(x):
     """Even C3 coefficient: 2 on [-0.7, 0.7], bridge down to 1 beyond 0.8."""
-    return _even_bridge(x, 0, 0.7, 0.8) + 1.0
+    return _plateau(x, 0.7, 0.8, 0) + 1.0
 
 
 def _unit_mu(x):
@@ -168,37 +149,29 @@ class ProblemCase:
         """P_k as the coefficient triple of the state calculus.
 
         P = hbar**2 a d2 + 1j*hbar b d1 + c with hbar = 1/k, a = -nu**(-1),
-        b = 1j*hbar*(nu**(-1))' and c = -mu*nu.  P_k is in divergence form,
-        1j*hbar*b = hbar**2 a', so P = hbar**2 (a u')' + c u.  Its
-        coefficients vary, so it has no ``constant`` triple: the closed
-        forms run on ``constant_operator``.
+        b = 1j*hbar*(nu**(-1))' and c = -mu*nu, all from one evaluation of
+        (sigma, sigma').  P_k is in divergence form, 1j*hbar*b = hbar**2 a',
+        so P = hbar**2 (a u')' + c u.  Its coefficients vary, so it has no
+        ``constant`` triple: the closed forms run on ``constant_operator``.
         """
         hbar = 1.0 / self.k
 
-        def stretch(x):
-            # nu = 1 + 1j*sigma
-            return 1.0 + 1j * np.asarray(pml_sigma(x))
-
-        def a(x):
-            return -(1.0 / stretch(x))
-
-        def b(x):
+        def coefficients(x):
+            sigma, dsigma = pml_sigma(x)
+            nu = 1.0 + 1j * sigma
+            inv = 1.0 / nu
             # (nu**(-1))' = -nu'/nu**2 with nu' = 1j*sigma'
-            return 1j * hbar * (-(1j * np.asarray(pml_sigma(x, 1))) * (1.0 / stretch(x)) ** 2)
+            return -inv, 1j * hbar * (-(1j * dsigma) * inv**2), -np.asarray(self.mu(x)) * nu
 
-        def c(x):
-            return -np.asarray(self.mu(x)) * stretch(x)
-
-        return SecondOrderOperator(a=a, b=b, c=c)
+        return SecondOrderOperator(coefficients)
 
     def symbol(self, x, xi):
         """Principal symbol -a*xi**2 + c = nu**(-1)*xi**2 - mu*nu of ``operator()``.
 
         The order-(1/k) first-derivative term b is excluded.
         """
-        op = self.operator()
-        xi = np.asarray(xi, dtype=float)
-        return -op.a(x) * xi**2 + op.c(x)
+        a, _, c = self.operator().coefficients(x)
+        return -a * np.asarray(xi, dtype=float) ** 2 + c
 
     def rhs(self, x):
         """Source term, normalized so that P_k u = rhs for the stated solution."""

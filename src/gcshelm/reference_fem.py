@@ -4,7 +4,8 @@ Solves the sesquilinear weak form of the model operator,
 
     int k**-2 nu**-1 u' conj(v') - int mu nu u conj(v) = int f conj(v),
 
-with its coefficients read off ``case.operator()``: -a/k**2 = nu**-1/k**2
+with its coefficients read off one call of
+``case.operator().coefficients``: -a/k**2 = nu**-1/k**2
 for the stiffness and -c = mu*nu for the mass.  That weak form holds
 because P_k is in divergence form, 1j*hbar*b = hbar**2 a', so
 P_k u = k**-2 (a u')' + c u.  It is posed on [-DEFAULT_X_END,
@@ -17,8 +18,10 @@ j = ceil(MESH_RESOLUTION * k**(9/8)).  Convergence studies pass an
 element count instead.  An aligned mesh converges at the full order 4, and
 the k**(9/8) growth keeps the pollution effect in check.
 MESH_RESOLUTION = 0.5 is chosen for a relative H1_k error on [-1, 1] of at
-most 2e-8, which tests/test_reference_fem.py holds it to.  The element
-matrices are two products with the tabulated basis products.  The complex
+most 2e-8, which tests/test_reference_fem.py holds it to.  The Lagrange
+basis and its derivative are ``numpy.polynomial.Polynomial`` objects, and
+the element matrices are two products with their products tabulated at
+the Gauss points.  The complex
 system is assembled banded (half bandwidth 4), and the Dirichlet ends are
 imposed by solving it on the interior dofs alone.
 """
@@ -80,31 +83,24 @@ class FemSolution:
         du = np.zeros(xv.shape, dtype=complex)
         base = _DEGREE * el
         for i in range(_DEGREE + 1):
-            u += self.values[base + i] * np.polynomial.polynomial.polyval(t, _BASIS_COEFFS[i])
-            du += self.values[base + i] * np.polynomial.polynomial.polyval(t, _BASIS_DERIV_COEFFS[i])
+            u += self.values[base + i] * _BASIS[i](t)
+            du += self.values[base + i] * _DBASIS[i](t)
         return u, du * (2.0 / mesh.h)
 
 
-def _reference_basis():
-    # Lagrange basis on [-1, 1] through 5 equispaced points, kept as
-    # polynomial coefficients.
-    ref_pts = np.linspace(-1.0, 1.0, _DEGREE + 1)
-    coeffs = []
-    for i in range(_DEGREE + 1):
-        roots = np.delete(ref_pts, i)
-        poly = np.polynomial.Polynomial.fromroots(roots)
-        coeffs.append((poly / poly(ref_pts[i])).coef)
-    return coeffs
-
-
-_BASIS_COEFFS = _reference_basis()
-_BASIS_DERIV_COEFFS = [np.polynomial.polynomial.polyder(c) for c in _BASIS_COEFFS]
+# Lagrange basis on [-1, 1] through 5 equispaced points, and its derivative
+_REF_PTS = np.linspace(-1.0, 1.0, _DEGREE + 1)
+_BASIS = [
+    (p := np.polynomial.Polynomial.fromroots(np.delete(_REF_PTS, i))) / p(_REF_PTS[i])
+    for i in range(_DEGREE + 1)
+]
+_DBASIS = [p.deriv() for p in _BASIS]
 
 # the basis and its derivative at the Gauss points, (6, 5), and their
 # products phi_i*phi_j and dphi_i*dphi_j flattened to (6, 25)
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_QUAD_POINTS)
-_PHI = np.array([np.polynomial.polynomial.polyval(_GAUSS_X, c) for c in _BASIS_COEFFS]).T
-_DPHI = np.array([np.polynomial.polynomial.polyval(_GAUSS_X, c) for c in _BASIS_DERIV_COEFFS]).T
+_PHI = np.array([p(_GAUSS_X) for p in _BASIS]).T
+_DPHI = np.array([p(_GAUSS_X) for p in _DBASIS]).T
 _MASS = (_PHI[:, :, None] * _PHI[:, None, :]).reshape(_QUAD_POINTS, -1)
 _STIFF = (_DPHI[:, :, None] * _DPHI[:, None, :]).reshape(_QUAD_POINTS, -1)
 
@@ -122,9 +118,9 @@ def _element_system(case, mesh):
     jac = 0.5 * mesh.h
     left = -mesh.x_end + mesh.h * np.arange(mesh.elements)
     xq = left[:, None] + jac * (_GAUSS_X + 1.0)  # (E, 6)
-    op = case.operator()
-    stiff = _GAUSS_W / (jac * case.k**2) * -op.a(xq)
-    mass = _GAUSS_W * jac * -op.c(xq)
+    a, _, c = case.operator().coefficients(xq)
+    stiff = _GAUSS_W / (jac * case.k**2) * -a
+    mass = _GAUSS_W * jac * -c
     ke = stiff @ _STIFF - mass @ _MASS
     fe = (_GAUSS_W * jac * case.rhs(xq)) @ _PHI
     return ke.reshape(-1, _DEGREE + 1, _DEGREE + 1), fe

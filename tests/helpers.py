@@ -2,8 +2,9 @@
 derivative blocks, quadrature inner products, the closed-form overlap and
 operator pairing of two states, the operator on function values, the
 closed-form iterated residual, the box estimate of the frame bounds, the
-complex solve of the dual frame, the Zak frame function, the nu formulas
-of P_k's symbol, coefficients and FEM element matrices, the einsum
+complex solve of the dual frame, the Zak frame function, the masked forms
+of the C3 plateaus, the PML and P_k's coefficients, the nu formulas of
+P_k's symbol, coefficients and FEM element matrices, the einsum
 assembly and end-decoupling solve of the FEM reference, and a CSV reader
 for the table output."""
 
@@ -62,7 +63,7 @@ def derivative_blocks(hbar, x0, xi0, x, order):
     for rows, cols, block in gs.state_blocks(hbar, x0, xi0, x):
         if order:
             z = np.subtract.outer(x[rows] - x0[cols.start], 1j * xi0[cols]) / math.sqrt(hbar)
-            block *= hbar ** (-order / 2.0) * npoly.polyval(z, gs._Q_POLYS[order])
+            block *= hbar ** (-order / 2.0) * gs._Q_POLYS[order](z)
         yield rows, cols, block
 
 
@@ -120,6 +121,78 @@ def constant_symbol(op):
     return lambda x, xi: -a * xi**2 - b * xi + c
 
 
+def bridge_eval(t, order=0):
+    """Value or derivative (order <= 2) of the C3 bridge S on [0, 1], by ``polyval``.
+
+    With ``even_bridge``, ``pml_sigma_by_order`` and ``closure_coefficients``
+    below, the masked forms of the model problem that ``problem_model``
+    replaced by clipped polynomial plateaus, the (sigma, sigma') pair and
+    one coefficient function; the oracle they are held to bit for bit.
+    """
+    if not 0 <= order <= 2:
+        raise ValueError("bridge derivative order must lie in [0, 2]")
+    tv = np.asarray(t, dtype=float)
+    if np.any(tv < -1e-14) or np.any(tv > 1.0 + 1e-14):
+        raise ValueError("bridge argument outside [0, 1]")
+    coeffs = npoly.polyder(pm.BRIDGE_COEFFS, order) if order else pm.BRIDGE_COEFFS
+    out = npoly.polyval(np.clip(tv, 0.0, 1.0), coeffs)
+    return out if out.ndim else float(out)
+
+
+def even_bridge(x, order, lo, hi):
+    """Even C3 plateau: 1 for |x| <= lo, bridge down to 0 for |x| >= hi, by masks."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    r = np.abs(xv)
+    scale = 1.0 / (hi - lo)
+    out = np.zeros_like(xv)
+    if order == 0:
+        out[r <= lo] = 1.0
+    mid = (r > lo) & (r < hi)
+    if np.any(mid):
+        t = (hi - r[mid]) * scale
+        val = bridge_eval(t, order)
+        # d/dx t = -scale * sign(x)
+        out[mid] = val * (-scale * np.sign(xv[mid])) ** order
+    return out if np.ndim(x) else float(out[0])
+
+
+def pml_sigma_by_order(x, order=0):
+    """sigma (order 0) or sigma' (order 1) of the quartic PML, by left/right masks."""
+    if not 0 <= order <= 1:
+        raise ValueError("sigma derivative order must lie in [0, 1]")
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(xv)
+    right = xv > 1.0
+    left = xv < -1.0
+    fall = [1.0, 4.0][order]
+    p = pm.PML_EXPONENT - order
+    out[right] = pm.PML_AMPLITUDE * fall * (xv[right] - 1.0) ** p
+    # chain rule for the mirrored branch: d/dx (-1-x) = -1
+    out[left] = pm.PML_AMPLITUDE * fall * (-1.0 - xv[left]) ** p * (-1.0) ** order
+    return out if np.ndim(x) else float(out[0])
+
+
+def closure_coefficients(case):
+    """(a, b, c) of ``case.operator()`` as three closures, each evaluating sigma itself."""
+    hbar = 1.0 / case.k
+
+    def stretch(x):
+        # nu = 1 + 1j*sigma
+        return 1.0 + 1j * np.asarray(pml_sigma_by_order(x))
+
+    def a(x):
+        return -(1.0 / stretch(x))
+
+    def b(x):
+        # (nu**(-1))' = -nu'/nu**2 with nu' = 1j*sigma'
+        return 1j * hbar * (-(1j * np.asarray(pml_sigma_by_order(x, 1))) * (1.0 / stretch(x)) ** 2)
+
+    def c(x):
+        return -np.asarray(case.mu(x)) * stretch(x)
+
+    return a, b, c
+
+
 def nu_coefficients(x):
     """(nu, nu**(-1), (nu**(-1))') at x, with nu = 1 + 1j*sigma and nu' = 1j*sigma'.
 
@@ -127,9 +200,9 @@ def nu_coefficients(x):
     the one place that writes its coefficients; the oracle of that triple,
     of the symbol and of the FEM coefficient products.
     """
-    nu = 1.0 + 1j * np.asarray(pm.pml_sigma(x))
+    nu = 1.0 + 1j * np.asarray(pml_sigma_by_order(x))
     nu_inv = 1.0 / nu
-    return nu, nu_inv, -(1j * np.asarray(pm.pml_sigma(x, 1))) * nu_inv**2
+    return nu, nu_inv, -(1j * np.asarray(pml_sigma_by_order(x, 1))) * nu_inv**2
 
 
 def nu_symbol(case, x, xi):
@@ -328,8 +401,8 @@ def einsum_fem_system(case, mesh):
     Dirichlet ends are imposed.
     """
     gl_x, gl_w = np.polynomial.legendre.leggauss(6)
-    phi = np.array([npoly.polyval(gl_x, c) for c in fem._BASIS_COEFFS]).T
-    dphi = np.array([npoly.polyval(gl_x, c) for c in fem._BASIS_DERIV_COEFFS]).T
+    phi = np.array([p(gl_x) for p in fem._BASIS]).T
+    dphi = np.array([p(gl_x) for p in fem._DBASIS]).T
     h_el = mesh.h
     jac = 0.5 * h_el
     left = -mesh.x_end + h_el * np.arange(mesh.elements)

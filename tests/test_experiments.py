@@ -201,6 +201,19 @@ def test_cli_rejects_fixed_settings_in_config(key, value, tmp_path, capsys):
     assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
+def test_cli_rejects_unknown_format_in_config_before_any_cell(tmp_path, capsys, monkeypatch):
+    # the format is checked with the config, not by ``emit`` after every cell has run
+    calls = []
+    monkeypatch.setattr(cli, "run_case", lambda config: calls.append(config))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"case": "homogeneous", "ks": [20.0], "deltas": [0.5], "output_format": "xml"}))
+    assert cli.main(["table", "--config", str(path)]) == 2
+    assert "unknown format 'xml'" in capsys.readouterr().err
+    assert calls == []
+    with pytest.raises(ValueError, match="unknown format"):
+        emit([ExperimentRecord(20.0, 0.5, 1, 0.1, 1)], "xml")
+
+
 def test_cli_error_exit(capsys):
     code = cli.main(["solve", "--case", "homogeneous", "--k", "5", "--delta", "1.0"])
     assert code == 2

@@ -5,9 +5,10 @@ import pytest
 
 from gcshelm import problem_model as pm
 
-from helpers import apply_P, nu_symbol, nu_triple
+from helpers import apply_P, closure_coefficients, even_bridge, nu_symbol, nu_triple, pml_sigma_by_order
 
 BREAKPOINTS = (0.5, 0.7, 0.75, 0.8)
+BRIDGE = np.polynomial.Polynomial(pm.BRIDGE_COEFFS)
 
 
 def piecewise_fit_residual(case, breakpoints, x_end=3.5, degree=7):
@@ -16,7 +17,7 @@ def piecewise_fit_residual(case, breakpoints, x_end=3.5, degree=7):
     worst = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         x = np.linspace(lo, hi, 40)[1:-1]
-        for vals in (case.mu(x), pm.pml_sigma(x), case.rhs(x) * np.exp(-1j * case.k * x)):
+        for vals in (case.mu(x), pm.pml_sigma(x)[0], case.rhs(x) * np.exp(-1j * case.k * x)):
             for part in (np.real(vals), np.imag(vals)):
                 fit = np.polynomial.polynomial.Polynomial.fit(x, part, degree)
                 worst = max(worst, float(np.max(np.abs(fit(x) - part))))
@@ -37,12 +38,13 @@ def test_case_breakpoints_are_the_coefficient_joints(make):
 
 
 def test_bridge_defining_conditions():
-    assert pm.bridge_eval(0.0) == 0.0
-    assert abs(pm.bridge_eval(1.0) - 1.0) < 1e-15
-    for order in (1, 2):
-        assert abs(pm.bridge_eval(0.0, order)) < 1e-12
-        assert abs(pm.bridge_eval(1.0, order)) < 1e-10
-    assert abs(pm.bridge_eval(0.5) - 0.5) < 1e-15
+    # exact: the plateaus rely on S(0) = 0, S(1) = 1 and flat ends in floating point
+    assert BRIDGE(0.0) == 0.0
+    assert BRIDGE(1.0) == 1.0
+    for order in (1, 2, 3):
+        assert BRIDGE.deriv(order)(0.0) == 0.0
+        assert BRIDGE.deriv(order)(1.0) == 0.0
+    assert abs(BRIDGE(0.5) - 0.5) < 1e-15
 
 
 def test_bridge_coefficients_solve_hermite_system():
@@ -62,21 +64,19 @@ def test_bridge_coefficients_solve_hermite_system():
 
 def test_bridge_monotone_and_bounds():
     t = np.linspace(0.0, 1.0, 401)
-    assert np.all(pm.bridge_eval(t, 1) >= -1e-12)
-    with pytest.raises(ValueError):
-        pm.bridge_eval(1.2)
-    with pytest.raises(ValueError):
-        pm.bridge_eval(-0.1)
+    assert np.all(BRIDGE.deriv()(t) >= -1e-12)
+    assert np.all((BRIDGE(t) >= 0.0) & (BRIDGE(t) <= 1.0))
 
 
 def test_pml_sigma_values():
-    assert pm.pml_sigma(0.5) == 0.0
-    assert pm.pml_sigma(1.0, 1) == 0.0
-    assert abs(pm.pml_sigma(2.0) - 0.1) < 1e-15
-    assert abs(pm.pml_sigma(3.5) - 3.90625) < 1e-12
-    assert abs(pm.pml_sigma(-3.5) - 3.90625) < 1e-12
+    assert pm.pml_sigma(0.5) == (0.0, 0.0)
+    assert pm.pml_sigma(1.0)[1] == 0.0
+    assert abs(pm.pml_sigma(2.0)[0] - 0.1) < 1e-15
+    assert abs(pm.pml_sigma(3.5)[0] - 3.90625) < 1e-12
+    assert abs(pm.pml_sigma(-3.5)[0] - 3.90625) < 1e-12
+    assert pm.pml_sigma(2.0)[1] == 0.4
     # mirrored first derivative is negative on the left branch
-    assert pm.pml_sigma(-2.0, 1) == -pm.pml_sigma(2.0, 1)
+    assert pm.pml_sigma(-2.0)[1] == -pm.pml_sigma(2.0)[1]
 
 
 def test_phi_plateau_and_support():
@@ -97,15 +97,14 @@ def test_mu_heterogeneous_plateaus():
 def bridge_plateau(x, order, lo, hi):
     """d^order/dx^order of 1 on |x| <= lo, S((hi - |x|)/(hi - lo)) up to hi, 0 beyond.
 
-    S is ``np.polynomial`` of ``pm.BRIDGE_COEFFS``, so every order is at hand.
+    S is the ``Polynomial`` of ``pm.BRIDGE_COEFFS``, so every order is at hand.
     """
     r, scale = abs(x), 1.0 / (hi - lo)
     if r >= hi:
         return 0.0
     if r <= lo:
         return 1.0 if order == 0 else 0.0
-    coeffs = np.polynomial.polynomial.polyder(pm.BRIDGE_COEFFS, order)
-    return np.polynomial.polynomial.polyval((hi - r) * scale, coeffs) * (-scale * np.sign(x)) ** order
+    return BRIDGE.deriv(order)((hi - r) * scale) * (-scale * np.sign(x)) ** order
 
 
 # name -> (x, order) -> d^order of the plateau: the function itself at the
@@ -186,8 +185,8 @@ def test_physical_region_neutrality():
     # the unstretched form there
     case = pm.ProblemCase.homogeneous(30)
     x = np.linspace(-1.0, 1.0, 101)
-    assert np.all(pm.pml_sigma(x) == 0.0)
-    assert np.all(case.operator().a(x) == -1.0)
+    assert np.all(pm.pml_sigma(x)[0] == 0.0)
+    assert np.all(case.operator().coefficients(x)[0] == -1.0)
     u = np.exp(0.3j * x)
     du = 0.3j * u
     d2u = -0.09 * u
@@ -202,7 +201,7 @@ def test_symbol_values():
     het = pm.ProblemCase.heterogeneous(30)
     assert abs(het.symbol(0.0, math.sqrt(2.0))) < 1e-14
     # deep PML: xi = 0 stays out of every sublevel set below mu*sqrt(1+sigma^2)
-    sigma = pm.pml_sigma(3.0)
+    sigma = pm.pml_sigma(3.0)[0]
     assert abs(abs(hom.symbol(3.0, 0.0)) - math.sqrt(1 + sigma**2)) < 1e-12
     assert abs(hom.symbol(3.0, 0.0)) > 1.0
 
@@ -277,7 +276,7 @@ def test_operator_and_symbol_match_nu_formulas(make):
     xi = np.linspace(-3.0, 3.0, 61)
     assert np.array_equal(case.symbol(x, xi), nu_symbol(case, x, xi))
     op = case.operator()
-    for got, want in zip((op.a(x), op.b(x), op.c(x)), nu_triple(case, x)):
+    for got, want in zip(op.coefficients(x), nu_triple(case, x)):
         assert np.array_equal(got, want)
     assert np.array_equal(case.symbol(-2.0, 1.5), nu_symbol(case, -2.0, 1.5))
 
@@ -289,8 +288,8 @@ def test_first_order_coefficient_is_divergence_form():
         op = case.operator()
         x = np.array([-2.5, -1.5, -1.1, 0.3, 1.1, 1.5, 2.5])
         h = 1e-6
-        fd = (op.a(x + h) - op.a(x - h)) / (2 * h)
-        b = op.b(x)
+        fd = (op.coefficients(x + h)[0] - op.coefficients(x - h)[0]) / (2 * h)
+        b = op.coefficients(x)[1]
         assert np.max(np.abs(b - (-1j / case.k) * fd)) < 1e-7 * np.max(np.abs(b))
 
 
@@ -310,3 +309,43 @@ def test_rhs_bit_identical_to_closed_forms():
     assert np.array_equal(pm.ProblemCase.homogeneous(k).rhs(x), hom)
     assert np.array_equal(pm.ProblemCase.heterogeneous(k).rhs(x), het)
     assert pm.ProblemCase.heterogeneous(k).rhs(x[135]) == het[135]
+
+
+# every breakpoint and its float neighbours, +-0.0, +-3.5 and a grid between
+_JOINTS = np.array([0.5, 0.7, 0.75, 0.8, 1.0, -0.5, -0.7, -0.75, -0.8, -1.0])
+ORACLE_X = np.concatenate(
+    [
+        np.linspace(-3.5, 3.5, 7001),
+        [0.0, -0.0, 3.5, -3.5],
+        _JOINTS,
+        np.nextafter(_JOINTS, -np.inf),
+        np.nextafter(_JOINTS, np.inf),
+    ]
+)
+
+
+def test_plateaus_and_pml_match_masked_forms():
+    # the clipped polynomial plateaus and the (sigma, sigma') pair, bit for
+    # bit against the masked forms they replaced, arrays and scalars
+    for order in range(3):
+        assert np.array_equal(pm.cutoff_phi(ORACLE_X, order), even_bridge(ORACLE_X, order, 0.5, 0.75))
+    assert np.array_equal(pm.mu_heterogeneous(ORACLE_X), even_bridge(ORACLE_X, 0, 0.7, 0.8) + 1.0)
+    sigma, dsigma = pm.pml_sigma(ORACLE_X)
+    assert np.array_equal(sigma, pml_sigma_by_order(ORACLE_X))
+    assert np.array_equal(dsigma, pml_sigma_by_order(ORACLE_X, 1))
+    for x in (-3.5, -0.75, -0.0, 0.0, 0.6, 1.5):
+        assert pm.cutoff_phi(x, 1) == even_bridge(x, 1, 0.5, 0.75)
+        assert pm.pml_sigma(x) == (pml_sigma_by_order(x), pml_sigma_by_order(x, 1))
+    with pytest.raises(ValueError):
+        pm.cutoff_phi(0.0, 3)
+
+
+@pytest.mark.parametrize("name", ["homogeneous", "heterogeneous"])
+@pytest.mark.parametrize("k", [20.0, 100.0])
+def test_operator_coefficients_match_closures(name, k):
+    # one coefficient function, bit for bit against the three closures that
+    # each evaluated sigma themselves
+    case = pm.ProblemCase.from_name(name, k)
+    got = case.operator().coefficients(ORACLE_X)
+    for g, f in zip(got, closure_coefficients(case)):
+        assert np.array_equal(g, f(ORACLE_X))
