@@ -11,11 +11,9 @@ the box centre conjugates that Gram, so one unitary gauge makes it real
 and the dual solve is one real ``eigh`` of the same size.  In lattice
 units the bounds and the Gram are exactly independent of hbar, which is
 what makes the frame diagnostics hbar-stable.  The Zak series and the Gram
-are cut at the tail tolerance of the state kernel,
-``quad.DEFAULT_TAIL_TOL`` = exp(-72), the tolerance of the 12-sigma window
-of ``gaussian_states.state_blocks``: Gram entries at lattice distance
-beyond sqrt(288/pi) ~ 9.6 steps are exactly 0, so the Gram holds no
-subnormal numbers, and its phases are exact quarter turns.
+are cut at the tail tolerance ``_TAIL_TOL`` = exp(-72): Gram entries at
+lattice distance beyond sqrt(288/pi) ~ 9.6 steps are exactly 0, so the
+Gram holds no subnormal numbers, and its phases are exact quarter turns.
 """
 
 import math
@@ -86,12 +84,14 @@ PLANEWAVE_XI_MAX = 2.5
 
 # 1j**j for j mod 4: lattice Gram phases are whole quarter turns
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
-# lattice distances squared past which exp(-pi*d2/4) < quad.DEFAULT_TAIL_TOL
-_GRAM_TAIL_D2 = 4.0 * math.log(1.0 / quad.DEFAULT_TAIL_TOL) / math.pi
+# tail tolerance of the Zak series and the lattice Gram: exp(-12**2/2)
+_TAIL_TOL = math.exp(-72.0)
+# lattice distances squared past which exp(-pi*d2/4) < _TAIL_TOL
+_GRAM_TAIL_D2 = 4.0 * math.log(1.0 / _TAIL_TOL) / math.pi
 # exp(-pi*d2/4) for each integer d2 up to the tail, then one 0 for all beyond
 _GRAM_MODULUS = np.append(np.exp(-0.25 * math.pi * np.arange(math.floor(_GRAM_TAIL_D2) + 1)), 0.0)
-# lattice distance past which g(t) = exp(-pi t**2 / 2) < quad.DEFAULT_TAIL_TOL
-_ZAK_REACH = math.sqrt(2.0 * math.log(1.0 / quad.DEFAULT_TAIL_TOL) / math.pi)
+# lattice distance past which g(t) = exp(-pi t**2 / 2) < _TAIL_TOL
+_ZAK_REACH = math.sqrt(2.0 * math.log(1.0 / _TAIL_TOL) / math.pi)
 
 
 def lattice_gram(m, n):
@@ -101,8 +101,8 @@ def lattice_gram(m, n):
     exp(-pi*d2/4) * 1j**((n1+n2)*(m2-m1)) with d2 = (m1-m2)**2 + (n1-n2)**2,
     independent of hbar.  The modulus is read from a table over integer d2
     and the phase exactly from the quarter turns 1, 1j, -1, -1j.  Entries
-    with pi*d2/4 > log(1/quad.DEFAULT_TAIL_TOL), of modulus below exp(-72),
-    are exactly 0.
+    with pi*d2/4 > log(1/_TAIL_TOL), of modulus below exp(-72), are
+    exactly 0.
     """
     dm = m[None, :] - m[:, None]
     dn = n[:, None] - n[None, :]
@@ -115,8 +115,8 @@ def _zak_frame_function(x, w):
 
     Zg(x, w) = sum_j g(x + 2j) exp(-2 pi i j w) is the Zak transform at
     step 2 of g(t) = exp(-pi t**2 / 2), the states in lattice units; terms
-    with g below ``quad.DEFAULT_TAIL_TOL`` are left out.  The function has
-    period 1 in x and in w.
+    with g below ``_TAIL_TOL`` are left out.  The function has period 1 in
+    x and in w.
     """
     terms = math.ceil(_ZAK_REACH / 2.0) + 1
     j = np.arange(-terms, terms + 1)
@@ -212,7 +212,9 @@ def dual_decay_fit(index_set, coefficients, target):
     distance vary strongly with direction, so the fit uses the maximum
     modulus per unit distance ring [b, b + 1), over coefficients above
     ``DUAL_FLOOR``; on ties the first in ``index_set`` order is kept.
-    Returns (rate, r_squared, (distances, values, fitted)).
+    Returns (rate, r_squared, (distances, values, fitted)).  Raises
+    ``ValueError`` when fewer than 3 rings are left, or when every ring
+    maximum has the same modulus, where r_squared is undefined.
     """
     dm = index_set.m - target[0]
     dn = index_set.n - target[1]
@@ -229,6 +231,8 @@ def dual_decay_fit(index_set, coefficients, target):
     distances = dist[first]
     sqrt_dist = np.sqrt(distances)
     vals = np.log(modulus[first])
+    if np.ptp(vals) == 0.0:
+        raise ValueError("every ring maximum has the same modulus: no decay to fit")
     slope, intercept = np.polyfit(sqrt_dist, vals, 1)
     fitted = slope * sqrt_dist + intercept
     ss_res = float(np.sum((vals - fitted) ** 2))
@@ -285,7 +289,7 @@ def planewave_coefficient_probe(case):
     m = np.repeat(np.arange(-m_max, m_max + 1), 2 * n_max + 1)
     n = np.tile(np.arange(-n_max, n_max + 1), 2 * m_max + 1)
     vals = np.zeros(m.size)
-    for rows, cols, block in gs.state_blocks(spec.hbar, m * h, n * h, rule.nodes):
+    for rows, cols, block in gs.state_blocks(spec.hbar, m * h, n, rule.nodes):
         vals[cols] = np.abs(fw[rows] @ np.conj(block))
     # one integer key per pair, wide enough in n to hold both sets
     span = 2 * max(n_max, int(np.abs(band.n).max(initial=0))) + 1

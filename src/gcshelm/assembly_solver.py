@@ -5,18 +5,19 @@ hold sqrt(w_q) * (P_k Psi_j)(x_q), so the Euclidean residual of the
 rectangular system is the quadrature value of the L2 residual.
 
 Assembly and reconstruction run on ``gaussian_states.state_blocks``: a
-column is filled only within 12*sqrt(hbar) of its state's center and is
-exactly zero beyond, where its tail would otherwise underflow into subnormal
-numbers, on which LAPACK's SVD (``gelsd``) ran several times slower.
-``assemble`` builds its own quadrature rule on the union of those windows
-and the source support, so no state or source mass above exp(-72) of its
-peak falls outside the rule.
+column is filled only within ``gs.WINDOW_SIGMAS`` * sqrt(hbar) ~ 8.58
+sqrt(hbar) of its state's center, where the state falls to 1e-16 of its
+peak, and is exactly zero beyond, where its tail would otherwise run down
+into subnormal numbers, on which LAPACK's SVD (``gelsd``) ran several times
+slower.  ``assemble`` builds its own quadrature rule on the union of those
+windows and the source support, so no state mass above 1e-16 of its peak,
+and no source, falls outside the rule.
 
 The matrix is never formed: ``assemble`` keeps only the blocks that
 ``state_blocks`` yields, each scaled by sqrt(w_q), so storage grows with
 the number of nonzeros, not with Q x N (at heterogeneous (k, delta) =
-(100, 4), 1.81M of 6.88M entries).  Index sets are sorted by position, so
-the blocks form a staircase band: there a row touches at most 368 of 985
+(100, 4), 1.30M of 6.38M entries).  Index sets are sorted by position, so
+the blocks form a staircase band: there a row touches at most 268 of 985
 columns.  The solve factorizes the matrix itself (never the normal matrix)
 in two steps.  A row-block streaming QR (TSQR; Demmel, Grigori, Hoemmen and
 Langou, SIAM J. Sci. Comput. 34, 2012) stacks the carried triangle on each
@@ -249,6 +250,4 @@ def reconstruct(report, index_set, x):
 
 
 def _blocks(index_set, nodes, op=None):
-    return gs.state_blocks(
-        index_set.lattice.hbar, index_set.x_array(), index_set.xi_array(), nodes, op=op
-    )
+    return gs.state_blocks(index_set.lattice.hbar, index_set.x_array(), index_set.n, nodes, op=op)

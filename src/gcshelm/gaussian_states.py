@@ -19,14 +19,18 @@ g(x) = hbar*a*q_2(z) + 1j*sqrt(hbar)*b*q_1(z) + c times the state, so
 residual factors g - p(x0, xi0) never divide by Psi numerically.
 
 ``state_blocks`` evaluates whole index sets, one block of equal x0 at a
-time, on the rows with |x - x0| <= 12*sqrt(hbar); ``assembly_solver.assemble``
-places its rule on the union of these windows.  Beyond them a state is below
-exp(-72) of its peak and its tail would underflow into subnormal numbers,
-which slow dense factorizations several-fold, so those entries are exactly
-zero.  Within a block the states separate into a real envelope of the row,
-amp*exp(-u**2/(2*hbar)) with u = x - x0, times the pure phase
-exp(1j*xi0*u/hbar).  The envelope is evaluated once per row and the phase
-filled in place.  An operator adds a multiplier quadratic in xi0,
+time, on the rows with |x - x0| <= WINDOW_SIGMAS*sqrt(hbar) ~ 8.58*sqrt(hbar);
+``assembly_solver.assemble`` places its rule on the union of these
+windows.  Beyond them a state is below 1e-16 of its peak, under the
+rounding of the entries kept, and exactly zero; no kept entry comes near
+the subnormal numbers, which slow dense factorizations several-fold.  The
+states sit on the lattice (x_m, xi_n) = (m, n)*h, h = sqrt(pi*hbar), and
+within a block they are the real envelope amp*exp(-u**2/(2*hbar)) of the
+row, u = x - x0, times the phase exp(1j*xi_n*u/hbar) = omega**n with one
+root omega = exp(1j*h*u/hbar) per row.  Each run of consecutive n starts
+from an exact ``exp`` of envelope and phase, as does every eighth column;
+every other column is the one before it times omega, one complex multiply
+per entry.  An operator adds a multiplier quadratic in xi0,
 
     g = G0(x) + G1(x)*xi0 + G2(x)*xi0**2,
     G0 = a*(u**2 - hbar) - 1j*b*u + c,  G1 = -2j*a*u - b,  G2 = -a.
@@ -40,8 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DEFAULT_TAIL_TOL
-
 __all__ = [
     "CoherentState",
     "SecondOrderOperator",
@@ -54,8 +56,13 @@ __all__ = [
 ]
 
 MAX_DERIVATIVE_ORDER = 4
-# half width of a state's window in units of sqrt(hbar): exp(-WINDOW_SIGMAS**2/2) = DEFAULT_TAIL_TOL
-WINDOW_SIGMAS = math.sqrt(2.0 * math.log(1.0 / DEFAULT_TAIL_TOL))
+# a state is cut where it falls below this fraction of its peak: double rounding
+WINDOW_TOL = 1e-16
+# half width of a state's window in units of sqrt(hbar): exp(-WINDOW_SIGMAS**2/2) = WINDOW_TOL
+WINDOW_SIGMAS = math.sqrt(2.0 * math.log(1.0 / WINDOW_TOL))
+# every _RESEED-th column of a block starts from an exact exp too, which
+# bounds the rounding the phase recurrence carries
+_RESEED = 8
 
 
 # q_{a+1} = q_a' - z q_a
@@ -134,20 +141,26 @@ def apply_operator(state, op, x):
     return g * psi
 
 
-def state_blocks(hbar, x0, xi0, x, op=None):
-    """Columns of the states (hbar, x0[j], xi0[j]) on nondecreasing nodes x.
+def state_blocks(hbar, x0, n, x, op=None):
+    """Columns of the states (hbar, x0[j], n[j]*sqrt(pi*hbar)) on nondecreasing nodes x.
 
-    Yields ``(rows, cols, block)``, ``block`` holding Psi_j, or P Psi_j for
-    an operator ``op`` (coefficients sampled once on x), at ``x[rows]`` for
-    the run ``cols`` of equal x0 (index sets are sorted by position).  Rows
+    ``n`` holds the integer frequency indices of the lattice, xi0 = n * h
+    with h = sqrt(pi*hbar); the positions ``x0`` are any floats.  Yields
+    ``(rows, cols, block)``, ``block`` holding Psi_j, or P Psi_j for an
+    operator ``op`` (coefficients sampled once on x), at ``x[rows]`` for the
+    run ``cols`` of equal x0 (index sets are sorted by position).  Rows
     farther than WINDOW_SIGMAS*sqrt(hbar) from x0 are left out: zero.
     """
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    xi0 = np.asarray(xi0, dtype=float)
+    n = np.asarray(n)
+    if n.dtype.kind not in "iu":
+        raise TypeError("state_blocks takes integer frequency indices n")
     if np.any(np.diff(x) < 0.0):
         raise ValueError("state_blocks needs nondecreasing nodes")
     root = math.sqrt(hbar)
+    h = math.sqrt(math.pi * hbar)
+    step = h / hbar
     amp = (math.pi * hbar) ** (-0.25)
     if op is not None:
         a, b, c = (np.asarray(v) for v in op.coefficients(x))
@@ -160,13 +173,23 @@ def state_blocks(hbar, x0, xi0, x, op=None):
             continue
         rows, cols = slice(lo, hi), slice(start, stop)
         u = x[rows] - centre
-        xi = xi0[cols]
-        block = np.empty((u.size, xi.size), dtype=complex)
-        np.multiply.outer(u / hbar, xi, out=block.real)
-        np.sin(block.real, out=block.imag)
-        np.cos(block.real, out=block.real)
-        block *= (amp * np.exp(-(u**2) / (2.0 * hbar)))[:, None]
+        theta = step * u
+        nj = n[cols]
+        # exact exp where a run of consecutive n starts and every _RESEED-th
+        # column; in between, column j is column j-1 times omega = exp(1j*theta),
+        # along contiguous columns (column-major block)
+        seed = np.ones(nj.size, dtype=bool)
+        seed[1:] = np.diff(nj) != 1
+        seed[::_RESEED] = True
+        block = np.empty((u.size, nj.size), dtype=complex, order="F")
+        block[:, seed] = amp * np.exp(
+            (-(u**2) / (2.0 * hbar))[:, None] + 1j * np.multiply.outer(theta, nj[seed])
+        )
+        omega = np.exp(1j * theta)
+        for j in np.flatnonzero(~seed):
+            np.multiply(block[:, j - 1], omega, out=block[:, j])
         if op is not None:
+            xi = nj * h
             ar, br, cr = a[rows], b[rows], c[rows]
             g = np.empty_like(block)
             np.multiply.outer(-ar, xi, out=g)

@@ -19,12 +19,9 @@ __all__ = [
     "QuadratureRule",
     "build_rule",
     "nodes_per_wavelength",
-    "DEFAULT_TAIL_TOL",
 ]
 
 NODES_PER_PERIOD = 10
-# 12-sigma Gaussian tail: exp(-12**2/2)
-DEFAULT_TAIL_TOL = math.exp(-72.0)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Oracles the tests share: per-state lists, dense views of block matrices,
-derivative blocks, quadrature inner products, the closed-form overlap and
-operator pairing of two states, the operator on function values, the
-closed-form iterated residual, the box estimate of the frame bounds, the
-complex solve of the dual frame, the Zak frame function, the masked forms
-of the C3 plateaus, the PML and P_k's coefficients, the nu formulas of
-P_k's symbol, coefficients and FEM element matrices, the einsum
-assembly and end-decoupling solve of the FEM reference, and a CSV reader
-for the table output."""
+derivative blocks, the former 12-sigma sin/cos state kernel, quadrature
+inner products, the closed-form overlap and operator pairing of two
+states, the operator on function values, the closed-form iterated
+residual, the box estimate of the frame bounds, the complex solve of the
+dual frame, the Zak frame function, the masked forms of the C3 plateaus,
+the PML and P_k's coefficients, the nu formulas of P_k's symbol,
+coefficients and FEM element matrices, the einsum assembly and
+end-decoupling solve of the FEM reference, and a CSV reader for the table
+output."""
 
 import csv
 import io
@@ -20,7 +21,6 @@ from gcshelm import analysis
 from gcshelm import assembly_solver as asm
 from gcshelm import gaussian_states as gs
 from gcshelm import problem_model as pm
-from gcshelm import quadrature as quad
 from gcshelm import reference_fem as fem
 from gcshelm.experiments import ExperimentRecord
 
@@ -53,17 +53,63 @@ def one_block(a):
     return asm.BlockMatrix((q, n), ((slice(0, q), slice(0, n), np.asarray(a, dtype=complex)),))
 
 
-def derivative_blocks(hbar, x0, xi0, x, order):
+def derivative_blocks(hbar, x0, n, x, order):
     """``gs.state_blocks`` for d^order Psi_j: each block times hbar**(-order/2) q_order(z).
 
-    z = (x - x0 - 1j*xi0)/sqrt(hbar), with q_a the polynomials of
-    ``gs.eval_derivative``.
+    z = (x - x0 - 1j*xi0)/sqrt(hbar) with xi0 = n*sqrt(pi*hbar), and q_a the
+    polynomials of ``gs.eval_derivative``.
     """
-    x0, xi0, x = (np.asarray(v, dtype=float) for v in (x0, xi0, x))
-    for rows, cols, block in gs.state_blocks(hbar, x0, xi0, x):
+    x0, x = (np.asarray(v, dtype=float) for v in (x0, x))
+    xi0 = np.asarray(n) * math.sqrt(math.pi * hbar)
+    for rows, cols, block in gs.state_blocks(hbar, x0, n, x):
         if order:
             z = np.subtract.outer(x[rows] - x0[cols.start], 1j * xi0[cols]) / math.sqrt(hbar)
             block *= hbar ** (-order / 2.0) * gs._Q_POLYS[order](z)
+        yield rows, cols, block
+
+
+# half width of the former kernel's window in units of sqrt(hbar): exp(-12**2/2) = exp(-72)
+SINCOS_WINDOW_SIGMAS = 12.0
+
+
+def sincos_state_blocks(hbar, x0, xi0, x, op=None):
+    """The state kernel before phases came as lattice powers: the oracle of ``gs.state_blocks``.
+
+    Same blocks as ``gs.state_blocks`` for the states (hbar, x0[j], xi0[j]),
+    xi0 any floats, but filled on the rows within 12*sqrt(hbar) of x0, and
+    with the phase exp(1j*xi0*u/hbar) from ``sin`` and ``cos`` of the outer
+    product (u/hbar) xi0 on every entry.
+    """
+    x = np.asarray(x, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    xi0 = np.asarray(xi0, dtype=float)
+    root = math.sqrt(hbar)
+    amp = (math.pi * hbar) ** (-0.25)
+    if op is not None:
+        a, b, c = (np.asarray(v) for v in op.coefficients(x))
+    starts = np.flatnonzero(np.diff(x0, prepend=np.nan) != 0.0)
+    for start, stop in zip(starts, np.append(starts[1:], x0.size)):
+        centre = x0[start]
+        lo = np.searchsorted(x, centre - SINCOS_WINDOW_SIGMAS * root, side="left")
+        hi = np.searchsorted(x, centre + SINCOS_WINDOW_SIGMAS * root, side="right")
+        if lo == hi:
+            continue
+        rows, cols = slice(lo, hi), slice(start, stop)
+        u = x[rows] - centre
+        xi = xi0[cols]
+        block = np.empty((u.size, xi.size), dtype=complex)
+        np.multiply.outer(u / hbar, xi, out=block.real)
+        np.sin(block.real, out=block.imag)
+        np.cos(block.real, out=block.real)
+        block *= (amp * np.exp(-(u**2) / (2.0 * hbar)))[:, None]
+        if op is not None:
+            ar, br, cr = a[rows], b[rows], c[rows]
+            g = np.empty_like(block)
+            np.multiply.outer(-ar, xi, out=g)
+            g += (-2j * ar * u - br)[:, None]
+            g *= xi
+            g += (ar * (u**2 - hbar) - 1j * br * u + cr)[:, None]
+            block *= g
         yield rows, cols, block
 
 
@@ -273,12 +319,13 @@ def iterated_residual_norm(state, op, L):
 def support_window(states):
     """Smallest interval holding every state center plus its Gaussian tail.
 
-    The half width per state is c*sqrt(hbar) with exp(-c**2/2) = quad.DEFAULT_TAIL_TOL.
+    The half width per state is c*sqrt(hbar), c = ``gs.WINDOW_SIGMAS``, the
+    window of ``gs.state_blocks``.
     """
     states = list(states)
     if not states:
         raise ValueError("support_window needs at least one state")
-    c = math.sqrt(2.0 * math.log(1.0 / quad.DEFAULT_TAIL_TOL))
+    c = gs.WINDOW_SIGMAS
     lo = min(s.x0 - c * math.sqrt(s.hbar) for s in states)
     hi = max(s.x0 + c * math.sqrt(s.hbar) for s in states)
     return (lo, hi)

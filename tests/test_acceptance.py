@@ -100,8 +100,9 @@ def best_h1k_error(case, index_set, u_ref):
     default rcond, eps * max(rows, columns), to 1e-12 it rose by up to 48%
     on the table cells (7.2e-4 against 4.9e-4 at hom (50, 1.0)).  The
     columns, Psi_j and Psi_j'/k, come from ``derivative_blocks``, zero
-    beyond 12 sqrt(hbar).  Columns below 1e-16 of the largest (states
-    centered far outside the window) lie under that cutoff and are dropped.
+    beyond ``gs.WINDOW_SIGMAS`` sqrt(hbar).  Columns below 1e-16 of the
+    largest (states centered far outside the window) lie under that cutoff
+    and are dropped.
     """
     k = case.k
     xi_max = float(np.max(np.abs(index_set.xi_array())))
@@ -111,7 +112,7 @@ def best_h1k_error(case, index_set, u_ref):
     basis = np.zeros((2, rule.nodes.size, len(index_set)), dtype=complex)
     for order in (0, 1):
         for rows, cols, block in derivative_blocks(
-            index_set.lattice.hbar, index_set.x_array(), index_set.xi_array(), rule.nodes, order
+            index_set.lattice.hbar, index_set.x_array(), index_set.n, rule.nodes, order
         ):
             basis[order, rows, cols] = root_w[rows, None] * block / k**order
     basis = basis.reshape(-1, len(index_set))
@@ -347,17 +348,18 @@ def quadrature_gram_error(hbar, half_width=6, x_stretch=1.0):
     G_quad[i, j] = sum_q w_q Psi_i(x_q) conj(Psi_j(x_q)), the convention of
     ``analysis.lattice_gram``, samples the states at (x_stretch * m, n) times
     the lattice spacing sqrt(pi*hbar) through ``gs.state_blocks``, on a rule
-    holding every state's 12-sigma window, sized as ``run_cell`` sizes its
-    rule for k = 1/hbar.  The lattice Gram is hbar-free; this one is not.
+    holding every state's window of ``gs.WINDOW_SIGMAS`` sqrt(hbar), sized
+    as ``run_cell`` sizes its rule for k = 1/hbar.  The lattice Gram is
+    hbar-free; this one is not.
     """
     spec = LatticeSpec(hbar)
     m, n = box_indices(half_width)
-    x0, xi0 = x_stretch * m * spec.spacing, n * spec.spacing
+    x0 = x_stretch * m * spec.spacing
     reach = x0.max() + gs.WINDOW_SIGMAS * math.sqrt(hbar)
-    density = quad.nodes_per_wavelength(2.0 * max(1.0, xi0.max()))
+    density = quad.nodes_per_wavelength(2.0 * max(1.0, n.max() * spec.spacing))
     rule = quad.build_rule((-reach, reach), 1.0 / hbar, density)
     basis = np.zeros((rule.nodes.size, m.size), dtype=complex)
-    for rows, cols, block in gs.state_blocks(hbar, x0, xi0, rule.nodes):
+    for rows, cols, block in gs.state_blocks(hbar, x0, n, rule.nodes):
         basis[rows, cols] = block
     gram = (rule.weights[:, None] * basis).T @ basis.conj()
     return float(np.abs(gram - analysis.lattice_gram(m, n)).max())

@@ -189,7 +189,7 @@ def test_lattice_gram_tail_is_exact_zero_and_no_subnormals():
     for part in (gram.real, gram.imag):
         assert not np.any((np.abs(part) > 0.0) & (np.abs(part) < tiny))
     d2 = (m[:, None] - m[None, :]) ** 2 + (n[:, None] - n[None, :]) ** 2
-    past_tail = 0.25 * math.pi * d2 > -math.log(quad.DEFAULT_TAIL_TOL)
+    past_tail = 0.25 * math.pi * d2 > -math.log(analysis._TAIL_TOL)
     assert np.all(gram[past_tail] == 0.0)
     closed_form = _old_lattice_gram(m, n)
     assert np.abs(gram - closed_form)[~past_tail].max() <= 1e-14
@@ -199,7 +199,7 @@ def _masked_exp_lattice_gram(m, n):
     # the Gram before its modulus table: exp on every entry, then the tail masked
     dm = m[None, :] - m[:, None]
     d2 = dm**2 + (n[:, None] - n[None, :]) ** 2
-    tail = 4.0 * math.log(1.0 / quad.DEFAULT_TAIL_TOL) / math.pi
+    tail = 4.0 * math.log(1.0 / analysis._TAIL_TOL) / math.pi
     mag = np.where(d2 <= tail, np.exp(-0.25 * math.pi * d2), 0.0)
     return mag * np.array([1.0, 1.0j, -1.0, -1.0j])[((n[:, None] + n[None, :]) * dm) % 4]
 
@@ -309,6 +309,13 @@ def test_dual_decay_fit_needs_three_rings():
     for fit in (analysis.dual_decay_fit, dual_decay_fit_oracle):
         with pytest.raises(ValueError):
             fit(box, coeffs, (0, 0))
+
+
+def test_dual_decay_fit_rejects_equal_ring_maxima():
+    # equal moduli leave no spread about the mean, so R^2 has no value
+    box, _, _ = analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), (0, 0), 4)
+    with pytest.raises(ValueError, match="same modulus"):
+        analysis.dual_decay_fit(box, np.full(len(box), 0.5), (0, 0))
 
 
 def _spy_on_eigh(monkeypatch):

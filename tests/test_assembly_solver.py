@@ -10,7 +10,16 @@ from gcshelm.experiments import ExperimentConfig, _ReferenceCache, run_cell
 from gcshelm.phase_space import LatticeSpec, build_symbol_set
 from gcshelm.problem_model import ProblemCase
 
-from helpers import dense, norm, one_block, pairs_of, states_from_index_set, support_window
+from helpers import (
+    dense,
+    norm,
+    one_block,
+    pairs_of,
+    SINCOS_WINDOW_SIGMAS,
+    sincos_state_blocks,
+    states_from_index_set,
+    support_window,
+)
 
 
 def make_system(k=50.0, delta=0.5, density=64, case=None):
@@ -95,8 +104,9 @@ def test_normal_equation_optimality():
 
 
 def test_monotone_residual_in_delta():
-    # each set gets its own window; outside it both the states and the
-    # source are below exp(-72), so the residuals compare as on one rule
+    # each set gets its own window; outside it the states are below 1e-16 of
+    # their peaks and the source vanishes, so the residuals compare as on one
+    # rule
     k = 50.0
     case = ProblemCase.homogeneous(k)
     spec = LatticeSpec(1.0 / k)
@@ -247,17 +257,70 @@ def test_reconstruct_matches_per_state_sum(order):
     assert isinstance(asm.reconstruct(report, iset, 0.37)[order], complex)
 
 
+# the five benchmark cells, and the table cells hom (20, 2) and het (20, 12)
+SINCOS_CELLS = [
+    ("homogeneous", 100.0, 0.8),
+    ("homogeneous", 200.0, 0.6),
+    ("homogeneous", 400.0, 0.336),
+    ("heterogeneous", 50.0, 6.0),
+    ("heterogeneous", 100.0, 4.0),
+    ("homogeneous", 20.0, 2.0),
+    ("heterogeneous", 20.0, 12.0),
+]
+
+
+def sincos_kernel(hbar, x0, n, x, op=None):
+    """``sincos_state_blocks`` behind the signature of ``gs.state_blocks``."""
+    return sincos_state_blocks(hbar, x0, n * math.sqrt(math.pi * hbar), x, op=op)
+
+
+@pytest.mark.parametrize(
+    "name,k,delta", SINCOS_CELLS, ids=lambda v: f"{v:g}" if isinstance(v, float) else v
+)
+def test_cell_matches_the_12_sigma_sincos_kernel(name, k, delta, monkeypatch):
+    # the kernel cut at 1e-16 of each peak, with phases as lattice powers,
+    # against the former one cut at exp(-72) with sin and cos on every
+    # entry: first the blocks on the rows both windows hold, then the whole
+    # cell, each kernel with the rule it places.  The blocks moved by at
+    # most 6.9e-15; the rank-deficient cells move by rounding in the
+    # directions near the cutoff (measured with 2 BLAS threads: rel_h1k
+    # 8.8e-5 at het (100, 4), residual 1.6e-4 at hom (20, 2); the full-rank
+    # cells by under 4e-6).
+    case = ProblemCase.from_name(name, k)
+    cache = _ReferenceCache()
+    record, report, iset = run_cell(case, delta, ExperimentConfig(), cache)
+    hbar = iset.lattice.hbar
+    nodes = cell_system(case, delta)[0].rule.nodes
+    for op in (case.operator(), None):
+        old = {
+            cols.start: (rows, block)
+            for rows, cols, block in sincos_kernel(hbar, iset.x_array(), iset.n, nodes, op)
+        }
+        for rows, cols, block in gs.state_blocks(hbar, iset.x_array(), iset.n, nodes, op):
+            old_rows, old_block = old[cols.start]
+            assert old_rows.start <= rows.start and rows.stop <= old_rows.stop
+            shared = old_block[rows.start - old_rows.start : rows.stop - old_rows.start]
+            assert np.abs(block - shared).max() <= 1e-14 * np.abs(old_block).max()
+    monkeypatch.setattr(gs, "state_blocks", sincos_kernel)
+    monkeypatch.setattr(gs, "WINDOW_SIGMAS", SINCOS_WINDOW_SIGMAS)
+    oracle, oracle_report, _ = run_cell(case, delta, ExperimentConfig(), cache)
+    assert record.ndofs == oracle.ndofs and record.rank == oracle.rank
+    assert abs(record.rel_h1k_error - oracle.rel_h1k_error) <= 1e-4 * oracle.rel_h1k_error
+    assert abs(report.residual_norm - oracle_report.residual_norm) <= 5e-4 * oracle_report.residual_norm
+
+
 @pytest.mark.parametrize("cell", ["heterogeneous", "homogeneous"])
 def test_design_matrix_window_and_no_subnormals(cell, het_cell, hom_cell):
     # Gaussian tails underflow to subnormal numbers, on which gelsd ran several
-    # times slower; the kernel leaves them exactly zero outside 12 sqrt(hbar).
+    # times slower; the kernel leaves them exactly zero outside its window,
+    # where a state is below 1e-16 of its peak.
     system, iset = het_cell if cell == "heterogeneous" else hom_cell
     a = dense(system.matrix)
     tiny = np.finfo(float).tiny
     for part in (a.real, a.imag):
         assert not np.any((np.abs(part) > 0.0) & (np.abs(part) < tiny))
     dist = np.abs(system.rule.nodes[:, None] - iset.x_array()[None, :])
-    far = dist > 12.0 * np.sqrt(iset.lattice.hbar)
+    far = dist > gs.WINDOW_SIGMAS * np.sqrt(iset.lattice.hbar)
     assert np.any(far) and not np.any(a[far])
 
 
@@ -377,7 +440,7 @@ def test_design_matrix_is_a_staircase_band(hom_cell):
     first = (a != 0).argmax(axis=0)
     assert np.all(np.diff(iset.x_array()) >= 0.0)
     assert np.all(np.diff(first) >= 0)
-    assert a.shape[1] == 364 and np.count_nonzero(a, axis=1).max() == 112
+    assert a.shape[1] == 364 and np.count_nonzero(a, axis=1).max() == 80
     shuffled = np.random.default_rng(2).permutation(a.shape[1])
     assert np.any(np.diff(first[shuffled]) < 0)
 

@@ -85,11 +85,12 @@ def test_diagnose_operations_pass_their_checks(workloads):
         assert outcome.failure is None, f"{name}: {outcome.failure}"
 
 
-@pytest.mark.parametrize("name", ("table-hom", "table-het"))
+@pytest.mark.parametrize("name", ("table-hom", "table-het", "scaling-hom"))
 def test_table_operations_pass_their_checks(name, workloads):
-    # a problem-layer change that moves a cell's ndofs, rank, error or
-    # residual off the benchmark seed fails here, not first as failed
-    # benchmark operations; the checks read the sizes the SystemLog records
+    # a problem-layer or kernel change that moves a cell's ndofs, rank,
+    # error or residual, or a scaling hit, off the benchmark seed fails
+    # here, not first as failed benchmark operations; the checks read the
+    # sizes the SystemLog records
     for op_name, run, check in workloads.make(name).operations():
         with load_tracer().SystemLog() as log:
             out = run()

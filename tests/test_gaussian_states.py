@@ -304,30 +304,54 @@ def test_operator_pair_inner_matches_quadrature():
 def test_state_blocks_match_per_state_derivatives():
     # every kernel path (the state and an operator's multiplier, constant
     # and heterogeneous) and the derivative blocks of orders 1-4 built on it
-    # against the per-state reference, for states off the lattice at HBAR
-    # and on the lattice of hbar = 1/100, on nodes that hold the centres
+    # against the per-state reference, for states off the lattice positions
+    # at HBAR and on the lattice of hbar = 1/100, on nodes that hold the
+    # centres; frequencies are lattice ones, n * sqrt(pi*hbar)
     h = math.sqrt(math.pi / 100.0)
     state_sets = [
-        (HBAR, np.array([-0.3, -0.3, 0.0, 0.4, 0.4, 0.4]), np.array([-1.0, 0.5, 0.0, -0.7, 0.2, 1.1])),
-        (1.0 / 100.0, h * np.array([-3, -3, 0, 2, 2, 2]), h * np.array([-4, 1, 0, -2, 3, 6])),
+        (HBAR, np.array([-0.3, -0.3, 0.0, 0.4, 0.4, 0.4]), np.array([-4, 2, 0, -3, -2, 4])),
+        (1.0 / 100.0, h * np.array([-3, -3, 0, 2, 2, 2]), np.array([-4, 1, 0, -2, 3, 6])),
     ]
     paths = [(order, None) for order in range(gs.MAX_DERIVATIVE_ORDER + 1)]
     paths += [(0, gs.constant_operator(-1.0, 0.0, -1.0)), (0, ProblemCase.heterogeneous(100.0).operator())]
-    for hbar, x0, xi0 in state_sets:
+    for hbar, x0, n in state_sets:
         x = np.sort(np.concatenate([np.linspace(-3.5, 3.5, 1401), x0]))
         for order, op in paths:
             dense = np.zeros((x.size, x0.size), dtype=complex)
             if op is None:
-                blocks = derivative_blocks(hbar, x0, xi0, x, order)
+                blocks = derivative_blocks(hbar, x0, n, x, order)
             else:
-                blocks = gs.state_blocks(hbar, x0, xi0, x, op=op)
+                blocks = gs.state_blocks(hbar, x0, n, x, op=op)
             for rows, cols, block in blocks:
                 dense[rows, cols] = block
             for j in range(x0.size):
-                state = gs.CoherentState(hbar, x0[j], xi0[j])
+                state = gs.CoherentState(hbar, x0[j], n[j] * math.sqrt(math.pi * hbar))
                 ref = gs.eval_derivative(state, order, x) if op is None else gs.apply_operator(state, op, x)
                 near = np.abs(x - x0[j]) <= gs.WINDOW_SIGMAS * math.sqrt(hbar)
                 assert np.max(np.abs(dense[near, j] - ref[near])) <= 1e-12 * np.max(np.abs(ref))
                 assert not np.any(dense[~near, j])
     with pytest.raises(ValueError):
-        next(gs.state_blocks(HBAR, x0, xi0, x[::-1]))
+        next(gs.state_blocks(HBAR, x0, n, x[::-1]))
+    with pytest.raises(TypeError):
+        next(gs.state_blocks(HBAR, x0, n * 1.0, x))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [np.arange(-30, 34), np.array([-13, -12, -11, -10, 10, 11, 12, 13])],
+    ids=["run-of-64", "gapped-pm-xi"],
+)
+def test_state_blocks_phase_powers_match_per_state(n):
+    # within a block the phases are powers of one root exp(1j*h*u/hbar) per
+    # row, reseeded from an exact exp where a run of consecutive n starts
+    # and every few columns: a run of 64 n at hbar = 1/400, and the gapped
+    # +-xi block of every position of hom (400, 0.336)
+    hbar = 1.0 / 400.0
+    h = math.sqrt(math.pi * hbar)
+    x0 = np.full(n.size, 3 * h)
+    x = np.sort(np.append(np.linspace(-0.5, 0.7, 4801), 3 * h))
+    ((rows, cols, block),) = gs.state_blocks(hbar, x0, n, x)
+    assert cols == slice(0, n.size)
+    for j in range(n.size):
+        ref = gs.eval_state(gs.CoherentState(hbar, x0[j], n[j] * h), x[rows])
+        assert np.max(np.abs(block[:, j] - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -69,11 +69,12 @@ def test_support_window_single_and_hull():
     hbar = 0.01
     s = gs.CoherentState(hbar, 0.5, 0.0)
     lo, hi = support_window([s])
-    assert abs(lo - (0.5 - 12 * math.sqrt(hbar))) < 1e-12
-    assert abs(hi - (0.5 + 12 * math.sqrt(hbar))) < 1e-12
+    reach = gs.WINDOW_SIGMAS * math.sqrt(hbar)
+    assert abs(lo - (0.5 - reach)) < 1e-12
+    assert abs(hi - (0.5 + reach)) < 1e-12
     s2 = gs.CoherentState(hbar, 5.0, 0.0)
     lo2, hi2 = support_window([s, s2])
-    assert lo2 == lo and abs(hi2 - (5.0 + 12 * math.sqrt(hbar))) < 1e-12
+    assert lo2 == lo and abs(hi2 - (5.0 + reach)) < 1e-12
 
 
 def test_support_window_covers_pml_states():
