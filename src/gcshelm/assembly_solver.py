@@ -23,14 +23,17 @@ in two steps.  A row-block streaming QR (TSQR; Demmel, Grigori, Hoemmen and
 Langou, SIAM J. Sci. Comput. 34, 2012) stacks the carried triangle on each
 block of [A | b], filled from the state blocks that overlap its rows and
 restricted to the columns those rows can touch, and emits the rows of R
-whose columns no later block touches.  Those column windows and the band
-are read off the staircase of the blocks' row and column bounds.  The N x N
-triangle R has A's singular values, and its truncated-SVD least-squares
-solve with the relative cutoff gives the rank and the minimum-norm solution
-of A.  The residual comes from the same triangle: for every c,
-||A c - b||**2 = ||R c - Q^H b||**2 + rho**2, where rho is the last diagonal
-entry of the triangle of [A | b] (Golub and Van Loan, Matrix Computations,
-section 5.3), so no second pass over the blocks forms A c.
+whose columns no later block touches.  Those column windows, the band
+and the rows per block are read off the staircase of the blocks' row and
+column bounds: a block of max(band, band * Q // (4 N)) rows reaches about
+a quarter band of new columns, so each array handed to the QR stays near
+5/4 band wide (``_row_step``).  The N x N triangle R has A's singular
+values, and its truncated-SVD least-squares solve with the relative cutoff
+gives the rank and the minimum-norm solution of A.  The residual comes
+from the same triangle: for every c, ||A c - b||**2 = ||R c - Q^H b||**2 +
+rho**2, where rho is the last diagonal entry of the triangle of [A | b]
+(Golub and Van Loan, Matrix Computations, section 5.3), so no second pass
+over the blocks forms A c.
 
 The factorizations call ``numpy.linalg`` only.  numpy and scipy link
 separate OpenBLAS builds, each with its own thread pool.  On a 2-vCPU
@@ -59,10 +62,6 @@ __all__ = [
 ]
 
 DEFAULT_CUTOFF = 1e-12
-
-# rows per block of the streaming QR: max(_BLOCK_PER_BAND * band, _BLOCK_MIN)
-_BLOCK_PER_BAND = 4
-_BLOCK_MIN = 1024
 
 
 @dataclass(frozen=True)
@@ -182,8 +181,8 @@ def _banded_qr(a, b):
     band = (
         widths[np.searchsorted(starts, starts, side="right")]
         - widths[np.searchsorted(stops, starts, side="right")]
-    )
-    step = max(_BLOCK_PER_BAND * int(band.max()), _BLOCK_MIN)
+    ).max()
+    step = _row_step(int(band), q, n)
     # indexed by searchsorted: n past the last block, 0 before the first
     first_col = np.append(col_starts, n)
     end_col = np.append(0, col_stops)
@@ -220,6 +219,20 @@ def _banded_qr(a, b):
         lo = done
     # after the last block done = n, so the carry is [rho] or empty
     return r, qhb, float(abs(carry[0, 0])) if carry.size else 0.0
+
+
+def _row_step(band, q, n):
+    """Rows of A per block of ``_banded_qr``, read off the staircase.
+
+    A block of s rows reaches about s*n/q columns past the last, so its QR
+    factors about band + s rows (the carried triangle and the block) over
+    band + s*n/q columns.  Per row of A that costs (band + s*n/q)**2, plus
+    the carried triangle spread over the s rows; the sum is smallest near
+    s*n/q = band/4, where each array handed to the QR holds about
+    (band + s) x 5/4 band entries.  A block has at least band rows, as many
+    as the carried triangle, which every step factors again.
+    """
+    return max(band, band * q // (4 * n))
 
 
 def reconstruct(report, index_set, x):

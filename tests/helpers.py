@@ -1,7 +1,8 @@
 """Oracles the tests share: per-state lists, dense views of block matrices,
-derivative blocks, the former 12-sigma sin/cos state kernel, quadrature
-inner products, the closed-form overlap and operator pairing of two
-states, the operator on function values, the closed-form iterated
+the former row step of the streaming QR and a recorder of the arrays it
+factors, derivative blocks, the former 12-sigma sin/cos state kernel,
+quadrature inner products, the closed-form overlap and operator pairing of
+two states, the operator on function values, the closed-form iterated
 residual, the box estimate of the frame bounds, the complex solve of the
 dual frame, the Zak frame function, the masked forms of the C3 plateaus,
 the PML and P_k's coefficients, the nu formulas of P_k's symbol,
@@ -51,6 +52,26 @@ def one_block(a):
     """A dense array as an ``asm.BlockMatrix`` of one block."""
     q, n = a.shape
     return asm.BlockMatrix((q, n), ((slice(0, q), slice(0, n), np.asarray(a, dtype=complex)),))
+
+
+def former_row_step(band, q, n):
+    """Rows per block of ``asm._banded_qr`` before ``asm._row_step``: max(4 band, 1024).
+
+    The oracle of the row step, substituted for ``asm._row_step``; it fixed
+    the rows and left the columns to grow with them.
+    """
+    return max(4 * band, 1024)
+
+
+def qr_recorder(shapes):
+    """``np.linalg.qr`` that first appends the shape of the array it factors to ``shapes``."""
+    qr = np.linalg.qr
+
+    def recording(a, mode="reduced"):
+        shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    return recording
 
 
 def derivative_blocks(hbar, x0, n, x, order):
