@@ -13,13 +13,30 @@ slower.  ``assemble`` builds its own quadrature rule on the union of those
 windows and the source support, so no state mass above 1e-16 of its peak,
 and no source, falls outside the rule.
 
-The matrix is never formed: ``assemble`` keeps only the blocks that
-``state_blocks`` yields, each scaled by sqrt(w_q), so storage grows with
-the number of nonzeros, not with Q x N (at heterogeneous (k, delta) =
-(100, 4), 1.30M of 6.38M entries).  Index sets are sorted by position, so
-the blocks form a staircase band: there a row touches at most 268 of 985
-columns.  The solve factorizes the matrix itself (never the normal matrix)
-in two steps.  A row-block streaming QR (TSQR; Demmel, Grigori, Hoemmen and
+Both model problems are mirror-symmetric.  With (Rf)(x) = f(-x), the
+coefficients a and c of P_k are even and b is odd, so P_k R = R P_k, and
+R Psi_{m,n} = Psi_{-m,-n}.  ``assemble`` takes an index set closed under
+(m, n) -> (-m, -n), where the partner of column j is column N-1-j, and a
+rule whose nodes mirror bit for bit (``quadrature.build_rule`` on a window
+symmetric about 0).  In the orthogonal bases (f(x) +- f(-x))/sqrt(2) of the
+rows and (e_j +- e_{N-1-j})/sqrt(2) of the columns the system is
+block-diagonal, E + O, each half about N/2 wide: an entry of E or O is
+sqrt(w) * ((P_k Psi_j)(x) +- (P_k Psi_j)(-x)) at a node x >= 0 (times
+1/sqrt(2) at x = 0 and for the state (0, 0), which are their own mirrors).
+So ``assemble`` evaluates only the states with m >= 0 and folds each
+block's rows at x < 0 onto their mirrors; a state whose window does not
+reach its mirror has the same block in both halves, held once.  A and
+E + O have the same singular values, so the rank, the residual and the
+minimum-norm solution carry over, and ``solve`` maps the coefficients back
+to state order.
+
+The matrix is never formed: ``assemble`` keeps only the blocks, each
+scaled by sqrt(w_q), so storage grows with the number of nonzeros, not
+with Q x N (at heterogeneous (k, delta) = (100, 4), 1.30M of 6.38M
+entries).  Index sets are sorted by position, so the blocks of each half
+form a staircase band: there a row touches at most 268 of 985 columns.
+The solve factorizes each half itself (never the normal matrix) in two
+steps.  A row-block streaming QR (TSQR; Demmel, Grigori, Hoemmen and
 Langou, SIAM J. Sci. Comput. 34, 2012) stacks the carried triangle on each
 block of [A | b], filled from the state blocks that overlap its rows and
 restricted to the columns those rows can touch, and emits the rows of R
@@ -27,13 +44,21 @@ whose columns no later block touches.  Those column windows, the band
 and the rows per block are read off the staircase of the blocks' row and
 column bounds: a block of max(band, band * Q // (4 N)) rows reaches about
 a quarter band of new columns, so each array handed to the QR stays near
-5/4 band wide (``_row_step``).  The N x N triangle R has A's singular
-values, and its truncated-SVD least-squares solve with the relative cutoff
-gives the rank and the minimum-norm solution of A.  The residual comes
-from the same triangle: for every c, ||A c - b||**2 = ||R c - Q^H b||**2 +
-rho**2, where rho is the last diagonal entry of the triangle of [A | b]
+5/4 band wide (``_row_step``).  The two triangles together have A's
+singular values, and their truncated-SVD least-squares solves (LAPACK's
+``gelsd``), all at one absolute cutoff, give the rank and the minimum-norm
+solution of A.  Each ``gelsd`` is O((N/2)**3), so the two cost about a
+quarter of one on all of A: at heterogeneous (100, 4) the solve took 300
+ms against 711 ms, at (400, 2) 3.0 s against 10.7 s.  The residual comes
+from the same triangles: for every c, ||A c - b||**2 = ||R c - Q^H b||**2
++ rho**2, where rho is the last diagonal entry of the triangle of [A | b]
 (Golub and Van Loan, Matrix Computations, section 5.3), so no second pass
-over the blocks forms A c.
+over the blocks forms A c.  Streamed as one staircase, the folded matrix
+gives a triangle whose coupling block between the halves is exactly zero,
+but the even half's part of b outside its range then runs through the odd
+half's reflections: at homogeneous (50, 1) the residual left in the kept
+singular directions read 1.3e-6 of ||b|| that way, and 2.7e-7 with each
+half streamed on its own.
 
 The factorizations call ``numpy.linalg`` only.  numpy and scipy link
 separate OpenBLAS builds, each with its own thread pool.  On a 2-vCPU
@@ -62,6 +87,7 @@ __all__ = [
 ]
 
 DEFAULT_CUTOFF = 1e-12
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -95,11 +121,18 @@ class BlockMatrix:
 
 @dataclass(frozen=True)
 class DesignSystem:
-    """Complex least-squares system A c ~ b, A held as blocks, with its quadrature rule."""
+    """Complex least-squares system A c ~ b, A held as blocks, with its quadrature rule.
+
+    ``folded`` marks the system ``assemble`` returns: its rows and columns
+    are the even, then the odd combinations of mirror pairs (``_fold``), so
+    ``matrix`` is block-diagonal, and ``solve`` maps the coefficients back
+    to state order.  Otherwise rows are nodes and columns states.
+    """
 
     matrix: BlockMatrix
     rhs: np.ndarray
     rule: quad.QuadratureRule
+    folded: bool = False
 
     def __post_init__(self):
         q, n = self.matrix.shape
@@ -113,9 +146,11 @@ class DesignSystem:
 class SolveReport:
     """Minimum-norm least-squares solution with rank and residual metadata.
 
-    The singular values are those of the design matrix: the largest, the
-    smallest kept above ``truncation_cutoff * sigma_max``, and the largest
-    dropped (0.0 at full rank).
+    The coefficients are in state order, whatever basis the system was
+    solved in.  The singular values are those of the design matrix, over
+    both parity halves of a folded system: the largest, the smallest kept
+    above ``truncation_cutoff * sigma_max``, and the largest dropped (0.0
+    at full rank).
     """
 
     coefficients: np.ndarray
@@ -128,39 +163,126 @@ class SolveReport:
 
 
 def assemble(index_set, case, nodes_per_wavelength):
-    """Sample P_k Psi_j and the source on a rule built for them.
+    """Sample P_k Psi_j and the source on a rule built for them, folded by parity.
 
     The rule has ``nodes_per_wavelength`` nodes per wavelength 2*pi/k on the
     union of every state's window [x_j - r, x_j + r], r =
-    ``gs.WINDOW_SIGMAS`` * sqrt(hbar), and the source support.
+    ``gs.WINDOW_SIGMAS`` * sqrt(hbar), and the source support.  The set must
+    be closed under (m, n) -> (-m, -n) and the coefficients (a, b, c) of P_k
+    even, odd and even on the rule's mirrored nodes; otherwise ValueError.
+    Only the states with m >= 0 are evaluated: each block's x < 0 rows fold
+    onto their mirror rows into the even and odd halves of the system.
     """
+    m, n = index_set.m, index_set.n
+    if not (np.array_equal(m, -m[::-1]) and np.array_equal(n, -n[::-1])):
+        raise ValueError("index set is not closed under (m, n) -> (-m, -n)")
     x0 = index_set.x_array()
     reach = gs.WINDOW_SIGMAS * math.sqrt(index_set.lattice.hbar)
     flo, fhi = case.rhs_support()
     window = (min(x0.min() - reach, flo), max(x0.max() + reach, fhi))
     rule = quad.build_rule(window, case.k, nodes_per_wavelength)
+    x = rule.nodes
+    if not np.array_equal(x[::-1], -x):
+        raise ValueError(f"quadrature window {window!r} is not symmetric about 0")
+    op = case.operator()
+    a, b, c = (np.broadcast_to(v, x.shape) for v in op.coefficients(x))
+    if not (np.array_equal(a[::-1], a) and np.array_equal(b[::-1], -b) and np.array_equal(c[::-1], c)):
+        raise ValueError("operator coefficients (a, b, c) are not even, odd and even in x")
+
+    q, size = len(rule), len(index_set)
+    zero, pos = q // 2, (q + 1) // 2  # the first node x >= 0 and the first x > 0
+    q_even = q - zero
+    upper = size // 2  # the first state with m > 0, or m = 0 and n >= 0
+    n_even, middle = size - upper, size % 2  # (0, 0) is in the set when size is odd
     root_w = np.sqrt(rule.weights)
-    blocks = []
-    for rows, cols, block in _blocks(index_set, rule.nodes, op=case.operator()):
+    even, odd = [], []
+    for rows, cols, block in _blocks(index_set, x, op=op, start=upper):
         block *= root_w[rows, None]
-        blocks.append((rows, cols, block))
-    rhs = root_w * case.rhs(rule.nodes)
-    return DesignSystem(BlockMatrix((len(rule), len(index_set)), tuple(blocks)), rhs, rule)
+        lo, hi = rows.start, rows.stop
+        if lo >= pos:  # no node of the window has its mirror in it
+            plus = minus = block
+        else:
+            # node zero + i has its mirror pos - 1 - i in the block for i < t
+            top = block[zero - lo :]
+            t = min(hi - zero, pos - lo)
+            mirror = block[pos - lo - t : pos - lo][::-1]
+            plus, minus = top.copy(), top.copy()
+            plus[:t] += mirror
+            minus[:t] -= mirror
+            if pos > zero:  # the node at 0 is its own mirror
+                plus[0] *= _SQRT_HALF
+                minus = minus[1:]
+            lo = zero
+        c0, c1 = cols.start, cols.stop
+        if middle and c0 == 0:  # the state (0, 0) is its own mirror
+            plus = plus * np.where(np.arange(c1) == 0, _SQRT_HALF, 1.0)
+            minus = minus[:, 1:]
+        even.append((slice(lo - zero, hi - zero), cols, plus))
+        if minus.size:  # empty for the block of (0, 0) alone
+            odd.append((
+                slice(max(lo, pos) - pos + q_even, hi - pos + q_even),
+                slice(max(c0, middle) - middle + n_even, c1 - middle + n_even),
+                minus,
+            ))
+    rhs = _fold(root_w * case.rhs(x))
+    return DesignSystem(BlockMatrix((q, size), tuple(even + odd)), rhs, rule, folded=True)
 
 
 def solve(system, cutoff_rel=DEFAULT_CUTOFF):
-    """Rank-revealing least-squares solve of the rectangular design matrix."""
+    """Rank-revealing least-squares solve of the rectangular design matrix.
+
+    Each diagonal block of the staircase (``_diagonal_blocks``: the even and
+    the odd half of a system from ``assemble``) streams its own QR, and one
+    ``lstsq`` runs on each triangle, all truncated at tau = ``cutoff_rel``
+    * sigma_max of the whole matrix.  A block whose own relative cutoff
+    keeps another set of singular values than tau does is solved again at
+    tau.  The coefficients come back in state order.
+    """
     if not 0.0 < cutoff_rel < 1.0:
         raise ValueError("cutoff_rel must lie in (0, 1)")
-    r, qhb, rho = _banded_qr(system.matrix, system.rhs)
-    coeff, _, rank, sigma = np.linalg.lstsq(r, qhb, rcond=cutoff_rel)
-    # ||A c - b||**2 = ||R c - Q^H b||**2 + rho**2 for every c
-    residual = math.hypot(float(np.linalg.norm(r @ coeff - qhb)), rho)
-    dropped = float(sigma[rank]) if rank < sigma.size else 0.0
+    if not any(block.any() for _, _, block in system.matrix.blocks):
+        raise ValueError("design matrix is identically zero")
+    triangles = [_banded_qr(sub, system.rhs[rows]) for rows, sub in _diagonal_blocks(system.matrix)]
+    parts = [np.linalg.lstsq(r, qhb, rcond=cutoff_rel) for r, qhb, _ in triangles]
+    sigma_max = max(float(sigma[0]) for *_, sigma in parts)
+    tau = cutoff_rel * sigma_max
+    for k, ((r, qhb, _), (_, _, rank, sigma)) in enumerate(zip(triangles, parts)):
+        if np.count_nonzero(sigma > tau) != rank:
+            parts[k] = np.linalg.lstsq(r, qhb, rcond=tau / sigma[0])
+    # ||A c - b||**2 = ||R c - Q^H b||**2 + rho**2 for every c, summed over the blocks
+    residual = math.sqrt(sum(
+        float(np.linalg.norm(r @ c - qhb)) ** 2 + rho**2
+        for (r, qhb, rho), (c, *_) in zip(triangles, parts)
+    ))
+    coeff = np.concatenate([part[0] for part in parts])
+    sigma = np.concatenate([part[3] for part in parts])
+    kept = np.concatenate([np.arange(s.size) < rank for _, _, rank, s in parts])
+    dropped = 0.0 if kept.all() else float(sigma[~kept].max())
     return SolveReport(
-        coeff, int(rank), float(cutoff_rel), residual,
-        float(sigma[0]), float(sigma[rank - 1]), dropped,
+        _unfold(coeff) if system.folded else coeff, int(kept.sum()), float(cutoff_rel),
+        residual, sigma_max, float(sigma[kept].min()), dropped,
     )
+
+
+def _diagonal_blocks(a):
+    """The diagonal blocks of a staircase, as (rows, BlockMatrix) pairs.
+
+    A cut falls before every block that shares no row with the blocks
+    before it; rows and columns that no block touches go with the diagonal
+    block before them, or the first.
+    """
+    q, n = a.shape
+    starts, stops = a.row_bounds.T
+    first = np.flatnonzero(np.append(True, stops[:-1] <= starts[1:]))
+    rows = np.concatenate(([0], starts[first[1:]], [q]))
+    cols = np.concatenate(([0], a.col_bounds[first[1:], 0], [n]))
+    for k, (i, j) in enumerate(zip(first, np.append(first[1:], len(a.blocks)))):
+        r0, c0 = rows[k], cols[k]
+        blocks = tuple(
+            (slice(r.start - r0, r.stop - r0), slice(c.start - c0, c.stop - c0), block)
+            for r, c, block in a.blocks[i:j]
+        )
+        yield slice(r0, rows[k + 1]), BlockMatrix((rows[k + 1] - r0, cols[k + 1] - c0), blocks)
 
 
 def _banded_qr(a, b):
@@ -171,8 +293,6 @@ def _banded_qr(a, b):
     """
     q, n = a.shape
     blocks = a.blocks
-    if not any(block.any() for _, _, block in blocks):
-        raise ValueError("design matrix is identically zero")
     starts, stops = a.row_bounds.T
     col_starts, col_stops = a.col_bounds.T
     # band: the most columns that cover one row, as at some block start; the
@@ -235,6 +355,28 @@ def _row_step(band, q, n):
     return max(band, band * q // (4 * n))
 
 
+def _fold(values):
+    """The even, then the odd parts of values at mirrored positions, along the first axis.
+
+    Positions i and L-1-i are mirrors.  The ceil(L/2) even parts are the
+    middle value (L odd) and (v[i] + v[L-1-i])/sqrt(2), i = (L+1)//2, ...,
+    L-1; the L//2 odd parts (v[i] - v[L-1-i])/sqrt(2) of the same i.  An
+    orthogonal change of basis, undone by ``_unfold``.
+    """
+    size = len(values)
+    half = size // 2
+    upper, lower = values[size - half :], values[:half][::-1]
+    return np.concatenate([values[half : size - half], (upper + lower) * _SQRT_HALF, (upper - lower) * _SQRT_HALF])
+
+
+def _unfold(folded):
+    """Values in position order from the even and odd parts of ``_fold``, along the first axis."""
+    size = len(folded)
+    half = size // 2
+    middle, even, odd = folded[: size - 2 * half], folded[size - 2 * half : size - half], folded[size - half :]
+    return np.concatenate([((even - odd) * _SQRT_HALF)[::-1], middle, (even + odd) * _SQRT_HALF])
+
+
 def reconstruct(report, index_set, x):
     """The solved combination u = sum_j c_j Psi_j and its derivative u' at x.
 
@@ -262,5 +404,7 @@ def reconstruct(report, index_set, x):
     return out[0].reshape(xv.shape), out[1].reshape(xv.shape)
 
 
-def _blocks(index_set, nodes, op=None):
-    return gs.state_blocks(index_set.lattice.hbar, index_set.x_array(), index_set.n, nodes, op=op)
+def _blocks(index_set, nodes, op=None, start=0):
+    """``gs.state_blocks`` of the states ``start``, ``start`` + 1, ... of an index set."""
+    x0, n = index_set.x_array()[start:], index_set.n[start:]
+    return gs.state_blocks(index_set.lattice.hbar, x0, n, nodes, op=op)

@@ -76,6 +76,8 @@ def build_rule(window, k, nodes_per_wavelength):
     Returns
     -------
     QuadratureRule
+        On a window symmetric about 0, ``nodes[::-1] == -nodes`` and
+        ``weights[::-1] == weights`` bit for bit.
     """
     a, b = float(window[0]), float(window[1])
     if not b > a:
@@ -89,6 +91,12 @@ def build_rule(window, k, nodes_per_wavelength):
 
     ref_x, ref_w = np.polynomial.legendre.leggauss(nodes_per_panel)
     edges = np.linspace(a, b, panels + 1)
+    if a == -b:
+        # the edges at x > 0 mirrored onto x < 0, and 0 itself for an even
+        # panel count: with leggauss's ref_x odd and ref_w even bit for bit,
+        # nodes[::-1] == -nodes and weights[::-1] == weights exactly
+        upper = edges[panels // 2 + 1 :]
+        edges = np.concatenate([-upper[::-1], np.zeros(1 - panels % 2), upper])
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()

@@ -1,14 +1,15 @@
-"""Oracles the tests share: per-state lists, dense views of block matrices,
-the former row step of the streaming QR and a recorder of the arrays it
-factors, derivative blocks, the former 12-sigma sin/cos state kernel,
-quadrature inner products, the closed-form overlap and operator pairing of
-two states, the operator on function values, the closed-form iterated
-residual, the box estimate of the frame bounds, the complex solve of the
-dual frame, the Zak frame function, the masked forms of the C3 plateaus,
-the PML and P_k's coefficients, the nu formulas of P_k's symbol,
-coefficients and FEM element matrices, the einsum assembly and
-end-decoupling solve of the FEM reference, and a CSV reader for the table
-output."""
+"""Oracles the tests share: per-state lists, dense views of block matrices
+and of the design matrix in state order, the assembly and the triangle solve
+before the parity fold, the former row step of the streaming QR and a
+recorder of the arrays it factors, derivative blocks, the former 12-sigma
+sin/cos state kernel, quadrature inner products, the closed-form overlap
+and operator pairing of two states, the operator on function values, the
+closed-form iterated residual, the box estimate of the frame bounds, the
+complex solve of the dual frame, the Zak frame function, the masked forms
+of the C3 plateaus, the PML and P_k's coefficients, the nu formulas of
+P_k's symbol, coefficients and FEM element matrices, the einsum assembly
+and end-decoupling solve of the FEM reference, and a CSV reader for the
+table output."""
 
 import csv
 import io
@@ -22,6 +23,7 @@ from gcshelm import analysis
 from gcshelm import assembly_solver as asm
 from gcshelm import gaussian_states as gs
 from gcshelm import problem_model as pm
+from gcshelm import quadrature as quad
 from gcshelm import reference_fem as fem
 from gcshelm.experiments import ExperimentRecord
 
@@ -46,6 +48,56 @@ def dense(matrix):
     for rows, cols, block in matrix.blocks:
         out[rows, cols] = block
     return out
+
+
+def state_matrix(system):
+    """The Q x N design matrix A of a system in state order, on the rule's nodes.
+
+    Undoes the parity fold of ``asm.assemble`` (rows then columns); an
+    unfolded system is its dense matrix.
+    """
+    a = dense(system.matrix)
+    if system.folded:
+        a = asm._unfold(asm._unfold(a).T).T
+    return a
+
+
+def state_rhs(system):
+    """The right-hand side of a system in node order: the parity fold undone."""
+    return asm._unfold(system.rhs) if system.folded else system.rhs
+
+
+def unfolded_assemble(index_set, case, nodes_per_wavelength):
+    """``asm.assemble`` before the parity fold: every state on the same rule, rows are nodes."""
+    x0 = index_set.x_array()
+    reach = gs.WINDOW_SIGMAS * math.sqrt(index_set.lattice.hbar)
+    flo, fhi = case.rhs_support()
+    window = (min(x0.min() - reach, flo), max(x0.max() + reach, fhi))
+    rule = quad.build_rule(window, case.k, nodes_per_wavelength)
+    root_w = np.sqrt(rule.weights)
+    blocks = []
+    for rows, cols, block in asm._blocks(index_set, rule.nodes, op=case.operator()):
+        block *= root_w[rows, None]
+        blocks.append((rows, cols, block))
+    rhs = root_w * case.rhs(rule.nodes)
+    return asm.DesignSystem(asm.BlockMatrix((len(rule), len(index_set)), tuple(blocks)), rhs, rule)
+
+
+def triangle_solve(system, cutoff_rel=asm.DEFAULT_CUTOFF):
+    """``asm.solve`` before the split: one ``lstsq`` on the whole N x N triangle.
+
+    With ``unfolded_assemble``, the equivalence oracle of the folded path.
+    """
+    r, qhb, rho = asm._banded_qr(system.matrix, system.rhs)
+    coeff, _, rank, sigma = np.linalg.lstsq(r, qhb, rcond=cutoff_rel)
+    residual = math.hypot(float(np.linalg.norm(r @ coeff - qhb)), rho)
+    dropped = float(sigma[rank]) if rank < sigma.size else 0.0
+    if system.folded:
+        coeff = asm._unfold(coeff)
+    return asm.SolveReport(
+        coeff, int(rank), float(cutoff_rel), residual,
+        float(sigma[0]), float(sigma[rank - 1]), dropped,
+    )
 
 
 def one_block(a):

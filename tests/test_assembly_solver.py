@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from gcshelm import assembly_solver as asm
 from gcshelm import gaussian_states as gs
 from gcshelm import quadrature as quad
 from gcshelm.experiments import ExperimentConfig, _ReferenceCache, run_cell
-from gcshelm.phase_space import LatticeSpec, build_symbol_set
+from gcshelm.gaussian_states import SecondOrderOperator
+from gcshelm.phase_space import IndexSet, LatticeSpec, build_symbol_set
 from gcshelm.problem_model import ProblemCase
 
 from helpers import (
@@ -19,8 +21,12 @@ from helpers import (
     qr_recorder,
     SINCOS_WINDOW_SIGMAS,
     sincos_state_blocks,
+    state_matrix,
+    state_rhs,
     states_from_index_set,
     support_window,
+    triangle_solve,
+    unfolded_assemble,
 )
 
 
@@ -46,7 +52,7 @@ def test_exact_representability_single_column():
 
 def test_gram_diagonal_matches_independent_quadrature():
     system, iset, case = make_system(density=64)
-    gram_diag = np.real(np.sum(np.abs(dense(system.matrix)) ** 2, axis=0))
+    gram_diag = np.real(np.sum(np.abs(state_matrix(system)) ** 2, axis=0))
     op = case.operator()
     states = states_from_index_set(iset)
     fine = quad.build_rule(system.rule.window, case.k, 96)
@@ -98,10 +104,10 @@ def test_normal_equation_optimality():
     # only meaningful within the revealed-rank subspace
     system, _, _ = make_system(k=50.0, delta=1.0)
     report_d = asm.solve(system)
-    a_d = dense(system.matrix)
+    a_d = state_matrix(system)
     u2, s2, _ = np.linalg.svd(a_d, full_matrices=False)
     kept = u2[:, s2 > report_d.truncation_cutoff * s2[0]]
-    resid = a_d @ report_d.coefficients - system.rhs
+    resid = a_d @ report_d.coefficients - state_rhs(system)
     assert np.linalg.norm(kept.conj().T @ resid) <= 1e-6 * np.linalg.norm(system.rhs)
 
 
@@ -147,7 +153,7 @@ def test_quadrature_invariance_of_reconstruction_error(name, k, delta, err_tol, 
 
 def test_near_bandedness_at_k100():
     system, iset, _ = make_system(k=100.0, delta=0.8, density=64)
-    a = dense(system.matrix)
+    a = state_matrix(system)
     gram = a.conj().T @ a
     m, n = iset.m, iset.n
     dist = np.hypot(m[:, None] - m[None, :], n[:, None] - n[None, :])
@@ -224,18 +230,20 @@ def hom_cell():
     return cell_system(ProblemCase.homogeneous(400.0), 0.336)
 
 
-def test_assemble_matches_per_state_columns(het_cell):
-    system, iset = het_cell
-    rule = system.rule
-    assert rule.window[0] < -1.0 and rule.window[1] > 1.0  # reaches into the PML
+def test_assemble_matches_per_state_columns(het_cell, het6_cell):
+    # het (50, 6) has Q and N odd: the node at 0 and the state (0, 0) are
+    # their own mirrors in the fold
     op = ProblemCase.heterogeneous(50.0).operator()
-    root_w = np.sqrt(rule.weights)
-    loop = np.stack(
-        [root_w * gs.apply_operator(s, op, rule.nodes) for s in states_from_index_set(iset)],
-        axis=1,
-    )
-    scale = np.abs(loop).max()
-    assert np.abs(dense(system.matrix) - loop).max() <= 1e-12 * scale
+    for system, iset in (het_cell, het6_cell):
+        rule = system.rule
+        assert rule.window[0] < -1.0 and rule.window[1] > 1.0  # reaches into the PML
+        root_w = np.sqrt(rule.weights)
+        loop = np.stack(
+            [root_w * gs.apply_operator(s, op, rule.nodes) for s in states_from_index_set(iset)],
+            axis=1,
+        )
+        scale = np.abs(loop).max()
+        assert np.abs(state_matrix(system) - loop).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("order", [0, 1])
@@ -274,6 +282,11 @@ SINCOS_CELLS = [
 # cells whose error the solve fixes only up to rounding, held to the spread
 # of their error under rounding-size perturbations rather than to 1e-4
 ROUNDING_BOUND_CELLS = {("heterogeneous", 100.0, 4.0)}
+# cells whose residual the solve fixes only up to rounding: 1e-15
+# perturbations of the unfolded system's blocks moved it by up to 4.6e-6
+# (hom (20, 2)) and 3.2e-6 (het (100, 4)) of itself, above the 1e-6 that
+# holds the other cells; held to the spread of their residual instead
+RESIDUAL_ROUNDING_CELLS = {("homogeneous", 20.0, 2.0), ("heterogeneous", 100.0, 4.0)}
 PERTURBATION_SEEDS = range(8)
 
 
@@ -282,13 +295,13 @@ def sincos_kernel(hbar, x0, n, x, op=None):
     return sincos_state_blocks(hbar, x0, n * math.sqrt(math.pi * hbar), x, op=op)
 
 
-def perturbed_errors(case, delta, cache, index_set):
-    """rel_h1k of a cell with every block entry times 1 + 1e-15 u, u uniform in [-1, 1].
+def perturbed_runs(case, delta, cache, index_set):
+    """(rel_h1k, residual) of a cell with every block entry times 1 + 1e-15 u, u uniform in [-1, 1].
 
     One run per seed of ``PERTURBATION_SEEDS``.
     """
     real = asm.assemble
-    errors = []
+    runs = []
     for seed in PERTURBATION_SEEDS:
         rng = np.random.default_rng(seed)
 
@@ -300,15 +313,39 @@ def perturbed_errors(case, delta, cache, index_set):
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(asm, "assemble", assemble)
-            record = run_cell(case, delta, ExperimentConfig(), cache, index_set)[0]
-        errors.append(record.rel_h1k_error)
-    return errors
+            record, report, _ = run_cell(case, delta, ExperimentConfig(), cache, index_set)
+        runs.append((record.rel_h1k_error, report.residual_norm))
+    return runs
 
 
-@pytest.mark.parametrize(
-    "name,k,delta", SINCOS_CELLS, ids=lambda v: f"{v:g}" if isinstance(v, float) else v
-)
-def test_cell_matches_the_12_sigma_sincos_kernel(name, k, delta, monkeypatch):
+@pytest.fixture(scope="module")
+def rounding_spread():
+    """(name, k, delta) -> the spreads (max - min) of rel_h1k and of the residual, memoized.
+
+    Over the cell's unperturbed run and the runs of ``perturbed_runs``.
+    """
+    memo = {}
+
+    def spread(name, k, delta):
+        if (name, k, delta) not in memo:
+            case = ProblemCase.from_name(name, k)
+            cache = _ReferenceCache()
+            record, report, iset = run_cell(case, delta, ExperimentConfig(), cache)
+            runs = np.array(
+                perturbed_runs(case, delta, cache, iset) + [(record.rel_h1k_error, report.residual_norm)]
+            )
+            memo[name, k, delta] = runs.max(axis=0) - runs.min(axis=0)
+        return memo[name, k, delta]
+
+    return spread
+
+
+def cell_id(v):
+    return f"{v:g}" if isinstance(v, float) else v
+
+
+@pytest.mark.parametrize("name,k,delta", SINCOS_CELLS, ids=cell_id)
+def test_cell_matches_the_12_sigma_sincos_kernel(name, k, delta, rounding_spread, monkeypatch):
     # the kernel cut at 1e-16 of each peak, with phases as lattice powers,
     # against the former one cut at exp(-72) with sin and cos on every
     # entry: first the blocks on the rows both windows hold, then the whole
@@ -318,13 +355,12 @@ def test_cell_matches_the_12_sigma_sincos_kernel(name, k, delta, monkeypatch):
     # 1.03e-4 at het (100, 4), residual 1.6e-4 at hom (20, 2); the full-rank
     # cells by under 4e-6).  At het (100, 4) the QR's row step alone moved
     # rel_h1k by 7.0e-5 and eight 1e-15 perturbations of the blocks by
-    # -1.1e-4 to +7.3e-5, so that cell is held to the spread of those.
+    # -1.1e-4 to +7.3e-5 (-2.5e-5 to +2.3e-4 of the folded blocks), so that
+    # cell is held to the spread of those.
     case = ProblemCase.from_name(name, k)
     cache = _ReferenceCache()
     record, report, iset = run_cell(case, delta, ExperimentConfig(), cache)
     rounding = (name, k, delta) in ROUNDING_BOUND_CELLS
-    if rounding:
-        spread = perturbed_errors(case, delta, cache, iset) + [record.rel_h1k_error]
     hbar = iset.lattice.hbar
     nodes = cell_system(case, delta)[0].rule.nodes
     for op in (case.operator(), None):
@@ -341,7 +377,7 @@ def test_cell_matches_the_12_sigma_sincos_kernel(name, k, delta, monkeypatch):
     monkeypatch.setattr(gs, "WINDOW_SIGMAS", SINCOS_WINDOW_SIGMAS)
     oracle, oracle_report, _ = run_cell(case, delta, ExperimentConfig(), cache)
     assert record.ndofs == oracle.ndofs and record.rank == oracle.rank
-    err_tol = max(spread) - min(spread) if rounding else 1e-4 * oracle.rel_h1k_error
+    err_tol = rounding_spread(name, k, delta)[0] if rounding else 1e-4 * oracle.rel_h1k_error
     assert abs(record.rel_h1k_error - oracle.rel_h1k_error) <= err_tol
     assert abs(report.residual_norm - oracle_report.residual_norm) <= 5e-4 * oracle_report.residual_norm
 
@@ -352,7 +388,7 @@ def test_design_matrix_window_and_no_subnormals(cell, het_cell, hom_cell):
     # times slower; the kernel leaves them exactly zero outside its window,
     # where a state is below 1e-16 of its peak.
     system, iset = het_cell if cell == "heterogeneous" else hom_cell
-    a = dense(system.matrix)
+    a = state_matrix(system)
     tiny = np.finfo(float).tiny
     for part in (a.real, a.imag):
         assert not np.any((np.abs(part) > 0.0) & (np.abs(part) < tiny))
@@ -384,8 +420,8 @@ def dense_system(padded, rows=2500):
 
 
 def lstsq_solve(system, cutoff_rel=asm.DEFAULT_CUTOFF):
-    """The solve before the banded QR: gelsd on the whole Q x N matrix."""
-    a, b = dense(system.matrix), system.rhs
+    """The solve before the banded QR: gelsd on the whole Q x N matrix in state order."""
+    a, b = state_matrix(system), state_rhs(system)
     coeff, _, rank, sigma = np.linalg.lstsq(a, b, rcond=cutoff_rel)
     dropped = float(sigma[rank]) if rank < sigma.size else 0.0
     residual = float(np.linalg.norm(a @ coeff - b))
@@ -409,14 +445,17 @@ def gapped_staircase():
     return asm.DesignSystem(matrix, b, quad.build_rule((0.0, 1.0), 20, 20))
 
 
-# (system, numerical rank of lstsq, row steps of the streaming QR)
+# (system, numerical rank of lstsq, row steps of the streaming QR); the
+# assembled cells stream their even and odd halves apart, each ceil(Q/2 /
+# step) steps: 10 + 10 of 429 rows at hom (400, 0.336), 6 + 6 of 415 and
+# 416 at het (50, 6), 5 + 5 of 68 at hom (20, 1)
 EQUIVALENCE_CASES = {
-    "hom-400-0.336": (lambda r: r.getfixturevalue("hom_cell")[0], 364, 19),
+    "hom-400-0.336": (lambda r: r.getfixturevalue("hom_cell")[0], 364, 20),
     "het-50-6": (lambda r: r.getfixturevalue("het6_cell")[0], 474, 12),
     "dense": (lambda r: dense_system(False), 60, 4),
     "dense-zero-and-duplicate-column": (lambda r: dense_system(True), 60, 4),
     "dense-square": (lambda r: dense_system(False, rows=60), 60, 1),
-    "hom-20-1": (lambda r: make_system(20.0, 1.0, 20)[0], 78, 6),
+    "hom-20-1": (lambda r: make_system(20.0, 1.0, 20)[0], 78, 10),
     "gapped-staircase": (lambda r: gapped_staircase(), 15, 10),
 }
 
@@ -434,7 +473,7 @@ def test_solve_matches_lstsq(name, request, monkeypatch):
     assert np.array_equal(dense(system.matrix), before)
     assert report.numerical_rank == oracle.numerical_rank == rank
     # the residual read off the triangle against the product with the matrix
-    direct = np.linalg.norm(before @ report.coefficients - system.rhs)
+    direct = np.linalg.norm(state_matrix(system) @ report.coefficients - state_rhs(system))
     q, n = system.matrix.shape
     if q == n:  # b lies in the range of a: every residual is rounding
         residuals = (report.residual_norm, oracle.residual_norm, direct)
@@ -557,3 +596,119 @@ def test_block_matrix_rejects_blocks_out_of_order():
         asm.BlockMatrix((4, 2), ((slice(2, 4), slice(0, 1), a[:2]), up))  # rows go back up
     with pytest.raises(ValueError):
         asm.BlockMatrix((2, 2), (down, up))  # rows past the matrix
+
+
+# -- the parity fold: two halves solved apart ----------------------------------
+
+
+# the benchmark's five cells and the seven table cells, eight distinct
+ORACLE_CELLS = SINCOS_CELLS + [("homogeneous", 50.0, 1.0)]
+
+
+@pytest.mark.parametrize("name,k,delta", ORACLE_CELLS, ids=cell_id)
+def test_folded_solve_matches_the_unfolded_triangle(name, k, delta, rounding_spread, monkeypatch):
+    # the folded system with its halves solved apart against the assembly in
+    # state order and one lstsq on its whole triangle; no lstsq of the
+    # folded solve is wider than the larger half, ceil(N/2) columns
+    case = ProblemCase.from_name(name, k)
+    cache = _ReferenceCache()
+    widths = []
+    lstsq = np.linalg.lstsq
+
+    def recording(a, b, rcond):
+        widths.append(a.shape[1])
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    record, report, iset = run_cell(case, delta, ExperimentConfig(), cache)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    assert max(widths) == len(iset) - len(iset) // 2
+    monkeypatch.setattr(asm, "assemble", unfolded_assemble)
+    monkeypatch.setattr(asm, "solve", triangle_solve)
+    oracle, oracle_report, _ = run_cell(case, delta, ExperimentConfig(), cache, iset)
+    assert record.ndofs == oracle.ndofs and record.rank == oracle.rank
+    cell = (name, k, delta)
+    err_tol, res_tol = 1e-4 * oracle.rel_h1k_error, 1e-6 * oracle_report.residual_norm
+    if cell in ROUNDING_BOUND_CELLS:
+        err_tol = rounding_spread(*cell)[0]
+    if cell in RESIDUAL_ROUNDING_CELLS:
+        res_tol = rounding_spread(*cell)[1]
+    assert abs(record.rel_h1k_error - oracle.rel_h1k_error) <= err_tol
+    assert abs(report.residual_norm - oracle_report.residual_norm) <= res_tol
+
+
+@pytest.mark.parametrize("cell", ["hom-400-0.336", "het-50-6"])
+def test_triangle_of_the_folded_matrix_is_block_diagonal(cell, hom_cell, het6_cell):
+    # streamed whole, the folded matrix gives a triangle whose coupling block
+    # between the halves is exactly zero, so the halves solved apart solve
+    # the same least-squares problem; the rule keeps its panel count (Q as
+    # before the fold: 7812 and 4929)
+    system, iset = hom_cell if cell == "hom-400-0.336" else het6_cell
+    q, n = system.matrix.shape
+    assert q == {"hom-400-0.336": 7812, "het-50-6": 4929}[cell]
+    n_even = n - n // 2
+    r = asm._banded_qr(system.matrix, system.rhs)[0]
+    assert np.any(r[:n_even, :n_even]) and np.any(r[n_even:, n_even:])
+    assert not np.any(r[:n_even, n_even:])
+    halves = [(rows.stop - rows.start, sub.shape) for rows, sub in asm._diagonal_blocks(system.matrix)]
+    assert halves == [(q - q // 2, (q - q // 2, n_even)), (q // 2, (q // 2, n // 2))]
+
+
+def with_singular_values(rng, rows, sigma):
+    """A random complex rows x len(sigma) matrix with the given singular values."""
+    cols = len(sigma)
+    u, _ = np.linalg.qr(rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))
+    v, _ = np.linalg.qr(rng.normal(size=(cols, cols)) + 1j * rng.normal(size=(cols, cols)))
+    return u @ np.diag(sigma) @ v.conj().T
+
+
+def test_one_cutoff_for_all_diagonal_blocks(monkeypatch):
+    # the second block's largest singular value is 1e-3 of the first's: its
+    # own relative cutoff would keep 1e-13, which tau = 1e-12 * sigma_max
+    # drops, so that block is solved again and the rank is that of a dense
+    # truncated SVD of the whole matrix
+    rng = np.random.default_rng(31)
+    first = with_singular_values(rng, 40, [1.0, 0.5, 0.25, 0.125])
+    second = with_singular_values(rng, 30, [1e-3, 1e-13])
+    blocks = ((slice(0, 40), slice(0, 4), first), (slice(40, 70), slice(4, 6), second))
+    b = rng.normal(size=70) + 1j * rng.normal(size=70)
+    system = asm.DesignSystem(asm.BlockMatrix((70, 6), blocks), b, quad.build_rule((0.0, 1.0), 20, 20))
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def recording(a, rhs, rcond):
+        calls.append(a.shape)
+        return lstsq(a, rhs, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    report = asm.solve(system)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    assert calls == [(4, 4), (2, 2), (2, 2)]
+    a = dense(system.matrix)
+    coeff, _, rank, sigma = np.linalg.lstsq(a, b, rcond=asm.DEFAULT_CUTOFF)
+    assert report.numerical_rank == rank == 5
+    assert abs(report.sigma_kept_min - 1e-3) <= 1e-12 and abs(report.sigma_dropped_max - 1e-13) <= 1e-15
+    assert np.linalg.norm(report.coefficients - coeff) <= 1e-10 * np.linalg.norm(coeff)
+    assert abs(report.residual_norm - np.linalg.norm(a @ coeff - b)) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_assemble_rejects_a_set_or_operator_without_parity():
+    case = ProblemCase.homogeneous(50.0)
+    iset = build_symbol_set(LatticeSpec(1.0 / case.k), case.symbol, 0.5)
+    system = asm.assemble(iset, case, 20)
+    assert system.rule.window[1] > 1.0  # into the PML, where b is nonzero
+    lopsided = IndexSet(iset.m[1:], iset.n[1:], iset.lattice)
+    with pytest.raises(ValueError, match="closed under"):
+        asm.assemble(lopsided, case, 20)
+    op = case.operator()
+
+    def even_b(x):
+        a, _, c = op.coefficients(x)
+        return a, op.coefficients(np.abs(x))[1], c
+
+    mirrored = SimpleNamespace(
+        k=case.k, rhs=case.rhs, rhs_support=case.rhs_support,
+        operator=lambda: SecondOrderOperator(even_b),
+    )
+    with pytest.raises(ValueError, match="even, odd and even"):
+        asm.assemble(iset, mirrored, 20)

@@ -39,6 +39,31 @@ def test_weights_sum_and_node_ordering():
     assert np.all(rule.weights > 0)
 
 
+@pytest.mark.parametrize(
+    "half_width,k,density",
+    [(2.5, 50, 26), (2.6, 50, 26), (2.6, 50, 20)],
+    ids=["even-panels", "odd-panels-node-at-0", "odd-panels"],
+)
+def test_rule_mirrors_bit_for_bit_on_a_symmetric_window(half_width, k, density):
+    # nodes[::-1] == -nodes and weights[::-1] == weights exactly, so the
+    # design system folds into even and odd halves; the panel count is
+    # ceil(width / half wavelength) as before, and the panels past the
+    # middle one hold the same nodes as the rule on np.linspace's edges
+    rule = quad.build_rule((-half_width, half_width), k, density)
+    assert np.array_equal(rule.nodes[::-1], -rule.nodes)
+    assert np.array_equal(rule.weights[::-1], rule.weights)
+    panels = math.ceil(2.0 * half_width / (math.pi / k))
+    npp = rule.nodes_per_panel
+    assert len(rule) == panels * npp
+    ref_x, _ = np.polynomial.legendre.leggauss(npp)
+    edges = np.linspace(-half_width, half_width, panels + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    linspace_nodes = (mid[:, None] + half[:, None] * ref_x).ravel()
+    past_middle = (panels // 2 + 1) * npp
+    assert np.array_equal(rule.nodes[past_middle:], linspace_nodes[past_middle:])
+    assert (0.0 in rule.nodes) == (panels % 2 == 1 and npp % 2 == 1)
+
+
 def test_inner_product_axioms():
     rule = quad.build_rule((-1.0, 1.0), 30, 20)
 
@@ -103,14 +128,14 @@ def test_refinement_stability_of_gram_entries(name, k, delta, scale, converged):
     from gcshelm.assembly_solver import assemble
     from gcshelm.phase_space import LatticeSpec, build_symbol_set
     from gcshelm.problem_model import ProblemCase
-    from helpers import dense
+    from helpers import state_matrix
 
     case = ProblemCase.from_name(name, k)
     iset = build_symbol_set(LatticeSpec(1.0 / k), case.symbol, delta)
     frequency = 2.0 * max(1.0, np.abs(iset.xi_array()).max())
     grams = []
     for f in (scale * frequency, 2.0 * frequency):
-        a = dense(assemble(iset, case, quad.nodes_per_wavelength(f)).matrix)
+        a = state_matrix(assemble(iset, case, quad.nodes_per_wavelength(f)))
         grams.append(a.conj().T @ a)
     moved = np.abs(grams[0] - grams[1]).max() / np.abs(grams[1]).max()
     assert (moved <= 1e-9) == converged, moved
