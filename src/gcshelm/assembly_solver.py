@@ -60,6 +60,29 @@ half's reflections: at homogeneous (50, 1) the residual left in the kept
 singular directions read 1.3e-6 of ||b|| that way, and 2.7e-7 with each
 half streamed on its own.
 
+A state's window reaches the mirrors of its nodes only on rows within
+8.58 sqrt(hbar) of x = 0, so on every row farther out the two halves hold
+the same entries (73-83% of each half's rows on the benchmark's cells),
+and ``assemble`` hands both halves one array for each state that does not
+reach its mirror.  Each half streams from its outer end inward, its rows
+and columns reversed (``_reversed_halves``); so reversed, a shared block
+sits at the same rows and columns in both halves.  One stream factors the
+shared rows once, with the two right-hand sides [b_E | b_O], which differ
+wherever f(-x) != 0; the rows of R it emits go to the even triangle and
+are copied into the odd one.  The fork row (``_fork_row``) is the first
+at which the halves differ: the blocks of the states near 0 also cover
+rows far from their mirrors, so it is read off their entries, not set at
+their first row (at heterogeneous (100, 4), 2581 of the 3240 rows of a
+half are shared, against 2036 up to the first such block).  At the fork
+the even half keeps the carried triangle's A columns and b_E's, the odd
+half the A columns and b_O's, and also the row on b_E's diagonal: the QR
+rotated part of b_O's residual into that coupling row, and without it the
+odd rho is wrong (``_split_carry``).  Each half then streams its own rows
+near 0.  At heterogeneous (100, 4) the QR took 99 ms against 133 ms,
+with 246 of the 493 even columns done at the fork; the ranks are those of
+the halves streamed apart, and the triangles' singular values move by
+rounding.
+
 The factorizations call ``numpy.linalg`` only.  numpy and scipy link
 separate OpenBLAS builds, each with its own thread pool.  On a 2-vCPU
 machine, ``scipy.linalg.qr`` in place of ``numpy.linalg.qr`` made a pass of
@@ -231,18 +254,24 @@ def assemble(index_set, case, nodes_per_wavelength):
 def solve(system, cutoff_rel=DEFAULT_CUTOFF):
     """Rank-revealing least-squares solve of the rectangular design matrix.
 
-    Each diagonal block of the staircase (``_diagonal_blocks``: the even and
-    the odd half of a system from ``assemble``) streams its own QR, and one
-    ``lstsq`` runs on each triangle, all truncated at tau = ``cutoff_rel``
-    * sigma_max of the whole matrix.  A block whose own relative cutoff
-    keeps another set of singular values than tau does is solved again at
-    tau.  The coefficients come back in state order.
+    The even and the odd half of a system from ``assemble`` each get a
+    triangle from one streaming QR, which factors the rows both halves hold
+    once (``_shared_qr``); otherwise each diagonal block of the staircase
+    (``_diagonal_blocks``) streams its own.  One ``lstsq`` runs on each
+    triangle, all truncated at tau = ``cutoff_rel`` * sigma_max of the
+    whole matrix.  A block whose own relative cutoff keeps another set of
+    singular values than tau does is solved again at tau.  The
+    coefficients come back in state order.
     """
     if not 0.0 < cutoff_rel < 1.0:
         raise ValueError("cutoff_rel must lie in (0, 1)")
     if not any(block.any() for _, _, block in system.matrix.blocks):
         raise ValueError("design matrix is identically zero")
-    triangles = [_banded_qr(sub, system.rhs[rows]) for rows, sub in _diagonal_blocks(system.matrix)]
+    shared = system.folded and system.matrix.shape[1] > 1  # both halves have columns
+    if shared:
+        triangles = _shared_qr(system.matrix, system.rhs)
+    else:
+        triangles = [_banded_qr(sub, system.rhs[rows]) for rows, sub in _diagonal_blocks(system.matrix)]
     parts = [np.linalg.lstsq(r, qhb, rcond=cutoff_rel) for r, qhb, _ in triangles]
     sigma_max = max(float(sigma[0]) for *_, sigma in parts)
     tau = cutoff_rel * sigma_max
@@ -254,7 +283,8 @@ def solve(system, cutoff_rel=DEFAULT_CUTOFF):
         float(np.linalg.norm(r @ c - qhb)) ** 2 + rho**2
         for (r, qhb, rho), (c, *_) in zip(triangles, parts)
     ))
-    coeff = np.concatenate([part[0] for part in parts])
+    # the shared triangles run from each half's outer end
+    coeff = np.concatenate([part[0][::-1] if shared else part[0] for part in parts])
     sigma = np.concatenate([part[3] for part in parts])
     kept = np.concatenate([np.arange(s.size) < rank for _, _, rank, s in parts])
     dropped = 0.0 if kept.all() else float(sigma[~kept].max())
@@ -285,6 +315,107 @@ def _diagonal_blocks(a):
         yield slice(r0, rows[k + 1]), BlockMatrix((rows[k + 1] - r0, cols[k + 1] - c0), blocks)
 
 
+def _shared_qr(a, rhs):
+    """The triangles (R, Q^H b, |rho|) of the even and the odd half of a folded system.
+
+    Both halves are reversed (``_reversed_halves``), so each runs from its
+    outer end, and so do its triangle and Q^H b.  Their rows before
+    ``_fork_row`` are the same, and one stream factors them with the two
+    right-hand sides [b_E | b_O]: the rows of R it emits go to the even
+    triangle and are copied into the odd one.  From the fork each half
+    streams its own rows (``_split_carry``).
+    """
+    even, odd = _reversed_halves(a)
+    q_even, n_even = even.shape
+    n_odd = odd.shape[1]
+    b_even, b_odd = rhs[:q_even][::-1], rhs[q_even:][::-1]
+    fork = _fork_row(even, odd)
+    r_even = np.zeros((n_even, n_even), dtype=complex)
+    qhb = np.zeros((n_even, 2), dtype=complex)
+    both = np.stack([b_even[:fork], b_odd[:fork]], axis=1)
+    lo, carry = _stream(even, both, 0, fork, 0, np.zeros((0, 2), dtype=complex), r_even, qhb)
+    r_odd = np.zeros((n_odd, n_odd), dtype=complex)
+    r_odd[:lo] = r_even[:lo, :n_odd]
+    triangles = []
+    for half, b, r, qhb_half, start in zip(
+        (even, odd), (b_even, b_odd), (r_even, r_odd), (qhb[:, :1], qhb[:n_odd, 1:]),
+        _split_carry(carry, n_odd - lo),
+    ):
+        _, end = _stream(half, b[:, None], fork, half.shape[0], lo, start, r, qhb_half)
+        triangles.append((r, qhb_half[:, 0], _rho(end)))
+    return triangles
+
+
+def _reversed_halves(a):
+    """The even and the odd half of a folded staircase, rows and columns reversed.
+
+    ``assemble`` hands a block of rows [lo, hi) and columns [c0, c1) whose
+    state does not reach its mirror to both halves as one array.  Reversed,
+    it sits in each at rows Q - hi and columns N_even - c1 on, counted from
+    the half's outer end, whether or not the node 0 and the state (0, 0)
+    are in the system, and its reversed view is one object in both.
+    """
+    q, n = a.shape
+    q_even, n_even = q - q // 2, n - n // 2
+    split = np.searchsorted(a.row_bounds[:, 0], q_even)
+    views = {}  # one reversed view per array that both halves hold
+    return tuple(
+        BlockMatrix((row_end - row0, col_end - col0), tuple(
+            (slice(row_end - r.stop, row_end - r.start), slice(col_end - c.stop, col_end - c.start),
+             views.setdefault(id(block), block[::-1, ::-1]))
+            for r, c, block in reversed(blocks)
+        ))
+        for blocks, row0, row_end, col0, col_end in (
+            (a.blocks[:split], 0, q_even, 0, n_even),
+            (a.blocks[split:], q_even, q, n_even, n),
+        )
+    )
+
+
+def _fork_row(even, odd):
+    """The first row at which the reversed halves of ``_reversed_halves`` differ.
+
+    Blocks that are one array in both halves are passed over.  The others
+    hold the states near 0, whose windows reach their mirrors; there the
+    fork is the first row whose entries differ, or that one half has and
+    the other has not, and the even half's column of the state (0, 0)
+    differs where it is nonzero.  Those blocks also cover rows far from the
+    mirrors, which both halves share.  The fork is at most one row short of
+    the shorter half, so each half streams its last rows itself.
+    """
+    fork = min(even.shape[0], odd.shape[0]) - 1
+    for (rows, cols, block), (odd_rows, odd_cols, odd_block) in zip(even.blocks, odd.blocks):
+        if min(rows.start, odd_rows.start) >= fork:
+            return fork
+        if block is odd_block and (rows, cols) == (odd_rows, odd_cols):
+            continue
+        if (rows.start, cols.start) != (odd_rows.start, odd_cols.start):
+            return min(fork, rows.start, odd_rows.start)
+        h, w = min(block.shape[0], odd_block.shape[0]), min(block.shape[1], odd_block.shape[1])
+        differs = np.append(
+            (block[:h, :w] != odd_block[:h, :w]).any(axis=1)
+            | block[:h, w:].any(axis=1) | odd_block[:h, w:].any(axis=1),
+            block.shape[0] != odd_block.shape[0],
+        )
+        if differs.any():
+            fork = min(fork, rows.start + int(differs.argmax()))
+    unpaired = even.blocks[len(odd.blocks):] + odd.blocks[len(even.blocks):]
+    return min([fork] + [rows.start for rows, _, _ in unpaired[:1]])
+
+
+def _split_carry(carry, odd_width):
+    """The carries of the even and the odd half at the fork, from that of [A | b_E | b_O].
+
+    The even half keeps the A columns and b_E's.  The odd half keeps its
+    first ``odd_width`` A columns (the even half's column of the state
+    (0, 0), last, is zero on the shared rows) and b_O's.  Both keep every
+    row: b_E's row holds the part of b_O's residual that the QR rotated
+    into it.
+    """
+    width = carry.shape[1] - 2
+    return carry[:, :-1], np.delete(carry, np.s_[min(odd_width, width) : width + 1], axis=1)
+
+
 def _banded_qr(a, b):
     """The N x N triangle R of a = Q R, Q^H b and |rho|, from row blocks of [a | b].
 
@@ -292,7 +423,30 @@ def _banded_qr(a, b):
     outside the range of a; it is 0 when no row is left for it (Q = N).
     """
     q, n = a.shape
-    blocks = a.blocks
+    r = np.zeros((n, n), dtype=complex)
+    qhb = np.zeros((n, 1), dtype=complex)
+    _, carry = _stream(a, b[:, None], 0, q, 0, np.zeros((0, 1), dtype=complex), r, qhb)
+    return r, qhb[:, 0], _rho(carry)
+
+
+def _rho(carry):
+    # after the last rows, every column is done: the carry is [rho] or empty
+    return float(abs(carry[0, 0])) if carry.size else 0.0
+
+
+def _stream(a, b, start, stop, lo, carry, r, qhb):
+    """Stream rows [start, stop) of [a | b] into R and Q^H b, from the state (lo, carry).
+
+    ``b`` holds one column per right-hand side, indexed by the rows of a.
+    The rows of R and of Q^H b for the columns below ``lo`` are final in
+    ``r`` and ``qhb``; ``carry`` is the triangle of the rows streamed so far
+    on the columns from ``lo`` on, then b's.  Each block of ``_row_step``
+    rows is stacked under the carry and factored, and the rows of R whose
+    columns no later row touches are written out.  Returns the new (lo,
+    carry).
+    """
+    q, n = a.shape
+    m = b.shape[1]
     starts, stops = a.row_bounds.T
     col_starts, col_stops = a.col_bounds.T
     # band: the most columns that cover one row, as at some block start; the
@@ -306,39 +460,33 @@ def _banded_qr(a, b):
     # indexed by searchsorted: n past the last block, 0 before the first
     first_col = np.append(col_starts, n)
     end_col = np.append(0, col_stops)
-
-    r = np.zeros((n, n), dtype=complex)
-    qhb = np.zeros(n, dtype=complex)
-    carry = np.zeros((0, 1), dtype=complex)
-    lo = 0
-    for r0 in range(0, q, step):
-        r1 = min(r0 + step, q)
+    for r0 in range(start, stop, step):
+        r1 = min(r0 + step, stop)
         # rows of R for columns below `done` are final: no later row touches
         # them (the first block that stops past r1 starts at `done`); rows
         # < r1 touch columns up to the end of the last block that starts there
         begun = np.searchsorted(starts, r1)
         done = first_col[np.searchsorted(stops, r1, side="right")]
         hi = max(end_col[begun], done)
-        held = carry.shape[0]
-        stacked = np.zeros((held + r1 - r0, hi - lo + 1), dtype=complex)
-        stacked[:held, : carry.shape[1] - 1] = carry[:, :-1]
-        stacked[:held, -1] = carry[:, -1]
+        held, width = carry.shape[0], carry.shape[1] - m
+        stacked = np.zeros((held + r1 - r0, hi - lo + m), dtype=complex)
+        stacked[:held, :width] = carry[:, :width]
+        stacked[:held, -m:] = carry[:, width:]
         # the blocks that overlap rows [r0, r1): stops > r0 and starts < r1
         overlap = slice(np.searchsorted(stops, r0, side="right"), begun)
-        for rows, cols, block in blocks[overlap]:
+        for rows, cols, block in a.blocks[overlap]:
             i0, i1 = max(rows.start, r0), min(rows.stop, r1)
             stacked[held + i0 - r0 : held + i1 - r0, cols.start - lo : cols.stop - lo] = (
                 block[i0 - rows.start : i1 - rows.start]
             )
-        stacked[held:, -1] = b[r0:r1]
+        stacked[held:, -m:] = b[r0:r1]
         tri = np.linalg.qr(stacked, mode="r")
         emit = min(done - lo, tri.shape[0])
-        r[lo : lo + emit, lo:hi] = tri[:emit, :-1]
-        qhb[lo : lo + emit] = tri[:emit, -1]
+        r[lo : lo + emit, lo:hi] = tri[:emit, :-m]
+        qhb[lo : lo + emit] = tri[:emit, -m:]
         carry = tri[done - lo :, done - lo :]
         lo = done
-    # after the last block done = n, so the carry is [rho] or empty
-    return r, qhb, float(abs(carry[0, 0])) if carry.size else 0.0
+    return lo, carry
 
 
 def _row_step(band, q, n):

@@ -1,10 +1,11 @@
 """Oracles the tests share: per-state lists, dense views of block matrices
 and of the design matrix in state order, the assembly and the triangle solve
-before the parity fold, the former row step of the streaming QR and a
-recorder of the arrays it factors, derivative blocks, the former 12-sigma
-sin/cos state kernel, quadrature inner products, the closed-form overlap
-and operator pairing of two states, the operator on function values, the
-closed-form iterated residual, the box estimate of the frame bounds, the
+before the parity fold, the solve of the two halves before they shared
+rows, the former row step of the streaming QR and a recorder of the arrays
+it factors, derivative blocks, the former 12-sigma sin/cos state kernel,
+quadrature inner products, the closed-form overlap and operator pairing of
+two states, the operator on function values, the closed-form iterated
+residual, the box estimate of the frame bounds, the
 complex solve of the dual frame, the Zak frame function, the masked forms
 of the C3 plateaus, the PML and P_k's coefficients, the nu formulas of
 P_k's symbol, coefficients and FEM element matrices, the einsum assembly
@@ -97,6 +98,44 @@ def triangle_solve(system, cutoff_rel=asm.DEFAULT_CUTOFF):
     return asm.SolveReport(
         coeff, int(rank), float(cutoff_rel), residual,
         float(sigma[0]), float(sigma[rank - 1]), dropped,
+    )
+
+
+def unshared_triangles(system):
+    """The triangles (R, Q^H b, |rho|) of ``asm.solve`` before the halves shared rows.
+
+    Each diagonal block of the staircase (the even and the odd half of a
+    folded system) streams its own QR forward from its first row, with
+    ``asm._banded_qr``.
+    """
+    return [asm._banded_qr(sub, system.rhs[rows]) for rows, sub in asm._diagonal_blocks(system.matrix)]
+
+
+def unshared_solve(system, cutoff_rel=asm.DEFAULT_CUTOFF):
+    """``asm.solve`` on ``unshared_triangles``: the equivalence oracle of the shared stream.
+
+    One ``lstsq`` per triangle at the common cutoff tau = ``cutoff_rel`` *
+    sigma_max, a triangle solved again at tau where its own cutoff keeps
+    another set, and the residual read off the triangles.
+    """
+    triangles = unshared_triangles(system)
+    parts = [np.linalg.lstsq(r, qhb, rcond=cutoff_rel) for r, qhb, _ in triangles]
+    sigma_max = max(float(sigma[0]) for *_, sigma in parts)
+    tau = cutoff_rel * sigma_max
+    for k, ((r, qhb, _), (_, _, rank, sigma)) in enumerate(zip(triangles, parts)):
+        if np.count_nonzero(sigma > tau) != rank:
+            parts[k] = np.linalg.lstsq(r, qhb, rcond=tau / sigma[0])
+    residual = math.sqrt(sum(
+        float(np.linalg.norm(r @ c - qhb)) ** 2 + rho**2
+        for (r, qhb, rho), (c, *_) in zip(triangles, parts)
+    ))
+    coeff = np.concatenate([part[0] for part in parts])
+    sigma = np.concatenate([part[3] for part in parts])
+    kept = np.concatenate([np.arange(s.size) < rank for _, _, rank, s in parts])
+    dropped = 0.0 if kept.all() else float(sigma[~kept].max())
+    return asm.SolveReport(
+        asm._unfold(coeff) if system.folded else coeff, int(kept.sum()), float(cutoff_rel),
+        residual, sigma_max, float(sigma[kept].min()), dropped,
     )
 
 

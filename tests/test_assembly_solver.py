@@ -27,6 +27,8 @@ from helpers import (
     support_window,
     triangle_solve,
     unfolded_assemble,
+    unshared_solve,
+    unshared_triangles,
 )
 
 
@@ -320,22 +322,27 @@ def perturbed_runs(case, delta, cache, index_set):
 
 @pytest.fixture(scope="module")
 def rounding_spread():
-    """(name, k, delta) -> the spreads (max - min) of rel_h1k and of the residual, memoized.
+    """(name, k, delta[, solve]) -> the spreads (max - min) of rel_h1k and of the residual, memoized.
 
-    Over the cell's unperturbed run and the runs of ``perturbed_runs``.
+    Over the cell's unperturbed run and the runs of ``perturbed_runs``,
+    all with ``asm.solve``, or with ``solve`` in its place.
     """
     memo = {}
 
-    def spread(name, k, delta):
-        if (name, k, delta) not in memo:
+    def spread(name, k, delta, solve=None):
+        key = (name, k, delta, solve)
+        if key not in memo:
             case = ProblemCase.from_name(name, k)
             cache = _ReferenceCache()
-            record, report, iset = run_cell(case, delta, ExperimentConfig(), cache)
-            runs = np.array(
-                perturbed_runs(case, delta, cache, iset) + [(record.rel_h1k_error, report.residual_norm)]
-            )
-            memo[name, k, delta] = runs.max(axis=0) - runs.min(axis=0)
-        return memo[name, k, delta]
+            with pytest.MonkeyPatch.context() as patch:
+                if solve is not None:
+                    patch.setattr(asm, "solve", solve)
+                record, report, iset = run_cell(case, delta, ExperimentConfig(), cache)
+                runs = np.array(
+                    perturbed_runs(case, delta, cache, iset) + [(record.rel_h1k_error, report.residual_norm)]
+                )
+            memo[key] = runs.max(axis=0) - runs.min(axis=0)
+        return memo[key]
 
     return spread
 
@@ -445,30 +452,36 @@ def gapped_staircase():
     return asm.DesignSystem(matrix, b, quad.build_rule((0.0, 1.0), 20, 20))
 
 
-# (system, numerical rank of lstsq, row steps of the streaming QR); the
-# assembled cells stream their even and odd halves apart, each ceil(Q/2 /
-# step) steps: 10 + 10 of 429 rows at hom (400, 0.336), 6 + 6 of 415 and
-# 416 at het (50, 6), 5 + 5 of 68 at hom (20, 1)
+# (system, numerical rank of lstsq, row steps of the streaming QR, row
+# steps of the halves streamed apart); the assembled cells stream the rows
+# their halves share once, ceil(fork / step) steps, then each half's own
+# rows: 8 + 2 + 2 of 429 rows at hom (400, 0.336) (fork at 3249 of 3906
+# rows a half), 5 + 2 + 2 of 415 and 416 at het (50, 6) (1866 of 2465 and
+# 2464), 3 + 2 + 2 of 68 at hom (20, 1) (153 of 275); streamed apart, each
+# half took ceil(Q/2 / step) steps, 10 + 10, 6 + 6 and 5 + 5
 EQUIVALENCE_CASES = {
-    "hom-400-0.336": (lambda r: r.getfixturevalue("hom_cell")[0], 364, 20),
-    "het-50-6": (lambda r: r.getfixturevalue("het6_cell")[0], 474, 12),
-    "dense": (lambda r: dense_system(False), 60, 4),
-    "dense-zero-and-duplicate-column": (lambda r: dense_system(True), 60, 4),
-    "dense-square": (lambda r: dense_system(False, rows=60), 60, 1),
-    "hom-20-1": (lambda r: make_system(20.0, 1.0, 20)[0], 78, 10),
-    "gapped-staircase": (lambda r: gapped_staircase(), 15, 10),
+    "hom-400-0.336": (lambda r: r.getfixturevalue("hom_cell")[0], 364, 12, 20),
+    "het-50-6": (lambda r: r.getfixturevalue("het6_cell")[0], 474, 9, 12),
+    "dense": (lambda r: dense_system(False), 60, 4, 4),
+    "dense-zero-and-duplicate-column": (lambda r: dense_system(True), 60, 4, 4),
+    "dense-square": (lambda r: dense_system(False, rows=60), 60, 1, 1),
+    "hom-20-1": (lambda r: make_system(20.0, 1.0, 20)[0], 78, 7, 10),
+    "gapped-staircase": (lambda r: gapped_staircase(), 15, 10, 10),
 }
 
 
 @pytest.mark.parametrize("name", EQUIVALENCE_CASES)
 def test_solve_matches_lstsq(name, request, monkeypatch):
-    build, rank, steps = EQUIVALENCE_CASES[name]
+    build, rank, steps, unshared_steps = EQUIVALENCE_CASES[name]
     system = build(request)
     before = dense(system.matrix)
     shapes = []
     monkeypatch.setattr(np.linalg, "qr", qr_recorder(shapes))
     report = asm.solve(system)
     assert len(shapes) == steps
+    shapes.clear()
+    unshared_solve(system)
+    assert len(shapes) == unshared_steps
     oracle = lstsq_solve(system)
     assert np.array_equal(dense(system.matrix), before)
     assert report.numerical_rank == oracle.numerical_rank == rank
@@ -712,3 +725,166 @@ def test_assemble_rejects_a_set_or_operator_without_parity():
     )
     with pytest.raises(ValueError, match="even, odd and even"):
         asm.assemble(iset, mirrored, 20)
+
+
+# -- the shared rows: one stream until the halves fork -------------------------
+
+
+def shared_sigma_gap(system):
+    """How far the shared stream moves the triangles' singular values, over sigma_max.
+
+    The largest move of a singular value of the even or the odd triangle of
+    ``asm._shared_qr`` from that of the half streamed apart
+    (``unshared_triangles``).
+    """
+    shared = asm._shared_qr(system.matrix, system.rhs)
+    sigma = [np.linalg.svd(r, compute_uv=False) for r, _, _ in shared + unshared_triangles(system)]
+    gap = max(np.abs(new - old).max() for new, old in zip(sigma[:2], sigma[2:]))
+    return gap / max(s[0] for s in sigma)
+
+
+@pytest.mark.parametrize("name,k,delta", ORACLE_CELLS, ids=cell_id)
+def test_shared_stream_matches_the_halves_streamed_apart(name, k, delta, rounding_spread):
+    # the rows both halves hold, factored once from the outer end, against
+    # each half streamed forward on its own.  The residual of a
+    # RESIDUAL_ROUNDING_CELLS cell is fixed only to the spread of its
+    # perturbed runs: at het (100, 4) the two paths read 4.4e-6 of it apart,
+    # the runs of the halves streamed apart 5.8e-6, those of the shared
+    # stream 2.8e-6
+    case = ProblemCase.from_name(name, k)
+    cache = _ReferenceCache()
+    record, report, iset = run_cell(case, delta, ExperimentConfig(), cache)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asm, "solve", unshared_solve)
+        oracle, oracle_report, _ = run_cell(case, delta, ExperimentConfig(), cache, iset)
+    assert shared_sigma_gap(cell_system(case, delta)[0]) <= 1e-13
+    assert record.ndofs == oracle.ndofs and record.rank == oracle.rank
+    cell = (name, k, delta)
+    err_tol, res_tol = 1e-4 * oracle.rel_h1k_error, 1e-6 * oracle_report.residual_norm
+    if cell in ROUNDING_BOUND_CELLS:
+        err_tol = rounding_spread(*cell)[0]
+    if cell in RESIDUAL_ROUNDING_CELLS:
+        res_tol = max(rounding_spread(*cell)[1], rounding_spread(*cell, unshared_solve)[1])
+    assert abs(record.rel_h1k_error - oracle.rel_h1k_error) <= err_tol
+    assert abs(report.residual_norm - oracle_report.residual_norm) <= res_tol
+
+
+# homogeneous k = 20 cells (delta, nodes per wavelength) of each parity: N
+# is odd with the state (0, 0) in the set, Q with the node 0 in the rule
+PARITY_CELLS = {
+    "N-even-Q-even": (1.0, 16),
+    "N-even-Q-odd": (1.0, 17),
+    "N-odd-Q-even": (4.0, 16),
+    "N-odd-Q-odd": (4.0, 17),
+}
+
+
+@pytest.fixture(params=PARITY_CELLS)
+def parity_cell(request):
+    system = make_system(20.0, *PARITY_CELLS[request.param])[0]
+    q, n = system.matrix.shape
+    assert request.param == f"N-{('even', 'odd')[n % 2]}-Q-{('even', 'odd')[q % 2]}"
+    return system
+
+
+def scrambled(system, odd_blocks, seed=5):
+    """The folded system with a random right-hand side, and random odd blocks if ``odd_blocks``.
+
+    Those are the blocks of the odd half that the even half does not hold,
+    redrawn at the scale of the largest entry.  On an assembled cell the
+    halves first differ at the far edge of a window, where a state is
+    1e-16 of its peak; redrawn, they differ there at the matrix's scale.
+    """
+    matrix = system.matrix
+    q = matrix.shape[0]
+    rng = np.random.default_rng(seed)
+    scale = max(np.abs(block).max() for _, _, block in matrix.blocks)
+    even = {id(block) for rows, _, block in matrix.blocks if rows.start < q - q // 2}
+    blocks = tuple(
+        (rows, cols, block if id(block) in even or not odd_blocks
+         else scale * (rng.normal(size=block.shape) + 1j * rng.normal(size=block.shape)))
+        for rows, cols, block in matrix.blocks
+    )
+    rhs = rng.normal(size=q) + 1j * rng.normal(size=q)
+    return asm.DesignSystem(asm.BlockMatrix(matrix.shape, blocks), rhs, system.rule, folded=True)
+
+
+def test_halves_agree_up_to_the_fork_and_share_its_rows_once(parity_cell, monkeypatch):
+    # reversed, the halves hold the same entries, bit for bit, on the rows
+    # before the fork, and the even half's column of the state (0, 0) is
+    # zero there; they differ on the fork row.  The shared rows are streamed
+    # once, then each half's own rows
+    even, odd = asm._reversed_halves(parity_cell.matrix)
+    fork = asm._fork_row(even, odd)
+    assert 0 < fork < odd.shape[0] - 1
+    a_even, a_odd = dense(even), dense(odd)
+    n_odd = odd.shape[1]
+    assert np.array_equal(a_even[:fork, :n_odd], a_odd[:fork]) and not a_even[:fork, n_odd:].any()
+    assert not np.array_equal(a_even[fork, :n_odd], a_odd[fork]) or a_even[fork, n_odd:].any()
+    ranges = []
+    stream = asm._stream
+
+    def recording(a, b, start, stop, *state):
+        ranges.append((a.shape, b.shape[1], start, stop))
+        return stream(a, b, start, stop, *state)
+
+    monkeypatch.setattr(asm, "_stream", recording)
+    asm.solve(parity_cell)
+    assert ranges == [
+        (even.shape, 2, 0, fork), (even.shape, 1, fork, even.shape[0]), (odd.shape, 1, fork, odd.shape[0]),
+    ]
+
+
+def test_a_fork_one_row_deeper_fails_the_oracle(parity_cell, monkeypatch):
+    # on the cell itself the fork row's halves differ by about 1e-16 of the
+    # largest entry, so one row too deep moves the triangles by rounding
+    # alone; with the odd half's own blocks redrawn, the shared stream
+    # matches the halves streamed apart only at the fork found
+    system = scrambled(parity_cell, odd_blocks=True)
+    assert shared_sigma_gap(system) <= 1e-13
+    fork_row = asm._fork_row
+    monkeypatch.setattr(asm, "_fork_row", lambda even, odd: fork_row(even, odd) + 1)
+    assert shared_sigma_gap(system) > 1e-6
+
+
+def test_the_odd_carry_keeps_the_even_rhs_row(parity_cell, monkeypatch):
+    # with [b_E | b_O] streamed together, the QR rotates part of b_O's
+    # residual into b_E's row of the carry; without that row the odd
+    # triangle's rho, and so the residual, is wrong.  A random right-hand
+    # side makes b_E and b_O differ on every row
+    system = scrambled(parity_cell, odd_blocks=False)
+    a, b = state_matrix(system), state_rhs(system)
+
+    def residual_gap():
+        report = asm.solve(system)
+        direct = np.linalg.norm(a @ report.coefficients - b)
+        return abs(report.residual_norm - direct) / direct
+
+    assert residual_gap() <= 2e-6
+    split = asm._split_carry
+
+    def dropping(carry, odd_width):
+        even, odd = split(carry, odd_width)
+        return even, np.delete(odd, carry.shape[1] - 2, axis=0)
+
+    monkeypatch.setattr(asm, "_split_carry", dropping)
+    assert residual_gap() > 2e-6
+
+
+def test_normal_equation_optimality_on_a_full_rank_folded_cell(hom_cell, monkeypatch):
+    # hom (400, 0.336) has full rank and condition number 1.9e5: the
+    # halves streamed apart read 9.3e-14 of ||A^H b||, the shared stream
+    # 4.3e-14.  A fork one row too deep shares a row whose halves differ by
+    # 2.6e-16 of the largest entry and reads 4.8e-14, so no fork error that
+    # small shows here; 200 rows too deep (up to 3.9e-8) reads 5.4e-8
+    system, _ = hom_cell
+    a, b = state_matrix(system), state_rhs(system)
+    bound = 1e-11 * np.linalg.norm(a.conj().T @ b)
+
+    def optimality():
+        return np.linalg.norm(a.conj().T @ (a @ asm.solve(system).coefficients - b))
+
+    assert optimality() <= bound
+    fork_row = asm._fork_row
+    monkeypatch.setattr(asm, "_fork_row", lambda even, odd: fork_row(even, odd) + 200)
+    assert optimality() > bound
