@@ -64,16 +64,15 @@ A state's window reaches the mirrors of its nodes only on rows within
 8.58 sqrt(hbar) of x = 0, so on every row farther out the two halves hold
 the same entries (73-83% of each half's rows on the benchmark's cells),
 and ``assemble`` hands both halves one array for each state that does not
-reach its mirror.  Each half streams from its outer end inward, its rows
-and columns reversed (``_reversed_halves``); so reversed, a shared block
-sits at the same rows and columns in both halves.  One stream factors the
-shared rows once, with the two right-hand sides [b_E | b_O], which differ
-wherever f(-x) != 0; the rows of R it emits go to the even triangle and
-are copied into the odd one.  The fork row (``_fork_row``) is the first
-at which the halves differ: the blocks of the states near 0 also cover
-rows far from their mirrors, so it is read off their entries, not set at
-their first row (at heterogeneous (100, 4), 2581 of the 3240 rows of a
-half are shared, against 2036 up to the first such block).  At the fork
+reach its mirror.  It holds each half from its outer end inward, so such
+a block sits at the same rows and columns in both.  One stream factors
+the shared rows once, with the two right-hand sides [b_E | b_O], which
+differ wherever f(-x) != 0; the rows of R it emits go to the even
+triangle and are copied into the odd one.  The halves can differ only on
+the rows of the states nearest 0, the even half's last block, so the
+fork (``_fork_row``) is its first row: with a state at m = 0 exactly the
+first row whose entries differ (at heterogeneous (100, 4), 2581 of the
+3240 rows of a half are shared), without one earlier.  At the fork
 the even half keeps the carried triangle's A columns and b_E's, the odd
 half the A columns and b_O's, and also the row on b_E's diagonal: the QR
 rotated part of b_O's residual into that coupling row, and without it the
@@ -149,7 +148,9 @@ class DesignSystem:
     ``folded`` marks the system ``assemble`` returns: its rows and columns
     are the even, then the odd combinations of mirror pairs (``_fold``), so
     ``matrix`` is block-diagonal, and ``solve`` maps the coefficients back
-    to state order.  Otherwise rows are nodes and columns states.
+    to state order.  Each half runs from its outer end inward, and the two
+    agree bit for bit on the rows before the even half's last block.
+    Otherwise rows are nodes and columns states.
     """
 
     matrix: BlockMatrix
@@ -240,15 +241,17 @@ def assemble(index_set, case, nodes_per_wavelength):
         if middle and c0 == 0:  # the state (0, 0) is its own mirror
             plus = plus * np.where(np.arange(c1) == 0, _SQRT_HALF, 1.0)
             minus = minus[:, 1:]
-        even.append((slice(lo - zero, hi - zero), cols, plus))
+        # each half is held from its outer end inward, the order the solve streams it
+        flipped = plus[::-1, ::-1]
+        even.append((slice(q - hi, q - lo), slice(n_even - c1, n_even - c0), flipped))
         if minus.size:  # empty for the block of (0, 0) alone
             odd.append((
-                slice(max(lo, pos) - pos + q_even, hi - pos + q_even),
-                slice(max(c0, middle) - middle + n_even, c1 - middle + n_even),
-                minus,
+                slice(q_even + q - hi, q_even + q - max(lo, pos)),
+                slice(2 * n_even - c1, 2 * n_even - max(c0, middle)),
+                flipped if minus is plus else minus[::-1, ::-1],
             ))
     rhs = _fold(root_w * case.rhs(x))
-    return DesignSystem(BlockMatrix((q, size), tuple(even + odd)), rhs, rule, folded=True)
+    return DesignSystem(BlockMatrix((q, size), tuple(even[::-1] + odd[::-1])), rhs, rule, folded=True)
 
 
 def solve(system, cutoff_rel=DEFAULT_CUTOFF):
@@ -267,8 +270,7 @@ def solve(system, cutoff_rel=DEFAULT_CUTOFF):
         raise ValueError("cutoff_rel must lie in (0, 1)")
     if not any(block.any() for _, _, block in system.matrix.blocks):
         raise ValueError("design matrix is identically zero")
-    shared = system.folded and system.matrix.shape[1] > 1  # both halves have columns
-    if shared:
+    if system.folded and system.matrix.shape[1] > 1:  # both halves have columns
         triangles = _shared_qr(system.matrix, system.rhs)
     else:
         triangles = [_banded_qr(sub, system.rhs[rows]) for rows, sub in _diagonal_blocks(system.matrix)]
@@ -283,8 +285,7 @@ def solve(system, cutoff_rel=DEFAULT_CUTOFF):
         float(np.linalg.norm(r @ c - qhb)) ** 2 + rho**2
         for (r, qhb, rho), (c, *_) in zip(triangles, parts)
     ))
-    # the shared triangles run from each half's outer end
-    coeff = np.concatenate([part[0][::-1] if shared else part[0] for part in parts])
+    coeff = np.concatenate([part[0] for part in parts])
     sigma = np.concatenate([part[3] for part in parts])
     kept = np.concatenate([np.arange(s.size) < rank for _, _, rank, s in parts])
     dropped = 0.0 if kept.all() else float(sigma[~kept].max())
@@ -318,17 +319,16 @@ def _diagonal_blocks(a):
 def _shared_qr(a, rhs):
     """The triangles (R, Q^H b, |rho|) of the even and the odd half of a folded system.
 
-    Both halves are reversed (``_reversed_halves``), so each runs from its
-    outer end, and so do its triangle and Q^H b.  Their rows before
-    ``_fork_row`` are the same, and one stream factors them with the two
-    right-hand sides [b_E | b_O]: the rows of R it emits go to the even
-    triangle and are copied into the odd one.  From the fork each half
-    streams its own rows (``_split_carry``).
+    Each half, and so its triangle and Q^H b, runs from its outer end.  Their
+    rows before ``_fork_row`` are the same, and one stream factors them
+    with the two right-hand sides [b_E | b_O]: the rows of R it emits go to
+    the even triangle and are copied into the odd one.  From the fork each
+    half streams its own rows (``_split_carry``).
     """
-    even, odd = _reversed_halves(a)
+    even, odd = _halves(a)
     q_even, n_even = even.shape
     n_odd = odd.shape[1]
-    b_even, b_odd = rhs[:q_even][::-1], rhs[q_even:][::-1]
+    b_even, b_odd = rhs[:q_even], rhs[q_even:]
     fork = _fork_row(even, odd)
     r_even = np.zeros((n_even, n_even), dtype=complex)
     qhb = np.zeros((n_even, 2), dtype=complex)
@@ -346,61 +346,28 @@ def _shared_qr(a, rhs):
     return triangles
 
 
-def _reversed_halves(a):
-    """The even and the odd half of a folded staircase, rows and columns reversed.
-
-    ``assemble`` hands a block of rows [lo, hi) and columns [c0, c1) whose
-    state does not reach its mirror to both halves as one array.  Reversed,
-    it sits in each at rows Q - hi and columns N_even - c1 on, counted from
-    the half's outer end, whether or not the node 0 and the state (0, 0)
-    are in the system, and its reversed view is one object in both.
-    """
+def _halves(a):
+    """The even and the odd half of a folded staircase, each as its own ``BlockMatrix``."""
     q, n = a.shape
     q_even, n_even = q - q // 2, n - n // 2
     split = np.searchsorted(a.row_bounds[:, 0], q_even)
-    views = {}  # one reversed view per array that both halves hold
-    return tuple(
-        BlockMatrix((row_end - row0, col_end - col0), tuple(
-            (slice(row_end - r.stop, row_end - r.start), slice(col_end - c.stop, col_end - c.start),
-             views.setdefault(id(block), block[::-1, ::-1]))
-            for r, c, block in reversed(blocks)
-        ))
-        for blocks, row0, row_end, col0, col_end in (
-            (a.blocks[:split], 0, q_even, 0, n_even),
-            (a.blocks[split:], q_even, q, n_even, n),
-        )
+    odd = tuple(
+        (slice(r.start - q_even, r.stop - q_even), slice(c.start - n_even, c.stop - n_even), block)
+        for r, c, block in a.blocks[split:]
     )
+    return BlockMatrix((q_even, n_even), a.blocks[:split]), BlockMatrix((q - q_even, n - n_even), odd)
 
 
 def _fork_row(even, odd):
-    """The first row at which the reversed halves of ``_reversed_halves`` differ.
+    """The first row of the even half's last block, from which the halves may differ.
 
-    Blocks that are one array in both halves are passed over.  The others
-    hold the states near 0, whose windows reach their mirrors; there the
-    fork is the first row whose entries differ, or that one half has and
-    the other has not, and the even half's column of the state (0, 0)
-    differs where it is nonzero.  Those blocks also cover rows far from the
-    mirrors, which both halves share.  The fork is at most one row short of
-    the shorter half, so each half streams its last rows itself.
+    That block holds the states nearest 0, and the state (0, 0) if it is in
+    the set.  A state reaches the mirrors of its nodes only on rows that its window
+    shares with theirs, all inside that block's rows.  The fork is at most
+    one row short of the odd half, so each half streams its last rows
+    itself.
     """
-    fork = min(even.shape[0], odd.shape[0]) - 1
-    for (rows, cols, block), (odd_rows, odd_cols, odd_block) in zip(even.blocks, odd.blocks):
-        if min(rows.start, odd_rows.start) >= fork:
-            return fork
-        if block is odd_block and (rows, cols) == (odd_rows, odd_cols):
-            continue
-        if (rows.start, cols.start) != (odd_rows.start, odd_cols.start):
-            return min(fork, rows.start, odd_rows.start)
-        h, w = min(block.shape[0], odd_block.shape[0]), min(block.shape[1], odd_block.shape[1])
-        differs = np.append(
-            (block[:h, :w] != odd_block[:h, :w]).any(axis=1)
-            | block[:h, w:].any(axis=1) | odd_block[:h, w:].any(axis=1),
-            block.shape[0] != odd_block.shape[0],
-        )
-        if differs.any():
-            fork = min(fork, rows.start + int(differs.argmax()))
-    unpaired = even.blocks[len(odd.blocks):] + odd.blocks[len(even.blocks):]
-    return min([fork] + [rows.start for rows, _, _ in unpaired[:1]])
+    return min(int(even.row_bounds[-1, 0]), odd.shape[0] - 1)
 
 
 def _split_carry(carry, odd_width):
@@ -408,7 +375,8 @@ def _split_carry(carry, odd_width):
 
     The even half keeps the A columns and b_E's.  The odd half keeps its
     first ``odd_width`` A columns (the even half's column of the state
-    (0, 0), last, is zero on the shared rows) and b_O's.  Both keep every
+    (0, 0) is its last, in its last block, so zero before the fork) and
+    b_O's.  Both keep every
     row: b_E's row holds the part of b_O's residual that the QR rotated
     into it.
     """
@@ -506,23 +474,24 @@ def _row_step(band, q, n):
 def _fold(values):
     """The even, then the odd parts of values at mirrored positions, along the first axis.
 
-    Positions i and L-1-i are mirrors.  The ceil(L/2) even parts are the
-    middle value (L odd) and (v[i] + v[L-1-i])/sqrt(2), i = (L+1)//2, ...,
-    L-1; the L//2 odd parts (v[i] - v[L-1-i])/sqrt(2) of the same i.  An
-    orthogonal change of basis, undone by ``_unfold``.
+    Positions i and L-1-i are mirrors.  The ceil(L/2) even parts are
+    (v[L-1-i] + v[i])/sqrt(2), i = 0, ..., L//2 - 1, then the middle value
+    (L odd); the L//2 odd parts (v[L-1-i] - v[i])/sqrt(2) of the same i.  So
+    each half runs from its outer end inward.  An orthogonal change of
+    basis, undone by ``_unfold``.
     """
     size = len(values)
     half = size // 2
-    upper, lower = values[size - half :], values[:half][::-1]
-    return np.concatenate([values[half : size - half], (upper + lower) * _SQRT_HALF, (upper - lower) * _SQRT_HALF])
+    lower, upper = values[:half], values[size - half :][::-1]
+    return np.concatenate([(upper + lower) * _SQRT_HALF, values[half : size - half], (upper - lower) * _SQRT_HALF])
 
 
 def _unfold(folded):
     """Values in position order from the even and odd parts of ``_fold``, along the first axis."""
     size = len(folded)
     half = size // 2
-    middle, even, odd = folded[: size - 2 * half], folded[size - 2 * half : size - half], folded[size - half :]
-    return np.concatenate([((even - odd) * _SQRT_HALF)[::-1], middle, (even + odd) * _SQRT_HALF])
+    even, middle, odd = folded[:half], folded[half : size - half], folded[size - half :]
+    return np.concatenate([(even - odd) * _SQRT_HALF, middle, ((even + odd) * _SQRT_HALF)[::-1]])
 
 
 def reconstruct(report, index_set, x):

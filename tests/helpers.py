@@ -1,16 +1,16 @@
 """Oracles the tests share: per-state lists, dense views of block matrices
 and of the design matrix in state order, the assembly and the triangle solve
 before the parity fold, the solve of the two halves before they shared
-rows, the former row step of the streaming QR and a recorder of the arrays
-it factors, derivative blocks, the former 12-sigma sin/cos state kernel,
-quadrature inner products, the closed-form overlap and operator pairing of
-two states, the operator on function values, the closed-form iterated
-residual, the box estimate of the frame bounds, the
-complex solve of the dual frame, the Zak frame function, the masked forms
-of the C3 plateaus, the PML and P_k's coefficients, the nu formulas of
-P_k's symbol, coefficients and FEM element matrices, the einsum assembly
-and end-decoupling solve of the FEM reference, and a CSV reader for the
-table output."""
+rows and their fork read off the entries, the former row step of the
+streaming QR and a recorder of the arrays it factors, derivative blocks,
+the former 12-sigma sin/cos state kernel, quadrature inner products, the
+closed-form overlap and operator pairing of two states, the operator on
+function values, the closed-form iterated residual, the box estimate of
+the frame bounds, the complex solve of the dual frame, the Zak frame
+function, the masked forms of the C3 plateaus, the PML and P_k's
+coefficients, the nu formulas of P_k's symbol, coefficients and FEM element
+matrices, the einsum assembly and end-decoupling solve of the FEM
+reference, and a CSV reader for the table output."""
 
 import csv
 import io
@@ -105,8 +105,8 @@ def unshared_triangles(system):
     """The triangles (R, Q^H b, |rho|) of ``asm.solve`` before the halves shared rows.
 
     Each diagonal block of the staircase (the even and the odd half of a
-    folded system) streams its own QR forward from its first row, with
-    ``asm._banded_qr``.
+    folded system) streams its own QR from its first row, with
+    ``asm._banded_qr``: a half of ``asm.assemble`` from its outer end.
     """
     return [asm._banded_qr(sub, system.rhs[rows]) for rows, sub in asm._diagonal_blocks(system.matrix)]
 
@@ -137,6 +137,36 @@ def unshared_solve(system, cutoff_rel=asm.DEFAULT_CUTOFF):
         asm._unfold(coeff) if system.folded else coeff, int(kept.sum()), float(cutoff_rel),
         residual, sigma_max, float(sigma[kept].min()), dropped,
     )
+
+
+def value_fork_row(even, odd):
+    """The first row at which the halves of ``asm._halves`` differ, read off their entries.
+
+    The fork of ``asm.solve`` before it was read off the staircase.  Blocks
+    that are one array in both halves are passed over.  The others hold the
+    states near 0, whose windows reach their mirrors; there the fork is the
+    first row whose entries differ, or that one half has and the other has
+    not, and the even half's column of the state (0, 0) differs where it is
+    nonzero.  The fork is at most one row short of the shorter half.
+    """
+    fork = min(even.shape[0], odd.shape[0]) - 1
+    for (rows, cols, block), (odd_rows, odd_cols, odd_block) in zip(even.blocks, odd.blocks):
+        if min(rows.start, odd_rows.start) >= fork:
+            return fork
+        if block is odd_block and (rows, cols) == (odd_rows, odd_cols):
+            continue
+        if (rows.start, cols.start) != (odd_rows.start, odd_cols.start):
+            return min(fork, rows.start, odd_rows.start)
+        h, w = min(block.shape[0], odd_block.shape[0]), min(block.shape[1], odd_block.shape[1])
+        differs = np.append(
+            (block[:h, :w] != odd_block[:h, :w]).any(axis=1)
+            | block[:h, w:].any(axis=1) | odd_block[:h, w:].any(axis=1),
+            block.shape[0] != odd_block.shape[0],
+        )
+        if differs.any():
+            fork = min(fork, rows.start + int(differs.argmax()))
+    unpaired = even.blocks[len(odd.blocks):] + odd.blocks[len(even.blocks):]
+    return min([fork] + [rows.start for rows, _, _ in unpaired[:1]])
 
 
 def one_block(a):

@@ -29,6 +29,7 @@ from helpers import (
     unfolded_assemble,
     unshared_solve,
     unshared_triangles,
+    value_fork_row,
 )
 
 
@@ -286,9 +287,12 @@ SINCOS_CELLS = [
 ROUNDING_BOUND_CELLS = {("heterogeneous", 100.0, 4.0)}
 # cells whose residual the solve fixes only up to rounding: 1e-15
 # perturbations of the unfolded system's blocks moved it by up to 4.6e-6
-# (hom (20, 2)) and 3.2e-6 (het (100, 4)) of itself, above the 1e-6 that
+# (hom (20, 2)) and 3.2e-6 (het (100, 4)) of itself, and those of the
+# folded blocks by up to 1.66e-6 at het (20, 12), above the 1e-6 that
 # holds the other cells; held to the spread of their residual instead
-RESIDUAL_ROUNDING_CELLS = {("homogeneous", 20.0, 2.0), ("heterogeneous", 100.0, 4.0)}
+RESIDUAL_ROUNDING_CELLS = {
+    ("homogeneous", 20.0, 2.0), ("heterogeneous", 100.0, 4.0), ("heterogeneous", 20.0, 12.0),
+}
 PERTURBATION_SEEDS = range(8)
 
 
@@ -743,10 +747,15 @@ def shared_sigma_gap(system):
     return gap / max(s[0] for s in sigma)
 
 
-@pytest.mark.parametrize("name,k,delta", ORACLE_CELLS, ids=cell_id)
+# het (20, 0.5): N = 32 and no state at m = 0, so the staircase forks at
+# row 91 of 300, before the first row whose entries differ (212)
+EARLY_FORK_CELL = ("heterogeneous", 20.0, 0.5)
+
+
+@pytest.mark.parametrize("name,k,delta", ORACLE_CELLS + [EARLY_FORK_CELL], ids=cell_id)
 def test_shared_stream_matches_the_halves_streamed_apart(name, k, delta, rounding_spread):
-    # the rows both halves hold, factored once from the outer end, against
-    # each half streamed forward on its own.  The residual of a
+    # the rows both halves hold, factored once, against each half streamed
+    # on its own; both run from the outer end.  The residual of a
     # RESIDUAL_ROUNDING_CELLS cell is fixed only to the spread of its
     # perturbed runs: at het (100, 4) the two paths read 4.4e-6 of it apart,
     # the runs of the halves streamed apart 5.8e-6, those of the shared
@@ -769,6 +778,19 @@ def test_shared_stream_matches_the_halves_streamed_apart(name, k, delta, roundin
     assert abs(report.residual_norm - oracle_report.residual_norm) <= res_tol
 
 
+@pytest.mark.parametrize("name,k,delta", ORACLE_CELLS + [EARLY_FORK_CELL], ids=cell_id)
+def test_the_staircase_fork_matches_the_entries(name, k, delta):
+    # the first row of the even half's last block, which holds the states
+    # nearest 0, against the first row whose entries differ: the same with
+    # a state at m = 0, earlier without one
+    even, odd = asm._halves(cell_system(ProblemCase.from_name(name, k), delta)[0].matrix)
+    fork, oracle = asm._fork_row(even, odd), value_fork_row(even, odd)
+    if (name, k, delta) == EARLY_FORK_CELL:
+        assert (fork, oracle) == (91, 212)
+    else:
+        assert fork == oracle
+
+
 # homogeneous k = 20 cells (delta, nodes per wavelength) of each parity: N
 # is odd with the state (0, 0) in the set, Q with the node 0 in the rule
 PARITY_CELLS = {
@@ -788,35 +810,39 @@ def parity_cell(request):
 
 
 def scrambled(system, odd_blocks, seed=5):
-    """The folded system with a random right-hand side, and random odd blocks if ``odd_blocks``.
+    """The folded system with a random right-hand side, and random odd rows if ``odd_blocks``.
 
-    Those are the blocks of the odd half that the even half does not hold,
-    redrawn at the scale of the largest entry.  On an assembled cell the
-    halves first differ at the far edge of a window, where a state is
-    1e-16 of its peak; redrawn, they differ there at the matrix's scale.
+    Those are the odd half's entries from the fork on, the rows where
+    ``asm.assemble`` lets the halves differ, redrawn at the scale of the
+    largest entry.  On an assembled cell the halves first differ at the far
+    edge of a window, where a state is 1e-16 of its peak; redrawn, they
+    differ from the fork on at the matrix's scale.
     """
     matrix = system.matrix
     q = matrix.shape[0]
     rng = np.random.default_rng(seed)
     scale = max(np.abs(block).max() for _, _, block in matrix.blocks)
-    even = {id(block) for rows, _, block in matrix.blocks if rows.start < q - q // 2}
-    blocks = tuple(
-        (rows, cols, block if id(block) in even or not odd_blocks
-         else scale * (rng.normal(size=block.shape) + 1j * rng.normal(size=block.shape)))
-        for rows, cols, block in matrix.blocks
-    )
+    q_even = q - q // 2
+    fork = q_even + asm._fork_row(*asm._halves(matrix))
+    blocks = []
+    for rows, cols, block in matrix.blocks:
+        if odd_blocks and rows.start >= q_even and rows.stop > fork:
+            block = block.copy()
+            tail = block[max(fork - rows.start, 0) :]
+            tail[:] = scale * (rng.normal(size=tail.shape) + 1j * rng.normal(size=tail.shape))
+        blocks.append((rows, cols, block))
     rhs = rng.normal(size=q) + 1j * rng.normal(size=q)
-    return asm.DesignSystem(asm.BlockMatrix(matrix.shape, blocks), rhs, system.rule, folded=True)
+    return asm.DesignSystem(asm.BlockMatrix(matrix.shape, tuple(blocks)), rhs, system.rule, folded=True)
 
 
 def test_halves_agree_up_to_the_fork_and_share_its_rows_once(parity_cell, monkeypatch):
-    # reversed, the halves hold the same entries, bit for bit, on the rows
-    # before the fork, and the even half's column of the state (0, 0) is
-    # zero there; they differ on the fork row.  The shared rows are streamed
-    # once, then each half's own rows
-    even, odd = asm._reversed_halves(parity_cell.matrix)
+    # the halves hold the same entries, bit for bit, on the rows before the
+    # fork, and the even half's column of the state (0, 0) is zero there;
+    # they differ on the fork row, the first whose entries differ.  The
+    # shared rows are streamed once, then each half's own rows
+    even, odd = asm._halves(parity_cell.matrix)
     fork = asm._fork_row(even, odd)
-    assert 0 < fork < odd.shape[0] - 1
+    assert 0 < fork < odd.shape[0] - 1 and fork == value_fork_row(even, odd)
     a_even, a_odd = dense(even), dense(odd)
     n_odd = odd.shape[1]
     assert np.array_equal(a_even[:fork, :n_odd], a_odd[:fork]) and not a_even[:fork, n_odd:].any()
