@@ -6,16 +6,8 @@ from .phase_space import (
     IndexSet,
     build_symbol_set,
     build_planewave_rhs_set,
-    search_bounds_from_symbol,
 )
-from .gaussian_states import (
-    CoherentState,
-    SecondOrderOperator,
-    constant_operator,
-    eval_state,
-    eval_derivative,
-    apply_operator,
-)
+from .gaussian_states import SecondOrderOperator, constant_operator
 from .problem_model import (
     ProblemCase,
     pml_sigma,

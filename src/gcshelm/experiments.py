@@ -112,8 +112,9 @@ class _ReferenceCache:
 def select_index_set(case, delta):
     """The lattice pairs with |p(x_m, xi_n)| < delta at hbar = 1/k."""
     spec = LatticeSpec(1.0 / case.k)
-    bounds = search_bounds_from_symbol(case.symbol, delta, spec)
-    return build_symbol_set(spec, case.symbol, delta, bounds=bounds)
+    op = case.operator()
+    bounds = search_bounds_from_symbol(op, delta, spec)
+    return build_symbol_set(spec, op, delta, bounds=bounds)
 
 
 def run_cell(case, delta, config, cache=None, index_set=None):

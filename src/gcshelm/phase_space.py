@@ -2,7 +2,9 @@
 
 The lattice places position and frequency points at integer multiples of
 sqrt(pi*hbar).  Index sets are selected either by thresholding the modulus
-of a symbol or by the band of pairs adapted to plane-wave right-hand sides.
+of an operator's principal symbol, on each position row inside the interval
+of |n| its two roots in xi**2 bound, or by the band of pairs adapted to
+plane-wave right-hand sides.
 """
 
 import math
@@ -16,6 +18,7 @@ __all__ = [
     "build_symbol_set",
     "build_planewave_rhs_set",
     "search_bounds_from_symbol",
+    "principal_symbol",
 ]
 
 
@@ -69,39 +72,70 @@ class IndexSet:
         return self.n * self.lattice.spacing
 
 
-def _symbol_modulus_grid(symbol, spec, m_max, n_max):
-    ms = np.arange(-m_max, m_max + 1)
-    ns = np.arange(-n_max, n_max + 1)
-    x = ms * spec.spacing
-    xi = ns * spec.spacing
-    vals = symbol(x[:, None], xi[None, :])
-    return ms, ns, np.abs(np.asarray(vals, dtype=complex))
+def principal_symbol(a, c, xi):
+    """The principal symbol -a*xi**2 + c of an operator with coefficients (a, _, c)."""
+    return -a * xi**2 + c
 
 
-def build_symbol_set(spec, symbol, delta, bounds=None):
-    """Pairs with |symbol(x_m, xi_n)| < delta, strictly.
+# rows are evaluated on |x| <= ROW_REACH; the PML's min |p| passes 240 there
+ROW_REACH = 8.0
 
-    ``bounds`` is the (m_max, n_max) search box; when omitted it is found by
-    :func:`search_bounds_from_symbol`.  A selected pair on the box boundary
-    means the box was too small and raises.
+
+def search_bounds_from_symbol(op, delta, spec):
+    """Rows m and the bracket [lo, hi] of |n| that holds each row's {|p| < delta}.
+
+    On row x_m, |p|**2 = |a|**2 s**2 - 2 Re(a c*) s + |c|**2 - delta**2 < 0
+    with s = xi**2 holds between two roots: one interval of |n|, widened by
+    one lattice step each way.  The rows end before the first row past
+    |x| = 1 on each side with min over xi of |p| >= delta; the rows beyond
+    it, out to ROW_REACH, must stay so.
+    """
+    reach = math.floor(ROW_REACH / spec.spacing)
+    m = np.arange(-reach, reach + 1)
+    x = m * spec.spacing
+    a, _, c = op.coefficients(x)
+    abs_a, ac = np.abs(a), a * np.conj(c)
+    if np.any((abs_a == 0.0) & (np.abs(c) < delta)):
+        raise ValueError("a row with a = 0 has |p| = |c| < delta at every frequency")
+    # min over s >= 0 of |p|: at the vertex s = Re(a c*)/|a|**2 if positive, else at 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        open_rows = np.where(ac.real > 0.0, np.abs(ac.imag) / abs_a, np.abs(c)) < delta
+    right = np.flatnonzero(~open_rows & (x > 1.0))
+    left = np.flatnonzero(~open_rows & (x < -1.0))
+    if not (left.size and right.size):
+        raise ValueError(f"rows never close on |x| <= {ROW_REACH} at delta = {delta}")
+    first, last = left[-1], right[0]
+    if open_rows[:first].any() or open_rows[last:].any():
+        raise ValueError("min |p| falls below delta again past the closing row")
+    rows = slice(first + 1, last)
+    aa, r = np.maximum(abs_a[rows] ** 2, np.finfo(float).tiny), ac.real[rows]
+    root = np.sqrt(np.maximum(r**2 - aa * (np.abs(c[rows]) ** 2 - delta**2), 0.0))
+    lo = np.ceil(np.sqrt(np.maximum(r - root, 0.0) / aa) / spec.spacing) - 1
+    hi = np.floor(np.sqrt(np.maximum(r + root, 0.0) / aa) / spec.spacing) + 1
+    return m[rows], np.maximum(lo, 0).astype(int), hi.astype(int)
+
+
+def build_symbol_set(spec, op, delta, bounds=None):
+    """Pairs with |p(x_m, xi_n)| < delta, strictly, p the principal symbol of ``op``.
+
+    The test runs only on each row's bracket of |n|, ``bounds`` = (m, lo, hi)
+    as :func:`search_bounds_from_symbol` returns it.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     if bounds is None:
-        bounds = search_bounds_from_symbol(symbol, delta, spec)
-    m_max, n_max = int(bounds[0]), int(bounds[1])
-    ms, ns, mod = _symbol_modulus_grid(symbol, spec, m_max, n_max)
-    sel = mod < delta
-    # the row-major scan of the (m, n) grid is already lexicographic
-    mi, ni = np.nonzero(sel)
-    m_sel = ms[mi]
-    n_sel = ns[ni]
-    if m_sel.size:
-        if np.abs(m_sel).max() >= m_max or np.abs(n_sel).max() >= n_max:
-            raise ValueError(
-                f"selected pairs touch the search box boundary {bounds}; enlarge bounds"
-            )
-    return IndexSet(m_sel, n_sel, spec)
+        bounds = search_bounds_from_symbol(op, delta, spec)
+    m, lo, hi = bounds
+    a, _, c = op.coefficients(m * spec.spacing)
+    # row r holds n = -hi..-lo, then lo..hi with 0 once: lexicographic as built
+    count = np.maximum(hi - lo + 1, 0)
+    zero = (lo == 0) & (count > 0)
+    width = 2 * count - zero
+    row = np.repeat(np.arange(m.size), width)
+    j = np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
+    n = np.where(j < count[row], j - hi[row], j - count[row] + lo[row] + zero[row])
+    sel = np.abs(principal_symbol(a[row], c[row], n * spec.spacing)) < delta
+    return IndexSet(m[row][sel], n[sel], spec)
 
 
 def build_planewave_rhs_set(spec, support, epsilon):
@@ -127,41 +161,3 @@ def build_planewave_rhs_set(spec, support, epsilon):
     # -n_abs then +n_abs, ascending, with n = 0 kept once
     n = np.concatenate((-n_abs[::-1], n_abs[n_abs > 0]))
     return IndexSet(np.repeat(m, n.size), np.tile(n, m.size), spec)
-
-
-# doublings of the search box before a symbol is declared non-coercive
-MAX_DOUBLINGS = 16
-
-
-def search_bounds_from_symbol(symbol, delta, spec):
-    """Box half-widths enclosing the sublevel set {|p| < delta}.
-
-    Doubles the box outward until every lattice point on the box shell has
-    |p| >= 1.1 * delta.  Requires the symbol to be coercive in xi for each
-    x in a bounded window (true for PML Helmholtz symbols); the initial box
-    is sized to straddle the order-one characteristic set so the doubling
-    cannot settle inside a hole of the energy layer.
-    """
-    # not 1.1 * delta: the two differ in the last bit for about half of all deltas
-    threshold = delta + 0.1 * delta
-    scale = 1.5 * max(2.0, math.sqrt(1.0 + delta))
-    m_max = n_max = max(8, math.ceil(scale / spec.spacing) + 2)
-    for _ in range(MAX_DOUBLINGS):
-        ms = np.arange(-m_max, m_max + 1)
-        ns = np.arange(-n_max, n_max + 1)
-        x_edge = np.array([-m_max, m_max]) * spec.spacing
-        xi_edge = np.array([-n_max, n_max]) * spec.spacing
-        x_all = ms * spec.spacing
-        xi_all = ns * spec.spacing
-        shell_vals = [
-            symbol(x_edge[:, None], xi_all[None, :]),
-            symbol(x_all[:, None], xi_edge[None, :]),
-        ]
-        clean = all(np.all(np.abs(np.asarray(v, dtype=complex)) >= threshold) for v in shell_vals)
-        if clean:
-            return (m_max, n_max)
-        m_max *= 2
-        n_max *= 2
-    raise RuntimeError(
-        f"no clean shell after {MAX_DOUBLINGS} doublings; symbol looks non-coercive"
-    )

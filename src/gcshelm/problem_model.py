@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian_states import SecondOrderOperator
+from .phase_space import principal_symbol
 
 __all__ = [
     "BRIDGE_COEFFS",
@@ -171,7 +172,7 @@ class ProblemCase:
         The order-(1/k) first-derivative term b is excluded.
         """
         a, _, c = self.operator().coefficients(x)
-        return -a * np.asarray(xi, dtype=float) ** 2 + c
+        return principal_symbol(a, c, np.asarray(xi, dtype=float))
 
     def rhs(self, x):
         """Source term, normalized so that P_k u = rhs for the stated solution."""

@@ -1,5 +1,6 @@
-"""Oracles the tests share: per-state lists, dense views of block matrices
-and of the design matrix in state order, the assembly and the triangle solve
+"""Oracles the tests share: the search-box selection of symbol sets,
+per-state lists, dense views of block matrices and of the design matrix in
+state order, the assembly and the triangle solve
 before the parity fold, the solve of the two halves before they shared
 rows and their fork read off the entries, the former row step of the
 streaming QR and a recorder of the arrays it factors, derivative blocks,
@@ -23,6 +24,7 @@ from scipy.linalg import solve_banded
 from gcshelm import analysis
 from gcshelm import assembly_solver as asm
 from gcshelm import gaussian_states as gs
+from gcshelm import phase_space as ps
 from gcshelm import problem_model as pm
 from gcshelm import quadrature as quad
 from gcshelm import reference_fem as fem
@@ -32,6 +34,37 @@ from gcshelm.experiments import ExperimentRecord
 def pairs_of(index_set):
     """The index pairs (m, n) of an index set, as a Python set."""
     return set(zip(index_set.m.tolist(), index_set.n.tolist()))
+
+
+def box_symbol_set(spec, symbol, delta):
+    """Pairs with |symbol(x_m, xi_n)| < delta, thresholded on a square box.
+
+    The box starts at half-width max(8, ceil(1.5 max(2, sqrt(1 + delta))/h) + 2)
+    and doubles (at most 16 times) until every lattice point on its shell has
+    |p| >= 1.1 delta; a selected pair on the box boundary raises.  The
+    selection before ``phase_space`` read each row's interval of |n| off the
+    roots of |p|**2 = delta**2; its oracle.
+    """
+    # not 1.1 * delta: the two differ in the last bit for about half of all deltas
+    threshold = delta + 0.1 * delta
+    half = max(8, math.ceil(1.5 * max(2.0, math.sqrt(1.0 + delta)) / spec.spacing) + 2)
+    for _ in range(16):
+        ks = np.arange(-half, half + 1)
+        all_ = ks * spec.spacing
+        edge = np.array([-half, half]) * spec.spacing
+        shell = (symbol(edge[:, None], all_[None, :]), symbol(all_[:, None], edge[None, :]))
+        if all(np.all(np.abs(np.asarray(v, dtype=complex)) >= threshold) for v in shell):
+            break
+        half *= 2
+    else:
+        raise RuntimeError("no clean shell after 16 doublings; symbol looks non-coercive")
+    mod = np.abs(np.asarray(symbol(all_[:, None], all_[None, :]), dtype=complex))
+    # the row-major scan of the (m, n) grid is already lexicographic
+    mi, ni = np.nonzero(mod < delta)
+    m, n = ks[mi], ks[ni]
+    if m.size and max(np.abs(m).max(), np.abs(n).max()) >= half:
+        raise ValueError(f"selected pairs touch the search box boundary {half}")
+    return ps.IndexSet(m, n, spec)
 
 
 def states_from_index_set(index_set):

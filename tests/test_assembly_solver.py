@@ -35,7 +35,7 @@ from helpers import (
 
 def make_system(k=50.0, delta=0.5, density=64, case=None):
     case = case or ProblemCase.homogeneous(k)
-    iset = build_symbol_set(LatticeSpec(1.0 / k), case.symbol, delta)
+    iset = build_symbol_set(LatticeSpec(1.0 / k), case.operator(), delta)
     return asm.assemble(iset, case, density), iset, case
 
 
@@ -121,8 +121,8 @@ def test_monotone_residual_in_delta():
     k = 50.0
     case = ProblemCase.homogeneous(k)
     spec = LatticeSpec(1.0 / k)
-    small = build_symbol_set(spec, case.symbol, 0.5)
-    large = build_symbol_set(spec, case.symbol, 1.0)
+    small = build_symbol_set(spec, case.operator(), 0.5)
+    large = build_symbol_set(spec, case.operator(), 1.0)
     assert pairs_of(small) <= pairs_of(large)
     res = [asm.solve(asm.assemble(s, case, 64)).residual_norm for s in (small, large)]
     assert res[1] <= res[0] + 1e-10
@@ -196,7 +196,7 @@ def test_reconstruct_linearity_and_trivial_cases():
 def test_assemble_window_holds_states_and_source():
     # hom (20, 2.0) selects states in the PML, beyond the source support
     case = ProblemCase.homogeneous(20.0)
-    iset = build_symbol_set(LatticeSpec(1.0 / 20.0), case.symbol, 2.0)
+    iset = build_symbol_set(LatticeSpec(1.0 / 20.0), case.operator(), 2.0)
     lo, hi = support_window(states_from_index_set(iset))
     system = asm.assemble(iset, case, 20)
     assert system.rule.window == (min(lo, -1.0), max(hi, 1.0))
@@ -218,7 +218,7 @@ def test_solve_validation():
 
 def cell_system(case, delta):
     """The design system of one table cell, at the node density ``run_cell`` uses."""
-    iset = build_symbol_set(LatticeSpec(1.0 / case.k), case.symbol, delta)
+    iset = build_symbol_set(LatticeSpec(1.0 / case.k), case.operator(), delta)
     density = quad.nodes_per_wavelength(2.0 * max(1.0, np.abs(iset.xi_array()).max()))
     return make_system(case.k, delta, density, case)[0], iset
 
@@ -711,7 +711,7 @@ def test_one_cutoff_for_all_diagonal_blocks(monkeypatch):
 
 def test_assemble_rejects_a_set_or_operator_without_parity():
     case = ProblemCase.homogeneous(50.0)
-    iset = build_symbol_set(LatticeSpec(1.0 / case.k), case.symbol, 0.5)
+    iset = build_symbol_set(LatticeSpec(1.0 / case.k), case.operator(), 0.5)
     system = asm.assemble(iset, case, 20)
     assert system.rule.window[1] > 1.0  # into the PML, where b is nonzero
     lopsided = IndexSet(iset.m[1:], iset.n[1:], iset.lattice)

@@ -61,6 +61,28 @@ def test_system_log_records_each_assembled_size(monkeypatch):
     assert log.systems == [(len(rule), len(index_set), rule.nodes_per_panel)]
 
 
+def test_tracer_enters_both_selection_names_of_a_cell(monkeypatch):
+    # a traced name kept for the tracer but no longer called would read zero
+    # in every trace; a cell enters each once and counts its columns
+    entered = {"search_bounds_from_symbol": 0, "build_symbol_set": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            entered[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in entered:
+        monkeypatch.setattr(experiments, name, counting(name, getattr(experiments, name)))
+    tracer = load_tracer()
+    with tracer.SystemLog() as log, tracer.Tracer() as traced:
+        experiments.run_cell(ProblemCase.homogeneous(20.0), 2.0, experiments.ExperimentConfig())
+    assert entered == {"search_bounds_from_symbol": 1, "build_symbol_set": 1}
+    assert traced.layer_metrics(1, log.systems)["phase_space.columns"] == 131
+    assert traced.self_s["phase_space.select"] > 0.0
+
+
 @pytest.fixture(scope="module")
 def workloads():
     # workloads.py imports the tracer as a top-level module named ``tracer``

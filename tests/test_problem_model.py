@@ -258,7 +258,7 @@ def test_symbol_operator_consistency_on_lattice():
         case = pm.ProblemCase.homogeneous(k)
         op = case.operator()
         spec = LatticeSpec(1.0 / k)
-        iset = build_symbol_set(spec, case.symbol, 0.8)
+        iset = build_symbol_set(spec, case.operator(), 0.8)
         step = max(1, len(iset) // 25)
         for m, n in zip(iset.m[::step], iset.n[::step]):
             s = gs.CoherentState(spec.hbar, m * spec.spacing, n * spec.spacing)

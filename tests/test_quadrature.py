@@ -108,7 +108,7 @@ def test_support_window_covers_pml_states():
     from helpers import states_from_index_set
 
     case = ProblemCase.homogeneous(20)
-    iset = build_symbol_set(LatticeSpec(1.0 / 20.0), case.symbol, 2.0)
+    iset = build_symbol_set(LatticeSpec(1.0 / 20.0), case.operator(), 2.0)
     lo, hi = support_window(states_from_index_set(iset))
     assert lo < -3.2 and hi > 3.2
 
@@ -131,7 +131,7 @@ def test_refinement_stability_of_gram_entries(name, k, delta, scale, converged):
     from helpers import state_matrix
 
     case = ProblemCase.from_name(name, k)
-    iset = build_symbol_set(LatticeSpec(1.0 / k), case.symbol, delta)
+    iset = build_symbol_set(LatticeSpec(1.0 / k), case.operator(), delta)
     frequency = 2.0 * max(1.0, np.abs(iset.xi_array()).max())
     grams = []
     for f in (scale * frequency, 2.0 * frequency):
