@@ -48,17 +48,16 @@ a quarter band of new columns, so each array handed to the QR stays near
 singular values, and their truncated-SVD least-squares solves (LAPACK's
 ``gelsd``), all at one absolute cutoff, give the rank and the minimum-norm
 solution of A.  Each ``gelsd`` is O((N/2)**3), so the two cost about a
-quarter of one on all of A: at heterogeneous (100, 4) the solve took 300
-ms against 711 ms, at (400, 2) 3.0 s against 10.7 s.  The residual comes
-from the same triangles: for every c, ||A c - b||**2 = ||R c - Q^H b||**2
-+ rho**2, where rho is the last diagonal entry of the triangle of [A | b]
-(Golub and Van Loan, Matrix Computations, section 5.3), so no second pass
-over the blocks forms A c.  Streamed as one staircase, the folded matrix
-gives a triangle whose coupling block between the halves is exactly zero,
-but the even half's part of b outside its range then runs through the odd
-half's reflections: at homogeneous (50, 1) the residual left in the kept
-singular directions read 1.3e-6 of ||b|| that way, and 2.7e-7 with each
-half streamed on its own.
+quarter of one on all of A.  The residual comes from the same triangles:
+for every c, ||A c - b||**2 = ||R c - Q^H b||**2 + rho**2, where rho is
+the last diagonal entry of the triangle of [A | b] (Golub and Van Loan,
+Matrix Computations, section 5.3), so no second pass over the blocks
+forms A c.  Streamed as one staircase, the folded matrix gives a
+triangle whose coupling block between the halves is exactly zero, but the
+even half's part of b outside its range then runs through the odd half's
+reflections: at homogeneous (50, 1) the residual left in the kept singular
+directions read 1.3e-6 of ||b|| that way, and 2.7e-7 with each half
+streamed on its own.
 
 A state's window reaches the mirrors of its nodes only on rows within
 8.58 sqrt(hbar) of x = 0, so on every row farther out the two halves hold
@@ -77,10 +76,9 @@ the even half keeps the carried triangle's A columns and b_E's, the odd
 half the A columns and b_O's, and also the row on b_E's diagonal: the QR
 rotated part of b_O's residual into that coupling row, and without it the
 odd rho is wrong (``_split_carry``).  Each half then streams its own rows
-near 0.  At heterogeneous (100, 4) the QR took 99 ms against 133 ms,
-with 246 of the 493 even columns done at the fork; the ranks are those of
-the halves streamed apart, and the triangles' singular values move by
-rounding.
+near 0.  At heterogeneous (100, 4), 246 of the 493 even columns are done
+at the fork; the ranks are those of the halves streamed apart, and the
+triangles' singular values move by rounding.
 
 The factorizations call ``numpy.linalg`` only.  numpy and scipy link
 separate OpenBLAS builds, each with its own thread pool.  On a 2-vCPU

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import analysis, assembly_solver, quadrature as quad, reference_fem
-from .phase_space import LatticeSpec, build_symbol_set, search_bounds_from_symbol
+from .phase_space import IndexSet, LatticeSpec, build_symbol_set, search_bounds_from_symbol
 from .problem_model import ProblemCase
 
 __all__ = [
@@ -175,10 +175,10 @@ class ScalingStudy:
 def scaling_study(config):
     """Smallest delta reaching the target accuracy per k, plus log-log slopes.
 
-    A cell depends on delta only through its index set, and consecutive
-    grid deltas often select the same set (k = 50 selects 30 pairs at all
-    five of delta = 0.1 ... 0.2).  Such a repeat is not solved again: its
-    cell is its predecessor's, which already missed the target.
+    The sets {|p| < delta} are nested: a pair enters at its entry delta
+    |p(x_m, xi_n)|.  Each k selects once, at the largest grid delta, and a
+    grid delta's set is the pairs of that set with entry below it, in order.
+    An empty set, or the last solved set again (same size), is not solved.
     """
     if config.target_accuracy is None or config.target_accuracy <= 0.0:
         raise ValueError("scaling_study needs a positive target_accuracy")
@@ -190,14 +190,14 @@ def scaling_study(config):
     hits, dropped = [], []
     for k in config.ks:
         case = ProblemCase.from_name(config.case, k)
+        widest = select_index_set(case, deltas[-1])
+        entry = np.abs(case.symbol(widest.x_array(), widest.xi_array()))
         size = 0
         for delta in deltas:
-            index_set = select_index_set(case, delta)
-            # The sets {|p| < delta} are nested in delta, so a set no larger
-            # than the previous one is that set; sub-threshold deltas select
-            # nothing at small k.
-            if len(index_set) == size:
+            keep = entry < delta
+            if np.count_nonzero(keep) == size:
                 continue
+            index_set = IndexSet(widest.m[keep], widest.n[keep], widest.lattice)
             size = len(index_set)
             record, _, _ = run_cell(case, delta, config, cache, index_set)
             if record.rel_h1k_error <= config.target_accuracy:

@@ -169,7 +169,8 @@ class ProblemCase:
     def symbol(self, x, xi):
         """Principal symbol -a*xi**2 + c = nu**(-1)*xi**2 - mu*nu of ``operator()``.
 
-        The order-(1/k) first-derivative term b is excluded.
+        The order-(1/k) first-derivative term b is excluded.  |p(x_m, xi_n)|
+        is a pair's entry delta: it lies in {|p| < delta} for every larger delta.
         """
         a, _, c = self.operator().coefficients(x)
         return principal_symbol(a, c, np.asarray(xi, dtype=float))

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcshelm import analysis, assembly_solver, cli
+from gcshelm import analysis, assembly_solver, cli, experiments
 from gcshelm.experiments import (
     DEFAULT_SCALING_DELTAS,
     EmptyIndexSetError,
@@ -16,6 +16,7 @@ from gcshelm.experiments import (
     run_case,
     run_cell,
     scaling_study,
+    select_index_set,
 )
 from gcshelm.phase_space import LatticeSpec
 from gcshelm.problem_model import ProblemCase
@@ -151,6 +152,68 @@ def test_scaling_study_solves_each_distinct_index_set_once(monkeypatch):
     assert scaling_study(cfg) == want
     assert len(assembled) == distinct < cells
     assert 0 not in assembled
+
+
+def _record_misses(monkeypatch):
+    """Replace run_cell by a recorder of (k, delta, m, n) that reports a miss."""
+    cells = []
+
+    def miss(case, delta, config, cache=None, index_set=None):
+        cells.append((case.k, delta, index_set.m.tolist(), index_set.n.tolist()))
+        return ExperimentRecord(case.k, delta, len(index_set), 1.0, 0), None, index_set
+
+    monkeypatch.setattr(experiments, "run_cell", miss)
+    return cells
+
+
+@pytest.mark.parametrize("case", ["homogeneous", "heterogeneous"])
+def test_scaling_study_masks_the_widest_set_by_entry_delta(case, monkeypatch):
+    # Each delta the study solves must be the first grid delta of a distinct
+    # nonempty selection, with that selection's pairs in its order.  On the
+    # homogeneous case every n = 0 state on |x| <= 1 has |p| = 1 exactly, so
+    # delta = 1.0 tells the strict entry test from a non-strict one.
+    ks = (20.0, 50.0, 100.0, 200.0, 400.0, 800.0)
+    deltas = tuple(sorted(DEFAULT_SCALING_DELTAS + (1.0,)))
+    want = []
+    for k in ks:
+        problem = ProblemCase.from_name(case, k)
+        last = None
+        for delta in deltas:
+            index_set = select_index_set(problem, delta)
+            pairs = (index_set.m.tolist(), index_set.n.tolist())
+            if len(index_set) and pairs != last:
+                want.append((k, delta, *pairs))
+                last = pairs
+    cells = _record_misses(monkeypatch)
+    cfg = ExperimentConfig(case=case, ks=ks, deltas=deltas, target_accuracy=1e-3)
+    with pytest.raises(RuntimeError, match="reached for only 0"):
+        scaling_study(cfg)
+    assert cells == want
+
+
+def test_scaling_study_selects_once_per_k(monkeypatch):
+    selected = []
+    select = experiments.select_index_set
+
+    def counted(case, delta):
+        selected.append((case.k, delta))
+        return select(case, delta)
+
+    monkeypatch.setattr(experiments, "select_index_set", counted)
+    cells = _record_misses(monkeypatch)
+    ks = (20.0, 50.0, 100.0, 200.0)
+    cfg = ExperimentConfig(ks=ks, deltas=DEFAULT_SCALING_DELTAS, target_accuracy=1e-3)
+    with pytest.raises(RuntimeError, match="reached for only 0"):
+        scaling_study(cfg)
+    assert selected == [(k, DEFAULT_SCALING_DELTAS[-1]) for k in ks]
+    assert len(cells) > len(ks)
+    # the largest delta is selected first, so rows that never close on
+    # |x| <= ROW_REACH raise before any cell is solved
+    cells.clear()
+    cfg = ExperimentConfig(ks=ks, deltas=(0.5, 1.0, 300.0), target_accuracy=1e-3)
+    with pytest.raises(ValueError, match="rows never close"):
+        scaling_study(cfg)
+    assert cells == []
 
 
 def test_cli_solve_to_csv(tmp_path, capsys):
