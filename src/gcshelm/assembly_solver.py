@@ -28,7 +28,11 @@ block's rows at x < 0 onto their mirrors; a state whose window does not
 reach its mirror has the same block in both halves, held once.  A and
 E + O have the same singular values, so the rank, the residual and the
 minimum-norm solution carry over, and ``solve`` maps the coefficients back
-to state order.
+to state order.  Every system is held this way, so ``solve`` has one
+path; ``DesignSystem`` rejects a block that lies across the two halves,
+and a system of one column, whose odd half would have none: the set of
+the state (0, 0) alone, which no case selects (at k >= 20 the pairs
+(0, +-n) enter before it).
 
 The matrix is never formed: ``assemble`` keeps only the blocks, each
 scaled by sqrt(w_q), so storage grows with the number of nonzeros, not
@@ -52,7 +56,7 @@ quarter of one on all of A.  The residual comes from the same triangles:
 for every c, ||A c - b||**2 = ||R c - Q^H b||**2 + rho**2, where rho is
 the last diagonal entry of the triangle of [A | b] (Golub and Van Loan,
 Matrix Computations, section 5.3), so no second pass over the blocks
-forms A c.  Streamed as one staircase, the folded matrix gives a
+forms A c.  Streamed as one staircase, the whole matrix gives a
 triangle whose coupling block between the halves is exactly zero, but the
 even half's part of b outside its range then runs through the odd half's
 reflections: at homogeneous (50, 1) the residual left in the kept singular
@@ -143,23 +147,30 @@ class BlockMatrix:
 class DesignSystem:
     """Complex least-squares system A c ~ b, A held as blocks, with its quadrature rule.
 
-    ``folded`` marks the system ``assemble`` returns: its rows and columns
-    are the even, then the odd combinations of mirror pairs (``_fold``), so
-    ``matrix`` is block-diagonal, and ``solve`` maps the coefficients back
-    to state order.  Each half runs from its outer end inward, and the two
-    agree bit for bit on the rows before the even half's last block.
-    Otherwise rows are nodes and columns states.
+    The rows and columns are the even, then the odd combinations of mirror
+    pairs (``_fold``), as ``assemble`` builds them, so ``matrix`` is
+    block-diagonal: each block lies in the first Q - Q//2 rows and N - N//2
+    columns, or in the rest.  Each half runs from its outer end inward,
+    and the two agree bit for bit on the rows before the even half's last
+    block.  ``solve`` maps the coefficients back to state order.
     """
 
     matrix: BlockMatrix
     rhs: np.ndarray
     rule: quad.QuadratureRule
-    folded: bool = False
 
     def __post_init__(self):
         q, n = self.matrix.shape
         if q < n:
             raise ValueError("system must have at least as many rows as columns")
+        if n < 2:
+            raise ValueError("system must have two columns or more: the odd half would have none")
+        # whether each block's first and last row, then column, lie in the even half
+        even = np.hstack([
+            self.matrix.row_bounds - [0, 1] < q - q // 2, self.matrix.col_bounds - [0, 1] < n - n // 2,
+        ])
+        if np.any(even != even[:, :1]):
+            raise ValueError("every block must lie in the even or in the odd half of the system")
         if not all(np.all(np.isfinite(block)) for _, _, block in self.matrix.blocks):
             raise ValueError("non-finite design matrix entries")
 
@@ -168,9 +179,9 @@ class DesignSystem:
 class SolveReport:
     """Minimum-norm least-squares solution with rank and residual metadata.
 
-    The coefficients are in state order, whatever basis the system was
-    solved in.  The singular values are those of the design matrix, over
-    both parity halves of a folded system: the largest, the smallest kept
+    The coefficients are in state order, though the system is solved in
+    its parity halves.  The singular values are those of the design matrix,
+    over both halves: the largest, the smallest kept
     above ``truncation_cutoff * sigma_max``, and the largest dropped (0.0
     at full rank).
     """
@@ -185,7 +196,7 @@ class SolveReport:
 
 
 def assemble(index_set, case, nodes_per_wavelength):
-    """Sample P_k Psi_j and the source on a rule built for them, folded by parity.
+    """Sample P_k Psi_j and the source on a rule built for them, in their parity halves.
 
     The rule has ``nodes_per_wavelength`` nodes per wavelength 2*pi/k on the
     union of every state's window [x_j - r, x_j + r], r =
@@ -249,36 +260,31 @@ def assemble(index_set, case, nodes_per_wavelength):
                 flipped if minus is plus else minus[::-1, ::-1],
             ))
     rhs = _fold(root_w * case.rhs(x))
-    return DesignSystem(BlockMatrix((q, size), tuple(even[::-1] + odd[::-1])), rhs, rule, folded=True)
+    return DesignSystem(BlockMatrix((q, size), tuple(even[::-1] + odd[::-1])), rhs, rule)
 
 
 def solve(system, cutoff_rel=DEFAULT_CUTOFF):
     """Rank-revealing least-squares solve of the rectangular design matrix.
 
-    The even and the odd half of a system from ``assemble`` each get a
-    triangle from one streaming QR, which factors the rows both halves hold
-    once (``_shared_qr``); otherwise each diagonal block of the staircase
-    (``_diagonal_blocks``) streams its own.  One ``lstsq`` runs on each
-    triangle, all truncated at tau = ``cutoff_rel`` * sigma_max of the
-    whole matrix.  A block whose own relative cutoff keeps another set of
-    singular values than tau does is solved again at tau.  The
-    coefficients come back in state order.
+    The even and the odd half each get a triangle from one streaming QR,
+    which factors the rows both halves hold once (``_shared_qr``).  One
+    ``lstsq`` runs on each triangle, both truncated at tau = ``cutoff_rel``
+    * sigma_max of the whole matrix.  A half whose own relative cutoff
+    keeps another set of singular values than tau does is solved again at
+    tau.  The coefficients come back in state order.
     """
     if not 0.0 < cutoff_rel < 1.0:
         raise ValueError("cutoff_rel must lie in (0, 1)")
     if not any(block.any() for _, _, block in system.matrix.blocks):
         raise ValueError("design matrix is identically zero")
-    if system.folded and system.matrix.shape[1] > 1:  # both halves have columns
-        triangles = _shared_qr(system.matrix, system.rhs)
-    else:
-        triangles = [_banded_qr(sub, system.rhs[rows]) for rows, sub in _diagonal_blocks(system.matrix)]
+    triangles = _shared_qr(system.matrix, system.rhs)
     parts = [np.linalg.lstsq(r, qhb, rcond=cutoff_rel) for r, qhb, _ in triangles]
     sigma_max = max(float(sigma[0]) for *_, sigma in parts)
     tau = cutoff_rel * sigma_max
     for k, ((r, qhb, _), (_, _, rank, sigma)) in enumerate(zip(triangles, parts)):
         if np.count_nonzero(sigma > tau) != rank:
             parts[k] = np.linalg.lstsq(r, qhb, rcond=tau / sigma[0])
-    # ||A c - b||**2 = ||R c - Q^H b||**2 + rho**2 for every c, summed over the blocks
+    # ||A c - b||**2 = ||R c - Q^H b||**2 + rho**2 for every c, summed over the halves
     residual = math.sqrt(sum(
         float(np.linalg.norm(r @ c - qhb)) ** 2 + rho**2
         for (r, qhb, rho), (c, *_) in zip(triangles, parts)
@@ -288,34 +294,13 @@ def solve(system, cutoff_rel=DEFAULT_CUTOFF):
     kept = np.concatenate([np.arange(s.size) < rank for _, _, rank, s in parts])
     dropped = 0.0 if kept.all() else float(sigma[~kept].max())
     return SolveReport(
-        _unfold(coeff) if system.folded else coeff, int(kept.sum()), float(cutoff_rel),
+        _unfold(coeff), int(kept.sum()), float(cutoff_rel),
         residual, sigma_max, float(sigma[kept].min()), dropped,
     )
 
 
-def _diagonal_blocks(a):
-    """The diagonal blocks of a staircase, as (rows, BlockMatrix) pairs.
-
-    A cut falls before every block that shares no row with the blocks
-    before it; rows and columns that no block touches go with the diagonal
-    block before them, or the first.
-    """
-    q, n = a.shape
-    starts, stops = a.row_bounds.T
-    first = np.flatnonzero(np.append(True, stops[:-1] <= starts[1:]))
-    rows = np.concatenate(([0], starts[first[1:]], [q]))
-    cols = np.concatenate(([0], a.col_bounds[first[1:], 0], [n]))
-    for k, (i, j) in enumerate(zip(first, np.append(first[1:], len(a.blocks)))):
-        r0, c0 = rows[k], cols[k]
-        blocks = tuple(
-            (slice(r.start - r0, r.stop - r0), slice(c.start - c0, c.stop - c0), block)
-            for r, c, block in a.blocks[i:j]
-        )
-        yield slice(r0, rows[k + 1]), BlockMatrix((rows[k + 1] - r0, cols[k + 1] - c0), blocks)
-
-
 def _shared_qr(a, rhs):
-    """The triangles (R, Q^H b, |rho|) of the even and the odd half of a folded system.
+    """The triangles (R, Q^H b, |rho|) of the even and the odd half of the system.
 
     Each half, and so its triangle and Q^H b, runs from its outer end.  Their
     rows before ``_fork_row`` are the same, and one stream factors them
@@ -345,7 +330,7 @@ def _shared_qr(a, rhs):
 
 
 def _halves(a):
-    """The even and the odd half of a folded staircase, each as its own ``BlockMatrix``."""
+    """The even and the odd half of the staircase, each as its own ``BlockMatrix``."""
     q, n = a.shape
     q_even, n_even = q - q // 2, n - n // 2
     split = np.searchsorted(a.row_bounds[:, 0], q_even)
@@ -380,19 +365,6 @@ def _split_carry(carry, odd_width):
     """
     width = carry.shape[1] - 2
     return carry[:, :-1], np.delete(carry, np.s_[min(odd_width, width) : width + 1], axis=1)
-
-
-def _banded_qr(a, b):
-    """The N x N triangle R of a = Q R, Q^H b and |rho|, from row blocks of [a | b].
-
-    rho is the last diagonal entry of the triangle of [a | b], the part of b
-    outside the range of a; it is 0 when no row is left for it (Q = N).
-    """
-    q, n = a.shape
-    r = np.zeros((n, n), dtype=complex)
-    qhb = np.zeros((n, 1), dtype=complex)
-    _, carry = _stream(a, b[:, None], 0, q, 0, np.zeros((0, 1), dtype=complex), r, qhb)
-    return r, qhb[:, 0], _rho(carry)
 
 
 def _rho(carry):
@@ -456,7 +428,7 @@ def _stream(a, b, start, stop, lo, carry, r, qhb):
 
 
 def _row_step(band, q, n):
-    """Rows of A per block of ``_banded_qr``, read off the staircase.
+    """Rows of A per block of ``_stream``, read off the staircase.
 
     A block of s rows reaches about s*n/q columns past the last, so its QR
     factors about band + s rows (the carried triangle and the block) over
@@ -484,11 +456,11 @@ def _fold(values):
     return np.concatenate([(upper + lower) * _SQRT_HALF, values[half : size - half], (upper - lower) * _SQRT_HALF])
 
 
-def _unfold(folded):
+def _unfold(parts):
     """Values in position order from the even and odd parts of ``_fold``, along the first axis."""
-    size = len(folded)
+    size = len(parts)
     half = size // 2
-    even, middle, odd = folded[:half], folded[half : size - half], folded[size - half :]
+    even, middle, odd = parts[:half], parts[half : size - half], parts[size - half :]
     return np.concatenate([(even - odd) * _SQRT_HALF, middle, ((even + odd) * _SQRT_HALF)[::-1]])
 
 

@@ -1,6 +1,7 @@
 """Oracles the tests share: the search-box selection of symbol sets,
 per-state lists, dense views of block matrices and of the design matrix in
-state order, the assembly and the triangle solve
+state order, a system of two parity halves from dense arrays, the streaming
+QR of one staircase, the assembly and the triangle solve
 before the parity fold, the solve of the two halves before they shared
 rows and their fork read off the entries, the former row step of the
 streaming QR and a recorder of the arrays it factors, derivative blocks,
@@ -16,8 +17,10 @@ reference, and a CSV reader for the table output."""
 import csv
 import io
 import math
+from typing import NamedTuple
 
 import numpy as np
+import pytest
 from numpy.polynomial import polynomial as npoly
 from scipy.linalg import solve_banded
 
@@ -29,6 +32,9 @@ from gcshelm import problem_model as pm
 from gcshelm import quadrature as quad
 from gcshelm import reference_fem as fem
 from gcshelm.experiments import ExperimentRecord
+
+# the solve itself, which a test may replace by ``unshared_solve``
+_SOLVE = asm.solve
 
 
 def pairs_of(index_set):
@@ -87,18 +93,37 @@ def dense(matrix):
 def state_matrix(system):
     """The Q x N design matrix A of a system in state order, on the rule's nodes.
 
-    Undoes the parity fold of ``asm.assemble`` (rows then columns); an
-    unfolded system is its dense matrix.
+    Undoes the parity fold of ``asm.assemble``, rows then columns.
     """
-    a = dense(system.matrix)
-    if system.folded:
-        a = asm._unfold(asm._unfold(a).T).T
-    return a
+    return asm._unfold(asm._unfold(dense(system.matrix)).T).T
 
 
 def state_rhs(system):
     """The right-hand side of a system in node order: the parity fold undone."""
-    return asm._unfold(system.rhs) if system.folded else system.rhs
+    return asm._unfold(system.rhs)
+
+
+def halves_system(a_even, b_even, a_odd, b_odd):
+    """An ``asm.DesignSystem`` of one block per parity half, each a dense array.
+
+    The even half must have as many rows and columns as the odd one, or
+    one more of each.
+    """
+    (q_even, n_even), (q_odd, n_odd) = np.shape(a_even), np.shape(a_odd)
+    blocks = (
+        (slice(0, q_even), slice(0, n_even), np.asarray(a_even, dtype=complex)),
+        (slice(q_even, q_even + q_odd), slice(n_even, n_even + n_odd), np.asarray(a_odd, dtype=complex)),
+    )
+    matrix = asm.BlockMatrix((q_even + q_odd, n_even + n_odd), blocks)
+    return asm.DesignSystem(matrix, np.concatenate([b_even, b_odd]), quad.build_rule((0.0, 1.0), 20, 20))
+
+
+class UnfoldedSystem(NamedTuple):
+    """The system of ``unfolded_assemble``: rows are nodes, columns states."""
+
+    matrix: asm.BlockMatrix
+    rhs: np.ndarray
+    rule: quad.QuadratureRule
 
 
 def unfolded_assemble(index_set, case, nodes_per_wavelength):
@@ -114,62 +139,55 @@ def unfolded_assemble(index_set, case, nodes_per_wavelength):
         block *= root_w[rows, None]
         blocks.append((rows, cols, block))
     rhs = root_w * case.rhs(rule.nodes)
-    return asm.DesignSystem(asm.BlockMatrix((len(rule), len(index_set)), tuple(blocks)), rhs, rule)
+    return UnfoldedSystem(asm.BlockMatrix((len(rule), len(index_set)), tuple(blocks)), rhs, rule)
+
+
+def banded_qr(a, b):
+    """The N x N triangle R of a = Q R, Q^H b and |rho|, from row blocks of [a | b].
+
+    One ``asm._stream`` over every row of a ``BlockMatrix``, with no rows
+    shared between halves.  rho is the last diagonal entry of the triangle
+    of [a | b], the part of b outside the range of a; it is 0 when no row
+    is left for it (Q = N).
+    """
+    q, n = a.shape
+    r = np.zeros((n, n), dtype=complex)
+    qhb = np.zeros((n, 1), dtype=complex)
+    _, carry = asm._stream(a, b[:, None], 0, q, 0, np.zeros((0, 1), dtype=complex), r, qhb)
+    return r, qhb[:, 0], asm._rho(carry)
 
 
 def triangle_solve(system, cutoff_rel=asm.DEFAULT_CUTOFF):
     """``asm.solve`` before the split: one ``lstsq`` on the whole N x N triangle.
 
-    With ``unfolded_assemble``, the equivalence oracle of the folded path.
+    With ``unfolded_assemble``, the equivalence oracle of the parity halves.
     """
-    r, qhb, rho = asm._banded_qr(system.matrix, system.rhs)
+    r, qhb, rho = banded_qr(system.matrix, system.rhs)
     coeff, _, rank, sigma = np.linalg.lstsq(r, qhb, rcond=cutoff_rel)
     residual = math.hypot(float(np.linalg.norm(r @ coeff - qhb)), rho)
     dropped = float(sigma[rank]) if rank < sigma.size else 0.0
-    if system.folded:
-        coeff = asm._unfold(coeff)
     return asm.SolveReport(
         coeff, int(rank), float(cutoff_rel), residual,
         float(sigma[0]), float(sigma[rank - 1]), dropped,
     )
 
 
-def unshared_triangles(system):
-    """The triangles (R, Q^H b, |rho|) of ``asm.solve`` before the halves shared rows.
+def unshared_triangles(a, rhs):
+    """The triangles (R, Q^H b, |rho|) of ``asm._shared_qr`` before the halves shared rows.
 
-    Each diagonal block of the staircase (the even and the odd half of a
-    folded system) streams its own QR from its first row, with
-    ``asm._banded_qr``: a half of ``asm.assemble`` from its outer end.
+    The even and the odd half of ``asm._halves`` each stream their own QR
+    from their outer end, with ``banded_qr``.
     """
-    return [asm._banded_qr(sub, system.rhs[rows]) for rows, sub in asm._diagonal_blocks(system.matrix)]
+    even, odd = asm._halves(a)
+    q_even = even.shape[0]
+    return [banded_qr(even, rhs[:q_even]), banded_qr(odd, rhs[q_even:])]
 
 
 def unshared_solve(system, cutoff_rel=asm.DEFAULT_CUTOFF):
-    """``asm.solve`` on ``unshared_triangles``: the equivalence oracle of the shared stream.
-
-    One ``lstsq`` per triangle at the common cutoff tau = ``cutoff_rel`` *
-    sigma_max, a triangle solved again at tau where its own cutoff keeps
-    another set, and the residual read off the triangles.
-    """
-    triangles = unshared_triangles(system)
-    parts = [np.linalg.lstsq(r, qhb, rcond=cutoff_rel) for r, qhb, _ in triangles]
-    sigma_max = max(float(sigma[0]) for *_, sigma in parts)
-    tau = cutoff_rel * sigma_max
-    for k, ((r, qhb, _), (_, _, rank, sigma)) in enumerate(zip(triangles, parts)):
-        if np.count_nonzero(sigma > tau) != rank:
-            parts[k] = np.linalg.lstsq(r, qhb, rcond=tau / sigma[0])
-    residual = math.sqrt(sum(
-        float(np.linalg.norm(r @ c - qhb)) ** 2 + rho**2
-        for (r, qhb, rho), (c, *_) in zip(triangles, parts)
-    ))
-    coeff = np.concatenate([part[0] for part in parts])
-    sigma = np.concatenate([part[3] for part in parts])
-    kept = np.concatenate([np.arange(s.size) < rank for _, _, rank, s in parts])
-    dropped = 0.0 if kept.all() else float(sigma[~kept].max())
-    return asm.SolveReport(
-        asm._unfold(coeff) if system.folded else coeff, int(kept.sum()), float(cutoff_rel),
-        residual, sigma_max, float(sigma[kept].min()), dropped,
-    )
+    """``asm.solve`` on ``unshared_triangles``: the equivalence oracle of the shared stream."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asm, "_shared_qr", unshared_triangles)
+        return _SOLVE(system, cutoff_rel)
 
 
 def value_fork_row(even, odd):
@@ -203,13 +221,13 @@ def value_fork_row(even, odd):
 
 
 def one_block(a):
-    """A dense array as an ``asm.BlockMatrix`` of one block."""
+    """A dense array as an ``asm.BlockMatrix`` of one block: no parity halves."""
     q, n = a.shape
     return asm.BlockMatrix((q, n), ((slice(0, q), slice(0, n), np.asarray(a, dtype=complex)),))
 
 
 def former_row_step(band, q, n):
-    """Rows per block of ``asm._banded_qr`` before ``asm._row_step``: max(4 band, 1024).
+    """Rows per block of ``asm._stream`` before ``asm._row_step``: max(4 band, 1024).
 
     The oracle of the row step, substituted for ``asm._row_step``; it fixed
     the rows and left the columns to grow with them.

@@ -13,8 +13,10 @@ from gcshelm.phase_space import IndexSet, LatticeSpec, build_symbol_set
 from gcshelm.problem_model import ProblemCase
 
 from helpers import (
+    banded_qr,
     dense,
     former_row_step,
+    halves_system,
     norm,
     one_block,
     pairs_of,
@@ -45,11 +47,12 @@ def coefficient_report(c):
 
 
 def test_exact_representability_single_column():
+    # the first column of each half, with that column as its right-hand
+    # side: both parity coefficients are 1
     system, _, _ = make_system()
-    target = dense(system.matrix)[:, :1]
-    sub = asm.DesignSystem(one_block(target), target[:, 0].copy(), system.rule)
-    report = asm.solve(sub)
-    assert abs(report.coefficients[0] - 1.0) < 1e-8
+    even, odd = (dense(half)[:, :1] for half in asm._halves(system.matrix))
+    report = asm.solve(halves_system(even, even[:, 0], odd, odd[:, 0]))
+    assert np.abs(asm._fold(report.coefficients) - 1.0).max() < 1e-8
     assert report.residual_norm < 1e-10
 
 
@@ -73,33 +76,39 @@ def test_gram_hermitian():
 
 
 def test_duplicate_column_rank_and_residual():
+    # each half with a copy of its first column after its last
     system, _, _ = make_system()
     report = asm.solve(system)
-    a = dense(system.matrix)
-    dup = np.concatenate([a, a[:, :1]], axis=1)
-    sub = asm.DesignSystem(one_block(dup), system.rhs, system.rule)
+    even, odd = (dense(half) for half in asm._halves(system.matrix))
+    q_even = even.shape[0]
+    dup = [np.concatenate([a, a[:, :1]], axis=1) for a in (even, odd)]
+    sub = halves_system(dup[0], system.rhs[:q_even], dup[1], system.rhs[q_even:])
     report2 = asm.solve(sub)
     assert report2.numerical_rank == report.numerical_rank
     assert abs(report2.residual_norm - report.residual_norm) < 1e-8
 
 
 def test_orthonormal_columns_projection():
+    # orthonormal columns in each half stay orthonormal in state order
     rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.normal(size=(40, 6)) + 1j * rng.normal(size=(40, 6)))
+    halves = [np.linalg.qr(rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3)))[0] for _ in range(2)]
     b = rng.normal(size=40) + 1j * rng.normal(size=40)
-    sub = asm.DesignSystem(one_block(q), b, quad.build_rule((0.0, 1.0), 20, 20))
+    sub = halves_system(halves[0], b[:20], halves[1], b[20:])
     report = asm.solve(sub)
-    assert np.max(np.abs(report.coefficients - q.conj().T @ b)) < 1e-10
+    q = state_matrix(sub)
+    assert np.max(np.abs(report.coefficients - q.conj().T @ state_rhs(sub))) < 1e-10
 
 
 def test_normal_equation_optimality():
-    # full-precision optimality on a conditioned system through the same path
+    # full-precision optimality on a conditioned system through the same
+    # path, its singular values dealt alternately to the two halves
     rng = np.random.default_rng(9)
-    u, _ = np.linalg.qr(rng.normal(size=(200, 30)) + 1j * rng.normal(size=(200, 30)))
-    v, _ = np.linalg.qr(rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30)))
-    a = u @ np.diag(np.logspace(0, -3, 30)) @ v.conj().T
+    sigma = np.logspace(0, -3, 30)
+    halves = [with_singular_values(rng, 100, sigma[parity::2]) for parity in (0, 1)]
     b = rng.normal(size=200) + 1j * rng.normal(size=200)
-    report = asm.solve(asm.DesignSystem(one_block(a), b, quad.build_rule((0.0, 1.0), 20, 20)))
+    sub = halves_system(halves[0], b[:100], halves[1], b[100:])
+    report = asm.solve(sub)
+    a, b = state_matrix(sub), state_rhs(sub)
     lhs = np.linalg.norm(a.conj().T @ (a @ report.coefficients - b))
     assert lhs <= 1e-8 * np.linalg.norm(a.conj().T @ b)
 
@@ -208,7 +217,8 @@ def test_solve_validation():
     with pytest.raises(ValueError):
         asm.solve(system, cutoff_rel=0.0)
     shape = system.matrix.shape
-    for matrix in (one_block(np.zeros(shape)), asm.BlockMatrix(shape, ())):
+    zeros = tuple((rows, cols, np.zeros_like(block)) for rows, cols, block in system.matrix.blocks)
+    for matrix in (asm.BlockMatrix(shape, zeros), asm.BlockMatrix(shape, ())):
         with pytest.raises(ValueError, match="identically zero"):
             asm.solve(asm.DesignSystem(matrix, system.rhs, system.rule))
 
@@ -416,18 +426,17 @@ def het6_cell():
     return cell_system(ProblemCase.heterogeneous(50.0), 6.0)
 
 
-def synthetic_system(a, b):
-    return asm.DesignSystem(one_block(a), b, quad.build_rule((0.0, 1.0), 20, 20))
-
-
 def dense_system(padded, rows=2500):
-    # every row touches every column
+    # two halves of rows/2 x 30, every row of a half touching every column
+    # of it
     rng = np.random.default_rng(17)
     a = rng.normal(size=(rows, 60)) + 1j * rng.normal(size=(rows, 60))
     b = rng.normal(size=rows) + 1j * rng.normal(size=rows)
-    if padded:  # a zero column and a copy of column 0 after the last column
-        a = np.concatenate([a, np.zeros((rows, 1)), a[:, :1]], axis=1)
-    return synthetic_system(a, b)
+    half = rows // 2
+    even, odd = a[:half, :30], a[half:, 30:]
+    if padded:  # in each half, a zero column and a copy of its column 0 after its last column
+        even, odd = (np.concatenate([h, np.zeros((half, 1)), h[:, :1]], axis=1) for h in (even, odd))
+    return halves_system(even, b[:half], odd, b[half:])
 
 
 def lstsq_solve(system, cutoff_rel=asm.DEFAULT_CUTOFF):
@@ -442,17 +451,22 @@ def lstsq_solve(system, cutoff_rel=asm.DEFAULT_CUTOFF):
 
 
 def gapped_staircase():
-    # five random blocks down 3000 rows over 16 columns, column 7 in none
-    # of them
+    # two halves of 1500 rows over 8 columns, as ``assemble`` lays them
+    # out: the same two random blocks on the rows before the even half's
+    # last block (the fork, row 900), then a last block of each half's own.
+    # Column 6 of the even half is in none of its blocks
     rng = np.random.default_rng(23)
-    rows = [(0, 900), (300, 1500), (1200, 2100), (1800, 2700), (2400, 3000)]
-    cols = [(0, 3), (3, 7), (8, 11), (11, 14), (14, 16)]
-    blocks = []
-    for (r0, r1), (c0, c1) in zip(rows, cols):
+    rows = [(0, 900), (300, 1200), (900, 1500)]
+    cols = [(0, 3), (3, 6), (6, 8)]
+    even, odd = [], []
+    for k, ((r0, r1), (c0, c1)) in enumerate(zip(rows, cols)):
         block = rng.normal(size=(r1 - r0, c1 - c0)) + 1j * rng.normal(size=(r1 - r0, c1 - c0))
-        blocks.append((slice(r0, r1), slice(c0, c1), block))
+        odd.append((slice(1500 + r0, 1500 + r1), slice(8 + c0, 8 + c1), block))
+        if k == len(rows) - 1:
+            c0, block = c0 + 1, rng.normal(size=(r1 - r0, 1)) + 1j * rng.normal(size=(r1 - r0, 1))
+        even.append((slice(r0, r1), slice(c0, c1), block))
     b = rng.normal(size=3000) + 1j * rng.normal(size=3000)
-    matrix = asm.BlockMatrix((3000, 16), tuple(blocks))
+    matrix = asm.BlockMatrix((3000, 16), tuple(even + odd))
     return asm.DesignSystem(matrix, b, quad.build_rule((0.0, 1.0), 20, 20))
 
 
@@ -461,16 +475,19 @@ def gapped_staircase():
 # their halves share once, ceil(fork / step) steps, then each half's own
 # rows: 8 + 2 + 2 of 429 rows at hom (400, 0.336) (fork at 3249 of 3906
 # rows a half), 5 + 2 + 2 of 415 and 416 at het (50, 6) (1866 of 2465 and
-# 2464), 3 + 2 + 2 of 68 at hom (20, 1) (153 of 275); streamed apart, each
-# half took ceil(Q/2 / step) steps, 10 + 10, 6 + 6 and 5 + 5
+# 2464), 3 + 2 + 2 of 68 at hom (20, 1) (153 of 275), 4 + 3 + 3 of 281 on
+# the gapped staircase (900 of 1500); streamed apart, each half took
+# ceil(Q/2 / step) steps, 10 + 10, 6 + 6, 5 + 5 and 6 + 6.  The dense
+# halves fork at row 0 and stream apart: 5 + 5 steps of 312 rows of 1250,
+# 1 + 1 of 30
 EQUIVALENCE_CASES = {
     "hom-400-0.336": (lambda r: r.getfixturevalue("hom_cell")[0], 364, 12, 20),
     "het-50-6": (lambda r: r.getfixturevalue("het6_cell")[0], 474, 9, 12),
-    "dense": (lambda r: dense_system(False), 60, 4, 4),
-    "dense-zero-and-duplicate-column": (lambda r: dense_system(True), 60, 4, 4),
-    "dense-square": (lambda r: dense_system(False, rows=60), 60, 1, 1),
+    "dense": (lambda r: dense_system(False), 60, 10, 10),
+    "dense-zero-and-duplicate-column": (lambda r: dense_system(True), 60, 10, 10),
+    "dense-square": (lambda r: dense_system(False, rows=60), 60, 2, 2),
     "hom-20-1": (lambda r: make_system(20.0, 1.0, 20)[0], 78, 7, 10),
-    "gapped-staircase": (lambda r: gapped_staircase(), 15, 10, 10),
+    "gapped-staircase": (lambda r: gapped_staircase(), 15, 10, 12),
 }
 
 
@@ -550,7 +567,7 @@ def test_row_step_matches_the_former_stepping(cell, hom_cell, het6_cell, monkeyp
     for step in (asm._row_step, former_row_step):
         monkeypatch.setattr(asm, "_row_step", step)
         shapes.clear()
-        r = asm._banded_qr(system.matrix, system.rhs)[0]
+        r = banded_qr(system.matrix, system.rhs)[0]
         largest = max(rows * cols for rows, cols in shapes)
         runs.append((np.linalg.svd(r, compute_uv=False), asm.solve(system).numerical_rank, largest))
     (sigma, rank, largest), (former_sigma, former_rank, former_largest) = runs
@@ -664,11 +681,10 @@ def test_triangle_of_the_folded_matrix_is_block_diagonal(cell, hom_cell, het6_ce
     q, n = system.matrix.shape
     assert q == {"hom-400-0.336": 7812, "het-50-6": 4929}[cell]
     n_even = n - n // 2
-    r = asm._banded_qr(system.matrix, system.rhs)[0]
+    r = banded_qr(system.matrix, system.rhs)[0]
     assert np.any(r[:n_even, :n_even]) and np.any(r[n_even:, n_even:])
     assert not np.any(r[:n_even, n_even:])
-    halves = [(rows.stop - rows.start, sub.shape) for rows, sub in asm._diagonal_blocks(system.matrix)]
-    assert halves == [(q - q // 2, (q - q // 2, n_even)), (q // 2, (q // 2, n // 2))]
+    assert [half.shape for half in asm._halves(system.matrix)] == [(q - q // 2, n_even), (q // 2, n // 2)]
 
 
 def with_singular_values(rng, rows, sigma):
@@ -680,16 +696,15 @@ def with_singular_values(rng, rows, sigma):
 
 
 def test_one_cutoff_for_all_diagonal_blocks(monkeypatch):
-    # the second block's largest singular value is 1e-3 of the first's: its
-    # own relative cutoff would keep 1e-13, which tau = 1e-12 * sigma_max
-    # drops, so that block is solved again and the rank is that of a dense
-    # truncated SVD of the whole matrix
+    # the odd half's largest singular value is 1e-3 of the even half's: its
+    # own relative cutoff would keep 1e-13 and 1e-14, which tau = 1e-12 *
+    # sigma_max drops, so that half is solved again and the rank is that
+    # of a dense truncated SVD of the whole matrix
     rng = np.random.default_rng(31)
     first = with_singular_values(rng, 40, [1.0, 0.5, 0.25, 0.125])
-    second = with_singular_values(rng, 30, [1e-3, 1e-13])
-    blocks = ((slice(0, 40), slice(0, 4), first), (slice(40, 70), slice(4, 6), second))
-    b = rng.normal(size=70) + 1j * rng.normal(size=70)
-    system = asm.DesignSystem(asm.BlockMatrix((70, 6), blocks), b, quad.build_rule((0.0, 1.0), 20, 20))
+    second = with_singular_values(rng, 40, [1e-3, 1e-13, 1e-14])
+    b = rng.normal(size=80) + 1j * rng.normal(size=80)
+    system = halves_system(first, b[:40], second, b[40:])
     calls = []
     lstsq = np.linalg.lstsq
 
@@ -700,8 +715,8 @@ def test_one_cutoff_for_all_diagonal_blocks(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", recording)
     report = asm.solve(system)
     monkeypatch.setattr(np.linalg, "lstsq", lstsq)
-    assert calls == [(4, 4), (2, 2), (2, 2)]
-    a = dense(system.matrix)
+    assert calls == [(4, 4), (3, 3), (3, 3)]
+    a, b = state_matrix(system), state_rhs(system)
     coeff, _, rank, sigma = np.linalg.lstsq(a, b, rcond=asm.DEFAULT_CUTOFF)
     assert report.numerical_rank == rank == 5
     assert abs(report.sigma_kept_min - 1e-3) <= 1e-12 and abs(report.sigma_dropped_max - 1e-13) <= 1e-15
@@ -731,6 +746,36 @@ def test_assemble_rejects_a_set_or_operator_without_parity():
         asm.assemble(iset, mirrored, 20)
 
 
+def test_design_system_rejects_blocks_across_the_halves():
+    # the assembled matrix unfolded lies in both halves; so does a block on
+    # 8 x 4 that reaches past the even half's 4 rows or 2 columns, or that
+    # couples its rows to the odd half's columns
+    system, _, _ = make_system()
+    with pytest.raises(ValueError, match="even or in the odd half"):
+        asm.DesignSystem(one_block(state_matrix(system)), state_rhs(system), system.rule)
+
+    def system_of(layout):
+        blocks = tuple((rows, cols, np.ones((rows.stop - rows.start, cols.stop - cols.start))) for rows, cols in layout)
+        return asm.DesignSystem(asm.BlockMatrix((8, 4), blocks), np.ones(8), system.rule)
+
+    system_of(((slice(0, 4), slice(0, 2)), (slice(4, 8), slice(2, 4))))
+    for layout in (
+        ((slice(0, 5), slice(0, 2)), (slice(5, 8), slice(2, 4))),
+        ((slice(0, 4), slice(0, 3)), (slice(4, 8), slice(3, 4))),
+        ((slice(0, 4), slice(0, 2)), (slice(2, 4), slice(2, 4))),
+    ):
+        with pytest.raises(ValueError, match="even or in the odd half"):
+            system_of(layout)
+
+
+def test_assemble_rejects_the_set_of_one_state():
+    # the state (0, 0) alone has no odd half; no case selects it, since the
+    # pairs (0, +-n) enter first
+    case = ProblemCase.homogeneous(20.0)
+    with pytest.raises(ValueError, match="two columns"):
+        asm.assemble(IndexSet(np.array([0]), np.array([0]), LatticeSpec(1.0 / case.k)), case, 20)
+
+
 # -- the shared rows: one stream until the halves fork -------------------------
 
 
@@ -742,7 +787,8 @@ def shared_sigma_gap(system):
     (``unshared_triangles``).
     """
     shared = asm._shared_qr(system.matrix, system.rhs)
-    sigma = [np.linalg.svd(r, compute_uv=False) for r, _, _ in shared + unshared_triangles(system)]
+    unshared = unshared_triangles(system.matrix, system.rhs)
+    sigma = [np.linalg.svd(r, compute_uv=False) for r, _, _ in shared + unshared]
     gap = max(np.abs(new - old).max() for new, old in zip(sigma[:2], sigma[2:]))
     return gap / max(s[0] for s in sigma)
 
@@ -810,7 +856,7 @@ def parity_cell(request):
 
 
 def scrambled(system, odd_blocks, seed=5):
-    """The folded system with a random right-hand side, and random odd rows if ``odd_blocks``.
+    """The system with a random right-hand side, and random odd rows if ``odd_blocks``.
 
     Those are the odd half's entries from the fork on, the rows where
     ``asm.assemble`` lets the halves differ, redrawn at the scale of the
@@ -832,7 +878,7 @@ def scrambled(system, odd_blocks, seed=5):
             tail[:] = scale * (rng.normal(size=tail.shape) + 1j * rng.normal(size=tail.shape))
         blocks.append((rows, cols, block))
     rhs = rng.normal(size=q) + 1j * rng.normal(size=q)
-    return asm.DesignSystem(asm.BlockMatrix(matrix.shape, tuple(blocks)), rhs, system.rule, folded=True)
+    return asm.DesignSystem(asm.BlockMatrix(matrix.shape, tuple(blocks)), rhs, system.rule)
 
 
 def test_halves_agree_up_to_the_fork_and_share_its_rows_once(parity_cell, monkeypatch):
