@@ -7,8 +7,12 @@ density 2 whose bounds are the extrema of its Zak transform (Zibulski and
 Zeevi, ACHA 4, 1997; Groechenig, Foundations of Time-Frequency Analysis,
 ch. 8).  The dual frame works on a truncated lattice box whose Gram matrix
 is available in closed form.  The mirror of the frequency offsets about
-the box centre conjugates that Gram, so one unitary gauge makes it real
-and the dual solve is one real ``eigh`` of the same size.  In lattice
+the box centre conjugates that Gram, so one unitary gauge makes it real.
+The point reflection of the box about its centre leaves that real form
+unchanged, which splits it into a parity-even and a parity-odd half, and
+the target lies in the even one: the dual solve is one real ``eigh`` of
+the even half, about half the box wide, and the odd half's eigenvalues
+serve only the cut.  In lattice
 units the bounds and the Gram are exactly independent of hbar, which is
 what makes the frame diagnostics hbar-stable.  The Zak series and the Gram
 are cut at the tail tolerance ``_TAIL_TOL`` = exp(-72): Gram entries at
@@ -23,6 +27,7 @@ import numpy as np
 
 from . import gaussian_states as gs
 from . import quadrature as quad
+from .assembly_solver import _fold, _unfold
 from .phase_space import IndexSet, LatticeSpec, build_planewave_rhs_set
 
 __all__ = [
@@ -82,14 +87,17 @@ PLANEWAVE_EPSILON = 0.25
 PLANEWAVE_X_PAD = 0.5
 PLANEWAVE_XI_MAX = 2.5
 
-# 1j**j for j mod 4: lattice Gram phases are whole quarter turns
-_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
 # tail tolerance of the Zak series and the lattice Gram: exp(-12**2/2)
 _TAIL_TOL = math.exp(-72.0)
 # lattice distances squared past which exp(-pi*d2/4) < _TAIL_TOL
 _GRAM_TAIL_D2 = 4.0 * math.log(1.0 / _TAIL_TOL) / math.pi
 # exp(-pi*d2/4) for each integer d2 up to the tail, then one 0 for all beyond
 _GRAM_MODULUS = np.append(np.exp(-0.25 * math.pi * np.arange(math.floor(_GRAM_TAIL_D2) + 1)), 0.0)
+# offsets past this reach have d2 past the table's last index, so its 0
+_GRAM_REACH = math.isqrt(_GRAM_MODULUS.size - 1) + 1
+# the Gram entry exp(-pi*d2/4) * 1j**j at index 4*d2 + j, for j mod 4: the
+# phases are whole quarter turns 1, 1j, -1, -1j
+_GRAM_ENTRIES = (_GRAM_MODULUS[:, None] * np.array([1.0, 1.0j, -1.0, -1.0j])).ravel()
 # lattice distance past which g(t) = exp(-pi t**2 / 2) < _TAIL_TOL
 _ZAK_REACH = math.sqrt(2.0 * math.log(1.0 / _TAIL_TOL) / math.pi)
 
@@ -97,17 +105,24 @@ _ZAK_REACH = math.sqrt(2.0 * math.log(1.0 / _TAIL_TOL) / math.pi)
 def lattice_gram(m, n):
     """Closed-form Gram matrix G[i, j] = (Psi_i, Psi_j) = int Psi_i conj(Psi_j) dx.
 
-    ``m`` and ``n`` are integer arrays of lattice indices.  The entries are
-    exp(-pi*d2/4) * 1j**((n1+n2)*(m2-m1)) with d2 = (m1-m2)**2 + (n1-n2)**2,
-    independent of hbar.  The modulus is read from a table over integer d2
-    and the phase exactly from the quarter turns 1, 1j, -1, -1j.  Entries
+    ``m`` and ``n`` are integer arrays of lattice indices, each spanning at
+    most 32767 steps.  The entries are exp(-pi*d2/4) * 1j**((n1+n2)*(m2-m1))
+    with d2 = (m1-m2)**2 + (n1-n2)**2, independent of hbar.  Each is read
+    from one table over integer d2 and the exact quarter turns 1, 1j, -1,
+    -1j.  The offsets are held in int16, clipped to the table's reach, and
+    the quarter-turn exponent in int8, from the indices mod 4.  Entries
     with pi*d2/4 > log(1/_TAIL_TOL), of modulus below exp(-72), are
     exactly 0.
     """
-    dm = m[None, :] - m[:, None]
-    dn = n[:, None] - n[None, :]
-    mag = _GRAM_MODULUS[np.minimum(dm * dm + dn * dn, _GRAM_MODULUS.size - 1)]
-    return mag * _QUARTER_TURNS[((n[:, None] + n[None, :]) * dm) % 4]
+    if m.size and max(np.ptp(m), np.ptp(n)) > np.iinfo(np.int16).max:
+        raise ValueError("lattice indices must span at most 32767 steps in m and in n")
+    # int16 differences wrap modulo 2**16, so within that span they are exact
+    m16, n16 = m.astype(np.int16), n.astype(np.int16)
+    dm = np.clip(m16[None, :] - m16[:, None], -_GRAM_REACH, _GRAM_REACH)
+    dn = np.clip(n16[:, None] - n16[None, :], -_GRAM_REACH, _GRAM_REACH)
+    m4, n4 = (m & 3).astype(np.int8), (n & 3).astype(np.int8)
+    turns = ((n4[:, None] + n4[None, :]) * (m4[None, :] - m4[:, None])) & 3
+    return np.take(_GRAM_ENTRIES, np.minimum(dm * dm + dn * dn, _GRAM_MODULUS.size - 1) * 4 + turns)
 
 
 def _zak_frame_function(x, w):
@@ -172,13 +187,27 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
 
         W = U^H G U = Re G - (Im G J - J Im G)/2,
 
-    is real symmetric with G's eigenvalues, and one real ``eigh`` of W
-    inverts it.  The target is the box centre, a fixed point of J, so
-    U^H e_target = e_target, and c = U y for the real solution y; on the
-    fixed points of J, c equals y exactly.  The returned residual is
-    ||G (G c - e)||, on the complex G, which vanishes exactly when G c - e
-    lies in the kernel, i.e. when the synthesized function reproduces the
-    dual state on the box.
+    is real symmetric with G's eigenvalues.  The target is the box centre,
+    a fixed point of J, so U^H e_target = e_target, and c = U y for the
+    real solution y of W y = e_target on the kept band; on the fixed points
+    of J, c equals y exactly.
+
+    W is solved on half the box.  The point reflection P: (dm, dn) ->
+    (-dm, -dn), the box index i -> L-1-i, leaves G unchanged bit for bit:
+    it keeps the distances and changes the quarter-turn exponent by
+    4 tn (m2-m1), and it commutes with J, so P W P = W exactly.  In the
+    even and odd parts of ``assembly_solver._fold`` W is then
+    block-diagonal, with a coupling block of exact zeros.  The target is
+    the middle position, the last of the ceil(L/2) even parts, so y has no
+    odd part, and one real ``eigh`` of the even block solves for it.  The
+    cut stays relative to the largest eigenvalue of all of W, the larger
+    of the even block's and that of one ``eigvalsh`` of the odd block.  At
+    the default box these are 313 and 312 wide, in place of one ``eigh``
+    of 625.
+
+    The returned residual is ||G (G c - e)||, on the complex G, which
+    vanishes exactly when G c - e lies in the kernel, i.e. when the
+    synthesized function reproduces the dual state on the box.
 
     Returns (box, coefficients, consistency_residual), the box an
     ``IndexSet`` of the (2 box_half_width + 1)**2 pairs about ``target``.
@@ -192,12 +221,16 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
     mu = np.arange(width * width).reshape(width, width)[:, ::-1].ravel()
     centre = width * width // 2
     w = gram.real - 0.5 * (gram.imag[:, mu] - gram.imag[mu])
-    evals, evecs = np.linalg.eigh(w)
-    keep = evals > DUAL_GAP_CUT * evals.max()
+    # P W P = W bit for bit, so in the parts of _fold W is block-diagonal
+    folded = _fold(_fold(w).T)
+    evals, evecs = np.linalg.eigh(folded[: centre + 1, : centre + 1])
+    odd_evals = np.linalg.eigvalsh(folded[centre + 1 :, centre + 1 :])
+    keep = evals > DUAL_GAP_CUT * max(evals.max(), odd_evals.max(initial=-np.inf))
     if not np.any(keep):
-        raise RuntimeError("spectral cut removed every Gram eigen-direction")
+        raise RuntimeError("spectral cut removed every Gram eigen-direction that reaches the target")
     kept = evecs[:, keep]
-    y = kept @ (kept[centre] / evals[keep])
+    # the target is the even part's last entry; the odd parts of y are 0
+    y = _unfold(np.concatenate([kept @ (kept[centre] / evals[keep]), np.zeros(centre)]))
     c = 0.5 * ((y + y[mu]) + 1j * (y[mu] - y))
     e = np.zeros(len(box), dtype=complex)
     e[centre] = 1.0

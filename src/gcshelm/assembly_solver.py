@@ -30,9 +30,9 @@ E + O have the same singular values, so the rank, the residual and the
 minimum-norm solution carry over, and ``solve`` maps the coefficients back
 to state order.  Every system is held this way, so ``solve`` has one
 path; ``DesignSystem`` rejects a block that lies across the two halves,
-and a system of one column, whose odd half would have none: the set of
-the state (0, 0) alone, which no case selects (at k >= 20 the pairs
-(0, +-n) enter before it).
+a half that holds no block, and a system of one column, whose odd half
+would have none: the set of the state (0, 0) alone, which no case selects
+(at k >= 20 the pairs (0, +-n) enter before it).
 
 The matrix is never formed: ``assemble`` keeps only the blocks, each
 scaled by sqrt(w_q), so storage grows with the number of nonzeros, not
@@ -150,7 +150,8 @@ class DesignSystem:
     The rows and columns are the even, then the odd combinations of mirror
     pairs (``_fold``), as ``assemble`` builds them, so ``matrix`` is
     block-diagonal: each block lies in the first Q - Q//2 rows and N - N//2
-    columns, or in the rest.  Each half runs from its outer end inward,
+    columns, or in the rest, and each half holds a block unless the matrix
+    holds none.  Each half runs from its outer end inward,
     and the two agree bit for bit on the rows before the even half's last
     block.  ``solve`` maps the coefficients back to state order.
     """
@@ -171,6 +172,10 @@ class DesignSystem:
         ])
         if np.any(even != even[:, :1]):
             raise ValueError("every block must lie in the even or in the odd half of the system")
+        # a system of no blocks at all is left to solve, which finds it identically zero
+        for half, held in (("even", even[:, 0]), ("odd", ~even[:, 0])):
+            if self.matrix.blocks and not held.any():
+                raise ValueError(f"the {half} half of the system holds no block")
         if not all(np.all(np.isfinite(block)) for _, _, block in self.matrix.blocks):
             raise ValueError("non-finite design matrix entries")
 

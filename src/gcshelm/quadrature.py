@@ -10,6 +10,7 @@ oscillation.  Ten Gauss-Legendre nodes integrate exp(1j*w*x) over one
 period 2*pi/w to 5e-15 absolute; five leave 3e-5.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +59,20 @@ def nodes_per_wavelength(frequency):
     return math.ceil(NODES_PER_PERIOD * float(frequency))
 
 
+@functools.cache
+def _reference_rule(order):
+    """Gauss-Legendre nodes and weights of ``order`` on [-1, 1], built once per order.
+
+    ``leggauss`` takes 0.26 ms at order 10 and 0.44 ms at order 20 (2-vCPU
+    VM), and a scaling study builds dozens of rules of a few orders.  The
+    arrays are read-only, since every rule of that order shares them.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def build_rule(window, k, nodes_per_wavelength):
     """Build a composite rule resolving oscillations at wavenumber ``k``.
 
@@ -89,7 +104,7 @@ def build_rule(window, k, nodes_per_wavelength):
     panels = max(1, math.ceil((b - a) / panel_width))
     nodes_per_panel = max(2, math.ceil(nodes_per_wavelength / 2))
 
-    ref_x, ref_w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    ref_x, ref_w = _reference_rule(nodes_per_panel)
     edges = np.linspace(a, b, panels + 1)
     if a == -b:
         # the edges at x > 0 mirrored onto x < 0, and 0 itself for an even

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gcshelm import analysis, gaussian_states as gs, quadrature as quad
+from gcshelm import analysis, assembly_solver as asm, gaussian_states as gs, quadrature as quad
 from gcshelm.phase_space import IndexSet, LatticeSpec
 from gcshelm.problem_model import ProblemCase
 
@@ -207,8 +207,16 @@ def _masked_exp_lattice_gram(m, n):
 def test_lattice_gram_modulus_table_matches_masked_exp():
     m, n = box_indices(20)
     assert np.array_equal(analysis.lattice_gram(m, n), _masked_exp_lattice_gram(m, n))
-    # off-centre indices reach every entry of the table and its zero
-    assert np.array_equal(analysis.lattice_gram(m + 7, 3 - n), _masked_exp_lattice_gram(m + 7, 3 - n))
+    # off-centre indices reach every entry of the table and its zero; far
+    # targets, and offsets up to 3000 steps, past the int16 clip of the
+    # offsets and with every residue mod 4 of the indices
+    for dm, dn in ((m + 7, 3 - n), (m + 97, n - 1234), (150 * m, -150 * n), (150 * m - 3, 7 - 149 * n)):
+        assert np.array_equal(analysis.lattice_gram(dm, dn), _masked_exp_lattice_gram(dm, dn))
+    # int16 offsets are exact over a span of 32767 steps, and no wider span is taken
+    wide = np.array([-16384, -16383, 16383])
+    assert np.array_equal(analysis.lattice_gram(wide, wide[::-1]), _masked_exp_lattice_gram(wide, wide[::-1]))
+    with pytest.raises(ValueError, match="32767"):
+        analysis.lattice_gram(np.array([0, 32768]), np.array([0, 0]))
 
 
 def test_frame_bounds_are_zak_grid_extrema():
@@ -319,17 +327,35 @@ def test_dual_decay_fit_rejects_equal_ring_maxima():
 
 
 def _spy_on_eigh(monkeypatch):
-    # record the matrix and the spectrum of every eigh call
+    # record the routine, the matrix and the spectrum of every eigh and eigvalsh call
     calls = []
-    eigh = np.linalg.eigh
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
-    def spy(a):
+    def spy_eigh(a):
         evals, evecs = eigh(a)
-        calls.append((a.copy(), evals))
+        calls.append(("eigh", a.copy(), evals))
         return evals, evecs
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    def spy_eigvalsh(a):
+        evals = eigvalsh(a)
+        calls.append(("eigvalsh", a.copy(), evals))
+        return evals
+
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
     return calls
+
+
+def _half_blocks(calls, size):
+    # the solve's two calls: one real eigh of the even block, ceil(L/2)
+    # wide, and one eigvalsh of the odd block, L//2 wide; returns both
+    # blocks and the two spectra together, W's
+    [(even_call, even, even_evals), (odd_call, odd, odd_evals)] = calls
+    assert (even_call, odd_call) == ("eigh", "eigvalsh")
+    half = size // 2
+    assert even.dtype == odd.dtype == np.float64
+    assert even.shape == (size - half, size - half) and odd.shape == (half, half)
+    return even, odd, np.concatenate([even_evals, odd_evals])
 
 
 @pytest.mark.parametrize("target", [(0, 0), (3, 5), (-2, 1)])
@@ -339,45 +365,70 @@ def test_dual_frame_real_form_matches_complex_eigh(box, target, monkeypatch):
     m, n, coeffs, residual, kept = dual_frame_oracle(target, box)
     calls = _spy_on_eigh(monkeypatch)
     got_box, got, got_residual = analysis.dual_frame_coefficients(spec, target, box)
-    # one real eigh of the box's size, keeping as many directions
-    [(w, evals)] = calls
-    assert w.dtype == np.float64 and w.shape == (m.size, m.size)
-    assert int(np.sum(evals > analysis.DUAL_GAP_CUT * evals.max())) == kept
+    # the two half blocks keep as many directions of W as G's complex eigh
+    _, _, spectrum = _half_blocks(calls, m.size)
+    assert int(np.sum(spectrum > analysis.DUAL_GAP_CUT * spectrum.max())) == kept
     assert isinstance(got_box, IndexSet) and got_box.lattice == spec
     assert np.array_equal(got_box.m, m) and np.array_equal(got_box.n, n)
     assert np.abs(got - coeffs).max() <= 1e-14
     assert got_residual == pytest.approx(residual, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("target", [(0, 0), (3, 5), (-2, 1)])
+@pytest.mark.parametrize("box", [0, 1, 4, 8, 12, 16, 20])
+def test_dual_frame_halves_match_the_complex_eigh_oracle(box, target, monkeypatch):
+    # no eigh or eigvalsh on the full box, and the coefficients of G's
+    # complex eigh on the whole box; past box 12 the residual's own
+    # rounding grows (2.9e-8 relative at 16), so only the coefficients
+    m, n, coeffs, _, _ = dual_frame_oracle(target, box)
+    calls = _spy_on_eigh(monkeypatch)
+    _, got, _ = analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), target, box)
+    _half_blocks(calls, m.size)
+    assert np.abs(got - coeffs).max() <= 1e-14
+
+
 @pytest.mark.parametrize("target", [(0, 0), (3, 5)])
 @pytest.mark.parametrize("box", [4, 8, 12])
 def test_dual_gauge_is_real_with_the_gram_spectrum(box, target, monkeypatch):
     # U = exp(-i pi/4)(I + iJ)/sqrt(2), with J the mirror dn -> -dn about the
-    # target, built here from its definition; U^H G U is real, it is the
-    # matrix the solve hands to eigh, and it has G's eigenvalues
+    # target, built here from its definition; U^H G U is real, and the
+    # point reflection P about the target leaves its real form W unchanged
+    # bit for bit, so the fold of W is block-diagonal with an exactly zero
+    # coupling block; its two blocks are the matrices the solve hands to
+    # eigh and eigvalsh, and together they have G's eigenvalues
     tm, tn = target
     calls = _spy_on_eigh(monkeypatch)
     index_set, _, _ = analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), target, box)
-    [(w, _)] = calls
     m, n = index_set.m, index_set.n
-    mirror = ((m[:, None] == m[None, :]) & (n[:, None] + n[None, :] == 2 * tn)).astype(float)
+    even, odd, spectrum = _half_blocks(calls, m.size)
+    mirror = (m[:, None] == m[None, :]) & (n[:, None] + n[None, :] == 2 * tn)
     u = np.exp(-0.25j * math.pi) * (np.eye(m.size) + 1j * mirror) / math.sqrt(2.0)
     assert np.abs(u.conj().T @ u - np.eye(m.size)).max() <= 1e-15
     gram = analysis.lattice_gram(m, n)
     gauge = u.conj().T @ gram @ u
     assert np.abs(gauge.imag).max() <= 1e-14
+    mu = np.argmax(mirror, axis=1)
+    w = gram.real - 0.5 * (gram.imag[:, mu] - gram.imag[mu])
     assert np.abs(w - gauge.real).max() <= 1e-14
+    reflection = (m[:, None] + m[None, :] == 2 * tm) & (n[:, None] + n[None, :] == 2 * tn)
+    p = np.argmax(reflection, axis=1)
+    assert np.array_equal(p, np.arange(m.size)[::-1])
+    assert np.array_equal(w[p][:, p], w)
+    folded = asm._fold(asm._fold(w).T)
+    half = m.size - m.size // 2
+    assert np.all(folded[:half, half:] == 0.0) and np.all(folded[half:, :half] == 0.0)
+    assert np.array_equal(even, folded[:half, :half]) and np.array_equal(odd, folded[half:, half:])
     want = np.linalg.eigvalsh(gram)
-    assert np.abs(np.linalg.eigvalsh(w) - want).max() <= 1e-13 * want.max()
+    assert np.abs(np.sort(spectrum) - want).max() <= 1e-13 * want.max()
 
 
 def _kept_and_clear_of_cut(box, monkeypatch):
-    # kept count of the real solve, and whether every eigenvalue of it lies
-    # more than 1% away from the cut
+    # kept count of the real solve over both half blocks, and whether every
+    # eigenvalue of W lies more than 1% away from the cut
     calls = _spy_on_eigh(monkeypatch)
     analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), (0, 0), box)
-    [(_, evals)] = calls
-    fractions = evals / evals.max()
+    _, _, spectrum = _half_blocks(calls, (2 * box + 1) ** 2)
+    fractions = spectrum / spectrum.max()
     kept = int(np.sum(fractions > analysis.DUAL_GAP_CUT))
     return kept, bool(np.all(np.abs(fractions / analysis.DUAL_GAP_CUT - 1.0) > 0.01))
 

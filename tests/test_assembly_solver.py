@@ -768,6 +768,18 @@ def test_design_system_rejects_blocks_across_the_halves():
             system_of(layout)
 
 
+@pytest.mark.parametrize(
+    "rows,cols,empty", [(slice(4, 8), slice(2, 4), "even"), (slice(0, 4), slice(0, 2), "odd")],
+)
+def test_design_system_rejects_a_half_without_blocks(rows, cols, empty):
+    # on 8 x 4 the even half is rows 0-4 and columns 0-2; with a block in one
+    # half only, the other would reach the solve empty
+    system, _, _ = make_system()
+    blocks = ((rows, cols, np.ones((4, 2))),)
+    with pytest.raises(ValueError, match=f"the {empty} half of the system holds no block"):
+        asm.DesignSystem(asm.BlockMatrix((8, 4), blocks), np.ones(8), system.rule)
+
+
 def test_assemble_rejects_the_set_of_one_state():
     # the state (0, 0) alone has no odd half; no case selects it, since the
     # pairs (0, +-n) enter first

@@ -64,6 +64,26 @@ def test_rule_mirrors_bit_for_bit_on_a_symmetric_window(half_width, k, density):
     assert (0.0 in rule.nodes) == (panels % 2 == 1 and npp % 2 == 1)
 
 
+def test_reference_rule_is_leggauss_once_per_order_and_read_only():
+    # every rule of an order shares one cached leggauss pair, bit for bit;
+    # a write into it raises instead of moving the nodes of later rules
+    for order in (2, 10, 13):
+        nodes, weights = quad._reference_rule(order)
+        want_x, want_w = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(nodes, want_x) and np.array_equal(weights, want_w)
+        assert quad._reference_rule(order)[0] is nodes
+        for ref in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                ref[0] = 0.0
+    rule = quad.build_rule((-1.0, 2.0), 40, 26)
+    assert rule.nodes.flags.writeable and rule.weights.flags.writeable
+    edges = np.linspace(-1.0, 2.0, math.ceil(3.0 / (math.pi / 40)) + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    ref_x, ref_w = np.polynomial.legendre.leggauss(13)
+    assert np.array_equal(rule.nodes, (mid[:, None] + half[:, None] * ref_x).ravel())
+    assert np.array_equal(rule.weights, (half[:, None] * ref_w).ravel())
+
+
 def test_inner_product_axioms():
     rule = quad.build_rule((-1.0, 1.0), 30, 20)
 
