@@ -27,7 +27,7 @@ import numpy as np
 
 from . import gaussian_states as gs
 from . import quadrature as quad
-from .assembly_solver import _fold, _unfold
+from .assembly_solver import _even_parts, _odd_parts, _unfold
 from .phase_space import IndexSet, LatticeSpec, build_planewave_rhs_set
 
 __all__ = [
@@ -217,22 +217,24 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
     offsets = np.arange(-box_half_width, box_half_width + 1)
     box = IndexSet(tm + np.repeat(offsets, width), tn + np.tile(offsets, width), spec)
     gram = lattice_gram(box.m, box.n)
-    # index of the mirrored offset (dm, -dn), and of the target (0, 0)
-    mu = np.arange(width * width).reshape(width, width)[:, ::-1].ravel()
-    centre = width * width // 2
-    w = gram.real - 0.5 * (gram.imag[:, mu] - gram.imag[mu])
-    # P W P = W bit for bit, so in the parts of _fold W is block-diagonal
-    folded = _fold(_fold(w).T)
-    evals, evecs = np.linalg.eigh(folded[: centre + 1, : centre + 1])
-    odd_evals = np.linalg.eigvalsh(folded[centre + 1 :, centre + 1 :])
+    size = width * width
+    centre = size // 2
+    # J reverses the inner (dn) axis of the box, on either side of the Gram
+    imag = gram.imag.reshape(width, width, width, width)
+    w = gram.real - 0.5 * (imag[:, :, :, ::-1] - imag[:, ::-1]).reshape(size, size)
+    # P W P = W bit for bit, so in the parts of _fold W is block-diagonal:
+    # fold the two diagonal blocks alone
+    evals, evecs = np.linalg.eigh(_even_parts(_even_parts(w).T))
+    odd_evals = np.linalg.eigvalsh(_odd_parts(_odd_parts(w).T))
     keep = evals > DUAL_GAP_CUT * max(evals.max(), odd_evals.max(initial=-np.inf))
     if not np.any(keep):
         raise RuntimeError("spectral cut removed every Gram eigen-direction that reaches the target")
     kept = evecs[:, keep]
     # the target is the even part's last entry; the odd parts of y are 0
     y = _unfold(np.concatenate([kept @ (kept[centre] / evals[keep]), np.zeros(centre)]))
-    c = 0.5 * ((y + y[mu]) + 1j * (y[mu] - y))
-    e = np.zeros(len(box), dtype=complex)
+    y_mirror = y.reshape(width, width)[:, ::-1].ravel()
+    c = 0.5 * ((y + y_mirror) + 1j * (y_mirror - y))
+    e = np.zeros(size, dtype=complex)
     e[centre] = 1.0
     residual = float(np.linalg.norm(gram @ (gram @ c - e)))
     return box, c, residual

@@ -455,10 +455,21 @@ def _fold(values):
     each half runs from its outer end inward.  An orthogonal change of
     basis, undone by ``_unfold``.
     """
+    return np.concatenate([_even_parts(values), _odd_parts(values)])
+
+
+def _even_parts(values):
+    """The ceil(L/2) even parts of ``_fold``, alone."""
     size = len(values)
     half = size // 2
-    lower, upper = values[:half], values[size - half :][::-1]
-    return np.concatenate([(upper + lower) * _SQRT_HALF, values[half : size - half], (upper - lower) * _SQRT_HALF])
+    return np.concatenate([(values[size - half :][::-1] + values[:half]) * _SQRT_HALF, values[half : size - half]])
+
+
+def _odd_parts(values):
+    """The L//2 odd parts of ``_fold``, alone."""
+    size = len(values)
+    half = size // 2
+    return (values[size - half :][::-1] - values[:half]) * _SQRT_HALF
 
 
 def _unfold(parts):

@@ -11,8 +11,8 @@ function values, the closed-form iterated residual, the box estimate of
 the frame bounds, the complex solve of the dual frame, the Zak frame
 function, the masked forms of the C3 plateaus, the PML and P_k's
 coefficients, the nu formulas of P_k's symbol, coefficients and FEM element
-matrices, the einsum assembly and end-decoupling solve of the FEM
-reference, and a CSV reader for the table output."""
+matrices, the einsum assembly, banded assembly and banded LAPACK solve
+of the FEM reference, and a CSV reader for the table output."""
 
 import csv
 import io
@@ -634,11 +634,11 @@ def zak_frame_function(x, w):
 
 
 def einsum_fem_system(case, mesh):
-    """Element matrices, load vectors and banded system of ``fem_solve``, the einsum way.
+    """Element matrices, load vectors and banded system of the FEM, the einsum way.
 
     The three-operand ``einsum`` and ``np.add.at`` assembly that
-    ``reference_fem`` replaced; returns (ke, fe, ab, rhs) before the
-    Dirichlet ends are imposed.
+    ``reference_fem._element_system`` and ``banded_fem_system`` replaced;
+    returns (ke, fe, ab, rhs) before the Dirichlet ends are imposed.
     """
     gl_x, gl_w = np.polynomial.legendre.leggauss(6)
     phi = np.array([p(gl_x) for p in fem._BASIS]).T
@@ -664,23 +664,37 @@ def einsum_fem_system(case, mesh):
     return ke, fe, ab, rhs
 
 
-def end_decoupled_fem_values(case, elements=None):
-    """Nodal values of ``fem.fem_solve`` by the full banded solve with decoupled ends.
+def banded_fem_system(ke, fe):
+    """Banded global matrix (9, dofs) and load vector of the FEM element system.
 
-    The Dirichlet ends are imposed by zeroing their rows and columns and
-    putting 1 on the diagonal, the way ``reference_fem`` did before it
-    solved on the interior dofs alone.
+    Row 4e+i, column 4e+j lands in band 4+i-j.  For fixed (i, j) the columns
+    4e+j of different elements are distinct, so one strided ``+=`` per pair
+    scatters all elements.  ``reference_fem`` assembled this before it
+    solved by static condensation.
+    """
+    bw = 4
+    n_dof = bw * len(fe) + 1
+    ab = np.zeros((2 * bw + 1, n_dof), dtype=complex)
+    rhs = np.zeros(n_dof, dtype=complex)
+    for i in range(bw + 1):
+        rhs[i : n_dof - bw + i : bw] += fe[:, i]
+        for j in range(bw + 1):
+            ab[bw + i - j, j : n_dof - bw + j : bw] += ke[:, i, j]
+    return ab, rhs
+
+
+def banded_fem_values(case, elements=None):
+    """Nodal values of ``fem.fem_solve`` by LAPACK's banded solve (``gbsv``).
+
+    The homogeneous Dirichlet ends are imposed by solving on the interior
+    dofs alone: band storage of the interior block leaves out the entries
+    coupling it to the ends.
     """
     mesh = fem._mesh_for(case) if elements is None else fem.FemMesh(fem.DEFAULT_X_END, elements)
-    ab, rhs = fem._banded_system(*fem._element_system(case, mesh))
-    n_dof, bw = mesh.dofs, 4
-    for dof in (0, n_dof - 1):
-        for col in range(max(0, dof - bw), min(n_dof, dof + bw + 1)):
-            ab[bw + dof - col, col] = 0.0  # row
-        ab[:, dof] = 0.0  # column
-        ab[bw, dof] = 1.0
-        rhs[dof] = 0.0
-    return solve_banded((bw, bw), ab, rhs)
+    ab, rhs = banded_fem_system(*fem._element_system(case, mesh))
+    values = np.zeros(mesh.dofs, dtype=complex)
+    values[1:-1] = solve_banded((4, 4), ab[:, 1:-1], rhs[1:-1])
+    return values
 
 
 def parse_records_csv(text):

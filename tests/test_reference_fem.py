@@ -11,7 +11,7 @@ import gcshelm
 from gcshelm import analysis, reference_fem as fem
 from gcshelm.problem_model import ProblemCase
 
-from helpers import einsum_fem_system, end_decoupled_fem_values, nu_element_matrices
+from helpers import banded_fem_system, banded_fem_values, einsum_fem_system, nu_element_matrices
 
 KS = (20.0, 50.0, 100.0, 200.0, 400.0)
 # relative H1_k error on [-1, 1] that fem.MESH_RESOLUTION is chosen for
@@ -95,13 +95,13 @@ def test_default_mesh_meets_accuracy_target(make, k):
 
 
 def test_element_assembly_matches_einsum_oracle():
-    # the basis-product matmuls and strided scatter against the einsum/add.at
-    # path, compared as matrices: on a large system summation order alone
-    # moves the solved values far more than the entries
+    # the basis-product matmuls and the banded oracle's strided scatter
+    # against the einsum/add.at path, compared as matrices: on a large system
+    # summation order alone moves the solved values far more than the entries
     case = ProblemCase.heterogeneous(20)
     mesh = fem._mesh_for(case)
     ke, fe = fem._element_system(case, mesh)
-    ab, rhs = fem._banded_system(ke, fe)
+    ab, rhs = banded_fem_system(ke, fe)
     for got, want in zip((ke, fe, ab, rhs), einsum_fem_system(case, mesh)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -116,12 +116,49 @@ def test_element_matrices_read_the_operator_coefficients(make):
     assert np.array_equal(fem._element_system(case, mesh)[0], nu_element_matrices(case, mesh))
 
 
+# relative max-norm distance of the nodal values from LAPACK's banded solve;
+# the largest measured is 6.1e-10, at hom k = 400
+ORACLE_TOLERANCE = 2e-9
+
+
 @pytest.mark.parametrize("make", CASES, ids=["hom", "het"])
-def test_interior_solve_matches_end_decoupled_solve(make):
-    # solving on the interior dofs against the full system with the end
-    # rows and columns replaced by the identity
-    case = make(20.0)
-    assert np.array_equal(fem.fem_solve(case).values, end_decoupled_fem_values(case))
+@pytest.mark.parametrize("k", (20.0, 50.0, 100.0, 400.0))
+def test_fem_solve_matches_banded_lapack_oracle(make, k):
+    # static condensation, the runs and the pivoted sweep against gbsv on
+    # the same system
+    case = make(k)
+    got, want = fem.fem_solve(case).values, banded_fem_values(case)
+    assert got[0] == 0.0 and got[-1] == 0.0
+    assert np.max(np.abs(got - want)) <= ORACLE_TOLERANCE * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("make", CASES, ids=["hom", "het"])
+@pytest.mark.parametrize("k", KS)
+def test_default_mesh_runs_stay_below_a_quarter_wavelength(make, k):
+    # the runs of the default mesh, whose inner vertices are eliminated unpivoted
+    case = make(k)
+    mesh = fem._mesh_for(case)
+    run = fem._run_length(case, mesh)
+    mu_max = 2.0 if case.name == "heterogeneous" else 1.0
+    assert mesh.elements % run == 0 and 14 <= run
+    assert case.k * run * mesh.h * math.sqrt(mu_max) <= math.pi / 2
+
+
+@pytest.mark.parametrize("size", (2, 3, 6, 40))
+def test_tridiagonal_sweep_pivots_past_a_zero_first_pivot(size):
+    # an unpivoted sweep divides by the zero diag[0]
+    rng = np.random.default_rng(size)
+    lower, diag, upper, rhs = ((1.0, 1j) @ rng.normal(size=(2, n)) for n in (size - 1, size, size - 1, size))
+    diag[0] = 0.0
+    want = np.linalg.solve(np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1), rhs)
+    got = fem._tridiagonal_solve(lower, diag, upper, rhs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_tridiagonal_sweep_raises_on_a_zero_pivot():
+    # singular: the second row is the first, so the pivot of the last is 0
+    with pytest.raises(RuntimeError, match="zero pivot"):
+        fem._tridiagonal_solve([1.0], [1.0, 1.0], [1.0], [1.0, 2.0])
 
 
 def test_homogeneous_reference_accuracy():
@@ -205,9 +242,16 @@ def test_fem_eval_out_of_domain():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.linalg takes most of the import time, and only fem_solve needs it
+    # the package needs numpy alone; scipy is a test dependency, and
+    # scipy.linalg adds about 27 MB of resident memory to a process
     src = os.path.dirname(os.path.dirname(os.path.abspath(gcshelm.__file__)))
-    code = "import sys, gcshelm; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, gcshelm\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "from gcshelm.experiments import ExperimentConfig, run_cell\n"
+        "record = run_cell(gcshelm.ProblemCase.heterogeneous(20.0), 12.0, ExperimentConfig())[0]\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')), record.ndofs)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
@@ -215,4 +259,4 @@ def test_import_leaves_scipy_unloaded():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n") == ["[]", "[] 455", ""]
