@@ -300,35 +300,45 @@ def quasi_orthogonality_probe(spec, op, distances=(2, 4, 8, 16)):
     return out
 
 
+def _box_mask(pairs, m_max, n_max):
+    """Membership of ``pairs`` in the box |m| <= m_max, |n| <= n_max.
+
+    Returns a boolean (2*m_max + 1, 2*n_max + 1) array, row m + m_max and
+    column n + n_max, the layout of ``gaussian_states.box_coefficients``.
+    Raises ``ValueError`` when a pair lies outside the box.
+    """
+    if np.any(np.abs(pairs.m) > m_max) or np.any(np.abs(pairs.n) > n_max):
+        raise ValueError(f"plane-wave band reaches past the probed box |m| <= {m_max}, |n| <= {n_max}")
+    mask = np.zeros((2 * m_max + 1, 2 * n_max + 1), dtype=bool)
+    mask[pairs.m + m_max, pairs.n + n_max] = True
+    return mask
+
+
 def planewave_coefficient_probe(case):
     """Micro-localization of the plane-wave source in the lattice frame.
 
     Computes |(f, Psi_mn)| by quadrature for every pair with |x_m| <= 0.75 +
-    ``PLANEWAVE_X_PAD`` and |xi_n| <= ``PLANEWAVE_XI_MAX``, one block of equal
-    x_m at a time, with f = phi(x) * exp(1j*k*x) the case's closed-form solution.
-    The band is ``build_planewave_rhs_set`` at ``PLANEWAVE_EPSILON``.
-    Returns (max outside band) / (max inside band) together with both maxima.
+    ``PLANEWAVE_X_PAD`` and |xi_n| <= ``PLANEWAVE_XI_MAX``, in one call of
+    ``gaussian_states.box_coefficients``, with f = phi(x) * exp(1j*k*x) the
+    case's closed-form solution.  The band is ``build_planewave_rhs_set`` at
+    ``PLANEWAVE_EPSILON``; raises ``ValueError`` when it reaches past the
+    box, as at k in [1.25, 2] and [6.75, 8], where its half width
+    hbar**(1/2 - epsilon) carries it past the pad or past
+    ``PLANEWAVE_XI_MAX``.  Returns (max outside band) / (max inside band)
+    together with both maxima.
     """
     k = case.k
     spec = LatticeSpec(1.0 / k)
     support = (-0.75, 0.75)
-    band = build_planewave_rhs_set(spec, support, PLANEWAVE_EPSILON)
     h = spec.spacing
     m_max = math.floor((support[1] + PLANEWAVE_X_PAD) / h)
     n_max = math.floor(PLANEWAVE_XI_MAX / h)
+    in_band = _box_mask(build_planewave_rhs_set(spec, support, PLANEWAVE_EPSILON), m_max, n_max)
 
     # f conj(Psi_mn) oscillates at most at k * (1 + xi_max)
     rule = quad.build_rule(support, k, quad.nodes_per_wavelength(1.0 + PLANEWAVE_XI_MAX))
     fw = case.exact_solution(rule.nodes)[0] * rule.weights
-
-    m = np.repeat(np.arange(-m_max, m_max + 1), 2 * n_max + 1)
-    n = np.tile(np.arange(-n_max, n_max + 1), 2 * m_max + 1)
-    vals = np.zeros(m.size)
-    for rows, cols, block in gs.state_blocks(spec.hbar, m * h, n, rule.nodes):
-        vals[cols] = np.abs(fw[rows] @ np.conj(block))
-    # one integer key per pair, wide enough in n to hold both sets
-    span = 2 * max(n_max, int(np.abs(band.n).max(initial=0))) + 1
-    in_band = np.isin(m * span + n, band.m * span + band.n)
+    vals = np.abs(gs.box_coefficients(spec.hbar, np.arange(-m_max, m_max + 1), n_max, rule.nodes, fw))
     inside = vals[in_band].max(initial=0.0)
     outside = vals[~in_band].max(initial=0.0)
     if inside == 0.0:

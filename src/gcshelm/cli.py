@@ -4,7 +4,7 @@ Verbs:
   solve     one (k, delta) cell
   table     the full k x delta grid
   scaling   target-accuracy study with log-log slope fits
-  diagnose  frame bounds, dual decay, quasi-orthogonality, plane-wave probes
+  diagnose  frame bounds, dual decay, quasi-orthogonality
 
 A flat JSON config file can seed any verb; explicit flags override it.
 Exits 0 on success; on failure prints one machine-parsable line

@@ -5,7 +5,8 @@ QR of one staircase, the assembly and the triangle solve
 before the parity fold, the solve of the two halves before they shared
 rows and their fork read off the entries, the former row step of the
 streaming QR and a recorder of the arrays it factors, derivative blocks,
-the former 12-sigma sin/cos state kernel, quadrature inner products, the
+the former 12-sigma sin/cos state kernel, the lattice-box coefficient
+moduli through the state kernel, quadrature inner products, the
 closed-form overlap and operator pairing of two states, the operator on
 function values, the closed-form iterated residual, the box estimate of
 the frame bounds, the complex solve of the dual frame, the Zak frame
@@ -304,6 +305,22 @@ def sincos_state_blocks(hbar, x0, xi0, x, op=None):
             g += (ar * (u**2 - hbar) - 1j * br * u + cr)[:, None]
             block *= g
         yield rows, cols, block
+
+
+def state_block_moduli(hbar, m, n_max, x, gw):
+    """|(g, Psi_mn)| over a lattice box through ``gs.state_blocks``: the oracle of ``gs.box_coefficients``.
+
+    The plane-wave probe's former path: every state of the rows ``m`` and
+    n = -n_max..n_max formed as a block of equal x_m, then paired with
+    ``gw``.  Returns a (m.size, 2*n_max + 1) array, column j for n = j - n_max.
+    """
+    width = 2 * n_max + 1
+    mm = np.repeat(m, width)
+    nn = np.tile(np.arange(-n_max, n_max + 1), m.size)
+    vals = np.zeros(mm.size)
+    for rows, cols, block in gs.state_blocks(hbar, mm * math.sqrt(math.pi * hbar), nn, x):
+        vals[cols] = np.abs(gw[rows] @ np.conj(block))
+    return vals.reshape(m.size, width)
 
 
 def inner_product(f, g, rule):

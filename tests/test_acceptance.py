@@ -448,16 +448,28 @@ def test_criterion_8_fem_self_validation():
 # -- criterion 9: plane-wave micro-localization --------------------------------
 
 
-def test_criterion_9_planewave_microlocalization():
-    ratios = []
+def test_criterion_9_planewave_microlocalization(monkeypatch):
+    # the box and rule the probe pairs, read off its one call of the shared
+    # coefficient function
+    box_coefficients = gs.box_coefficients
+    sizes = []
+
+    def recording(hbar, m, n_max, x, gw):
+        sizes.append(f"{m.size}x{2 * n_max + 1} Q={x.size}")
+        return box_coefficients(hbar, m, n_max, x, gw)
+
+    monkeypatch.setattr(gs, "box_coefficients", recording)
+    ratios, lines = [], []
     for k in (50.0, 100.0, 200.0):
-        ratio, _, _ = analysis.planewave_coefficient_probe(ProblemCase.homogeneous(k))
+        ratio, outside, inside = analysis.planewave_coefficient_probe(ProblemCase.homogeneous(k))
         ratios.append(ratio)
+        lines.append(f"k={k:g} box {sizes[-1]} inside={inside:.3e} outside={outside:.3e}")
     ok = ratios[0] > ratios[1] > ratios[2]
     report(
         "criterion 9",
         ok,
         "outside/inside coefficient ratios over k=(50, 100, 200): "
         + ", ".join(f"{r:.3e}" for r in ratios)
-        + " (monotone decreasing)",
+        + " (monotone decreasing); "
+        + "; ".join(lines),
     )

@@ -553,6 +553,45 @@ def test_planewave_probe_matches_old_density_rule(k, monkeypatch):
         assert abs(got - want) <= 1e-12 * want
 
 
+def test_box_mask_matches_keyed_membership():
+    # the probe's box mask against its former test, np.isin on one integer
+    # key per pair, at every integer k from 9 to 800
+    from gcshelm.phase_space import build_planewave_rhs_set
+
+    for k in range(9, 801):
+        spec = LatticeSpec(1.0 / k)
+        h = spec.spacing
+        m_max = math.floor((0.75 + analysis.PLANEWAVE_X_PAD) / h)
+        n_max = math.floor(analysis.PLANEWAVE_XI_MAX / h)
+        band = build_planewave_rhs_set(spec, (-0.75, 0.75), analysis.PLANEWAVE_EPSILON)
+        m = np.repeat(np.arange(-m_max, m_max + 1), 2 * n_max + 1)
+        n = np.tile(np.arange(-n_max, n_max + 1), 2 * m_max + 1)
+        span = 2 * max(n_max, int(np.abs(band.n).max(initial=0))) + 1
+        keyed = np.isin(m * span + n, band.m * span + band.n)
+        mask = analysis._box_mask(band, m_max, n_max)
+        assert mask.sum() == len(band), k
+        assert np.array_equal(mask.ravel(), keyed), k
+
+
+def test_planewave_probe_raises_when_band_leaves_box():
+    # at k = 7 the band's position half width hbar**(1/4) reaches x = 1.36,
+    # past the box's 1.25; at k = 9 and k = 20 (the benchmark's warm-up) it fits
+    with pytest.raises(ValueError, match="past the probed box"):
+        analysis.planewave_coefficient_probe(ProblemCase.homogeneous(7.0))
+    for k in (9.0, 20.0):
+        ratio, _, inside = analysis.planewave_coefficient_probe(ProblemCase.homogeneous(k))
+        assert 0.0 < ratio < 1.0 and inside > 0.0
+
+
+def test_planewave_probe_forms_no_state_blocks(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the plane-wave probe formed state blocks")
+
+    monkeypatch.setattr(gs, "state_blocks", forbidden)
+    ratio, _, _ = analysis.planewave_coefficient_probe(ProblemCase.homogeneous(50.0))
+    assert ratio < 1.0
+
+
 def test_planewave_probe_matches_per_state_loop():
     # the same quantities from one eval_state call per lattice pair
     from gcshelm import quadrature as quad

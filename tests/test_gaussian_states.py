@@ -19,6 +19,7 @@ from helpers import (
     norm,
     operator_pair_inner,
     overlap,
+    state_block_moduli,
     support_window,
 )
 
@@ -355,3 +356,66 @@ def test_state_blocks_phase_powers_match_per_state(n):
     for j in range(n.size):
         ref = gs.eval_state(gs.CoherentState(hbar, x0[j], n[j] * h), x[rows])
         assert np.max(np.abs(block[:, j] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("hbar", [1.0 / 50.0, 1.0 / 400.0])
+def test_box_coefficients_match_per_state_loop(hbar):
+    # complex values against one eval_state pairing per pair, on an
+    # off-centre box and random complex weights over the plane-wave probe's
+    # |x| <= 0.75: this holds the sign (-1)**(m*n) and the conjugate half
+    rng = np.random.default_rng(5)
+    h = math.sqrt(math.pi * hbar)
+    rule = quad.build_rule((-0.75, 0.75), 1.0 / hbar, quad.nodes_per_wavelength(3.5))
+    gw = (rng.standard_normal(rule.nodes.size) + 1j * rng.standard_normal(rule.nodes.size)) * rule.weights
+    m = np.arange(-3, 8)
+    n_max = math.floor(2.5 / h)
+    got = gs.box_coefficients(hbar, m, n_max, rule.nodes, gw)
+    want = np.array(
+        [
+            [
+                np.sum(gw * np.conj(gs.eval_state(gs.CoherentState(hbar, mi * h, n * h), rule.nodes)))
+                for n in range(-n_max, n_max + 1)
+            ]
+            for mi in m
+        ]
+    )
+    assert got.shape == (m.size, 2 * n_max + 1)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("k", [50.0, 100.0, 200.0, 400.0])
+def test_box_coefficients_match_state_block_moduli(k):
+    # the plane-wave probe's box, rule and source, against its former path
+    # through state_blocks
+    case = ProblemCase.homogeneous(k)
+    hbar = 1.0 / k
+    h = math.sqrt(math.pi * hbar)
+    rule = quad.build_rule((-0.75, 0.75), k, quad.nodes_per_wavelength(1.0 + analysis.PLANEWAVE_XI_MAX))
+    fw = case.exact_solution(rule.nodes)[0] * rule.weights
+    m_max = math.floor((0.75 + analysis.PLANEWAVE_X_PAD) / h)
+    n_max = math.floor(analysis.PLANEWAVE_XI_MAX / h)
+    m = np.arange(-m_max, m_max + 1)
+    got = np.abs(gs.box_coefficients(hbar, m, n_max, rule.nodes, fw))
+    want = state_block_moduli(hbar, m, n_max, rule.nodes, fw)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+
+
+def test_box_phase_table_reseeds():
+    # on dyadic angles p*theta is exact, so exp(-1j*p*theta) carries one
+    # rounding; the exact exp every _RESEED powers keeps the recurrence
+    # within a few roundings of it out to p = 400, where powers of one root
+    # alone drift by ~3e-14
+    rng = np.random.default_rng(0)
+    theta = np.ldexp(rng.integers(-(2**22), 2**22, 4000).astype(float), -20)
+    p_max = 400
+    table = gs._conj_phase_powers(theta, p_max)
+    exact = np.exp(-1j * np.multiply.outer(np.arange(p_max + 1), theta))
+    assert np.max(np.abs(table - exact)) <= 2e-15
+
+
+def test_box_coefficients_validation():
+    x = np.linspace(-1.0, 1.0, 50)
+    with pytest.raises(ValueError):
+        gs.box_coefficients(HBAR, np.arange(3), 2, x[::-1], np.ones(x.size))
+    with pytest.raises(TypeError):
+        gs.box_coefficients(HBAR, np.arange(3) * 1.0, 2, x, np.ones(x.size))
