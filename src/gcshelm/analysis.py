@@ -6,18 +6,14 @@ are the Gabor system of g(t) = exp(-pi t**2 / 2) on Z x (1/2)Z, a frame of
 density 2 whose bounds are the extrema of its Zak transform (Zibulski and
 Zeevi, ACHA 4, 1997; Groechenig, Foundations of Time-Frequency Analysis,
 ch. 8).  The dual frame works on a truncated lattice box whose Gram matrix
-is available in closed form.  The mirror of the frequency offsets about
-the box centre conjugates that Gram, so one unitary gauge makes it real.
-The point reflection of the box about its centre leaves that real form
-unchanged, which splits it into a parity-even and a parity-odd half, and
-the target lies in the even one: the dual solve is one real ``eigh`` of
-the even half, about half the box wide, and the odd half's eigenvalues
-serve only the cut.  In lattice
-units the bounds and the Gram are exactly independent of hbar, which is
-what makes the frame diagnostics hbar-stable.  The Zak series and the Gram
-are cut at the tail tolerance ``_TAIL_TOL`` = exp(-72): Gram entries at
-lattice distance beyond sqrt(288/pi) ~ 9.6 steps are exactly 0, so the
-Gram holds no subnormal numbers, and its phases are exact quarter turns.
+is available in closed form; a sign covariance, a real gauge, the point
+reflection and the quarter turn of phase space reduce its solve to one
+real ``eigh`` of a quarter of the box.  In lattice units the bounds and
+the Gram are exactly independent of hbar, which is what makes the frame
+diagnostics hbar-stable.  The Zak series and the Gram are cut at the
+tail tolerance ``_TAIL_TOL`` = exp(-72): Gram entries at lattice distance
+beyond sqrt(288/pi) ~ 9.6 steps are exactly 0, so the Gram holds no
+subnormal numbers, and its phases are exact quarter turns.
 """
 
 import math
@@ -27,7 +23,7 @@ import numpy as np
 
 from . import gaussian_states as gs
 from . import quadrature as quad
-from .assembly_solver import _even_parts, _odd_parts, _unfold
+from .assembly_solver import _SQRT_HALF, _even_parts, _odd_parts, _unfold
 from .phase_space import IndexSet, LatticeSpec, build_planewave_rhs_set
 
 __all__ = [
@@ -163,81 +159,99 @@ def frame_bounds(spec, box_half_width=None, interior_margin=None):
     return FrameDiagnostics(_zak_frame_function(0.5, 0.5), _zak_frame_function(0.0, 0.0))
 
 
+def _signed_blocks(matrix, sigma, sign):
+    """Blocks of a symmetric matrix on the two spaces of a signed involution.
+
+    The involution takes e_i to sign[i] e_sigma[i] and commutes with
+    ``matrix``.  The basis of its even (then odd) space is, per pair
+    i < sigma[i], (e_i + t e_sigma[i])/sqrt(2) with t = sign[i] (-sign[i]),
+    and e_i per fixed point i of sign +1 (-1).  Returns [(block, i,
+    sigma[i], t)] for the two spaces; the coupling block is exactly 0.
+    """
+    index = np.arange(sigma.size)
+    blocks = []
+    for parity in (1.0, -1.0):
+        rows = np.flatnonzero((sigma > index) | ((sigma == index) & (sign == parity)))
+        cols, t = sigma[rows], parity * sign[rows]
+        scale = np.where(cols == rows, 0.5, _SQRT_HALF)
+        half = (matrix[rows] + t[:, None] * matrix[cols]) * scale[:, None]
+        blocks.append(((half[:, rows] + t * half[:, cols]) * scale, rows, cols, t))
+    return blocks
+
+
 def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
     """Coefficients of the (truncated) dual state at ``target`` = (m, n) in the primal family.
 
-    The lattice is a redundant frame, so the box Gram G has an essential
-    kernel (the synthesis null space) and G c = e_target is solvable only up
-    to that kernel.  The well-posed realization inverts G on its frame band:
-    eigen-directions with eigenvalue above ``DUAL_GAP_CUT`` times the largest are
-    kept, the rest (kernel plus box-edge artifacts) are discarded.  The cut
-    sits in no spectral gap, but the nearest eigenvalues keep a margin: as
-    fractions of the largest they are 0.2684 and 0.3310 at box half-width
-    4 (42 kept), 0.2869 and 0.3196 at 8 (147 kept), and 0.2942 and 0.3164
-    at 12 (316 kept).  At half-widths 6, 16 and 20 an eigenvalue lies
-    within 1% of the cut (0.3013, 0.2982, 0.3007), so there a small change
-    of the cut moves the kept set.
+    The Gram G of the (2 box_half_width + 1)**2 pairs about the target is
+    singular (the frame is redundant), so G c = e_target is solved on its
+    frame band: eigen-directions above ``DUAL_GAP_CUT`` times the largest
+    eigenvalue are inverted, the rest dropped.  The cut sits in no gap: the
+    nearest eigenvalues are 0.2684 and 0.3310 of the largest at half-width
+    4 (42 kept), 0.2869 and 0.3196 at 8 (147), 0.2942 and 0.3164 at 12
+    (316), but within 1% of it at 6, 16 and 20.
 
-    The spectral solve is real.  The box is indexed by the offsets (dm, dn)
-    about the target, and the mirror J: dn -> -dn conjugates the Gram,
-    J G J = conj(G): distances are unchanged, and the quarter-turn exponent
-    (n1+n2)(m2-m1) changes sign modulo 4, since 4 tn (m2-m1) is a whole
-    number of turns.  The unitary U = exp(-i pi/4)(I + iJ)/sqrt(2) =
-    ((1 - i)I + (1 + i)J)/2 has conj(U) = J U, so the Gram in this gauge,
-
-        W = U^H G U = Re G - (Im G J - J Im G)/2,
-
-    is real symmetric with G's eigenvalues.  The target is the box centre,
-    a fixed point of J, so U^H e_target = e_target, and c = U y for the
-    real solution y of W y = e_target on the kept band; on the fixed points
-    of J, c equals y exactly.
-
-    W is solved on half the box.  The point reflection P: (dm, dn) ->
-    (-dm, -dn), the box index i -> L-1-i, leaves G unchanged bit for bit:
-    it keeps the distances and changes the quarter-turn exponent by
-    4 tn (m2-m1), and it commutes with J, so P W P = W exactly.  In the
-    even and odd parts of ``assembly_solver._fold`` W is then
-    block-diagonal, with a coupling block of exact zeros.  The target is
-    the middle position, the last of the ceil(L/2) even parts, so y has no
-    odd part, and one real ``eigh`` of the even block solves for it.  The
-    cut stays relative to the largest eigenvalue of all of W, the larger
-    of the even block's and that of one ``eigvalsh`` of the odd block.  At
-    the default box these are 313 and 312 wide, in place of one ``eigh``
-    of 625.
-
-    The returned residual is ||G (G c - e)||, on the complex G, which
-    vanishes exactly when G c - e lies in the kernel, i.e. when the
-    synthesized function reproduces the dual state on the box.
+    Exact symmetries shrink the solve; (dm, dn) are the offsets:
+    - the target's Gram is D G_0 D, D = diag((-1)**(tn dm)), with G_0 the
+      Gram about (0, 0), so c = D c_0;
+    - J: dn -> -dn gives J G_0 J = conj(G_0), so with U = ((1 - i)I +
+      (1 + i)J)/2, W = U^H G_0 U = Re G_0 - (Im G_0 J - J Im G_0)/2 is real
+      with G's eigenvalues, and c_0 = U y for W y = e;
+    - P: (dm, dn) -> (-dm, -dn) commutes with W, which splits into the
+      even and odd parts of ``assembly_solver._fold``;
+    - the Gaussian is its own Fourier transform, so the quarter turn S:
+      e_(dm, dn) -> (-1)**(dm dn) e_(-dn, dm) has S G_0 S^T = G_0; S**2 = P,
+      so S splits the even block and S J, the signed swap of dm and dn,
+      the odd one (``_signed_blocks``).
+    The target lies in the block even under P and S: one ``eigh`` there
+    (157 wide at box 12) and one ``eigvalsh`` of each other block (156)
+    for the cut, relative to the largest eigenvalue of all four.  The
+    residual ||G (G c - e)|| is ||B (B z - e)|| on that block B.
 
     Returns (box, coefficients, consistency_residual), the box an
-    ``IndexSet`` of the (2 box_half_width + 1)**2 pairs about ``target``.
+    ``IndexSet`` of the pairs (tm + dm, tn + dn).
     """
     tm, tn = target
     width = 2 * box_half_width + 1
     offsets = np.arange(-box_half_width, box_half_width + 1)
-    box = IndexSet(tm + np.repeat(offsets, width), tn + np.tile(offsets, width), spec)
-    gram = lattice_gram(box.m, box.n)
-    size = width * width
-    centre = size // 2
+    dm, dn = np.repeat(offsets, width), np.tile(offsets, width)
+    gram = lattice_gram(dm, dn)
+    size, half = width * width, width * width // 2
     # J reverses the inner (dn) axis of the box, on either side of the Gram
     imag = gram.imag.reshape(width, width, width, width)
-    w = gram.real - 0.5 * (imag[:, :, :, ::-1] - imag[:, ::-1]).reshape(size, size)
-    # P W P = W bit for bit, so in the parts of _fold W is block-diagonal:
-    # fold the two diagonal blocks alone
-    evals, evecs = np.linalg.eigh(_even_parts(_even_parts(w).T))
-    odd_evals = np.linalg.eigvalsh(_odd_parts(_odd_parts(w).T))
-    keep = evals > DUAL_GAP_CUT * max(evals.max(), odd_evals.max(initial=-np.inf))
+    w = (imag[:, :, :, ::-1] - imag[:, ::-1]).reshape(size, size)
+    w *= -0.5
+    w += gram.real
+    # S and S J on the even and odd parts of _fold: part i stands for the
+    # position i < half (or the centre) and its mirror size - 1 - i, and
+    # the odd part of a position past half is the negative of its mirror's
+    sign = 1.0 - 2.0 * (dm * dn & 1)
+    turn = (box_half_width - dn) * width + box_half_width + dm
+    swap = (box_half_width + dn) * width + box_half_width + dm
+    even, odd = slice(size - half), slice(half)
+    blocks = _signed_blocks(_even_parts(_even_parts(w).T), np.minimum(turn, size - 1 - turn)[even], sign[even])
+    swap_sign = np.where(swap < half, sign, -sign)
+    blocks += _signed_blocks(_odd_parts(_odd_parts(w).T), np.minimum(swap, size - 1 - swap)[odd], swap_sign[odd])
+    (block, rows, cols, t), *others = blocks
+    evals, evecs = np.linalg.eigh(block)
+    largest = max([evals.max()] + [np.linalg.eigvalsh(other[0]).max(initial=-np.inf) for other in others])
+    keep = evals > DUAL_GAP_CUT * largest
     if not np.any(keep):
         raise RuntimeError("spectral cut removed every Gram eigen-direction that reaches the target")
     kept = evecs[:, keep]
-    # the target is the even part's last entry; the odd parts of y are 0
-    y = _unfold(np.concatenate([kept @ (kept[centre] / evals[keep]), np.zeros(centre)]))
+    # the target, the centre, is the block's last basis vector
+    z = kept @ (kept[-1] / evals[keep])
+    gap = block @ z
+    gap[-1] -= 1.0
+    residual = float(np.linalg.norm(block @ gap))
+    # back through the S fold, then the P fold, whose odd parts are 0
+    part = z * np.where(cols == rows, 1.0, _SQRT_HALF)
+    y_even = np.zeros(size - half)
+    y_even[cols], y_even[rows] = t * part, part
+    y = _unfold(np.concatenate([y_even, np.zeros(half)]))
     y_mirror = y.reshape(width, width)[:, ::-1].ravel()
     c = 0.5 * ((y + y_mirror) + 1j * (y_mirror - y))
-    e = np.zeros(size, dtype=complex)
-    e[centre] = 1.0
-    residual = float(np.linalg.norm(gram @ (gram @ c - e)))
-    return box, c, residual
+    c[tn * dm & 1 == 1] *= -1.0
+    return IndexSet(tm + dm, tn + dn, spec), c, residual
 
 
 def dual_decay_fit(index_set, coefficients, target):

@@ -109,7 +109,8 @@ def _run_diagnose(args):
             "alpha_est": fb.alpha_est,
             "beta_est": fb.beta_est,
             "ratio": fb.beta_est / fb.alpha_est,
-            "dual_solve_residual": residual,
+            # 9 significant digits: the solve's rounding moves the tenth at box 12
+            "dual_solve_residual": float(f"{residual:.9g}"),
             "dual_decay_rate": rate,
             "dual_decay_r_squared": r2,
             "quasi_orthogonality": {str(d): v for d, v in probe.items()},

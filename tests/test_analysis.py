@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -346,16 +347,65 @@ def _spy_on_eigh(monkeypatch):
     return calls
 
 
-def _half_blocks(calls, size):
-    # the solve's two calls: one real eigh of the even block, ceil(L/2)
-    # wide, and one eigvalsh of the odd block, L//2 wide; returns both
-    # blocks and the two spectra together, W's
-    [(even_call, even, even_evals), (odd_call, odd, odd_evals)] = calls
-    assert (even_call, odd_call) == ("eigh", "eigvalsh")
-    half = size // 2
-    assert even.dtype == odd.dtype == np.float64
-    assert even.shape == (size - half, size - half) and odd.shape == (half, half)
-    return even, odd, np.concatenate([even_evals, odd_evals])
+def _four_blocks(calls, size):
+    # the solve's four calls: one real eigh of the block even under the
+    # point reflection P and the quarter turn S, where the target lies, then
+    # one eigvalsh of each other block, none wider than ceil(ceil(L/2)/2);
+    # returns the four blocks and their spectra together, W's
+    assert [call for call, _, _ in calls] == ["eigh", "eigvalsh", "eigvalsh", "eigvalsh"]
+    blocks = [block for _, block, _ in calls]
+    widest = -(-(size - size // 2) // 2)
+    assert all(b.dtype == np.float64 and b.shape[0] == b.shape[1] <= widest for b in blocks)
+    assert sum(b.shape[0] for b in blocks) == size
+    return blocks, np.concatenate([evals for _, _, evals in calls])
+
+
+def _quarter_turn(m, n, tm, tn):
+    # S e_(a, b) = (-1)**(a b) e_(-b, a) on the offsets (a, b) about the
+    # target, as (image index, sign) per position
+    a, b = m - tm, n - tn
+    hit = (m[None, :] - tm == -b[:, None]) & (n[None, :] - tn == a[:, None])
+    assert np.all(hit.sum(axis=1) == 1)
+    return np.argmax(hit, axis=1), np.where((a * b) % 2 == 0, 1.0, -1.0)
+
+
+def test_quarter_turn_leaves_the_lattice_gram_unchanged():
+    # S G S^T = G bit for bit on the box about (0, 0), and S**2 = P
+    for box in (1, 4, 12):
+        m, n = box_indices(box)
+        image, sign = _quarter_turn(m, n, 0, 0)
+        gram = analysis.lattice_gram(m, n)
+        turned = np.empty_like(gram)
+        turned[np.ix_(image, image)] = sign[:, None] * gram * sign[None, :]
+        assert np.array_equal(turned, gram)
+        assert np.array_equal(image[image], np.arange(m.size)[::-1])
+
+
+def test_target_box_gram_is_the_centred_one_signed():
+    # the Gram about t = (tm, tn) is D_t G_0 D_t bit for bit, with
+    # D_t = diag((-1)**(tn dm)) on the offsets (dm, dn) about t
+    for box in (4, 12):
+        dm, dn = box_indices(box)
+        centred = analysis.lattice_gram(dm, dn)
+        for tm, tn in [(3, 5), (-2, 1), (7, 4), (-5, -2), (1, -3)]:
+            d = np.where((tn * dm) % 2 == 0, 1.0, -1.0)
+            assert np.array_equal(analysis.lattice_gram(tm + dm, tn + dn), d[:, None] * centred * d[None, :])
+
+
+def _by_signed_involution(matrix, sigma, sign):
+    # matrix in the basis of the even, then the odd space of the signed
+    # involution e_i -> sign[i] e_sigma[i]: (e_i +- sign[i] e_sigma[i])/sqrt(2)
+    # per pair i < sigma[i], e_i per fixed point of sign +-1; row sums, then
+    # column sums, so a block the involution does not couple is exactly 0
+    basis = [
+        (parity, i, sigma[i], parity * sign[i], 0.5 if sigma[i] == i else math.sqrt(0.5))
+        for parity in (1.0, -1.0)
+        for i in range(sigma.size)
+        if sigma[i] > i or (sigma[i] == i and sign[i] == parity)
+    ]
+    parity, rows, cols, t, scale = (np.array(v) for v in zip(*basis))
+    half = (matrix[rows] + t[:, None] * matrix[cols]) * scale[:, None]
+    return (half[:, rows] + t * half[:, cols]) * scale, int(np.sum(parity > 0))
 
 
 @pytest.mark.parametrize("target", [(0, 0), (3, 5), (-2, 1)])
@@ -365,8 +415,8 @@ def test_dual_frame_real_form_matches_complex_eigh(box, target, monkeypatch):
     m, n, coeffs, residual, kept = dual_frame_oracle(target, box)
     calls = _spy_on_eigh(monkeypatch)
     got_box, got, got_residual = analysis.dual_frame_coefficients(spec, target, box)
-    # the two half blocks keep as many directions of W as G's complex eigh
-    _, _, spectrum = _half_blocks(calls, m.size)
+    # the four blocks keep as many directions of W as G's complex eigh
+    _, spectrum = _four_blocks(calls, m.size)
     assert int(np.sum(spectrum > analysis.DUAL_GAP_CUT * spectrum.max())) == kept
     assert isinstance(got_box, IndexSet) and got_box.lattice == spec
     assert np.array_equal(got_box.m, m) and np.array_equal(got_box.n, n)
@@ -374,33 +424,43 @@ def test_dual_frame_real_form_matches_complex_eigh(box, target, monkeypatch):
     assert got_residual == pytest.approx(residual, rel=1e-9, abs=0.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _centred_oracle(box):
+    # the complex-eigh coefficients about (0, 0), once per box
+    return dual_frame_oracle((0, 0), box)[2]
+
+
 @pytest.mark.parametrize("target", [(0, 0), (3, 5), (-2, 1)])
 @pytest.mark.parametrize("box", [0, 1, 4, 8, 12, 16, 20])
 def test_dual_frame_halves_match_the_complex_eigh_oracle(box, target, monkeypatch):
-    # no eigh or eigvalsh on the full box, and the coefficients of G's
-    # complex eigh on the whole box; past box 12 the residual's own
-    # rounding grows (2.9e-8 relative at 16), so only the coefficients
-    m, n, coeffs, _, _ = dual_frame_oracle(target, box)
+    # no eigh or eigvalsh on the full box or a P half of it, and the
+    # coefficients of G's complex eigh on the whole box: those about (0, 0)
+    # signed by D_t = diag((-1)**(tn dm)), since the target's Gram is
+    # D_t G_0 D_t; past box 12 the residual's own rounding grows (9e-8
+    # relative at 16), so only the coefficients
+    tm, tn = target
     calls = _spy_on_eigh(monkeypatch)
-    _, got, _ = analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), target, box)
-    _half_blocks(calls, m.size)
-    assert np.abs(got - coeffs).max() <= 1e-14
+    index_set, got, _ = analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), target, box)
+    _four_blocks(calls, len(index_set))
+    d = np.where((tn * (index_set.m - tm)) % 2 == 0, 1.0, -1.0)
+    assert np.abs(got - d * _centred_oracle(box)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("target", [(0, 0), (3, 5)])
-@pytest.mark.parametrize("box", [4, 8, 12])
+@pytest.mark.parametrize("box", [1, 4, 8, 12])
 def test_dual_gauge_is_real_with_the_gram_spectrum(box, target, monkeypatch):
     # U = exp(-i pi/4)(I + iJ)/sqrt(2), with J the mirror dn -> -dn about the
-    # target, built here from its definition; U^H G U is real, and the
-    # point reflection P about the target leaves its real form W unchanged
-    # bit for bit, so the fold of W is block-diagonal with an exactly zero
-    # coupling block; its two blocks are the matrices the solve hands to
-    # eigh and eigvalsh, and together they have G's eigenvalues
+    # target, built here from its definition; U^H G U is real.  Its real
+    # form W0 about (0, 0) is left unchanged bit for bit by the point
+    # reflection P, by the quarter turn S on P's even block and by S J on
+    # P's odd block, so each fold has exactly zero coupling blocks; the four
+    # diagonal blocks are the matrices the solve hands to eigh and
+    # eigvalsh, and together they have G's eigenvalues
     tm, tn = target
     calls = _spy_on_eigh(monkeypatch)
     index_set, _, _ = analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), target, box)
     m, n = index_set.m, index_set.n
-    even, odd, spectrum = _half_blocks(calls, m.size)
+    blocks, spectrum = _four_blocks(calls, m.size)
     mirror = (m[:, None] == m[None, :]) & (n[:, None] + n[None, :] == 2 * tn)
     u = np.exp(-0.25j * math.pi) * (np.eye(m.size) + 1j * mirror) / math.sqrt(2.0)
     assert np.abs(u.conj().T @ u - np.eye(m.size)).max() <= 1e-15
@@ -408,8 +468,10 @@ def test_dual_gauge_is_real_with_the_gram_spectrum(box, target, monkeypatch):
     gauge = u.conj().T @ gram @ u
     assert np.abs(gauge.imag).max() <= 1e-14
     mu = np.argmax(mirror, axis=1)
-    w = gram.real - 0.5 * (gram.imag[:, mu] - gram.imag[mu])
-    assert np.abs(w - gauge.real).max() <= 1e-14
+    centred = analysis.lattice_gram(m - tm, n - tn)
+    w = centred.real - 0.5 * (centred.imag[:, mu] - centred.imag[mu])
+    d = np.where((tn * (m - tm)) % 2 == 0, 1.0, -1.0)
+    assert np.abs(d[:, None] * w * d[None, :] - gauge.real).max() <= 1e-14
     reflection = (m[:, None] + m[None, :] == 2 * tm) & (n[:, None] + n[None, :] == 2 * tn)
     p = np.argmax(reflection, axis=1)
     assert np.array_equal(p, np.arange(m.size)[::-1])
@@ -417,17 +479,34 @@ def test_dual_gauge_is_real_with_the_gram_spectrum(box, target, monkeypatch):
     folded = asm._fold(asm._fold(w).T)
     half = m.size - m.size // 2
     assert np.all(folded[:half, half:] == 0.0) and np.all(folded[half:, :half] == 0.0)
-    assert np.array_equal(even, folded[:half, :half]) and np.array_equal(odd, folded[half:, half:])
+    # S and S J as matrices, folded by P like W; on P's even and odd
+    # blocks each is a signed permutation and an involution
+    image, sign = _quarter_turn(m, n, tm, tn)
+    turn = np.zeros((m.size, m.size))
+    turn[image, np.arange(m.size)] = sign
+    for part, involution in ((slice(None, half), turn), (slice(half, None), turn[:, mu])):
+        folded_involution = asm._fold(asm._fold(involution).T)[part, part]
+        assert np.abs(folded_involution - np.rint(folded_involution)).max() <= 1e-15
+        sigma = np.argmax(np.abs(folded_involution), axis=0)
+        signs = np.rint(folded_involution[sigma, np.arange(sigma.size)])
+        assert np.array_equal(sigma[sigma], np.arange(sigma.size)) and np.all(signs[sigma] == signs)
+        block = folded[part, part]
+        assert np.array_equal(signs[:, None] * block[np.ix_(sigma, sigma)] * signs[None, :], block)
+        by_involution, even = _by_signed_involution(block, sigma, signs)
+        assert np.all(by_involution[:even, even:] == 0.0) and np.all(by_involution[even:, :even] == 0.0)
+        kept_blocks, blocks = blocks[:2], blocks[2:]
+        assert np.array_equal(kept_blocks[0], by_involution[:even, :even])
+        assert np.array_equal(kept_blocks[1], by_involution[even:, even:])
     want = np.linalg.eigvalsh(gram)
     assert np.abs(np.sort(spectrum) - want).max() <= 1e-13 * want.max()
 
 
 def _kept_and_clear_of_cut(box, monkeypatch):
-    # kept count of the real solve over both half blocks, and whether every
+    # kept count of the real solve over the four blocks, and whether every
     # eigenvalue of W lies more than 1% away from the cut
     calls = _spy_on_eigh(monkeypatch)
     analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), (0, 0), box)
-    _, _, spectrum = _half_blocks(calls, (2 * box + 1) ** 2)
+    _, spectrum = _four_blocks(calls, (2 * box + 1) ** 2)
     fractions = spectrum / spectrum.max()
     kept = int(np.sum(fractions > analysis.DUAL_GAP_CUT))
     return kept, bool(np.all(np.abs(fractions / analysis.DUAL_GAP_CUT - 1.0) > 0.01))

@@ -21,7 +21,7 @@ from gcshelm.experiments import (
 from gcshelm.phase_space import LatticeSpec
 from gcshelm.problem_model import ProblemCase
 
-from helpers import box_frame_bounds, parse_records_csv
+from helpers import box_frame_bounds, dual_frame_oracle, parse_records_csv
 
 FAST = ExperimentConfig(case="homogeneous", ks=(20.0,), deltas=(0.5,))
 
@@ -386,7 +386,21 @@ def test_cli_diagnose_matches_saved_report(tmp_path):
         assert got[key]["alpha_est"] == exact.alpha_est
         assert got[key]["beta_est"] == exact.beta_est
         assert got[key]["ratio"] == exact.beta_est / exact.alpha_est
-        # the dual frame: the saved box-8 values, and the CLI's fixed box
+        # the dual frame: the saved box-8 values, and the CLI's fixed box,
+        # whose residual is printed to 9 significant digits
         for name, value in dual[analysis.DUAL_BOX_HALF_WIDTH].items():
             assert entry[name] == pytest.approx(dual[8][name], rel=1e-8, abs=0.0)
-            assert got[key][name] == value
+            assert got[key][name] == (float(f"{value:.9g}") if name == "dual_solve_residual" else value)
+
+
+@pytest.mark.parametrize("box", [4, 8, 12])
+def test_cli_diagnose_prints_the_residual_digits_the_oracle_shares(box, tmp_path, monkeypatch):
+    # the printed residual is the same for the production solve and for the
+    # complex eigh on the whole box, which differ past the tenth digit at box 12
+    solve = analysis.dual_frame_coefficients
+    monkeypatch.setattr(analysis, "dual_frame_coefficients", lambda spec, target: solve(spec, target, box))
+    out = tmp_path / "diag.json"
+    assert cli.main(["diagnose", "--hbar", "0.05", "--out", str(out)]) == 0
+    printed = json.loads(out.read_text())["hbar=0.05"]["dual_solve_residual"]
+    oracle = dual_frame_oracle((0, 0), box)[3]
+    assert printed == float(f"{oracle:.9g}") == pytest.approx(oracle, rel=1e-8, abs=0.0)
