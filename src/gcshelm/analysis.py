@@ -218,9 +218,7 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
     size, half = width * width, width * width // 2
     # J reverses the inner (dn) axis of the box, on either side of the Gram
     imag = gram.imag.reshape(width, width, width, width)
-    w = (imag[:, :, :, ::-1] - imag[:, ::-1]).reshape(size, size)
-    w *= -0.5
-    w += gram.real
+    w = gram.real - 0.5 * (imag[:, :, :, ::-1] - imag[:, ::-1]).reshape(size, size)
     # S and S J on the even and odd parts of _fold: part i stands for the
     # position i < half (or the centre) and its mirror size - 1 - i, and
     # the odd part of a position past half is the negative of its mirror's
