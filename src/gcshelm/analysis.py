@@ -194,8 +194,8 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
     - the target's Gram is D G_0 D, D = diag((-1)**(tn dm)), with G_0 the
       Gram about (0, 0), so c = D c_0;
     - J: dn -> -dn gives J G_0 J = conj(G_0), so with U = ((1 - i)I +
-      (1 + i)J)/2, W = U^H G_0 U = Re G_0 - (Im G_0 J - J Im G_0)/2 is real
-      with G's eigenvalues, and c_0 = U y for W y = e;
+      (1 + i)J)/2, W = U^H G_0 U = Re G_0 - Im G_0 J is real with G's
+      eigenvalues, and c_0 = U y for W y = e;
     - P: (dm, dn) -> (-dm, -dn) commutes with W, which splits into the
       even and odd parts of ``assembly_solver._fold``;
     - the Gaussian is its own Fourier transform, so the quarter turn S:
@@ -214,11 +214,12 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
     width = 2 * box_half_width + 1
     offsets = np.arange(-box_half_width, box_half_width + 1)
     dm, dn = np.repeat(offsets, width), np.tile(offsets, width)
-    gram = lattice_gram(dm, dn)
     size, half = width * width, width * width // 2
-    # J reverses the inner (dn) axis of the box, on either side of the Gram
-    imag = gram.imag.reshape(width, width, width, width)
-    w = gram.real - 0.5 * (imag[:, :, :, ::-1] - imag[:, ::-1]).reshape(size, size)
+    # J reverses the inner (dn) axis of the box, and J Im G_0 = -Im G_0 J;
+    # the complex Gram is freed before the folds, which reuse its memory
+    gram = lattice_gram(dm, dn).reshape(width, width, width, width)
+    w = (gram.real - gram.imag[..., ::-1]).reshape(size, size)
+    del gram
     # S and S J on the even and odd parts of _fold: part i stands for the
     # position i < half (or the centre) and its mirror size - 1 - i, and
     # the odd part of a position past half is the negative of its mirror's
