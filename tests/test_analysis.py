@@ -451,7 +451,7 @@ def test_dual_frame_halves_match_the_complex_eigh_oracle(box, target, monkeypatc
 def test_dual_gauge_is_real_with_the_gram_spectrum(box, target, monkeypatch):
     # U = exp(-i pi/4)(I + iJ)/sqrt(2), with J the mirror dn -> -dn about the
     # target, built here from its definition; U^H G U is real.  Its real
-    # form W0 about (0, 0) is left unchanged bit for bit by the point
+    # form W about (0, 0) is left unchanged bit for bit by the point
     # reflection P, by the quarter turn S on P's even block and by S J on
     # P's odd block, so each fold has exactly zero coupling blocks; the four
     # diagonal blocks are the matrices the solve hands to eigh and
