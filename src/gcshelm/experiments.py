@@ -13,6 +13,7 @@ window, and the FEM reference is truncated at ``reference_fem.DEFAULT_X_END``.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -58,10 +59,15 @@ class ExperimentConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
-        if any(k < MIN_WAVENUMBER for k in self.ks):
-            raise ValueError(f"wavenumbers below {MIN_WAVENUMBER} are out of scope")
-        if any(d <= 0.0 for d in self.deltas):
-            raise ValueError("deltas must be positive")
+        # chained comparisons, so that NaN fails each check
+        if not all(MIN_WAVENUMBER <= k < math.inf for k in self.ks):
+            raise ValueError(f"wavenumbers must be finite and at least {MIN_WAVENUMBER}")
+        if not all(0.0 < d < math.inf for d in self.deltas):
+            raise ValueError("deltas must be positive and finite")
+        if not (self.target_accuracy is None or 0.0 < self.target_accuracy < math.inf):
+            raise ValueError("target_accuracy must be positive and finite")
+        if not 0.0 < self.cutoff < 1.0:
+            raise ValueError("cutoff must lie in (0, 1)")
         if self.output_format not in FORMATS:
             raise ValueError(f"unknown format {self.output_format!r}")
 

@@ -1,27 +1,19 @@
 """Oracles the tests share: the search-box selection of symbol sets,
 per-state lists, dense views of block matrices and of the design matrix in
-state order, a system of two parity halves from dense arrays, the streaming
-QR of one staircase, the assembly and the triangle solve
-before the parity fold, the solve of the two halves before they shared
-rows and their fork read off the entries, the former row step of the
-streaming QR and a recorder of the arrays it factors, derivative blocks,
-the former 12-sigma sin/cos state kernel, the lattice-box coefficient
-moduli through the state kernel, quadrature inner products, the
-closed-form overlap and operator pairing of two states, the operator on
-function values, the closed-form iterated residual, the box estimate of
-the frame bounds, the complex solve of the dual frame, the Zak frame
-function, the masked forms of the C3 plateaus, the PML and P_k's
-coefficients, the nu formulas of P_k's symbol, coefficients and FEM element
-matrices, the einsum assembly, banded assembly and banded LAPACK solve
-of the FEM reference, and a CSV reader for the table output."""
+state order, a system of two parity halves from dense arrays, a recorder of
+the arrays the streaming QR factors, derivative blocks, quadrature inner
+products, the closed-form overlap and operator pairing of two states, the
+operator on function values, the closed-form iterated residual, the complex
+solve of the dual frame, the Zak frame function, the masked forms of the C3
+plateaus, the PML and P_k's coefficients, the nu formulas of P_k's symbol,
+coefficients and FEM element matrices, the banded assembly and banded
+LAPACK solve of the FEM reference, and a CSV reader for the table output."""
 
 import csv
 import io
 import math
-from typing import NamedTuple
 
 import numpy as np
-import pytest
 from numpy.polynomial import polynomial as npoly
 from scipy.linalg import solve_banded
 
@@ -33,9 +25,6 @@ from gcshelm import problem_model as pm
 from gcshelm import quadrature as quad
 from gcshelm import reference_fem as fem
 from gcshelm.experiments import ExperimentRecord
-
-# the solve itself, which a test may replace by ``unshared_solve``
-_SOLVE = asm.solve
 
 
 def pairs_of(index_set):
@@ -119,121 +108,10 @@ def halves_system(a_even, b_even, a_odd, b_odd):
     return asm.DesignSystem(matrix, np.concatenate([b_even, b_odd]), quad.build_rule((0.0, 1.0), 20, 20))
 
 
-class UnfoldedSystem(NamedTuple):
-    """The system of ``unfolded_assemble``: rows are nodes, columns states."""
-
-    matrix: asm.BlockMatrix
-    rhs: np.ndarray
-    rule: quad.QuadratureRule
-
-
-def unfolded_assemble(index_set, case, nodes_per_wavelength):
-    """``asm.assemble`` before the parity fold: every state on the same rule, rows are nodes."""
-    x0 = index_set.x_array()
-    reach = gs.WINDOW_SIGMAS * math.sqrt(index_set.lattice.hbar)
-    flo, fhi = case.rhs_support()
-    window = (min(x0.min() - reach, flo), max(x0.max() + reach, fhi))
-    rule = quad.build_rule(window, case.k, nodes_per_wavelength)
-    root_w = np.sqrt(rule.weights)
-    blocks = []
-    for rows, cols, block in asm._blocks(index_set, rule.nodes, op=case.operator()):
-        block *= root_w[rows, None]
-        blocks.append((rows, cols, block))
-    rhs = root_w * case.rhs(rule.nodes)
-    return UnfoldedSystem(asm.BlockMatrix((len(rule), len(index_set)), tuple(blocks)), rhs, rule)
-
-
-def banded_qr(a, b):
-    """The N x N triangle R of a = Q R, Q^H b and |rho|, from row blocks of [a | b].
-
-    One ``asm._stream`` over every row of a ``BlockMatrix``, with no rows
-    shared between halves.  rho is the last diagonal entry of the triangle
-    of [a | b], the part of b outside the range of a; it is 0 when no row
-    is left for it (Q = N).
-    """
-    q, n = a.shape
-    r = np.zeros((n, n), dtype=complex)
-    qhb = np.zeros((n, 1), dtype=complex)
-    _, carry = asm._stream(a, b[:, None], 0, q, 0, np.zeros((0, 1), dtype=complex), r, qhb)
-    return r, qhb[:, 0], asm._rho(carry)
-
-
-def triangle_solve(system, cutoff_rel=asm.DEFAULT_CUTOFF):
-    """``asm.solve`` before the split: one ``lstsq`` on the whole N x N triangle.
-
-    With ``unfolded_assemble``, the equivalence oracle of the parity halves.
-    """
-    r, qhb, rho = banded_qr(system.matrix, system.rhs)
-    coeff, _, rank, sigma = np.linalg.lstsq(r, qhb, rcond=cutoff_rel)
-    residual = math.hypot(float(np.linalg.norm(r @ coeff - qhb)), rho)
-    dropped = float(sigma[rank]) if rank < sigma.size else 0.0
-    return asm.SolveReport(
-        coeff, int(rank), float(cutoff_rel), residual,
-        float(sigma[0]), float(sigma[rank - 1]), dropped,
-    )
-
-
-def unshared_triangles(a, rhs):
-    """The triangles (R, Q^H b, |rho|) of ``asm._shared_qr`` before the halves shared rows.
-
-    The even and the odd half of ``asm._halves`` each stream their own QR
-    from their outer end, with ``banded_qr``.
-    """
-    even, odd = asm._halves(a)
-    q_even = even.shape[0]
-    return [banded_qr(even, rhs[:q_even]), banded_qr(odd, rhs[q_even:])]
-
-
-def unshared_solve(system, cutoff_rel=asm.DEFAULT_CUTOFF):
-    """``asm.solve`` on ``unshared_triangles``: the equivalence oracle of the shared stream."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(asm, "_shared_qr", unshared_triangles)
-        return _SOLVE(system, cutoff_rel)
-
-
-def value_fork_row(even, odd):
-    """The first row at which the halves of ``asm._halves`` differ, read off their entries.
-
-    The fork of ``asm.solve`` before it was read off the staircase.  Blocks
-    that are one array in both halves are passed over.  The others hold the
-    states near 0, whose windows reach their mirrors; there the fork is the
-    first row whose entries differ, or that one half has and the other has
-    not, and the even half's column of the state (0, 0) differs where it is
-    nonzero.  The fork is at most one row short of the shorter half.
-    """
-    fork = min(even.shape[0], odd.shape[0]) - 1
-    for (rows, cols, block), (odd_rows, odd_cols, odd_block) in zip(even.blocks, odd.blocks):
-        if min(rows.start, odd_rows.start) >= fork:
-            return fork
-        if block is odd_block and (rows, cols) == (odd_rows, odd_cols):
-            continue
-        if (rows.start, cols.start) != (odd_rows.start, odd_cols.start):
-            return min(fork, rows.start, odd_rows.start)
-        h, w = min(block.shape[0], odd_block.shape[0]), min(block.shape[1], odd_block.shape[1])
-        differs = np.append(
-            (block[:h, :w] != odd_block[:h, :w]).any(axis=1)
-            | block[:h, w:].any(axis=1) | odd_block[:h, w:].any(axis=1),
-            block.shape[0] != odd_block.shape[0],
-        )
-        if differs.any():
-            fork = min(fork, rows.start + int(differs.argmax()))
-    unpaired = even.blocks[len(odd.blocks):] + odd.blocks[len(even.blocks):]
-    return min([fork] + [rows.start for rows, _, _ in unpaired[:1]])
-
-
 def one_block(a):
     """A dense array as an ``asm.BlockMatrix`` of one block: no parity halves."""
     q, n = a.shape
     return asm.BlockMatrix((q, n), ((slice(0, q), slice(0, n), np.asarray(a, dtype=complex)),))
-
-
-def former_row_step(band, q, n):
-    """Rows per block of ``asm._stream`` before ``asm._row_step``: max(4 band, 1024).
-
-    The oracle of the row step, substituted for ``asm._row_step``; it fixed
-    the rows and left the columns to grow with them.
-    """
-    return max(4 * band, 1024)
 
 
 def qr_recorder(shapes):
@@ -260,67 +138,6 @@ def derivative_blocks(hbar, x0, n, x, order):
             z = np.subtract.outer(x[rows] - x0[cols.start], 1j * xi0[cols]) / math.sqrt(hbar)
             block *= hbar ** (-order / 2.0) * gs._Q_POLYS[order](z)
         yield rows, cols, block
-
-
-# half width of the former kernel's window in units of sqrt(hbar): exp(-12**2/2) = exp(-72)
-SINCOS_WINDOW_SIGMAS = 12.0
-
-
-def sincos_state_blocks(hbar, x0, xi0, x, op=None):
-    """The state kernel before phases came as lattice powers: the oracle of ``gs.state_blocks``.
-
-    Same blocks as ``gs.state_blocks`` for the states (hbar, x0[j], xi0[j]),
-    xi0 any floats, but filled on the rows within 12*sqrt(hbar) of x0, and
-    with the phase exp(1j*xi0*u/hbar) from ``sin`` and ``cos`` of the outer
-    product (u/hbar) xi0 on every entry.
-    """
-    x = np.asarray(x, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    xi0 = np.asarray(xi0, dtype=float)
-    root = math.sqrt(hbar)
-    amp = (math.pi * hbar) ** (-0.25)
-    if op is not None:
-        a, b, c = (np.asarray(v) for v in op.coefficients(x))
-    starts = np.flatnonzero(np.diff(x0, prepend=np.nan) != 0.0)
-    for start, stop in zip(starts, np.append(starts[1:], x0.size)):
-        centre = x0[start]
-        lo = np.searchsorted(x, centre - SINCOS_WINDOW_SIGMAS * root, side="left")
-        hi = np.searchsorted(x, centre + SINCOS_WINDOW_SIGMAS * root, side="right")
-        if lo == hi:
-            continue
-        rows, cols = slice(lo, hi), slice(start, stop)
-        u = x[rows] - centre
-        xi = xi0[cols]
-        block = np.empty((u.size, xi.size), dtype=complex)
-        np.multiply.outer(u / hbar, xi, out=block.real)
-        np.sin(block.real, out=block.imag)
-        np.cos(block.real, out=block.real)
-        block *= (amp * np.exp(-(u**2) / (2.0 * hbar)))[:, None]
-        if op is not None:
-            ar, br, cr = a[rows], b[rows], c[rows]
-            g = np.empty_like(block)
-            np.multiply.outer(-ar, xi, out=g)
-            g += (-2j * ar * u - br)[:, None]
-            g *= xi
-            g += (ar * (u**2 - hbar) - 1j * br * u + cr)[:, None]
-            block *= g
-        yield rows, cols, block
-
-
-def state_block_moduli(hbar, m, n_max, x, gw):
-    """|(g, Psi_mn)| over a lattice box through ``gs.state_blocks``: the oracle of ``gs.box_coefficients``.
-
-    The plane-wave probe's former path: every state of the rows ``m`` and
-    n = -n_max..n_max formed as a block of equal x_m, then paired with
-    ``gw``.  Returns a (m.size, 2*n_max + 1) array, column j for n = j - n_max.
-    """
-    width = 2 * n_max + 1
-    mm = np.repeat(m, width)
-    nn = np.tile(np.arange(-n_max, n_max + 1), m.size)
-    vals = np.zeros(mm.size)
-    for rows, cols, block in gs.state_blocks(hbar, mm * math.sqrt(math.pi * hbar), nn, x):
-        vals[cols] = np.abs(gw[rows] @ np.conj(block))
-    return vals.reshape(m.size, width)
 
 
 def inner_product(f, g, rule):
@@ -547,31 +364,6 @@ def box_indices(half_width):
     return np.repeat(offsets, offsets.size), np.tile(offsets, offsets.size)
 
 
-def box_frame_bounds(box_half_width, interior_margin):
-    """Extremal frame Rayleigh quotients on a truncated lattice box.
-
-    Test functions live in the span of the interior states (margin away from
-    the box edge); the frame sum runs over the whole box.  The quotient
-    (d* (G^2)_II d) / (d* G_II d) is extremized over the numerically
-    nondegenerate directions of G_II.  The estimate lies inside the exact
-    bounds of ``analysis.frame_bounds`` and widens toward them with the box.
-    """
-    m, n = box_indices(box_half_width)
-    gram = analysis.lattice_gram(m, n)
-    inner = np.flatnonzero(np.maximum(np.abs(m), np.abs(n)) <= box_half_width - interior_margin)
-    a = gram[inner] @ gram[:, inner]
-    b = gram[np.ix_(inner, inner)]
-    evals, evecs = np.linalg.eigh(b)
-    keep = evals > 1e-10 * evals.max()
-    w = evecs[:, keep] / np.sqrt(evals[keep])
-    m = w.conj().T @ a @ w
-    rq = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    diag = analysis.FrameDiagnostics(float(rq.min()), float(rq.max()))
-    if not 0.0 < diag.alpha_est <= diag.beta_est:
-        raise RuntimeError("frame bound estimation produced an invalid ordering")
-    return diag
-
-
 def gram_band_solve(gram, rhs):
     """G+ rhs on the frame band of a Hermitian Gram, by a complex ``eigh``.
 
@@ -648,37 +440,6 @@ def zak_frame_function(x, w):
         return sum(np.exp(-0.5 * math.pi * (x + 2 * j) ** 2 - 2j * math.pi * j * w) for j in range(-8, 9))
 
     return 2.0 * (np.abs(zak(x)) ** 2 + np.abs(zak(x + 1.0)) ** 2)
-
-
-def einsum_fem_system(case, mesh):
-    """Element matrices, load vectors and banded system of the FEM, the einsum way.
-
-    The three-operand ``einsum`` and ``np.add.at`` assembly that
-    ``reference_fem._element_system`` and ``banded_fem_system`` replaced;
-    returns (ke, fe, ab, rhs) before the Dirichlet ends are imposed.
-    """
-    gl_x, gl_w = np.polynomial.legendre.leggauss(6)
-    phi = np.array([p(gl_x) for p in fem._BASIS]).T
-    dphi = np.array([p(gl_x) for p in fem._DBASIS]).T
-    h_el = mesh.h
-    jac = 0.5 * h_el
-    left = -mesh.x_end + h_el * np.arange(mesh.elements)
-    xq = left[:, None] + jac * (gl_x[None, :] + 1.0)
-    nu, nu_inv, _ = nu_coefficients(xq)
-    stiff_coef = nu_inv / case.k**2
-    mass_coef = np.asarray(case.mu(xq)) * nu
-    wq = gl_w[None, :]
-    ke = np.einsum("eq,qi,qj->eij", wq * stiff_coef / jac, dphi, dphi)
-    ke -= np.einsum("eq,qi,qj->eij", wq * mass_coef * jac, phi, phi)
-    fe = np.einsum("eq,qi->ei", wq * case.rhs(xq) * jac, phi)
-    ab = np.zeros((9, mesh.dofs), dtype=complex)
-    rhs = np.zeros(mesh.dofs, dtype=complex)
-    base = 4 * np.arange(mesh.elements)
-    for i in range(5):
-        np.add.at(rhs, base + i, fe[:, i])
-        for j in range(5):
-            np.add.at(ab[4 + i - j], base + j, ke[:, i, j])
-    return ke, fe, ab, rhs
 
 
 def banded_fem_system(ke, fe):

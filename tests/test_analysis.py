@@ -9,7 +9,6 @@ from gcshelm.phase_space import IndexSet, LatticeSpec
 from gcshelm.problem_model import ProblemCase
 
 from helpers import (
-    box_frame_bounds,
     box_indices,
     dual_decay_fit_oracle,
     dual_frame_oracle,
@@ -120,17 +119,11 @@ def test_lattice_gram_matches_overlap():
             assert abs(gram[i, j] - overlap(s1, s2)) < 1e-14
 
 
-def test_frame_bounds_single_state():
-    diag = box_frame_bounds(0, 0)
-    assert abs(diag.alpha_est - 1.0) < 1e-12
-    assert abs(diag.beta_est - 1.0) < 1e-12
-
-
 def test_frame_bounds_ordering_and_hbar_stability():
-    a = box_frame_bounds(12, 5)
+    a = analysis.frame_bounds(LatticeSpec(1.0 / 20.0))
     assert 0.0 < a.alpha_est <= a.beta_est
-    # the hbar-free Gram behind the bounds is the Gram of the states placed
-    # on the lattice at each hbar
+    # the hbar-free lattice Gram is the Gram of the states placed on the
+    # lattice at each hbar
     m, n = box_indices(3)
     gram = analysis.lattice_gram(m, n)
     for hbar in (1.0 / 20.0, 1.0 / 100.0):
@@ -143,46 +136,6 @@ def test_frame_bounds_ordering_and_hbar_stability():
         assert np.abs(gram - exact).max() < 1e-14
 
 
-def _old_lattice_gram(m, n):
-    # the Gram before the tail cut and the quarter-turn phase table
-    dm = m[:, None] - m[None, :]
-    dn = n[:, None] - n[None, :]
-    mag = np.exp(-0.25 * math.pi * (dm.astype(float) ** 2 + dn.astype(float) ** 2))
-    phase = 0.5 * math.pi * ((n[:, None] + n[None, :]) * (-dm)).astype(float)
-    return mag * np.exp(1j * phase)
-
-
-def _old_frame_bounds(gram, inner):
-    # the full box product gram @ gram, cut to the inner block afterwards
-    a = (gram @ gram)[np.ix_(inner, inner)]
-    b = gram[np.ix_(inner, inner)]
-    evals, evecs = np.linalg.eigh(b)
-    keep = evals > 1e-10 * evals.max()
-    w = evecs[:, keep] / np.sqrt(evals[keep])
-    m = w.conj().T @ a @ w
-    rq = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    return rq.min(), rq.max()
-
-
-@pytest.mark.parametrize("box", [12, 16])
-def test_frame_bounds_match_unwindowed_full_product(box):
-    margin = 5
-    diag = box_frame_bounds(box, margin)
-    got = (diag.alpha_est, diag.beta_est)
-    m, n = box_indices(box)
-    inner = np.flatnonzero(np.maximum(np.abs(m), np.abs(n)) <= box - margin)
-    # The inner-block product alone reproduces the old product on one Gram.
-    for g, want in zip(got, _old_frame_bounds(analysis.lattice_gram(m, n), inner)):
-        assert abs(g - want) <= 1e-12 * want
-    # Against the old Gram the estimate is only as determined as its
-    # conditioning allows: the directions kept down to 1e-10 of the largest
-    # Gram eigenvalue turn the 2.7e-15 rounding of exp(1j*phase) into about
-    # 8e-10 of beta at box 12, as large as the old path's own change from one
-    # to two BLAS threads (7.9e-10); 1e-8 leaves room for other BLAS builds.
-    for g, want in zip(got, _old_frame_bounds(_old_lattice_gram(m, n), inner)):
-        assert abs(g - want) <= 1e-8 * want
-
-
 def test_lattice_gram_tail_is_exact_zero_and_no_subnormals():
     m, n = box_indices(20)
     gram = analysis.lattice_gram(m, n)
@@ -192,8 +145,6 @@ def test_lattice_gram_tail_is_exact_zero_and_no_subnormals():
     d2 = (m[:, None] - m[None, :]) ** 2 + (n[:, None] - n[None, :]) ** 2
     past_tail = 0.25 * math.pi * d2 > -math.log(analysis._TAIL_TOL)
     assert np.all(gram[past_tail] == 0.0)
-    closed_form = _old_lattice_gram(m, n)
-    assert np.abs(gram - closed_form)[~past_tail].max() <= 1e-14
 
 
 def _masked_exp_lattice_gram(m, n):
@@ -241,26 +192,11 @@ def test_frame_bounds_closed_form_values_and_hbar_free():
     assert analysis.frame_bounds(LatticeSpec(1.0 / 20.0), box_half_width=20, interior_margin=3) == diag
 
 
-def test_box_frame_bounds_widen_toward_zak_bounds():
-    # the box estimate nests strictly inside the exact bounds and widens
-    # toward them; a Zak transform at the wrong step or without its factor 2
-    # lands outside the nest
-    zak = analysis.frame_bounds(LatticeSpec(1.0 / 20.0))
-    diags = [box_frame_bounds(box, 5) for box in (12, 16, 20)]
-    alphas = [d.alpha_est for d in diags]
-    betas = [d.beta_est for d in diags]
-    assert zak.alpha_est < alphas[2] < alphas[1] < alphas[0]
-    assert betas[0] < betas[1] < betas[2] < zak.beta_est
-    assert alphas[2] <= zak.alpha_est * 1.005
-    assert betas[2] >= zak.beta_est * 0.995
-
-
 def test_frame_sandwich_random_bumps():
     # alpha ||v||^2 <= sum |(v, Psi_j)|^2 <= beta ||v||^2 for coherent-state
     # bumps centered well inside the box (all inner products closed-form)
     spec = LatticeSpec(1.0 / 20.0)
     bw, margin = 12, 5
-    diag = box_frame_bounds(bw, margin)
     exact = analysis.frame_bounds(spec)
     rng = np.random.default_rng(2)
     m, n = box_indices(bw)
@@ -273,8 +209,6 @@ def test_frame_sandwich_random_bumps():
         x0, xi0 = rng.uniform(-span / 2, span / 2, size=2)
         v = gs.CoherentState(spec.hbar, x0, xi0)
         energy = sum(abs(overlap(v, s)) ** 2 for s in states)
-        assert diag.alpha_est * (1 - 1e-9) <= energy <= diag.beta_est * (1 + 1e-9)
-        # the exact bounds hold for every v, and are looser than the box's
         assert exact.alpha_est * (1 - 1e-9) <= energy <= exact.beta_est * (1 + 1e-9)
 
 

@@ -13,25 +13,16 @@ from gcshelm.phase_space import IndexSet, LatticeSpec, build_symbol_set
 from gcshelm.problem_model import ProblemCase
 
 from helpers import (
-    banded_qr,
     dense,
-    former_row_step,
     halves_system,
     norm,
     one_block,
     pairs_of,
     qr_recorder,
-    SINCOS_WINDOW_SIGMAS,
-    sincos_state_blocks,
     state_matrix,
     state_rhs,
     states_from_index_set,
     support_window,
-    triangle_solve,
-    unfolded_assemble,
-    unshared_solve,
-    unshared_triangles,
-    value_fork_row,
 )
 
 
@@ -280,8 +271,8 @@ def test_reconstruct_matches_per_state_sum(order):
     assert isinstance(asm.reconstruct(report, iset, 0.37)[order], complex)
 
 
-# the five benchmark cells, and the table cells hom (20, 2) and het (20, 12)
-SINCOS_CELLS = [
+# the five benchmark cells and the seven table cells, eight distinct
+ORACLE_CELLS = [
     ("homogeneous", 100.0, 0.8),
     ("homogeneous", 200.0, 0.6),
     ("homogeneous", 400.0, 0.336),
@@ -289,118 +280,35 @@ SINCOS_CELLS = [
     ("heterogeneous", 100.0, 4.0),
     ("homogeneous", 20.0, 2.0),
     ("heterogeneous", 20.0, 12.0),
+    ("homogeneous", 50.0, 1.0),
 ]
-
-
-# cells whose error the solve fixes only up to rounding, held to the spread
-# of their error under rounding-size perturbations rather than to 1e-4
-ROUNDING_BOUND_CELLS = {("heterogeneous", 100.0, 4.0)}
-# cells whose residual the solve fixes only up to rounding: 1e-15
-# perturbations of the unfolded system's blocks moved it by up to 4.6e-6
-# (hom (20, 2)) and 3.2e-6 (het (100, 4)) of itself, and those of the
-# folded blocks by up to 1.66e-6 at het (20, 12), above the 1e-6 that
-# holds the other cells; held to the spread of their residual instead
-RESIDUAL_ROUNDING_CELLS = {
-    ("homogeneous", 20.0, 2.0), ("heterogeneous", 100.0, 4.0), ("heterogeneous", 20.0, 12.0),
-}
-PERTURBATION_SEEDS = range(8)
-
-
-def sincos_kernel(hbar, x0, n, x, op=None):
-    """``sincos_state_blocks`` behind the signature of ``gs.state_blocks``."""
-    return sincos_state_blocks(hbar, x0, n * math.sqrt(math.pi * hbar), x, op=op)
-
-
-def perturbed_runs(case, delta, cache, index_set):
-    """(rel_h1k, residual) of a cell with every block entry times 1 + 1e-15 u, u uniform in [-1, 1].
-
-    One run per seed of ``PERTURBATION_SEEDS``.
-    """
-    real = asm.assemble
-    runs = []
-    for seed in PERTURBATION_SEEDS:
-        rng = np.random.default_rng(seed)
-
-        def assemble(*args):
-            system = real(*args)
-            for _, _, block in system.matrix.blocks:
-                block *= 1.0 + 1e-15 * rng.uniform(-1.0, 1.0, block.shape)
-            return system
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(asm, "assemble", assemble)
-            record, report, _ = run_cell(case, delta, ExperimentConfig(), cache, index_set)
-        runs.append((record.rel_h1k_error, report.residual_norm))
-    return runs
-
-
-@pytest.fixture(scope="module")
-def rounding_spread():
-    """(name, k, delta[, solve]) -> the spreads (max - min) of rel_h1k and of the residual, memoized.
-
-    Over the cell's unperturbed run and the runs of ``perturbed_runs``,
-    all with ``asm.solve``, or with ``solve`` in its place.
-    """
-    memo = {}
-
-    def spread(name, k, delta, solve=None):
-        key = (name, k, delta, solve)
-        if key not in memo:
-            case = ProblemCase.from_name(name, k)
-            cache = _ReferenceCache()
-            with pytest.MonkeyPatch.context() as patch:
-                if solve is not None:
-                    patch.setattr(asm, "solve", solve)
-                record, report, iset = run_cell(case, delta, ExperimentConfig(), cache)
-                runs = np.array(
-                    perturbed_runs(case, delta, cache, iset) + [(record.rel_h1k_error, report.residual_norm)]
-                )
-            memo[key] = runs.max(axis=0) - runs.min(axis=0)
-        return memo[key]
-
-    return spread
 
 
 def cell_id(v):
     return f"{v:g}" if isinstance(v, float) else v
 
 
-@pytest.mark.parametrize("name,k,delta", SINCOS_CELLS, ids=cell_id)
-def test_cell_matches_the_12_sigma_sincos_kernel(name, k, delta, rounding_spread, monkeypatch):
-    # the kernel cut at 1e-16 of each peak, with phases as lattice powers,
-    # against the former one cut at exp(-72) with sin and cos on every
-    # entry: first the blocks on the rows both windows hold, then the whole
-    # cell, each kernel with the rule it places.  The blocks moved by at
-    # most 6.9e-15; the rank-deficient cells move by rounding in the
-    # directions near the cutoff (measured with 2 BLAS threads: rel_h1k
-    # 1.03e-4 at het (100, 4), residual 1.6e-4 at hom (20, 2); the full-rank
-    # cells by under 4e-6).  At het (100, 4) the QR's row step alone moved
-    # rel_h1k by 7.0e-5 and eight 1e-15 perturbations of the blocks by
-    # -1.1e-4 to +7.3e-5 (-2.5e-5 to +2.3e-4 of the folded blocks), so that
-    # cell is held to the spread of those.
+@pytest.mark.parametrize("name,k,delta", ORACLE_CELLS, ids=cell_id)
+def test_state_blocks_match_per_state_on_the_cells(name, k, delta):
+    # the blocks of every cell on its own rule, the states and P_k of them,
+    # each column on the nodes within WINDOW_SIGMAS*sqrt(hbar) of its state
+    # against the per-state reference there, within 1e-14 of the block's
+    # largest entry
     case = ProblemCase.from_name(name, k)
-    cache = _ReferenceCache()
-    record, report, iset = run_cell(case, delta, ExperimentConfig(), cache)
-    rounding = (name, k, delta) in ROUNDING_BOUND_CELLS
-    hbar = iset.lattice.hbar
-    nodes = cell_system(case, delta)[0].rule.nodes
-    for op in (case.operator(), None):
-        old = {
-            cols.start: (rows, block)
-            for rows, cols, block in sincos_kernel(hbar, iset.x_array(), iset.n, nodes, op)
-        }
-        for rows, cols, block in gs.state_blocks(hbar, iset.x_array(), iset.n, nodes, op):
-            old_rows, old_block = old[cols.start]
-            assert old_rows.start <= rows.start and rows.stop <= old_rows.stop
-            shared = old_block[rows.start - old_rows.start : rows.stop - old_rows.start]
-            assert np.abs(block - shared).max() <= 1e-14 * np.abs(old_block).max()
-    monkeypatch.setattr(gs, "state_blocks", sincos_kernel)
-    monkeypatch.setattr(gs, "WINDOW_SIGMAS", SINCOS_WINDOW_SIGMAS)
-    oracle, oracle_report, _ = run_cell(case, delta, ExperimentConfig(), cache)
-    assert record.ndofs == oracle.ndofs and record.rank == oracle.rank
-    err_tol = rounding_spread(name, k, delta)[0] if rounding else 1e-4 * oracle.rel_h1k_error
-    assert abs(record.rel_h1k_error - oracle.rel_h1k_error) <= err_tol
-    assert abs(report.residual_norm - oracle_report.residual_norm) <= 5e-4 * oracle_report.residual_norm
+    system, iset = cell_system(case, delta)
+    nodes, hbar = system.rule.nodes, iset.lattice.hbar
+    reach = gs.WINDOW_SIGMAS * math.sqrt(hbar)
+    states = states_from_index_set(iset)
+    op = case.operator()
+    for kernel_op in (op, None):
+        for rows, cols, block in gs.state_blocks(hbar, iset.x_array(), iset.n, nodes, kernel_op):
+            centre = iset.x_array()[cols.start]
+            assert np.array_equal(np.flatnonzero(np.abs(nodes - centre) <= reach), np.arange(rows.start, rows.stop))
+            x = nodes[rows]
+            ref = np.stack([
+                gs.eval_state(s, x) if kernel_op is None else gs.apply_operator(s, op, x) for s in states[cols]
+            ], axis=1)
+            assert np.abs(block - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("cell", ["heterogeneous", "homogeneous"])
@@ -470,39 +378,38 @@ def gapped_staircase():
     return asm.DesignSystem(matrix, b, quad.build_rule((0.0, 1.0), 20, 20))
 
 
-# (system, numerical rank of lstsq, row steps of the streaming QR, row
-# steps of the halves streamed apart); the assembled cells stream the rows
-# their halves share once, ceil(fork / step) steps, then each half's own
-# rows: 8 + 2 + 2 of 429 rows at hom (400, 0.336) (fork at 3249 of 3906
-# rows a half), 5 + 2 + 2 of 415 and 416 at het (50, 6) (1866 of 2465 and
-# 2464), 3 + 2 + 2 of 68 at hom (20, 1) (153 of 275), 4 + 3 + 3 of 281 on
-# the gapped staircase (900 of 1500); streamed apart, each half took
-# ceil(Q/2 / step) steps, 10 + 10, 6 + 6, 5 + 5 and 6 + 6.  The dense
-# halves fork at row 0 and stream apart: 5 + 5 steps of 312 rows of 1250,
-# 1 + 1 of 30
+# (system, numerical rank of lstsq, row steps of the streaming QR); the
+# assembled cells stream the rows their halves share once, ceil(fork /
+# step) steps, then each half's own rows: 8 + 2 + 2 of 429 rows at hom
+# (400, 0.336) (fork at 3249 of 3906 rows a half), 5 + 2 + 2 of 415 and
+# 416 at het (50, 6) (1866 of 2465 and 2464), 3 + 2 + 2 of 68 at hom
+# (20, 1) (153 of 275), 4 + 3 + 3 of 281 on the gapped staircase (900 of
+# 1500).  The dense halves fork at row 0 and stream apart: 5 + 5 steps of
+# 312 rows of 1250, 1 + 1 of 30
 EQUIVALENCE_CASES = {
-    "hom-400-0.336": (lambda r: r.getfixturevalue("hom_cell")[0], 364, 12, 20),
-    "het-50-6": (lambda r: r.getfixturevalue("het6_cell")[0], 474, 9, 12),
-    "dense": (lambda r: dense_system(False), 60, 10, 10),
-    "dense-zero-and-duplicate-column": (lambda r: dense_system(True), 60, 10, 10),
-    "dense-square": (lambda r: dense_system(False, rows=60), 60, 2, 2),
-    "hom-20-1": (lambda r: make_system(20.0, 1.0, 20)[0], 78, 7, 10),
-    "gapped-staircase": (lambda r: gapped_staircase(), 15, 10, 12),
+    "hom-400-0.336": (lambda r: r.getfixturevalue("hom_cell")[0], 364, 12),
+    "het-50-6": (lambda r: r.getfixturevalue("het6_cell")[0], 474, 9),
+    "dense": (lambda r: dense_system(False), 60, 10),
+    "dense-zero-and-duplicate-column": (lambda r: dense_system(True), 60, 10),
+    "dense-square": (lambda r: dense_system(False, rows=60), 60, 2),
+    "hom-20-1": (lambda r: make_system(20.0, 1.0, 20)[0], 78, 7),
+    "gapped-staircase": (lambda r: gapped_staircase(), 15, 10),
 }
 
 
 @pytest.mark.parametrize("name", EQUIVALENCE_CASES)
 def test_solve_matches_lstsq(name, request, monkeypatch):
-    build, rank, steps, unshared_steps = EQUIVALENCE_CASES[name]
+    # each array handed to the QR stays inside (band + step) x 3/2 band
+    # entries, which blocks of the former max(4 band, 1024) rows overrun
+    build, rank, steps = EQUIVALENCE_CASES[name]
     system = build(request)
     before = dense(system.matrix)
     shapes = []
     monkeypatch.setattr(np.linalg, "qr", qr_recorder(shapes))
     report = asm.solve(system)
     assert len(shapes) == steps
-    shapes.clear()
-    unshared_solve(system)
-    assert len(shapes) == unshared_steps
+    band = int(np.count_nonzero(before, axis=1).max())
+    assert max(rows * cols for rows, cols in shapes) <= 1.5 * band * (band + asm._row_step(band, *before.shape))
     oracle = lstsq_solve(system)
     assert np.array_equal(dense(system.matrix), before)
     assert report.numerical_rank == oracle.numerical_rank == rank
@@ -520,15 +427,93 @@ def test_solve_matches_lstsq(name, request, monkeypatch):
         assert diff <= 1e-8 * np.linalg.norm(oracle.coefficients)
 
 
-def test_cell_error_matches_lstsq_solve(monkeypatch):
-    case = ProblemCase.heterogeneous(50.0)
-    config = ExperimentConfig()
+# cells whose error the solve fixes only up to rounding, held to the spread
+# of their error under rounding-size perturbations rather than to 1e-4
+ROUNDING_BOUND_CELLS = {("heterogeneous", 100.0, 4.0)}
+# cells whose residual the solve fixes only up to rounding: 1e-15
+# perturbations of the blocks moved it by up to 4.6e-6 (hom (20, 2)),
+# 3.2e-6 (het (100, 4)) and 1.66e-6 (het (20, 12)) of itself, above the
+# 1e-6 that holds the other cells; held to the spread of their residual
+RESIDUAL_ROUNDING_CELLS = {
+    ("homogeneous", 20.0, 2.0), ("heterogeneous", 100.0, 4.0), ("heterogeneous", 20.0, 12.0),
+}
+PERTURBATION_SEEDS = range(8)
+
+
+def perturbed_runs(case, delta, cache, index_set):
+    """(rel_h1k, residual) of a cell with every block entry times 1 + 1e-15 u, u uniform in [-1, 1].
+
+    One run per seed of ``PERTURBATION_SEEDS``.
+    """
+    real = asm.assemble
+    runs = []
+    for seed in PERTURBATION_SEEDS:
+        rng = np.random.default_rng(seed)
+
+        def assemble(*args):
+            system = real(*args)
+            for _, _, block in system.matrix.blocks:
+                block *= 1.0 + 1e-15 * rng.uniform(-1.0, 1.0, block.shape)
+            return system
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(asm, "assemble", assemble)
+            record, report, _ = run_cell(case, delta, ExperimentConfig(), cache, index_set)
+        runs.append((record.rel_h1k_error, report.residual_norm))
+    return runs
+
+
+def rounding_spread(case, delta, cache, index_set, record, report):
+    """The spreads (max - min) of rel_h1k and of the residual over a cell's run and ``perturbed_runs``."""
+    runs = np.array(perturbed_runs(case, delta, cache, index_set) + [(record.rel_h1k_error, report.residual_norm)])
+    return runs.max(axis=0) - runs.min(axis=0)
+
+
+# het (20, 0.5): N = 32 and no state at m = 0, so the staircase forks at
+# row 91 of 300, before the first row whose entries differ (212)
+EARLY_FORK_CELL = ("heterogeneous", 20.0, 0.5)
+
+
+@pytest.mark.parametrize("name,k,delta", ORACLE_CELLS + [EARLY_FORK_CELL], ids=cell_id)
+def test_cell_matches_the_dense_lstsq(name, k, delta, monkeypatch):
+    # run_cell against itself with lstsq on the whole matrix in state order
+    # as its solve, on the same index set and reference.  Each triangle of
+    # the shared stream has the singular values of its half, and no lstsq
+    # of the solve is wider than the larger half, ceil(N/2) columns.  The
+    # error is held to 1e-4 and the residual to 1e-6 of the oracle's, or
+    # on the rounding cells to the spread of the solve's perturbed runs
+    case = ProblemCase.from_name(name, k)
     cache = _ReferenceCache()
-    banded, _, _ = run_cell(case, 6.0, config, cache)
+    systems, widths = [], []
+    solve, lstsq = asm.solve, np.linalg.lstsq
+
+    def recording_solve(system, cutoff_rel):
+        systems.append(system)
+        return solve(system, cutoff_rel)
+
+    def recording_lstsq(a, b, rcond):
+        widths.append(a.shape[1])
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(asm, "solve", recording_solve)
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    record, report, iset = run_cell(case, delta, ExperimentConfig(), cache)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    assert max(widths) == len(iset) - len(iset) // 2
+    assert shared_sigma_gap(systems[0]) <= 1e-13
+    systems.clear()
     monkeypatch.setattr(asm, "solve", lstsq_solve)
-    oracle, _, _ = run_cell(case, 6.0, config, cache)
-    assert banded.rank == oracle.rank == 474
-    assert abs(banded.rel_h1k_error - oracle.rel_h1k_error) <= 1e-3 * oracle.rel_h1k_error
+    oracle, oracle_report, _ = run_cell(case, delta, ExperimentConfig(), cache, iset)
+    monkeypatch.setattr(asm, "solve", solve)
+    assert record.ndofs == oracle.ndofs and record.rank == oracle.rank
+    cell = (name, k, delta)
+    err_tol, res_tol = 1e-4 * oracle.rel_h1k_error, 1e-6 * oracle_report.residual_norm
+    if cell in ROUNDING_BOUND_CELLS | RESIDUAL_ROUNDING_CELLS:
+        spread = rounding_spread(case, delta, cache, iset, record, report)
+        err_tol = spread[0] if cell in ROUNDING_BOUND_CELLS else err_tol
+        res_tol = spread[1] if cell in RESIDUAL_ROUNDING_CELLS else res_tol
+    assert abs(record.rel_h1k_error - oracle.rel_h1k_error) <= err_tol
+    assert abs(report.residual_norm - oracle_report.residual_norm) <= res_tol
 
 
 def test_singular_value_range_clear_of_cutoff(het6_cell, hom_cell):
@@ -549,31 +534,6 @@ def test_singular_value_range_clear_of_cutoff(het6_cell, hom_cell):
     full = asm.solve(hom_cell[0])
     assert full.numerical_rank == 364 and full.sigma_dropped_max == 0.0
     assert full.sigma_kept_min > full.truncation_cutoff * full.sigma_max
-
-
-@pytest.mark.parametrize("cell", ["hom-400-0.336", "het-50-6"])
-def test_row_step_matches_the_former_stepping(cell, hom_cell, het6_cell, monkeypatch):
-    # rows per QR block read off the staircase against the former max(4
-    # band, 1024): R's singular values move by rounding alone, and the
-    # largest array handed to the QR stays inside (band + step) x 3/2 band,
-    # which the former blocks, far longer than a band, overrun
-    system, _ = hom_cell if cell == "hom-400-0.336" else het6_cell
-    q, n = system.matrix.shape
-    band = int(np.count_nonzero(dense(system.matrix), axis=1).max())
-    bound = 1.5 * band * (band + asm._row_step(band, q, n))
-    shapes = []
-    monkeypatch.setattr(np.linalg, "qr", qr_recorder(shapes))
-    runs = []
-    for step in (asm._row_step, former_row_step):
-        monkeypatch.setattr(asm, "_row_step", step)
-        shapes.clear()
-        r = banded_qr(system.matrix, system.rhs)[0]
-        largest = max(rows * cols for rows, cols in shapes)
-        runs.append((np.linalg.svd(r, compute_uv=False), asm.solve(system).numerical_rank, largest))
-    (sigma, rank, largest), (former_sigma, former_rank, former_largest) = runs
-    assert rank == former_rank
-    assert np.abs(sigma - former_sigma).max() <= 1e-12 * former_sigma[0]
-    assert largest <= bound < former_largest
 
 
 def test_design_matrix_is_a_staircase_band(hom_cell):
@@ -612,8 +572,12 @@ def test_block_rows_match_the_nonzero_scan(cell, hom_cell, het6_cell):
 
 @pytest.mark.parametrize("cell", ["hom-400-0.336", "het-50-6"])
 def test_blocks_store_only_the_nonzeros(cell, hom_cell, het6_cell):
+    # the rule keeps its panel count (Q as before the parity fold: 7812 and
+    # 4929), and the halves have ceil and floor of Q and N
     system, _ = hom_cell if cell == "hom-400-0.336" else het6_cell
     q, n = system.matrix.shape
+    assert q == {"hom-400-0.336": 7812, "het-50-6": 4929}[cell]
+    assert [half.shape for half in asm._halves(system.matrix)] == [(q - q // 2, n - n // 2), (q // 2, n // 2)]
     stored = sum(block.size for _, _, block in system.matrix.blocks)
     assert stored == np.count_nonzero(dense(system.matrix))
     assert stored <= 0.35 * q * n
@@ -633,58 +597,6 @@ def test_block_matrix_rejects_blocks_out_of_order():
 
 
 # -- the parity fold: two halves solved apart ----------------------------------
-
-
-# the benchmark's five cells and the seven table cells, eight distinct
-ORACLE_CELLS = SINCOS_CELLS + [("homogeneous", 50.0, 1.0)]
-
-
-@pytest.mark.parametrize("name,k,delta", ORACLE_CELLS, ids=cell_id)
-def test_folded_solve_matches_the_unfolded_triangle(name, k, delta, rounding_spread, monkeypatch):
-    # the folded system with its halves solved apart against the assembly in
-    # state order and one lstsq on its whole triangle; no lstsq of the
-    # folded solve is wider than the larger half, ceil(N/2) columns
-    case = ProblemCase.from_name(name, k)
-    cache = _ReferenceCache()
-    widths = []
-    lstsq = np.linalg.lstsq
-
-    def recording(a, b, rcond):
-        widths.append(a.shape[1])
-        return lstsq(a, b, rcond=rcond)
-
-    monkeypatch.setattr(np.linalg, "lstsq", recording)
-    record, report, iset = run_cell(case, delta, ExperimentConfig(), cache)
-    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
-    assert max(widths) == len(iset) - len(iset) // 2
-    monkeypatch.setattr(asm, "assemble", unfolded_assemble)
-    monkeypatch.setattr(asm, "solve", triangle_solve)
-    oracle, oracle_report, _ = run_cell(case, delta, ExperimentConfig(), cache, iset)
-    assert record.ndofs == oracle.ndofs and record.rank == oracle.rank
-    cell = (name, k, delta)
-    err_tol, res_tol = 1e-4 * oracle.rel_h1k_error, 1e-6 * oracle_report.residual_norm
-    if cell in ROUNDING_BOUND_CELLS:
-        err_tol = rounding_spread(*cell)[0]
-    if cell in RESIDUAL_ROUNDING_CELLS:
-        res_tol = rounding_spread(*cell)[1]
-    assert abs(record.rel_h1k_error - oracle.rel_h1k_error) <= err_tol
-    assert abs(report.residual_norm - oracle_report.residual_norm) <= res_tol
-
-
-@pytest.mark.parametrize("cell", ["hom-400-0.336", "het-50-6"])
-def test_triangle_of_the_folded_matrix_is_block_diagonal(cell, hom_cell, het6_cell):
-    # streamed whole, the folded matrix gives a triangle whose coupling block
-    # between the halves is exactly zero, so the halves solved apart solve
-    # the same least-squares problem; the rule keeps its panel count (Q as
-    # before the fold: 7812 and 4929)
-    system, iset = hom_cell if cell == "hom-400-0.336" else het6_cell
-    q, n = system.matrix.shape
-    assert q == {"hom-400-0.336": 7812, "het-50-6": 4929}[cell]
-    n_even = n - n // 2
-    r = banded_qr(system.matrix, system.rhs)[0]
-    assert np.any(r[:n_even, :n_even]) and np.any(r[n_even:, n_even:])
-    assert not np.any(r[:n_even, n_even:])
-    assert [half.shape for half in asm._halves(system.matrix)] == [(q - q // 2, n_even), (q // 2, n // 2)]
 
 
 def with_singular_values(rng, rows, sigma):
@@ -792,61 +704,42 @@ def test_assemble_rejects_the_set_of_one_state():
 
 
 def shared_sigma_gap(system):
-    """How far the shared stream moves the triangles' singular values, over sigma_max.
+    """How far the shared stream moves the singular values of the halves, over sigma_max.
 
-    The largest move of a singular value of the even or the odd triangle of
-    ``asm._shared_qr`` from that of the half streamed apart
-    (``unshared_triangles``).
+    A = QR keeps them, so each triangle of ``asm._shared_qr`` has those of
+    its dense half; the largest move of one, over the largest of all.
     """
-    shared = asm._shared_qr(system.matrix, system.rhs)
-    unshared = unshared_triangles(system.matrix, system.rhs)
-    sigma = [np.linalg.svd(r, compute_uv=False) for r, _, _ in shared + unshared]
+    triangles = [r for r, _, _ in asm._shared_qr(system.matrix, system.rhs)]
+    halves = [dense(half) for half in asm._halves(system.matrix)]
+    sigma = [np.linalg.svd(a, compute_uv=False) for a in triangles + halves]
     gap = max(np.abs(new - old).max() for new, old in zip(sigma[:2], sigma[2:]))
     return gap / max(s[0] for s in sigma)
 
 
-# het (20, 0.5): N = 32 and no state at m = 0, so the staircase forks at
-# row 91 of 300, before the first row whose entries differ (212)
-EARLY_FORK_CELL = ("heterogeneous", 20.0, 0.5)
+def first_differing_row(even, odd):
+    """The first row at which the halves' entries differ, or that the odd half lacks.
 
-
-@pytest.mark.parametrize("name,k,delta", ORACLE_CELLS + [EARLY_FORK_CELL], ids=cell_id)
-def test_shared_stream_matches_the_halves_streamed_apart(name, k, delta, rounding_spread):
-    # the rows both halves hold, factored once, against each half streamed
-    # on its own; both run from the outer end.  The residual of a
-    # RESIDUAL_ROUNDING_CELLS cell is fixed only to the spread of its
-    # perturbed runs: at het (100, 4) the two paths read 4.4e-6 of it apart,
-    # the runs of the halves streamed apart 5.8e-6, those of the shared
-    # stream 2.8e-6
-    case = ProblemCase.from_name(name, k)
-    cache = _ReferenceCache()
-    record, report, iset = run_cell(case, delta, ExperimentConfig(), cache)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(asm, "solve", unshared_solve)
-        oracle, oracle_report, _ = run_cell(case, delta, ExperimentConfig(), cache, iset)
-    assert shared_sigma_gap(cell_system(case, delta)[0]) <= 1e-13
-    assert record.ndofs == oracle.ndofs and record.rank == oracle.rank
-    cell = (name, k, delta)
-    err_tol, res_tol = 1e-4 * oracle.rel_h1k_error, 1e-6 * oracle_report.residual_norm
-    if cell in ROUNDING_BOUND_CELLS:
-        err_tol = rounding_spread(*cell)[0]
-    if cell in RESIDUAL_ROUNDING_CELLS:
-        res_tol = max(rounding_spread(*cell)[1], rounding_spread(*cell, unshared_solve)[1])
-    assert abs(record.rel_h1k_error - oracle.rel_h1k_error) <= err_tol
-    assert abs(report.residual_norm - oracle_report.residual_norm) <= res_tol
+    On the odd half's columns, with the even half's column of the state
+    (0, 0) differing where it is nonzero.
+    """
+    a_even, a_odd = dense(even), dense(odd)
+    q_odd, n_odd = a_odd.shape
+    differs = (a_even[:q_odd, :n_odd] != a_odd).any(axis=1) | a_even[:q_odd, n_odd:].any(axis=1)
+    return int(np.argmax(np.append(differs, True)))
 
 
 @pytest.mark.parametrize("name,k,delta", ORACLE_CELLS + [EARLY_FORK_CELL], ids=cell_id)
 def test_the_staircase_fork_matches_the_entries(name, k, delta):
     # the first row of the even half's last block, which holds the states
     # nearest 0, against the first row whose entries differ: the same with
-    # a state at m = 0, earlier without one
+    # a state at m = 0, earlier without one; the halves agree on every row
+    # before the fork, bit for bit
     even, odd = asm._halves(cell_system(ProblemCase.from_name(name, k), delta)[0].matrix)
-    fork, oracle = asm._fork_row(even, odd), value_fork_row(even, odd)
+    fork, first = asm._fork_row(even, odd), first_differing_row(even, odd)
     if (name, k, delta) == EARLY_FORK_CELL:
-        assert (fork, oracle) == (91, 212)
+        assert (fork, first) == (91, 212)
     else:
-        assert fork == oracle
+        assert fork == first
 
 
 # homogeneous k = 20 cells (delta, nodes per wavelength) of each parity: N
@@ -900,7 +793,7 @@ def test_halves_agree_up_to_the_fork_and_share_its_rows_once(parity_cell, monkey
     # shared rows are streamed once, then each half's own rows
     even, odd = asm._halves(parity_cell.matrix)
     fork = asm._fork_row(even, odd)
-    assert 0 < fork < odd.shape[0] - 1 and fork == value_fork_row(even, odd)
+    assert 0 < fork < odd.shape[0] - 1
     a_even, a_odd = dense(even), dense(odd)
     n_odd = odd.shape[1]
     assert np.array_equal(a_even[:fork, :n_odd], a_odd[:fork]) and not a_even[:fork, n_odd:].any()
@@ -922,8 +815,8 @@ def test_halves_agree_up_to_the_fork_and_share_its_rows_once(parity_cell, monkey
 def test_a_fork_one_row_deeper_fails_the_oracle(parity_cell, monkeypatch):
     # on the cell itself the fork row's halves differ by about 1e-16 of the
     # largest entry, so one row too deep moves the triangles by rounding
-    # alone; with the odd half's own blocks redrawn, the shared stream
-    # matches the halves streamed apart only at the fork found
+    # alone; with the odd half's own blocks redrawn, the triangles keep the
+    # singular values of their halves only at the fork found
     system = scrambled(parity_cell, odd_blocks=True)
     assert shared_sigma_gap(system) <= 1e-13
     fork_row = asm._fork_row

@@ -19,7 +19,6 @@ from helpers import (
     norm,
     operator_pair_inner,
     overlap,
-    state_block_moduli,
     support_window,
 )
 
@@ -358,6 +357,32 @@ def test_state_blocks_phase_powers_match_per_state(n):
         assert np.max(np.abs(block[:, j] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def per_state_box(hbar, m, n_max, x, gw):
+    """(g, Psi_mn) over the box of rows ``m`` and |n| <= n_max, one ``eval_state`` pairing per pair."""
+    h = math.sqrt(math.pi * hbar)
+    return np.array(
+        [[np.sum(gw * np.conj(gs.eval_state(gs.CoherentState(hbar, mi * h, n * h), x))) for n in range(-n_max, n_max + 1)]
+         for mi in m]
+    )
+
+
+def test_state_blocks_phase_reseeds():
+    # at hbar = pi/64 the step h/hbar is exactly 8, so on dyadic nodes about
+    # x0 = 0 every angle n*h*u/hbar is exact and each exact exp carries one
+    # rounding; with an exact exp every _RESEED columns a run of 401
+    # consecutive n stays within a few roundings of it, where powers of one
+    # root alone drift by ~3e-14
+    hbar = math.pi / 64.0
+    rng = np.random.default_rng(0)
+    x = np.sort(np.ldexp(rng.integers(-(2**20), 2**20, 4000).astype(float), -20))
+    n = np.arange(-200, 201)
+    ((rows, cols, block),) = gs.state_blocks(hbar, np.zeros(n.size), n, x)
+    u = x[rows]
+    amp = (math.pi * hbar) ** (-0.25)
+    exact = amp * np.exp(-(u**2) / (2.0 * hbar))[:, None] * np.exp(8j * np.multiply.outer(u, n))
+    assert np.max(np.abs(block - exact)) <= 2e-15 * amp
+
+
 @pytest.mark.parametrize("hbar", [1.0 / 50.0, 1.0 / 400.0])
 def test_box_coefficients_match_per_state_loop(hbar):
     # complex values against one eval_state pairing per pair, on an
@@ -370,23 +395,16 @@ def test_box_coefficients_match_per_state_loop(hbar):
     m = np.arange(-3, 8)
     n_max = math.floor(2.5 / h)
     got = gs.box_coefficients(hbar, m, n_max, rule.nodes, gw)
-    want = np.array(
-        [
-            [
-                np.sum(gw * np.conj(gs.eval_state(gs.CoherentState(hbar, mi * h, n * h), rule.nodes)))
-                for n in range(-n_max, n_max + 1)
-            ]
-            for mi in m
-        ]
-    )
+    want = per_state_box(hbar, m, n_max, rule.nodes, gw)
     assert got.shape == (m.size, 2 * n_max + 1)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("k", [50.0, 100.0, 200.0, 400.0])
-def test_box_coefficients_match_state_block_moduli(k):
-    # the plane-wave probe's box, rule and source, against its former path
-    # through state_blocks
+def test_box_coefficients_match_per_state_loop_on_the_probe_box(k):
+    # the plane-wave probe's box, rule and source: the moduli within 1e-14
+    # of the largest, the complex values within 1e-13, since the phases of
+    # box_coefficients are referenced to x (3.0e-14 at k = 400)
     case = ProblemCase.homogeneous(k)
     hbar = 1.0 / k
     h = math.sqrt(math.pi * hbar)
@@ -395,9 +413,11 @@ def test_box_coefficients_match_state_block_moduli(k):
     m_max = math.floor((0.75 + analysis.PLANEWAVE_X_PAD) / h)
     n_max = math.floor(analysis.PLANEWAVE_XI_MAX / h)
     m = np.arange(-m_max, m_max + 1)
-    got = np.abs(gs.box_coefficients(hbar, m, n_max, rule.nodes, fw))
-    want = state_block_moduli(hbar, m, n_max, rule.nodes, fw)
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+    got = gs.box_coefficients(hbar, m, n_max, rule.nodes, fw)
+    want = per_state_box(hbar, m, n_max, rule.nodes, fw)
+    largest = np.max(np.abs(want))
+    assert np.max(np.abs(np.abs(got) - np.abs(want))) <= 1e-14 * largest
+    assert np.max(np.abs(got - want)) <= 1e-13 * largest
 
 
 def test_box_phase_table_reseeds():

@@ -28,3 +28,17 @@ def test_readme_module_references_resolve():
         f"{mod}.{name}" for mod, name in sorted(refs) if not hasattr(importlib.import_module(f"gcshelm.{mod}"), name)
     ]
     assert missing == []
+
+
+def test_readme_helper_names_resolve():
+    # every oracle the README says is kept, written "`tests/helpers.py` as
+    # `name`" (optionally "(with `other`)"), must be a name of tests/helpers.py,
+    # so deleting an oracle fails here, not in a stale README
+    import helpers
+
+    text = README.read_text()
+    found = re.findall(r"`tests/helpers\.py`\s+as\s+`(\w+)`(?:\s+\(with\s+`(\w+)`\))?", text)
+    assert len(found) == text.count("`tests/helpers.py`")
+    names = {name for pair in found for name in pair if name}
+    assert {"banded_fem_values", "dual_frame_oracle", "operator_pair_inner"} <= names
+    assert sorted(name for name in names if not hasattr(helpers, name)) == []

@@ -11,7 +11,7 @@ import gcshelm
 from gcshelm import analysis, reference_fem as fem
 from gcshelm.problem_model import ProblemCase
 
-from helpers import banded_fem_system, banded_fem_values, einsum_fem_system, nu_element_matrices
+from helpers import banded_fem_values, nu_element_matrices
 
 KS = (20.0, 50.0, 100.0, 200.0, 400.0)
 # relative H1_k error on [-1, 1] that fem.MESH_RESOLUTION is chosen for
@@ -92,19 +92,6 @@ def test_default_mesh_meets_accuracy_target(make, k):
         assert off_node_distance(case, truth.mesh) <= 1e-12
         err = analysis.h1k_error(sol, truth, (-1.0, 1.0), case.k, 60).relative
     assert err <= ACCURACY_TARGET
-
-
-def test_element_assembly_matches_einsum_oracle():
-    # the basis-product matmuls and the banded oracle's strided scatter
-    # against the einsum/add.at path, compared as matrices: on a large system
-    # summation order alone moves the solved values far more than the entries
-    case = ProblemCase.heterogeneous(20)
-    mesh = fem._mesh_for(case)
-    ke, fe = fem._element_system(case, mesh)
-    ab, rhs = banded_fem_system(ke, fe)
-    for got, want in zip((ke, fe, ab, rhs), einsum_fem_system(case, mesh)):
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("make", CASES, ids=["hom", "het"])
