@@ -296,14 +296,14 @@ def test_state_blocks_match_per_state_on_the_cells(name, k, delta):
     # largest entry
     case = ProblemCase.from_name(name, k)
     system, iset = cell_system(case, delta)
-    nodes, hbar = system.rule.nodes, iset.lattice.hbar
+    nodes, hbar, x0 = system.rule.nodes, iset.lattice.hbar, iset.x_array()
     reach = gs.WINDOW_SIGMAS * math.sqrt(hbar)
     states = states_from_index_set(iset)
     op = case.operator()
     for kernel_op in (op, None):
-        for rows, cols, block in gs.state_blocks(hbar, iset.x_array(), iset.n, nodes, kernel_op):
-            centre = iset.x_array()[cols.start]
-            assert np.array_equal(np.flatnonzero(np.abs(nodes - centre) <= reach), np.arange(rows.start, rows.stop))
+        for rows, cols, block in gs.state_blocks(hbar, x0, iset.n, nodes, kernel_op):
+            near = np.flatnonzero(np.abs(nodes - x0[cols.start]) <= reach)
+            assert np.array_equal(near, np.arange(rows.start, rows.stop))
             x = nodes[rows]
             ref = np.stack([
                 gs.eval_state(s, x) if kernel_op is None else gs.apply_operator(s, op, x) for s in states[cols]
