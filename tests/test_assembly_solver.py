@@ -477,34 +477,26 @@ EARLY_FORK_CELL = ("heterogeneous", 20.0, 0.5)
 @pytest.mark.parametrize("name,k,delta", ORACLE_CELLS + [EARLY_FORK_CELL], ids=cell_id)
 def test_cell_matches_the_dense_lstsq(name, k, delta, monkeypatch):
     # run_cell against itself with lstsq on the whole matrix in state order
-    # as its solve, on the same index set and reference.  Each triangle of
-    # the shared stream has the singular values of its half, and no lstsq
-    # of the solve is wider than the larger half, ceil(N/2) columns.  The
-    # error is held to 1e-4 and the residual to 1e-6 of the oracle's, or
-    # on the rounding cells to the spread of the solve's perturbed runs
+    # as its solve, on the same index set and reference.  No lstsq of the
+    # solve is wider than the larger half, ceil(N/2) columns.  The error is
+    # held to 1e-4 and the residual to 1e-6 of the oracle's, or on the
+    # rounding cells to the spread of the solve's perturbed runs
     case = ProblemCase.from_name(name, k)
     cache = _ReferenceCache()
-    systems, widths = [], []
-    solve, lstsq = asm.solve, np.linalg.lstsq
-
-    def recording_solve(system, cutoff_rel):
-        systems.append(system)
-        return solve(system, cutoff_rel)
+    widths = []
+    lstsq = np.linalg.lstsq
 
     def recording_lstsq(a, b, rcond):
         widths.append(a.shape[1])
         return lstsq(a, b, rcond=rcond)
 
-    monkeypatch.setattr(asm, "solve", recording_solve)
     monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
     record, report, iset = run_cell(case, delta, ExperimentConfig(), cache)
     monkeypatch.setattr(np.linalg, "lstsq", lstsq)
     assert max(widths) == len(iset) - len(iset) // 2
-    assert shared_sigma_gap(systems[0]) <= 1e-13
-    systems.clear()
-    monkeypatch.setattr(asm, "solve", lstsq_solve)
-    oracle, oracle_report, _ = run_cell(case, delta, ExperimentConfig(), cache, iset)
-    monkeypatch.setattr(asm, "solve", solve)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asm, "solve", lstsq_solve)
+        oracle, oracle_report, _ = run_cell(case, delta, ExperimentConfig(), cache, iset)
     assert record.ndofs == oracle.ndofs and record.rank == oracle.rank
     cell = (name, k, delta)
     err_tol, res_tol = 1e-4 * oracle.rel_h1k_error, 1e-6 * oracle_report.residual_norm
@@ -514,6 +506,17 @@ def test_cell_matches_the_dense_lstsq(name, k, delta, monkeypatch):
         res_tol = spread[1] if cell in RESIDUAL_ROUNDING_CELLS else res_tol
     assert abs(record.rel_h1k_error - oracle.rel_h1k_error) <= err_tol
     assert abs(report.residual_norm - oracle_report.residual_norm) <= res_tol
+
+
+def test_cell_error_matches_lstsq_solve(monkeypatch):
+    case = ProblemCase.heterogeneous(50.0)
+    config = ExperimentConfig()
+    cache = _ReferenceCache()
+    banded, _, _ = run_cell(case, 6.0, config, cache)
+    monkeypatch.setattr(asm, "solve", lstsq_solve)
+    oracle, _, _ = run_cell(case, 6.0, config, cache)
+    assert banded.rank == oracle.rank == 474
+    assert abs(banded.rel_h1k_error - oracle.rel_h1k_error) <= 1e-3 * oracle.rel_h1k_error
 
 
 def test_singular_value_range_clear_of_cutoff(het6_cell, hom_cell):
@@ -726,6 +729,13 @@ def first_differing_row(even, odd):
     q_odd, n_odd = a_odd.shape
     differs = (a_even[:q_odd, :n_odd] != a_odd).any(axis=1) | a_even[:q_odd, n_odd:].any(axis=1)
     return int(np.argmax(np.append(differs, True)))
+
+
+@pytest.mark.parametrize("name,k,delta", ORACLE_CELLS + [EARLY_FORK_CELL], ids=cell_id)
+def test_triangles_keep_the_halves_singular_values(name, k, delta):
+    # the rows both halves hold are factored once, from the outer end; each
+    # triangle still has the singular values of its dense half
+    assert shared_sigma_gap(cell_system(ProblemCase.from_name(name, k), delta)[0]) <= 1e-13
 
 
 @pytest.mark.parametrize("name,k,delta", ORACLE_CELLS + [EARLY_FORK_CELL], ids=cell_id)
