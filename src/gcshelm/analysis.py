@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gaussian_states as gs
 from . import quadrature as quad
-from .assembly_solver import _SQRT_HALF, _even_parts, _odd_parts, _unfold
+from .assembly_solver import _SQRT_HALF, _even_parts, _unfold
 from .phase_space import IndexSet, LatticeSpec, build_planewave_rhs_set
 
 __all__ = [
@@ -71,7 +71,8 @@ def h1k_error(u_approx, u_ref, window, k, nodes_per_wavelength=40):
     return ErrorReport(absolute, absolute / math.sqrt(float(ref_sq)))
 
 
-# dual frame: Gram eigen-directions kept above this fraction of the largest
+# dual frame: Gram eigen-directions kept above this fraction of the upper
+# frame bound beta, past which no eigenvalue of a box Gram lies
 DUAL_GAP_CUT = 0.3
 # dual frame: half width of the lattice box, in lattice steps
 DUAL_BOX_HALF_WIDTH = 12
@@ -110,14 +111,19 @@ def lattice_gram(m, n):
     with pi*d2/4 > log(1/_TAIL_TOL), of modulus below exp(-72), are
     exactly 0.
     """
+    return _gram_rows(m, n, slice(None))
+
+
+def _gram_rows(m, n, rows):
+    """The rows ``rows`` (a slice) of ``lattice_gram(m, n)``, formed alone, bit for bit."""
     if m.size and max(np.ptp(m), np.ptp(n)) > np.iinfo(np.int16).max:
         raise ValueError("lattice indices must span at most 32767 steps in m and in n")
     # int16 differences wrap modulo 2**16, so within that span they are exact
     m16, n16 = m.astype(np.int16), n.astype(np.int16)
-    dm = np.clip(m16[None, :] - m16[:, None], -_GRAM_REACH, _GRAM_REACH)
-    dn = np.clip(n16[:, None] - n16[None, :], -_GRAM_REACH, _GRAM_REACH)
+    dm = np.clip(m16[None, :] - m16[rows, None], -_GRAM_REACH, _GRAM_REACH)
+    dn = np.clip(n16[rows, None] - n16[None, :], -_GRAM_REACH, _GRAM_REACH)
     m4, n4 = (m & 3).astype(np.int8), (n & 3).astype(np.int8)
-    turns = ((n4[:, None] + n4[None, :]) * (m4[None, :] - m4[:, None])) & 3
+    turns = ((n4[rows, None] + n4[None, :]) * (m4[None, :] - m4[rows, None])) & 3
     return np.take(_GRAM_ENTRIES, np.minimum(dm * dm + dn * dn, _GRAM_MODULUS.size - 1) * 4 + turns)
 
 
@@ -159,24 +165,21 @@ def frame_bounds(spec, box_half_width=None, interior_margin=None):
     return FrameDiagnostics(_zak_frame_function(0.5, 0.5), _zak_frame_function(0.0, 0.0))
 
 
-def _signed_blocks(matrix, sigma, sign):
-    """Blocks of a symmetric matrix on the two spaces of a signed involution.
+def _signed_even_block(matrix, sigma, sign):
+    """Block of a symmetric matrix on the even space of a signed involution.
 
     The involution takes e_i to sign[i] e_sigma[i] and commutes with
-    ``matrix``.  The basis of its even (then odd) space is, per pair
-    i < sigma[i], (e_i + t e_sigma[i])/sqrt(2) with t = sign[i] (-sign[i]),
-    and e_i per fixed point i of sign +1 (-1).  Returns [(block, i,
-    sigma[i], t)] for the two spaces; the coupling block is exactly 0.
+    ``matrix``.  The basis of its even space is, per pair i < sigma[i],
+    (e_i + sign[i] e_sigma[i])/sqrt(2), and e_i per fixed point i of sign
+    +1; the block coupling it to the odd space is exactly 0.  Returns
+    (block, i, sigma[i], sign[i]) over that basis.
     """
     index = np.arange(sigma.size)
-    blocks = []
-    for parity in (1.0, -1.0):
-        rows = np.flatnonzero((sigma > index) | ((sigma == index) & (sign == parity)))
-        cols, t = sigma[rows], parity * sign[rows]
-        scale = np.where(cols == rows, 0.5, _SQRT_HALF)
-        half = (matrix[rows] + t[:, None] * matrix[cols]) * scale[:, None]
-        blocks.append(((half[:, rows] + t * half[:, cols]) * scale, rows, cols, t))
-    return blocks
+    rows = np.flatnonzero((sigma > index) | ((sigma == index) & (sign == 1.0)))
+    cols, t = sigma[rows], sign[rows]
+    scale = np.where(cols == rows, 0.5, _SQRT_HALF)
+    half = (matrix[rows] + t[:, None] * matrix[cols]) * scale[:, None]
+    return (half[:, rows] + t * half[:, cols]) * scale, rows, cols, t
 
 
 def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
@@ -184,11 +187,14 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
 
     The Gram G of the (2 box_half_width + 1)**2 pairs about the target is
     singular (the frame is redundant), so G c = e_target is solved on its
-    frame band: eigen-directions above ``DUAL_GAP_CUT`` times the largest
-    eigenvalue are inverted, the rest dropped.  The cut sits in no gap: the
-    nearest eigenvalues are 0.2684 and 0.3310 of the largest at half-width
-    4 (42 kept), 0.2869 and 0.3196 at 8 (147), 0.2942 and 0.3164 at 12
-    (316), but within 1% of it at 6, 16 and 20.
+    frame band: eigen-directions above ``DUAL_GAP_CUT`` times the upper
+    frame bound beta of ``frame_bounds`` are inverted, the rest dropped.  G
+    is a compression of the lattice's infinite Gram, whose norm is beta, so
+    its eigenvalues lie in [0, beta], and its largest nears beta as the box
+    grows (0.9706 beta at half-width 4, 0.9954 at 12).  The cut sits in no
+    gap: the nearest eigenvalues are 0.2605 and 0.3213 of beta at
+    half-width 4 (42 kept), 0.2842 and 0.3166 at 8 (147), 0.2929 and 0.3150
+    at 12 (316), but within 1% of it at 10, 13, 16, 17 and 20.
 
     Exact symmetries shrink the solve; (dm, dn) are the offsets:
     - the target's Gram is D G_0 D, D = diag((-1)**(tn dm)), with G_0 the
@@ -197,14 +203,13 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
       (1 + i)J)/2, W = U^H G_0 U = Re G_0 - Im G_0 J is real with G's
       eigenvalues, and c_0 = U y for W y = e;
     - P: (dm, dn) -> (-dm, -dn) commutes with W, which splits into the
-      even and odd parts of ``assembly_solver._fold``;
+      even and odd parts of ``assembly_solver._fold``; row L-1-i of W is
+      row i reversed, so the even parts need only its first ceil(L/2) rows;
     - the Gaussian is its own Fourier transform, so the quarter turn S:
       e_(dm, dn) -> (-1)**(dm dn) e_(-dn, dm) has S G_0 S^T = G_0; S**2 = P,
-      so S splits the even block and S J, the signed swap of dm and dn,
-      the odd one (``_signed_blocks``).
+      so S splits the even block (``_signed_even_block``).
     The target lies in the block even under P and S: one ``eigh`` there
-    (157 wide at box 12) and one ``eigvalsh`` of each other block (156)
-    for the cut, relative to the largest eigenvalue of all four.  The
+    (157 wide at box 12), and a cut that needs no other block.  The
     residual ||G (G c - e)|| is ||B (B z - e)|| on that block B.
 
     Returns (box, coefficients, consistency_residual), the box an
@@ -215,25 +220,21 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
     offsets = np.arange(-box_half_width, box_half_width + 1)
     dm, dn = np.repeat(offsets, width), np.tile(offsets, width)
     size, half = width * width, width * width // 2
+    even = slice(size - half)
     # J reverses the inner (dn) axis of the box, and J Im G_0 = -Im G_0 J;
-    # the complex Gram is freed before the folds, which reuse its memory
-    gram = lattice_gram(dm, dn).reshape(width, width, width, width)
-    w = (gram.real - gram.imag[..., ::-1]).reshape(size, size)
+    # W[size - 1 - i] = W[i, ::-1], so the even parts of W's rows need only
+    # its first ceil(L/2) rows, added in the order of _even_parts
+    gram = _gram_rows(dm, dn, even).reshape(-1, width, width)
+    w = (gram.real - gram.imag[..., ::-1]).reshape(-1, size)
     del gram
-    # S and S J on the even and odd parts of _fold: part i stands for the
-    # position i < half (or the centre) and its mirror size - 1 - i, and
-    # the odd part of a position past half is the negative of its mirror's
+    w = np.concatenate([(w[:half, ::-1] + w[:half]) * _SQRT_HALF, w[half:]])
+    # S on the even parts of _fold: part i stands for the position i < half
+    # (or the centre) and its mirror size - 1 - i
     sign = 1.0 - 2.0 * (dm * dn & 1)
     turn = (box_half_width - dn) * width + box_half_width + dm
-    swap = (box_half_width + dn) * width + box_half_width + dm
-    even, odd = slice(size - half), slice(half)
-    blocks = _signed_blocks(_even_parts(_even_parts(w).T), np.minimum(turn, size - 1 - turn)[even], sign[even])
-    swap_sign = np.where(swap < half, sign, -sign)
-    blocks += _signed_blocks(_odd_parts(_odd_parts(w).T), np.minimum(swap, size - 1 - swap)[odd], swap_sign[odd])
-    (block, rows, cols, t), *others = blocks
+    block, rows, cols, t = _signed_even_block(_even_parts(w.T), np.minimum(turn, size - 1 - turn)[even], sign[even])
     evals, evecs = np.linalg.eigh(block)
-    largest = max([evals.max()] + [np.linalg.eigvalsh(other[0]).max(initial=-np.inf) for other in others])
-    keep = evals > DUAL_GAP_CUT * largest
+    keep = evals > DUAL_GAP_CUT * frame_bounds(spec).beta_est
     if not np.any(keep):
         raise RuntimeError("spectral cut removed every Gram eigen-direction that reaches the target")
     kept = evecs[:, keep]

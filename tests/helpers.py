@@ -369,11 +369,13 @@ def gram_band_solve(gram, rhs):
 
     The solve ``analysis.dual_frame_coefficients`` made before it used a
     real form: eigen-directions above ``analysis.DUAL_GAP_CUT`` times the
-    largest eigenvalue are inverted, the rest dropped.  ``rhs`` is a vector
-    or a matrix of columns.  Returns (solution, kept count).
+    upper frame bound beta are inverted, the rest dropped.  beta is read
+    from ``zak_frame_function`` at (0, 0), not from ``analysis``; no
+    eigenvalue of a box Gram exceeds it.  ``rhs`` is a vector or a matrix
+    of columns.  Returns (solution, kept count).
     """
     evals, evecs = np.linalg.eigh(gram)
-    keep = evals > analysis.DUAL_GAP_CUT * evals.max()
+    keep = evals > analysis.DUAL_GAP_CUT * zak_frame_function(0.0, 0.0)
     kept = evecs[:, keep]
     # divide each row of the projection by its eigenvalue, vector or columns
     projected = (kept.conj().T @ rhs).T / evals[keep]

@@ -281,17 +281,16 @@ def _spy_on_eigh(monkeypatch):
     return calls
 
 
-def _four_blocks(calls, size):
-    # the solve's four calls: one real eigh of the block even under the
-    # point reflection P and the quarter turn S, where the target lies, then
-    # one eigvalsh of each other block, none wider than ceil(ceil(L/2)/2);
-    # returns the four blocks and their spectra together, W's
-    assert [call for call, _, _ in calls] == ["eigh", "eigvalsh", "eigvalsh", "eigvalsh"]
-    blocks = [block for _, block, _ in calls]
+def _target_block(calls, size):
+    # the solve's one call: a real eigh of the block even under the point
+    # reflection P and the quarter turn S, where the target lies, no wider
+    # than ceil(ceil(L/2)/2), and no eigvalsh; returns the block and its
+    # spectrum
+    assert [call for call, _, _ in calls] == ["eigh"]
+    [(_, block, evals)] = calls
     widest = -(-(size - size // 2) // 2)
-    assert all(b.dtype == np.float64 and b.shape[0] == b.shape[1] <= widest for b in blocks)
-    assert sum(b.shape[0] for b in blocks) == size
-    return blocks, np.concatenate([evals for _, _, evals in calls])
+    assert block.dtype == np.float64 and block.shape[0] == block.shape[1] <= widest
+    return block, evals
 
 
 def _quarter_turn(m, n, tm, tn):
@@ -349,9 +348,9 @@ def test_dual_frame_real_form_matches_complex_eigh(box, target, monkeypatch):
     m, n, coeffs, residual, kept = dual_frame_oracle(target, box)
     calls = _spy_on_eigh(monkeypatch)
     got_box, got, got_residual = analysis.dual_frame_coefficients(spec, target, box)
-    # the four blocks keep as many directions of W as G's complex eigh
-    _, spectrum = _four_blocks(calls, m.size)
-    assert int(np.sum(spectrum > analysis.DUAL_GAP_CUT * spectrum.max())) == kept
+    # the target's block keeps some of the directions G's complex eigh keeps
+    _, spectrum = _target_block(calls, m.size)
+    assert 0 < int(np.sum(spectrum > analysis.DUAL_GAP_CUT * analysis.frame_bounds(spec).beta_est)) <= kept
     assert isinstance(got_box, IndexSet) and got_box.lattice == spec
     assert np.array_equal(got_box.m, m) and np.array_equal(got_box.n, n)
     assert np.abs(got - coeffs).max() <= 1e-14
@@ -365,17 +364,19 @@ def _centred_oracle(box):
 
 
 @pytest.mark.parametrize("target", [(0, 0), (3, 5), (-2, 1)])
-@pytest.mark.parametrize("box", [0, 1, 4, 8, 12, 16, 20])
+@pytest.mark.parametrize("box", [0, 1, 4, 8, 12, 13, 16, 20])
 def test_dual_frame_halves_match_the_complex_eigh_oracle(box, target, monkeypatch):
-    # no eigh or eigvalsh on the full box or a P half of it, and the
-    # coefficients of G's complex eigh on the whole box: those about (0, 0)
-    # signed by D_t = diag((-1)**(tn dm)), since the target's Gram is
-    # D_t G_0 D_t; past box 12 the residual's own rounding grows (9e-8
-    # relative at 16), so only the coefficients
+    # one eigh on the target's block and none on the full box or a P half
+    # of it, and the coefficients of G's complex eigh on the whole box:
+    # those about (0, 0) signed by D_t = diag((-1)**(tn dm)), since the
+    # target's Gram is D_t G_0 D_t; past box 12 the residual's own rounding
+    # grows (9e-8 relative at 16), so only the coefficients.  At box 13 the
+    # box's largest eigenvalue is 0.9961 beta, and an eigenvalue of the
+    # target's block at 0.2993 beta lies above 0.3 of it but below the cut
     tm, tn = target
     calls = _spy_on_eigh(monkeypatch)
     index_set, got, _ = analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), target, box)
-    _four_blocks(calls, len(index_set))
+    _target_block(calls, len(index_set))
     d = np.where((tn * (index_set.m - tm)) % 2 == 0, 1.0, -1.0)
     assert np.abs(got - d * _centred_oracle(box)).max() <= 1e-14
 
@@ -387,14 +388,16 @@ def test_dual_gauge_is_real_with_the_gram_spectrum(box, target, monkeypatch):
     # target, built here from its definition; U^H G U is real.  Its real
     # form W about (0, 0) is left unchanged bit for bit by the point
     # reflection P, by the quarter turn S on P's even block and by S J on
-    # P's odd block, so each fold has exactly zero coupling blocks; the four
-    # diagonal blocks are the matrices the solve hands to eigh and
-    # eigvalsh, and together they have G's eigenvalues
+    # P's odd block, so each fold has exactly zero coupling blocks.  The
+    # (even, even) block is the matrix the solve hands to eigh; with the
+    # other three, built here, it has G's eigenvalues, and the largest lies
+    # in (0.85 beta, beta]: G compresses the lattice Gram, whose norm is beta
     tm, tn = target
+    spec = LatticeSpec(1.0 / 20.0)
     calls = _spy_on_eigh(monkeypatch)
-    index_set, _, _ = analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), target, box)
+    index_set, _, _ = analysis.dual_frame_coefficients(spec, target, box)
     m, n = index_set.m, index_set.n
-    blocks, spectrum = _four_blocks(calls, m.size)
+    solved, _ = _target_block(calls, m.size)
     mirror = (m[:, None] == m[None, :]) & (n[:, None] + n[None, :] == 2 * tn)
     u = np.exp(-0.25j * math.pi) * (np.eye(m.size) + 1j * mirror) / math.sqrt(2.0)
     assert np.abs(u.conj().T @ u - np.eye(m.size)).max() <= 1e-15
@@ -418,42 +421,47 @@ def test_dual_gauge_is_real_with_the_gram_spectrum(box, target, monkeypatch):
     image, sign = _quarter_turn(m, n, tm, tn)
     turn = np.zeros((m.size, m.size))
     turn[image, np.arange(m.size)] = sign
+    blocks = []
     for part, involution in ((slice(None, half), turn), (slice(half, None), turn[:, mu])):
         folded_involution = asm._fold(asm._fold(involution).T)[part, part]
         assert np.abs(folded_involution - np.rint(folded_involution)).max() <= 1e-15
         sigma = np.argmax(np.abs(folded_involution), axis=0)
         signs = np.rint(folded_involution[sigma, np.arange(sigma.size)])
         assert np.array_equal(sigma[sigma], np.arange(sigma.size)) and np.all(signs[sigma] == signs)
-        block = folded[part, part]
-        assert np.array_equal(signs[:, None] * block[np.ix_(sigma, sigma)] * signs[None, :], block)
-        by_involution, even = _by_signed_involution(block, sigma, signs)
+        part_block = folded[part, part]
+        assert np.array_equal(signs[:, None] * part_block[np.ix_(sigma, sigma)] * signs[None, :], part_block)
+        by_involution, even = _by_signed_involution(part_block, sigma, signs)
         assert np.all(by_involution[:even, even:] == 0.0) and np.all(by_involution[even:, :even] == 0.0)
-        kept_blocks, blocks = blocks[:2], blocks[2:]
-        assert np.array_equal(kept_blocks[0], by_involution[:even, :even])
-        assert np.array_equal(kept_blocks[1], by_involution[even:, even:])
+        blocks += [by_involution[:even, :even], by_involution[even:, even:]]
+    assert np.array_equal(solved, blocks[0])
+    spectrum = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
     want = np.linalg.eigvalsh(gram)
     assert np.abs(np.sort(spectrum) - want).max() <= 1e-13 * want.max()
+    beta = analysis.frame_bounds(spec).beta_est
+    assert 0.85 * beta < want.max() <= beta
 
 
-def _kept_and_clear_of_cut(box, monkeypatch):
-    # kept count of the real solve over the four blocks, and whether every
-    # eigenvalue of W lies more than 1% away from the cut
-    calls = _spy_on_eigh(monkeypatch)
-    analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), (0, 0), box)
-    _, spectrum = _four_blocks(calls, (2 * box + 1) ** 2)
-    fractions = spectrum / spectrum.max()
+def _kept_and_clear_of_cut(box):
+    # count of the box Gram's eigenvalues above the cut at DUAL_GAP_CUT
+    # beta, and whether every one lies more than 1% away from it; from the
+    # real gauge form Re G - Im G J, which has G's eigenvalues
+    m, n = box_indices(box)
+    gram = analysis.lattice_gram(m, n)
+    width = 2 * box + 1
+    w = gram.real - gram.imag.reshape(-1, width, width)[..., ::-1].reshape(gram.shape)
+    fractions = np.linalg.eigvalsh(w) / analysis.frame_bounds(LatticeSpec(1.0 / 20.0)).beta_est
     kept = int(np.sum(fractions > analysis.DUAL_GAP_CUT))
     return kept, bool(np.all(np.abs(fractions / analysis.DUAL_GAP_CUT - 1.0) > 0.01))
 
 
 @pytest.mark.parametrize("box,kept", [(4, 42), (8, 147), (12, 316)])
-def test_dual_gap_cut_keeps_a_margin(box, kept, monkeypatch):
-    assert _kept_and_clear_of_cut(box, monkeypatch) == (kept, True)
+def test_dual_gap_cut_keeps_a_margin(box, kept):
+    assert _kept_and_clear_of_cut(box) == (kept, True)
 
 
-def test_dual_gap_cut_margin_check_trips_at_box_20(monkeypatch):
-    # an eigenvalue at 0.3007 of the largest lies within 1% of the cut
-    assert _kept_and_clear_of_cut(20, monkeypatch) == (847, False)
+def test_dual_gap_cut_margin_check_trips_at_box_20():
+    # an eigenvalue at 0.3001 beta lies within 1% of the cut
+    assert _kept_and_clear_of_cut(20) == (847, False)
 
 
 def _worst_dual_energy(hbar, x_stretch=1.0):
