@@ -6,14 +6,15 @@ are the Gabor system of g(t) = exp(-pi t**2 / 2) on Z x (1/2)Z, a frame of
 density 2 whose bounds are the extrema of its Zak transform (Zibulski and
 Zeevi, ACHA 4, 1997; Groechenig, Foundations of Time-Frequency Analysis,
 ch. 8).  The dual frame works on a truncated lattice box whose Gram matrix
-is available in closed form; a sign covariance, a real gauge, the point
-reflection and the quarter turn of phase space reduce its solve to one
-real ``eigh`` of a quarter of the box.  In lattice units the bounds and
-the Gram are exactly independent of hbar, which is what makes the frame
-diagnostics hbar-stable.  The Zak series and the Gram are cut at the
-tail tolerance ``_TAIL_TOL`` = exp(-72): Gram entries at lattice distance
-beyond sqrt(288/pi) ~ 9.6 steps are exactly 0, so the Gram holds no
-subnormal numbers, and its phases are exact quarter turns.
+is available in closed form; a sign covariance, a real gauge and the
+quarter turn of phase space reduce its solve to one real ``eigh`` on the
+quarter turn's orbits, a quarter of the box, built from a quarter of the
+Gram's rows.  In lattice units the bounds and the Gram are exactly
+independent of hbar, which is what makes the frame diagnostics
+hbar-stable.  The Zak series and the Gram are cut at the tail tolerance
+``_TAIL_TOL`` = exp(-72): Gram entries at lattice distance beyond
+sqrt(288/pi) ~ 9.6 steps are exactly 0, so the Gram holds no subnormal
+numbers, and its phases are exact quarter turns.
 """
 
 import math
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import gaussian_states as gs
 from . import quadrature as quad
-from .assembly_solver import _SQRT_HALF, _even_parts, _unfold
 from .phase_space import IndexSet, LatticeSpec, build_planewave_rhs_set
 
 __all__ = [
@@ -115,7 +115,7 @@ def lattice_gram(m, n):
 
 
 def _gram_rows(m, n, rows):
-    """The rows ``rows`` (a slice) of ``lattice_gram(m, n)``, formed alone, bit for bit."""
+    """The rows ``rows`` (a slice or an index array) of ``lattice_gram(m, n)``, formed alone, bit for bit."""
     if m.size and max(np.ptp(m), np.ptp(n)) > np.iinfo(np.int16).max:
         raise ValueError("lattice indices must span at most 32767 steps in m and in n")
     # int16 differences wrap modulo 2**16, so within that span they are exact
@@ -146,6 +146,10 @@ def _zak_frame_function(x, w):
     return 2.0 * float(total)
 
 
+# the extrema of the Zak frame function, the same bits at every hbar
+_FRAME_BOUNDS = FrameDiagnostics(_zak_frame_function(0.5, 0.5), _zak_frame_function(0.0, 0.0))
+
+
 def frame_bounds(spec, box_half_width=None, interior_margin=None):
     """Exact bounds alpha, beta of the lattice frame of ``spec``.
 
@@ -155,31 +159,14 @@ def frame_bounds(spec, box_half_width=None, interior_margin=None):
     (x, w) = (1/2, 1/2) and the maximum at (0, 0): alpha = 1.6692536833,
     beta = 2.3606811980, beta/alpha = sqrt(2).  ``LatticeSpec`` fixes
     spacing**2 = pi*hbar, so the bounds do not depend on ``spec``: they are
-    the same bits at every hbar and use no BLAS.
+    computed once, at import, and every call returns the same object.
 
     ``box_half_width`` and ``interior_margin`` are ignored.  They are
     accepted only because ``perfbench/workloads.py`` passes them
     (``box_half_width=20`` in its timed diagnose operation, 8 and
     ``interior_margin=3`` in its warm-up).
     """
-    return FrameDiagnostics(_zak_frame_function(0.5, 0.5), _zak_frame_function(0.0, 0.0))
-
-
-def _signed_even_block(matrix, sigma, sign):
-    """Block of a symmetric matrix on the even space of a signed involution.
-
-    The involution takes e_i to sign[i] e_sigma[i] and commutes with
-    ``matrix``.  The basis of its even space is, per pair i < sigma[i],
-    (e_i + sign[i] e_sigma[i])/sqrt(2), and e_i per fixed point i of sign
-    +1; the block coupling it to the odd space is exactly 0.  Returns
-    (block, i, sigma[i], sign[i]) over that basis.
-    """
-    index = np.arange(sigma.size)
-    rows = np.flatnonzero((sigma > index) | ((sigma == index) & (sign == 1.0)))
-    cols, t = sigma[rows], sign[rows]
-    scale = np.where(cols == rows, 0.5, _SQRT_HALF)
-    half = (matrix[rows] + t[:, None] * matrix[cols]) * scale[:, None]
-    return (half[:, rows] + t * half[:, cols]) * scale, rows, cols, t
+    return _FRAME_BOUNDS
 
 
 def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
@@ -188,13 +175,14 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
     The Gram G of the (2 box_half_width + 1)**2 pairs about the target is
     singular (the frame is redundant), so G c = e_target is solved on its
     frame band: eigen-directions above ``DUAL_GAP_CUT`` times the upper
-    frame bound beta of ``frame_bounds`` are inverted, the rest dropped.  G
-    is a compression of the lattice's infinite Gram, whose norm is beta, so
-    its eigenvalues lie in [0, beta], and its largest nears beta as the box
-    grows (0.9706 beta at half-width 4, 0.9954 at 12).  The cut sits in no
-    gap: the nearest eigenvalues are 0.2605 and 0.3213 of beta at
-    half-width 4 (42 kept), 0.2842 and 0.3166 at 8 (147), 0.2929 and 0.3150
-    at 12 (316), but within 1% of it at 10, 13, 16, 17 and 20.
+    frame bound beta (``frame_bounds``, fixed at import) are inverted, the
+    rest dropped.  G is a compression of the lattice's infinite Gram, whose
+    norm is beta, so its eigenvalues lie in [0, beta], and its largest
+    nears beta as the box grows (0.9706 beta at half-width 4, 0.9954 at
+    12).  The cut sits in no gap: the nearest eigenvalues are 0.2605 and
+    0.3213 of beta at half-width 4 (42 kept), 0.2842 and 0.3166 at 8 (147),
+    0.2929 and 0.3150 at 12 (316), but within 1% of it at 10, 13, 16, 17
+    and 20.
 
     Exact symmetries shrink the solve; (dm, dn) are the offsets:
     - the target's Gram is D G_0 D, D = diag((-1)**(tn dm)), with G_0 the
@@ -202,15 +190,16 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
     - J: dn -> -dn gives J G_0 J = conj(G_0), so with U = ((1 - i)I +
       (1 + i)J)/2, W = U^H G_0 U = Re G_0 - Im G_0 J is real with G's
       eigenvalues, and c_0 = U y for W y = e;
-    - P: (dm, dn) -> (-dm, -dn) commutes with W, which splits into the
-      even and odd parts of ``assembly_solver._fold``; row L-1-i of W is
-      row i reversed, so the even parts need only its first ceil(L/2) rows;
     - the Gaussian is its own Fourier transform, so the quarter turn S:
-      e_(dm, dn) -> (-1)**(dm dn) e_(-dn, dm) has S G_0 S^T = G_0; S**2 = P,
-      so S splits the even block (``_signed_even_block``).
-    The target lies in the block even under P and S: one ``eigh`` there
-    (157 wide at box 12), and a cut that needs no other block.  The
-    residual ||G (G c - e)|| is ||B (B z - e)|| on that block B.
+      e_(dm, dn) -> (-1)**(dm dn) e_(-dn, dm) has S W S^T = W, and S**2
+      is the point reflection (dm, dn) -> (-dm, -dn).
+    The target, the centre, lies in the space that S leaves unchanged.  Its
+    orthonormal basis is v = e_centre and, per orbit {r, S r, S**2 r,
+    S**3 r} of S, v = (e_r + e_(S**2 r) + s (e_(S r) + e_(S**3 r)))/2 with
+    s = (-1)**(dm dn) at r; the block B = V^T W V is gathered from the
+    rows of W at the orbits' first positions alone (157 of the 625 at box
+    12).  One ``eigh`` of B, a cut that needs no other block, and y = V z
+    for B z = e.  The residual ||G (G c - e)|| is ||B (B z - e)||.
 
     Returns (box, coefficients, consistency_residual), the box an
     ``IndexSet`` of the pairs (tm + dm, tn + dn).
@@ -219,22 +208,25 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
     width = 2 * box_half_width + 1
     offsets = np.arange(-box_half_width, box_half_width + 1)
     dm, dn = np.repeat(offsets, width), np.tile(offsets, width)
-    size, half = width * width, width * width // 2
-    even = slice(size - half)
-    # J reverses the inner (dn) axis of the box, and J Im G_0 = -Im G_0 J;
-    # W[size - 1 - i] = W[i, ::-1], so the even parts of W's rows need only
-    # its first ceil(L/2) rows, added in the order of _even_parts
-    gram = _gram_rows(dm, dn, even).reshape(-1, width, width)
+    size = width * width
+    # each position's orbit under S: itself, then its images under S, S**2
+    # and S**3; an orbit's first position stands for it, the centre last
+    position = np.arange(size)
+    turn = (box_half_width - dn) * width + box_half_width + dm
+    orbits = np.stack([position, turn, size - 1 - position, size - 1 - turn])
+    first = np.flatnonzero(orbits.min(axis=0) == position)
+    orbits, sign = orbits[:, first], 1.0 - 2.0 * (dm[first] * dn[first] & 1)
+    # J reverses the inner (dn) axis of the box
+    gram = _gram_rows(dm, dn, first).reshape(-1, width, width)
     w = (gram.real - gram.imag[..., ::-1]).reshape(-1, size)
     del gram
-    w = np.concatenate([(w[:half, ::-1] + w[:half]) * _SQRT_HALF, w[half:]])
-    # S on the even parts of _fold: part i stands for the position i < half
-    # (or the centre) and its mirror size - 1 - i
-    sign = 1.0 - 2.0 * (dm * dn & 1)
-    turn = (box_half_width - dn) * width + box_half_width + dm
-    block, rows, cols, t = _signed_even_block(_even_parts(w.T), np.minimum(turn, size - 1 - turn)[even], sign[even])
+    # W commutes with S, so row i of V^T W is 2 W[r_i] (W[centre] at the
+    # centre), and column j of V sums the four signed images of r_j over 2
+    # (the centre four times over 4)
+    scale = np.append(np.ones(first.size - 1), 0.5)
+    block = ((w[:, orbits[0]] + w[:, orbits[2]]) + sign * (w[:, orbits[1]] + w[:, orbits[3]])) * scale * scale[:, None]
     evals, evecs = np.linalg.eigh(block)
-    keep = evals > DUAL_GAP_CUT * frame_bounds(spec).beta_est
+    keep = evals > DUAL_GAP_CUT * _FRAME_BOUNDS.beta_est
     if not np.any(keep):
         raise RuntimeError("spectral cut removed every Gram eigen-direction that reaches the target")
     kept = evecs[:, keep]
@@ -243,11 +235,12 @@ def dual_frame_coefficients(spec, target, box_half_width=DUAL_BOX_HALF_WIDTH):
     gap = block @ z
     gap[-1] -= 1.0
     residual = float(np.linalg.norm(block @ gap))
-    # back through the S fold, then the P fold, whose odd parts are 0
-    part = z * np.where(cols == rows, 1.0, _SQRT_HALF)
-    y_even = np.zeros(size - half)
-    y_even[cols], y_even[rows] = t * part, part
-    y = _unfold(np.concatenate([y_even, np.zeros(half)]))
+    # y = V z, with S**2 unsigned and S, S**3 signed by s; the centre's
+    # orbit is the centre four times, and its v is e_centre
+    part = 0.5 * z
+    part[-1] = z[-1]
+    y = np.empty(size)
+    y[orbits[::2]], y[orbits[1::2]] = part, sign * part
     y_mirror = y.reshape(width, width)[:, ::-1].ravel()
     c = 0.5 * ((y + y_mirror) + 1j * (y_mirror - y))
     c[tn * dm & 1 == 1] *= -1.0

@@ -178,6 +178,8 @@ class DesignSystem:
                 raise ValueError(f"the {half} half of the system holds no block")
         if not all(np.all(np.isfinite(block)) for _, _, block in self.matrix.blocks):
             raise ValueError("non-finite design matrix entries")
+        if not np.all(np.isfinite(self.rhs)):
+            raise ValueError("non-finite right-hand side")
 
 
 @dataclass(frozen=True)
@@ -455,21 +457,10 @@ def _fold(values):
     each half runs from its outer end inward.  An orthogonal change of
     basis, undone by ``_unfold``.
     """
-    return np.concatenate([_even_parts(values), _odd_parts(values)])
-
-
-def _even_parts(values):
-    """The ceil(L/2) even parts of ``_fold``, alone."""
     size = len(values)
     half = size // 2
-    return np.concatenate([(values[size - half :][::-1] + values[:half]) * _SQRT_HALF, values[half : size - half]])
-
-
-def _odd_parts(values):
-    """The L//2 odd parts of ``_fold``, alone."""
-    size = len(values)
-    half = size // 2
-    return (values[size - half :][::-1] - values[:half]) * _SQRT_HALF
+    head, mirror = values[:half], values[size - half :][::-1]
+    return np.concatenate([(mirror + head) * _SQRT_HALF, values[half : size - half], (mirror - head) * _SQRT_HALF])
 
 
 def _unfold(parts):

@@ -282,14 +282,13 @@ def _spy_on_eigh(monkeypatch):
 
 
 def _target_block(calls, size):
-    # the solve's one call: a real eigh of the block even under the point
-    # reflection P and the quarter turn S, where the target lies, no wider
-    # than ceil(ceil(L/2)/2), and no eigvalsh; returns the block and its
-    # spectrum
+    # the solve's one call: a real eigh of the block even under the quarter
+    # turn S, where the target lies, one row per orbit of S on the box of
+    # size (2b+1)**2, (size - 1)/4 + 1 wide, and no eigvalsh; returns the
+    # block and its spectrum
     assert [call for call, _, _ in calls] == ["eigh"]
     [(_, block, evals)] = calls
-    widest = -(-(size - size // 2) // 2)
-    assert block.dtype == np.float64 and block.shape[0] == block.shape[1] <= widest
+    assert block.dtype == np.float64 and block.shape == ((size - 1) // 4 + 1,) * 2
     return block, evals
 
 
@@ -389,9 +388,10 @@ def test_dual_gauge_is_real_with_the_gram_spectrum(box, target, monkeypatch):
     # form W about (0, 0) is left unchanged bit for bit by the point
     # reflection P, by the quarter turn S on P's even block and by S J on
     # P's odd block, so each fold has exactly zero coupling blocks.  The
-    # (even, even) block is the matrix the solve hands to eigh; with the
-    # other three, built here, it has G's eigenvalues, and the largest lies
-    # in (0.85 beta, beta]: G compresses the lattice Gram, whose norm is beta
+    # (even, even) block is, to rounding, the matrix the solve gathers from
+    # the orbits of S and hands to eigh; with the other three, built here,
+    # it has G's eigenvalues, and the largest lies in (0.85 beta, beta]: G
+    # compresses the lattice Gram, whose norm is beta
     tm, tn = target
     spec = LatticeSpec(1.0 / 20.0)
     calls = _spy_on_eigh(monkeypatch)
@@ -433,12 +433,67 @@ def test_dual_gauge_is_real_with_the_gram_spectrum(box, target, monkeypatch):
         by_involution, even = _by_signed_involution(part_block, sigma, signs)
         assert np.all(by_involution[:even, even:] == 0.0) and np.all(by_involution[even:, :even] == 0.0)
         blocks += [by_involution[:even, :even], by_involution[even:, even:]]
-    assert np.array_equal(solved, blocks[0])
+    assert np.abs(solved - blocks[0]).max() <= 1e-15
     spectrum = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
     want = np.linalg.eigvalsh(gram)
     assert np.abs(np.sort(spectrum) - want).max() <= 1e-13 * want.max()
     beta = analysis.frame_bounds(spec).beta_est
     assert 0.85 * beta < want.max() <= beta
+
+
+def _orbit_basis(box):
+    # the orthonormal basis of the vectors S leaves unchanged on the box
+    # about (0, 0): per orbit of S, (I + S + S**2 + S**3) e_p normalised, p
+    # the orbit's first position, in the order of p, and e_centre last
+    m, n = box_indices(box)
+    image, sign = _quarter_turn(m, n, 0, 0)
+    turn = np.zeros((m.size, m.size))
+    turn[image, np.arange(m.size)] = sign
+    centre = m.size // 2
+    seen, columns = set(), []
+    for p in [*range(centre), *range(centre + 1, m.size), centre]:
+        if p in seen:
+            continue
+        images = [np.zeros(m.size)]
+        images[0][p] = 1.0
+        for _ in range(3):
+            images.append(turn @ images[-1])
+        seen.update(int(np.flatnonzero(v)[0]) for v in images)
+        orbit = sum(images)
+        columns.append(orbit / np.linalg.norm(orbit))
+    return np.stack(columns, axis=1)
+
+
+@pytest.mark.parametrize("target", [(0, 0), (3, 5)])
+@pytest.mark.parametrize("box", [0, 1, 2, 4, 12])
+def test_dual_block_is_the_real_gram_on_the_orbit_basis(box, target, monkeypatch):
+    # the block the solve hands to eigh is V^T W V, with V the orthonormal
+    # basis of the quarter turn's orbits and W = Re G_0 - Im G_0 J the real
+    # form of the Gram about (0, 0), the same for every target
+    calls = _spy_on_eigh(monkeypatch)
+    analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), target, box)
+    m, n = box_indices(box)
+    solved, _ = _target_block(calls, m.size)
+    basis = _orbit_basis(box)
+    assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-15
+    gram = analysis.lattice_gram(m, n)
+    mirror = np.lexsort((-n, m))
+    w = gram.real - gram.imag[:, mirror]
+    assert np.abs(solved - basis.T @ w @ basis).max() <= 1e-15
+
+
+def test_dual_frame_reads_beta_without_calling_frame_bounds(monkeypatch):
+    # beta is the import-time frame bound, so a dual solve calls no frame_bounds
+    beta = analysis.frame_bounds(LatticeSpec(1.0 / 20.0)).beta_est
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dual frame called frame_bounds")
+
+    monkeypatch.setattr(analysis, "frame_bounds", forbidden)
+    calls = _spy_on_eigh(monkeypatch)
+    analysis.dual_frame_coefficients(LatticeSpec(1.0 / 20.0), (0, 0), 4)
+    _, spectrum = _target_block(calls, 81)
+    assert int(np.sum(spectrum > analysis.DUAL_GAP_CUT * beta)) == 11
 
 
 def _kept_and_clear_of_cut(box):

@@ -695,6 +695,23 @@ def test_design_system_rejects_a_half_without_blocks(rows, cols, empty):
         asm.DesignSystem(asm.BlockMatrix((8, 4), blocks), np.ones(8), system.rule)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_design_system_rejects_non_finite_entries(bad):
+    # a NaN or an infinity in a block or in the right-hand side would run
+    # through the solve into the coefficients and the residual
+    system, _, _ = make_system()
+    rhs = system.rhs.copy()
+    rhs[rhs.size // 2] = bad
+    with pytest.raises(ValueError, match="non-finite right-hand side"):
+        asm.DesignSystem(system.matrix, rhs, system.rule)
+    (rows, cols, block), *rest = system.matrix.blocks
+    block = block.copy()
+    block[-1, -1] = bad
+    matrix = asm.BlockMatrix(system.matrix.shape, ((rows, cols, block), *rest))
+    with pytest.raises(ValueError, match="non-finite design matrix entries"):
+        asm.DesignSystem(matrix, system.rhs, system.rule)
+
+
 def test_assemble_rejects_the_set_of_one_state():
     # the state (0, 0) alone has no odd half; no case selects it, since the
     # pairs (0, +-n) enter first
