@@ -210,6 +210,7 @@ def assemble(index_set, case, nodes_per_wavelength):
     ``gs.WINDOW_SIGMAS`` * sqrt(hbar), and the source support.  The set must
     be closed under (m, n) -> (-m, -n) and the coefficients (a, b, c) of P_k
     even, odd and even on the rule's mirrored nodes; otherwise ValueError.
+    They are sampled there once, for this check and for the kernel.
     Only the states with m >= 0 are evaluated: each block's x < 0 rows fold
     onto their mirror rows into the even and odd halves of the system.
     """
@@ -224,8 +225,7 @@ def assemble(index_set, case, nodes_per_wavelength):
     x = rule.nodes
     if not np.array_equal(x[::-1], -x):
         raise ValueError(f"quadrature window {window!r} is not symmetric about 0")
-    op = case.operator()
-    a, b, c = (np.broadcast_to(v, x.shape) for v in op.coefficients(x))
+    a, b, c = (np.broadcast_to(v, x.shape) for v in case.operator().coefficients(x))
     if not (np.array_equal(a[::-1], a) and np.array_equal(b[::-1], -b) and np.array_equal(c[::-1], c)):
         raise ValueError("operator coefficients (a, b, c) are not even, odd and even in x")
 
@@ -236,7 +236,7 @@ def assemble(index_set, case, nodes_per_wavelength):
     n_even, middle = size - upper, size % 2  # (0, 0) is in the set when size is odd
     root_w = np.sqrt(rule.weights)
     even, odd = [], []
-    for rows, cols, block in _blocks(index_set, x, op=op, start=upper):
+    for rows, cols, block in _blocks(index_set, x, coefficients=(a, b, c), start=upper):
         block *= root_w[rows, None]
         lo, hi = rows.start, rows.stop
         if lo >= pos:  # no node of the window has its mirror in it
@@ -498,7 +498,7 @@ def reconstruct(report, index_set, x):
     return out[0].reshape(xv.shape), out[1].reshape(xv.shape)
 
 
-def _blocks(index_set, nodes, op=None, start=0):
+def _blocks(index_set, nodes, coefficients=None, start=0):
     """``gs.state_blocks`` of the states ``start``, ``start`` + 1, ... of an index set."""
     x0, n = index_set.x_array()[start:], index_set.n[start:]
-    return gs.state_blocks(index_set.lattice.hbar, x0, n, nodes, op=op)
+    return gs.state_blocks(index_set.lattice.hbar, x0, n, nodes, coefficients)

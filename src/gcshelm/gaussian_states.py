@@ -27,10 +27,12 @@ the subnormal numbers, which slow dense factorizations several-fold.  The
 states sit on the lattice (x_m, xi_n) = (m, n)*h, h = sqrt(pi*hbar), and
 within a block they are the real envelope amp*exp(-u**2/(2*hbar)) of the
 row, u = x - x0, times the phase exp(1j*xi_n*u/hbar) = omega**n with one
-root omega = exp(1j*h*u/hbar) per row.  Each run of consecutive n starts
-from an exact ``exp`` of envelope and phase, as does every eighth column;
-every other column is the one before it times omega, one complex multiply
-per entry.  An operator adds a multiplier quadratic in xi0,
+root omega = exp(1j*h*u/hbar) per row.  One recurrence, ``_phase_powers``,
+builds these powers: each run of consecutive n starts from an exact
+``exp`` of envelope and phase, as does every eighth column; every other
+column is the one before it times omega, one complex multiply per entry.
+An operator, given as its coefficients (a, b, c) sampled once on the
+nodes, adds a multiplier quadratic in xi0,
 
     g = G0(x) + G1(x)*xi0 + G2(x)*xi0**2,
     G0 = a*(u**2 - hbar) - 1j*b*u + c,  G1 = -2j*a*u - b,  G2 = -a.
@@ -38,7 +40,8 @@ per entry.  An operator adds a multiplier quadratic in xi0,
 ``box_coefficients`` pairs one sampled function with every state of a
 lattice box without forming the states: conj(Psi_mn(x)) is the envelope
 of row m times a phase exp(-1j*n*h*x/hbar) shared by all rows, times the
-sign (-1)**(m*n).
+sign (-1)**(m*n).  Its phases come from the same ``_phase_powers``, with
+root exp(-1j*h*x/hbar) and n = 0..n_max.
 
 The per-state ``eval_state``, ``eval_derivative`` (through q_a) and
 ``apply_operator`` are the reference these are tested against.
@@ -147,15 +150,36 @@ def apply_operator(state, op, x):
     return g * psi
 
 
-def state_blocks(hbar, x0, n, x, op=None):
+def _phase_powers(theta, p, scale=1.0, log_envelope=0.0):
+    """scale*exp(log_envelope + 1j*p*theta), column-major, one column per integer p.
+
+    ``log_envelope`` is a scalar or one value per theta.  The columns where
+    a run of consecutive p starts, and every _RESEED-th one, are an exact
+    ``exp``; each column between is the one before it times
+    omega = exp(1j*theta), one complex multiply per entry.
+    """
+    seed = np.ones(p.size, dtype=bool)
+    seed[1:] = np.diff(p) != 1
+    seed[::_RESEED] = True
+    table = np.empty((theta.size, p.size), dtype=complex, order="F")
+    log_envelope = np.asarray(log_envelope)[..., None]
+    table[:, seed] = scale * np.exp(log_envelope + 1j * np.multiply.outer(theta, p[seed]))
+    omega = np.exp(1j * theta)
+    for j in np.flatnonzero(~seed):
+        np.multiply(table[:, j - 1], omega, out=table[:, j])
+    return table
+
+
+def state_blocks(hbar, x0, n, x, coefficients=None):
     """Columns of the states (hbar, x0[j], n[j]*sqrt(pi*hbar)) on nondecreasing nodes x.
 
     ``n`` holds the integer frequency indices of the lattice, xi0 = n * h
     with h = sqrt(pi*hbar); the positions ``x0`` are any floats.  Yields
-    ``(rows, cols, block)``, ``block`` holding Psi_j, or P Psi_j for an
-    operator ``op`` (coefficients sampled once on x), at ``x[rows]`` for the
-    run ``cols`` of equal x0 (index sets are sorted by position).  Rows
-    farther than WINDOW_SIGMAS*sqrt(hbar) from x0 are left out: zero.
+    ``(rows, cols, block)``, ``block`` holding Psi_j, or P Psi_j when
+    ``coefficients`` is the triple (a, b, c) of an operator P sampled on x,
+    at ``x[rows]`` for the run ``cols`` of equal x0 (index sets are sorted
+    by position).  Rows farther than WINDOW_SIGMAS*sqrt(hbar) from x0 are
+    left out: zero.
     """
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -168,8 +192,6 @@ def state_blocks(hbar, x0, n, x, op=None):
     h = math.sqrt(math.pi * hbar)
     step = h / hbar
     amp = (math.pi * hbar) ** (-0.25)
-    if op is not None:
-        a, b, c = (np.asarray(v) for v in op.coefficients(x))
     starts = np.flatnonzero(np.diff(x0, prepend=np.nan) != 0.0)
     for start, stop in zip(starts, np.append(starts[1:], x0.size)):
         centre = x0[start]
@@ -179,24 +201,11 @@ def state_blocks(hbar, x0, n, x, op=None):
             continue
         rows, cols = slice(lo, hi), slice(start, stop)
         u = x[rows] - centre
-        theta = step * u
         nj = n[cols]
-        # exact exp where a run of consecutive n starts and every _RESEED-th
-        # column; in between, column j is column j-1 times omega = exp(1j*theta),
-        # along contiguous columns (column-major block)
-        seed = np.ones(nj.size, dtype=bool)
-        seed[1:] = np.diff(nj) != 1
-        seed[::_RESEED] = True
-        block = np.empty((u.size, nj.size), dtype=complex, order="F")
-        block[:, seed] = amp * np.exp(
-            (-(u**2) / (2.0 * hbar))[:, None] + 1j * np.multiply.outer(theta, nj[seed])
-        )
-        omega = np.exp(1j * theta)
-        for j in np.flatnonzero(~seed):
-            np.multiply(block[:, j - 1], omega, out=block[:, j])
-        if op is not None:
+        block = _phase_powers(step * u, nj, amp, -(u**2) / (2.0 * hbar))
+        if coefficients is not None:
             xi = nj * h
-            ar, br, cr = a[rows], b[rows], c[rows]
+            ar, br, cr = (v[rows] for v in coefficients)
             g = np.empty_like(block)
             np.multiply.outer(-ar, xi, out=g)
             g += (-2j * ar * u - br)[:, None]
@@ -204,21 +213,6 @@ def state_blocks(hbar, x0, n, x, op=None):
             g += (ar * (u**2 - hbar) - 1j * br * u + cr)[:, None]
             block *= g
         yield rows, cols, block
-
-
-def _conj_phase_powers(theta, p_max):
-    """exp(-1j*p*theta) for p = 0..p_max, one row per p.
-
-    Every _RESEED-th row is an exact ``exp``; each row between is the row
-    before it times exp(-1j*theta), one complex multiply per entry.
-    """
-    table = np.empty((p_max + 1, theta.size), dtype=complex)
-    table[::_RESEED] = np.exp(-1j * np.multiply.outer(np.arange(0, p_max + 1, _RESEED), theta))
-    omega = np.exp(-1j * theta)
-    for p in range(1, p_max + 1):
-        if p % _RESEED:
-            np.multiply(table[p - 1], omega, out=table[p])
-    return table
 
 
 def box_coefficients(hbar, m, n_max, x, gw):
@@ -254,7 +248,7 @@ def box_coefficients(hbar, m, n_max, x, gw):
     h = math.sqrt(math.pi * hbar)
     amp = (math.pi * hbar) ** (-0.25)
     # h/hbar = sqrt(pi/hbar), here with one rounding less
-    table = _conj_phase_powers(math.sqrt(math.pi / hbar) * x, n_max)
+    table = _phase_powers(-math.sqrt(math.pi / hbar) * x, np.arange(n_max + 1)).T
     parts = np.concatenate((table.real, table.imag))
     g = amp * np.stack((gw.real, gw.imag), axis=1)
     centres = m * h

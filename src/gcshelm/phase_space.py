@@ -2,9 +2,10 @@
 
 The lattice places position and frequency points at integer multiples of
 sqrt(pi*hbar).  Index sets are selected either by thresholding the modulus
-of an operator's principal symbol, on each position row inside the interval
-of |n| its two roots in xi**2 bound, or by the band of pairs adapted to
-plane-wave right-hand sides.
+of an operator's principal symbol, on each position row for |n| up to the
+bound the larger root in xi**2 gives, from one sampling of the operator's
+coefficients on the rows, or by the band of pairs adapted to plane-wave
+right-hand sides.
 """
 
 import math
@@ -82,13 +83,14 @@ ROW_REACH = 8.0
 
 
 def search_bounds_from_symbol(op, delta, spec):
-    """Rows m and the bracket [lo, hi] of |n| that holds each row's {|p| < delta}.
+    """Rows m, each row's bound hi on |n| for {|p| < delta}, and P's (a, c) on them.
 
     On row x_m, |p|**2 = |a|**2 s**2 - 2 Re(a c*) s + |c|**2 - delta**2 < 0
-    with s = xi**2 holds between two roots: one interval of |n|, widened by
-    one lattice step each way.  The rows end before the first row past
-    |x| = 1 on each side with min over xi of |p| >= delta; the rows beyond
-    it, out to ROW_REACH, must stay so.
+    with s = xi**2 holds below the larger root: |n| <= hi, widened by one
+    lattice step.  The rows end before the first row past |x| = 1 on each
+    side with min over xi of |p| >= delta; the rows beyond it, out to
+    ROW_REACH, must stay so.  Returns (m, hi, a, c), with a and c the
+    coefficients of ``op`` sampled once on x_m.
     """
     reach = math.floor(ROW_REACH / spec.spacing)
     m = np.arange(-reach, reach + 1)
@@ -110,30 +112,24 @@ def search_bounds_from_symbol(op, delta, spec):
     rows = slice(first + 1, last)
     aa, r = np.maximum(abs_a[rows] ** 2, np.finfo(float).tiny), ac.real[rows]
     root = np.sqrt(np.maximum(r**2 - aa * (np.abs(c[rows]) ** 2 - delta**2), 0.0))
-    lo = np.ceil(np.sqrt(np.maximum(r - root, 0.0) / aa) / spec.spacing) - 1
     hi = np.floor(np.sqrt(np.maximum(r + root, 0.0) / aa) / spec.spacing) + 1
-    return m[rows], np.maximum(lo, 0).astype(int), hi.astype(int)
+    return m[rows], hi.astype(int), a[rows], c[rows]
 
 
 def build_symbol_set(spec, op, delta, bounds=None):
     """Pairs with |p(x_m, xi_n)| < delta, strictly, p the principal symbol of ``op``.
 
-    The test runs only on each row's bracket of |n|, ``bounds`` = (m, lo, hi)
+    The test runs on n = -hi..hi of each row, with ``bounds`` = (m, hi, a, c)
     as :func:`search_bounds_from_symbol` returns it.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     if bounds is None:
         bounds = search_bounds_from_symbol(op, delta, spec)
-    m, lo, hi = bounds
-    a, _, c = op.coefficients(m * spec.spacing)
-    # row r holds n = -hi..-lo, then lo..hi with 0 once: lexicographic as built
-    count = np.maximum(hi - lo + 1, 0)
-    zero = (lo == 0) & (count > 0)
-    width = 2 * count - zero
+    m, hi, a, c = bounds
+    width = 2 * hi + 1
     row = np.repeat(np.arange(m.size), width)
-    j = np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
-    n = np.where(j < count[row], j - hi[row], j - count[row] + lo[row] + zero[row])
+    n = np.arange(row.size) - np.repeat(np.cumsum(width) - width + hi, width)
     sel = np.abs(principal_symbol(a[row], c[row], n * spec.spacing)) < delta
     return IndexSet(m[row][sel], n[sel], spec)
 

@@ -7,7 +7,7 @@ import pytest
 from gcshelm import assembly_solver as asm
 from gcshelm import gaussian_states as gs
 from gcshelm import quadrature as quad
-from gcshelm.experiments import ExperimentConfig, _ReferenceCache, run_cell
+from gcshelm.experiments import ExperimentConfig, _ReferenceCache, run_cell, select_index_set
 from gcshelm.gaussian_states import SecondOrderOperator
 from gcshelm.phase_space import IndexSet, LatticeSpec, build_symbol_set
 from gcshelm.problem_model import ProblemCase
@@ -300,13 +300,13 @@ def test_state_blocks_match_per_state_on_the_cells(name, k, delta):
     reach = gs.WINDOW_SIGMAS * math.sqrt(hbar)
     states = states_from_index_set(iset)
     op = case.operator()
-    for kernel_op in (op, None):
-        for rows, cols, block in gs.state_blocks(hbar, x0, iset.n, nodes, kernel_op):
+    for coefficients in (op.coefficients(nodes), None):
+        for rows, cols, block in gs.state_blocks(hbar, x0, iset.n, nodes, coefficients):
             near = np.flatnonzero(np.abs(nodes - x0[cols.start]) <= reach)
             assert np.array_equal(near, np.arange(rows.start, rows.stop))
             x = nodes[rows]
             ref = np.stack([
-                gs.eval_state(s, x) if kernel_op is None else gs.apply_operator(s, op, x) for s in states[cols]
+                gs.eval_state(s, x) if coefficients is None else gs.apply_operator(s, op, x) for s in states[cols]
             ], axis=1)
             assert np.abs(block - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -506,6 +506,41 @@ def test_cell_matches_the_dense_lstsq(name, k, delta, monkeypatch):
         res_tol = spread[1] if cell in RESIDUAL_ROUNDING_CELLS else res_tol
     assert abs(record.rel_h1k_error - oracle.rel_h1k_error) <= err_tol
     assert abs(report.residual_norm - oracle_report.residual_norm) <= res_tol
+
+
+@pytest.mark.parametrize("name,k,delta", ORACLE_CELLS + [EARLY_FORK_CELL], ids=cell_id)
+def test_solve_calls_lstsq_once_per_half(name, k, delta, monkeypatch):
+    # the re-solve at the global cutoff never fires on these cells; one that
+    # started to would double the gelsd share of the solve
+    system, _ = cell_system(ProblemCase.from_name(name, k), delta)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    asm.solve(system)
+    assert len(calls) == 2
+
+
+def test_coefficients_sampled_once_per_selection_and_per_assembly(monkeypatch):
+    # the selection samples P_k once on its rows, and assemble once on its
+    # rule for both the parity check and the kernel
+    case = ProblemCase.heterogeneous(50.0)
+    coefficients = case.operator().coefficients
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return coefficients(x)
+
+    monkeypatch.setattr(ProblemCase, "operator", lambda self: SecondOrderOperator(counted))
+    iset = select_index_set(case, 6.0)
+    assert len(sizes) == 1
+    system = asm.assemble(iset, case, 64)
+    assert sizes[1:] == [len(system.rule)]
 
 
 def test_cell_error_matches_lstsq_solve(monkeypatch):

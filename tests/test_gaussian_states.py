@@ -321,7 +321,7 @@ def test_state_blocks_match_per_state_derivatives():
             if op is None:
                 blocks = derivative_blocks(hbar, x0, n, x, order)
             else:
-                blocks = gs.state_blocks(hbar, x0, n, x, op=op)
+                blocks = gs.state_blocks(hbar, x0, n, x, op.coefficients(x))
             for rows, cols, block in blocks:
                 dense[rows, cols] = block
             for j in range(x0.size):
@@ -421,15 +421,15 @@ def test_box_coefficients_match_per_state_loop_on_the_probe_box(k):
 
 
 def test_box_phase_table_reseeds():
-    # on dyadic angles p*theta is exact, so exp(-1j*p*theta) carries one
-    # rounding; the exact exp every _RESEED powers keeps the recurrence
-    # within a few roundings of it out to p = 400, where powers of one root
-    # alone drift by ~3e-14
+    # the phase table of box_coefficients: on dyadic angles p*theta is
+    # exact, so exp(-1j*p*theta) carries one rounding; the exact exp every
+    # _RESEED powers keeps the recurrence within a few roundings of it out
+    # to p = 400, where powers of one root alone drift by ~3e-14
     rng = np.random.default_rng(0)
     theta = np.ldexp(rng.integers(-(2**22), 2**22, 4000).astype(float), -20)
-    p_max = 400
-    table = gs._conj_phase_powers(theta, p_max)
-    exact = np.exp(-1j * np.multiply.outer(np.arange(p_max + 1), theta))
+    p = np.arange(401)
+    table = gs._phase_powers(-theta, p)
+    exact = np.exp(-1j * np.multiply.outer(theta, p))
     assert np.max(np.abs(table - exact)) <= 2e-15
 
 

@@ -43,9 +43,31 @@ def test_symbol_set_strictness_empty_sublevel():
     # |xi**2 - 1| < delta with delta -> 0+ selects nothing on a generic lattice
     spec = ps.LatticeSpec(1.0 / 37.0)
     rows = np.arange(-4, 5)
-    bounds = (rows, np.zeros_like(rows), np.full_like(rows, 40))
-    iset = ps.build_symbol_set(spec, constant_operator(-1.0, 0.0, -1.0), 1e-12, bounds=bounds)
+    op = constant_operator(-1.0, 0.0, -1.0)
+    a, _, c = op.coefficients(rows * spec.spacing)
+    bounds = (rows, np.full_like(rows, 40), a, c)
+    iset = ps.build_symbol_set(spec, op, 1e-12, bounds=bounds)
     assert len(iset) == 0
+
+
+@pytest.mark.parametrize("hbar", [1.0 / 400.0, 1.0 / 37.0], ids=["hbar-1/400", "hbar-1/37"])
+def test_symbol_set_keeps_pairs_one_ulp_inside_delta(hbar):
+    # p = xi**2 - 1 on the rows |x| <= 1.2, closed beyond: at delta one ulp
+    # above |p(0, xi_n)| the pair (0, n) is kept, at delta = |p| it is not;
+    # the computed root lands within rounding of n*h, which the bound's one
+    # step of widening absorbs
+    def coefficients(x):
+        c = np.where(np.abs(x) <= 1.2, -1.0, 1e3) + 0j
+        return np.full(np.shape(x), -1.0 + 0j), np.zeros(np.shape(x), dtype=complex), c
+
+    op = SecondOrderOperator(coefficients)
+    spec = ps.LatticeSpec(hbar)
+    n = np.arange(1, int(3.0 / spec.spacing))
+    for ni, p in zip(n, np.abs(ps.principal_symbol(-1.0 + 0j, -1.0 + 0j, n * spec.spacing))):
+        kept = ps.build_symbol_set(spec, op, np.nextafter(p, np.inf))
+        assert ni in kept.n[kept.m == 0], ni
+        strict = ps.build_symbol_set(spec, op, p)
+        assert ni not in strict.n[strict.m == 0], ni
 
 
 def test_symbol_set_counts_frozen():
@@ -102,16 +124,19 @@ def test_bounds_end_at_the_first_closed_row_past_one(name, k):
         return np.abs(case.symbol(mi * spec.spacing, xi)).min()
 
     for delta in DEFAULT_SCALING_DELTAS + TABLE_DELTAS:
-        m, lo, hi = ps.search_bounds_from_symbol(case.operator(), delta, spec)
+        bounds = ps.search_bounds_from_symbol(case.operator(), delta, spec)
+        m, hi, a, c = bounds
         assert np.array_equal(m, np.arange(-m[-1], m[-1] + 1))
         # the outermost kept rows lie past |x| = 1 and are open, the next are closed
         assert m[-1] * spec.spacing > 1.0
         assert row_min(m[-1]) < delta <= row_min(m[-1] + 1), delta
         assert row_min(m[0]) < delta <= row_min(m[0] - 1), delta
-        # every selected n lies inside its row's bracket
-        iset = ps.build_symbol_set(spec, case.operator(), delta, bounds=(m, lo, hi))
-        row = iset.m - m[0]
-        assert np.all(lo[row] <= np.abs(iset.n)) and np.all(np.abs(iset.n) <= hi[row])
+        # the rows' samples are the operator's on x_m, bit for bit
+        want_a, _, want_c = case.operator().coefficients(m * spec.spacing)
+        assert np.array_equal(a, want_a) and np.array_equal(c, want_c)
+        # every selected n lies within its row's bound
+        iset = ps.build_symbol_set(spec, case.operator(), delta, bounds=bounds)
+        assert np.all(np.abs(iset.n) <= hi[iset.m - m[0]])
 
 
 def test_rows_with_a_zero_raise_unless_closed():
